@@ -13,8 +13,8 @@ import cmath
 import dataclasses
 import math
 
-from .exact import OMEGA, is_zero_scalar
-from .forms import BinaryForm, ExactKernel, LinearChange, form_compose, form_gcd
+from .exact import OMEGA
+from .forms import FLOAT, BinaryForm, LinearChange, form_compose, form_gcd, relative_residual
 
 TYPE_PROP_TOL = 1e-8       # proportionality tolerance in arrangement search
 CUBESUM_TOL = 1e-9         # relative tolerance on the equal-cube-sum premise
@@ -52,20 +52,13 @@ class TypeTag:
         )
 
 
-def _relative_gap(a: BinaryForm, b: BinaryForm) -> float:
-    num = math.sqrt(sum(abs(complex(p) - complex(q)) ** 2
-                        for p, q in zip(a.coeffs, b.coeffs)))
-    den = math.sqrt(sum(abs(complex(q)) ** 2 for q in b.coeffs))
-    return num / max(den, 1e-300)
-
-
-def _check_equal_cube_sums(f1, f2, f3, f4, exact: bool):
+def _check_equal_cube_sums(f1, f2, f3, f4):
     lhs = f1 ** 3 + f2 ** 3
     rhs = f3 ** 3 + f4 ** 3
-    if exact:
+    if lhs.kernel.exact:
         if not lhs.equals(rhs):
             raise ValueError("cube sums differ")
-    elif _relative_gap(lhs, rhs) > CUBESUM_TOL:
+    elif relative_residual(lhs, rhs) > CUBESUM_TOL:
         raise ValueError("cube sums differ beyond tolerance")
 
 
@@ -75,13 +68,13 @@ def type_detect(f1: BinaryForm, f2: BinaryForm, f3: BinaryForm,
     forms = (f1, f2, f3, f4)
     if any(f.degree != 2 for f in forms):
         raise ValueError("four quadratic forms required")
-    exact = isinstance(f1.kernel, ExactKernel)
-    _check_equal_cube_sums(f1, f2, f3, f4, exact)
+    kernel = f1.kernel
+    _check_equal_cube_sums(f1, f2, f3, f4)
     for i, a in enumerate(forms):
         for b in forms[i + 1:]:
             if a.proportional_to(b, rel_tol=1e-10):
                 raise ValueError("dishonest family: proportional members")
-    omega = OMEGA if exact else _W
+    omega = kernel.coerce(OMEGA)
     for split_index, ((a, b, sb), (c, d, sd)) in enumerate(_SPLITS):
         for i, j in _OMEGA_ORDER:
             left = forms[a] + forms[b].scale(omega ** i * sb)
@@ -90,28 +83,22 @@ def type_detect(f1: BinaryForm, f2: BinaryForm, f3: BinaryForm,
                 continue
             if not left.proportional_to(right, rel_tol=TYPE_PROP_TOL):
                 continue
-            T = _coefficient_ratio(left, right, exact)
+            T = _coefficient_ratio(left, right, kernel)
             return TypeTag(T, split_index, i, j)
     raise ArithmeticError(
         "no type arrangement found; honest equal sums always admit one"
     )
 
 
-def _coefficient_ratio(left: BinaryForm, right: BinaryForm, exact: bool):
-    if exact:
+def _coefficient_ratio(left: BinaryForm, right: BinaryForm, kernel):
+    if kernel.exact:
         for num, den in zip(left.coeffs, right.coeffs):
-            if not is_zero_scalar(den):
-                return num * _inverse(den)
+            if not kernel.is_zero(den):
+                return kernel.div(num, den)
         raise ValueError("zero form has no ratio")
     cr = [complex(c) for c in right.coeffs]
     k = max(range(len(cr)), key=lambda idx: abs(cr[idx]))
     return complex(left.coeffs[k]) / cr[k]
-
-
-def _inverse(v):
-    if hasattr(v, "inverse"):
-        return v.inverse()
-    return 1 / v
 
 
 # ------------------------------------------------------------- diagonalize
@@ -180,8 +167,7 @@ def diagonalize(f1: BinaryForm, f2: BinaryForm) -> LinearChange:
     det = l11 * l22 - l12 * l21
     if abs(det) <= 1e-10 * max(abs(l11), abs(l12), abs(l21), abs(l22)) ** 2:
         raise ValueError("pencil squares are dependent; forms are not coprime")
-    m = LinearChange(l22 / det, -l12 / det, -l21 / det, l11 / det)
-    return m
+    return LinearChange(l22 / det, -l12 / det, -l21 / det, l11 / det, FLOAT)
 
 
 # ------------------------------------------------------------ tame / wild
@@ -212,7 +198,7 @@ def tame_complete(gamma):
     t_coeff = 3 * (1 + g * g)
     target = BinaryForm.floating(6, [2, 0, 2 * t_coeff, 0, 2 * t_coeff, 0, 2])
     for fa, fb in ((f1, f2), (f3, f4)):
-        if _relative_gap(fa ** 3 + fb ** 3, target) > 1e-9:
+        if relative_residual(fa ** 3 + fb ** 3, target) > 1e-9:
             raise ArithmeticError("tame completion failed its sum contract")
     return f1, f2, f3, f4, P / 2
 
@@ -242,19 +228,19 @@ def wild_family(d):
         2, [(1 + 3 * r + 2 * r * r) / denom, 0, (1 - 3 * r + 2 * r * r) / denom]
     )
     p = f1 ** 3 + f2 ** 3
-    if _relative_gap(f3 ** 3 + f4 ** 3, p) > 1e-9:
+    if relative_residual(f3 ** 3 + f4 ** 3, p) > 1e-9:
         raise ArithmeticError("wild family failed its equal-sum contract")
-    if _relative_gap(f1 ** 3 - f4 ** 3, f3 ** 3 - f2 ** 3) > 1e-9:
+    if relative_residual(f1 ** 3 - f4 ** 3, f3 ** 3 - f2 ** 3) > 1e-9:
         raise ArithmeticError("wild family failed its flip contract")
     line = BinaryForm.floating(2, [1 + r, 0, 1 - r])
     dsq = dv * dv
     if (
-        _relative_gap(f1 + f2.scale(dsq), line) > 1e-9
-        or _relative_gap(f3.scale(dsq) + f4, line) > 1e-9
+        relative_residual(f1 + f2.scale(dsq), line) > 1e-9
+        or relative_residual(f3.scale(dsq) + f4, line) > 1e-9
     ):
         raise ArithmeticError("wild family failed its linear relation")
     third = (_negate_y(f1), _negate_y(f2))
-    if _relative_gap(third[0] ** 3 + third[1] ** 3, p) > 1e-9:
+    if relative_residual(third[0] ** 3 + third[1] ** 3, p) > 1e-9:
         raise ArithmeticError("wild family failed its third-representation contract")
     return f1, f2, f3, f4, third, dsq
 
@@ -315,10 +301,10 @@ def canonicalize_type(f1: BinaryForm, f2: BinaryForm, f3: BinaryForm,
     if abs(T) < 1e-10 or abs(T ** 3 - 1) < 1e-10:
         raise ValueError("T(T^3 - 1) = 0 is excluded")
     forms = tuple(f.to_float() for f in (f1, f2, f3, f4))
-    _check_equal_cube_sums(*forms, exact=False)
+    _check_equal_cube_sums(*forms)
     arrangement = forms[0] + forms[1]
     right = forms[2] + forms[3]
-    if _relative_gap(arrangement, right.scale(T)) > 1e-6:
+    if relative_residual(arrangement, right.scale(T)) > 1e-6:
         raise ValueError(
             "family must be arranged with f1 + f2 = lam^2 (f3 + f4)"
         )
@@ -343,21 +329,22 @@ def canonicalize_type(f1: BinaryForm, f2: BinaryForm, f3: BinaryForm,
         inv[0][0] * h12 + inv[0][1] * h22,
         inv[1][0] * h11 + inv[1][1] * h21,
         inv[1][0] * h12 + inv[1][1] * h22,
+        FLOAT,
     )
     m.check_invertible()
     images = tuple(form_compose(f, m) for f in forms)
     for image, target in ((images[2], ref[2]), (images[3], ref[3])):
-        if _relative_gap(image, target) > CANON_MATCH_TOL:
+        if relative_residual(image, target) > CANON_MATCH_TOL:
             raise ArithmeticError("canonicalization failed to hit the reference pair")
     got = {0: images[0] ** 3, 1: images[1] ** 3}
     want = (ref[0] ** 3, ref[1] ** 3)
     direct = (
-        _relative_gap(got[0], want[0]) <= CANON_MATCH_TOL
-        and _relative_gap(got[1], want[1]) <= CANON_MATCH_TOL
+        relative_residual(got[0], want[0]) <= CANON_MATCH_TOL
+        and relative_residual(got[1], want[1]) <= CANON_MATCH_TOL
     )
     swapped = (
-        _relative_gap(got[0], want[1]) <= CANON_MATCH_TOL
-        and _relative_gap(got[1], want[0]) <= CANON_MATCH_TOL
+        relative_residual(got[0], want[1]) <= CANON_MATCH_TOL
+        and relative_residual(got[1], want[0]) <= CANON_MATCH_TOL
     )
     if not (direct or swapped):
         raise ArithmeticError("canonicalization failed to match the completion pair")

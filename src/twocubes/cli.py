@@ -15,7 +15,6 @@ import re
 import sys
 from fractions import Fraction
 
-from . import families
 from .classify import type_detect
 from .decomp import rep_count, report_to_json
 from .ecurve import EBParams, curve_add, curve_third_rep, eb_forward, eb_inverse
@@ -187,12 +186,10 @@ def cmd_census(ns) -> int:
 
 
 def cmd_verify(ns) -> int:
-    if ns.seed is not None:
-        families._SAMPLE_SEED = ns.seed
     ids = None
     if ns.ids:
         ids = {token.strip() for token in ns.ids.split(",") if token.strip()}
-    entries = verify_identity_suite(ids)
+    entries = verify_identity_suite(ids, seed=ns.seed)
     if not entries:
         raise UsageError("no identity groups match the requested ids")
 

@@ -16,8 +16,8 @@ from __future__ import annotations
 import dataclasses
 import math
 
-from .exact import OMEGA, SQRTM3, is_zero_scalar
-from .forms import BinaryForm, ExactKernel, form_to_json
+from .exact import OMEGA, SQRTM3
+from .forms import BinaryForm, det3, form_to_json, relative_residual
 from .roots import ProjectiveRoot, expanded_root_slots, linear_factors
 
 DISTINCT_REL = 1e-5        # quadratics closer than this count as proportional
@@ -128,7 +128,7 @@ class CubicSplit:
 
 
 def _coeff_key(f: BinaryForm):
-    if isinstance(f.kernel, ExactKernel):
+    if f.kernel.exact:
         return tuple(str(c) for c in f.coeffs)
     return tuple((round(complex(c).real, 12), round(complex(c).imag, 12)) for c in f.coeffs)
 
@@ -153,33 +153,27 @@ def pair_partitions(factors) -> list:
     return out
 
 
-def _det3(rows):
-    (a, b, c), (d, e, f), (g, h, i) = rows
-    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-
-
 def dependence_test(q1: BinaryForm, q2: BinaryForm, q3: BinaryForm) -> Dependence:
     """Whether q3 lies in the span of q1 and q2, with the span coefficients."""
     if any(q.degree != 2 for q in (q1, q2, q3)):
         raise ValueError("quadratic forms required")
     if q1.proportional_to(q2):
         raise ValueError("first two quadratics are proportional")
-    exact = isinstance(q1.kernel, ExactKernel)
+    kernel = q1.kernel
     rows = [q1.coeffs, q2.coeffs, q3.coeffs]
-    det = _det3(rows)
-    if exact:
-        if not is_zero_scalar(det):
+    if kernel.exact:
+        if not kernel.is_zero(det3(rows)):
             return Dependence(False)
         for c1, c2 in ((0, 1), (0, 2), (1, 2)):
             pivot = q1.coeffs[c1] * q2.coeffs[c2] - q1.coeffs[c2] * q2.coeffs[c1]
-            if not is_zero_scalar(pivot):
-                inv = _scalar_inverse(pivot)
+            if not kernel.is_zero(pivot):
+                inv = kernel.inv(pivot)
                 alpha = (q3.coeffs[c1] * q2.coeffs[c2] - q3.coeffs[c2] * q2.coeffs[c1]) * inv
                 beta = (q1.coeffs[c1] * q3.coeffs[c2] - q1.coeffs[c2] * q3.coeffs[c1]) * inv
                 return Dependence(True, alpha, beta)
         raise ValueError("first two quadratics are proportional")
     crows = [[complex(c) for c in row] for row in rows]
-    det = _det3(crows)
+    det = det3(crows)
     norm_prod = 1.0
     for row in crows:
         norm_prod *= math.sqrt(sum(abs(c) ** 2 for c in row))
@@ -205,18 +199,11 @@ def dependence_test(q1: BinaryForm, q2: BinaryForm, q3: BinaryForm) -> Dependenc
     return Dependence(True, alpha, beta)
 
 
-def _scalar_inverse(v):
-    if hasattr(v, "inverse"):
-        return v.inverse()
-    return 1 / v
-
-
 def construct_from_triple(g1: BinaryForm, g2: BinaryForm, g3: BinaryForm,
                           alpha, beta) -> Representation:
     """Representation of g1*g2*g3 from the dependence g3 = alpha*g1 + beta*g2."""
-    exact = isinstance(g1.kernel, ExactKernel)
-    if exact:
-        if is_zero_scalar(alpha) or is_zero_scalar(beta):
+    if g1.kernel.exact:
+        if g1.kernel.is_zero(alpha) or g1.kernel.is_zero(beta):
             raise ValueError("dependence coefficients must both be nonzero")
         h1 = g1.scale(OMEGA * alpha) - g2.scale(beta)
         h2 = g2.scale(OMEGA * beta) - g1.scale(alpha)
@@ -233,15 +220,8 @@ def construct_from_triple(g1: BinaryForm, g2: BinaryForm, g3: BinaryForm,
     c = (1.0 / s) ** (1.0 / 3.0)
     f1, f2 = h1.scale(c), h2.scale(c)
     target = g1 * g2 * g3
-    residual = _relative_residual(f1 ** 3 + f2 ** 3, target)
+    residual = relative_residual(f1 ** 3 + f2 ** 3, target)
     return Representation(f1, f2, 1.0, residual)
-
-
-def _relative_residual(got: BinaryForm, want: BinaryForm) -> float:
-    num = math.sqrt(sum(abs(complex(a) - complex(b)) ** 2
-                        for a, b in zip(got.coeffs, want.coeffs)))
-    den = math.sqrt(sum(abs(complex(b)) ** 2 for b in want.coeffs))
-    return num / max(den, 1e-300)
 
 
 def cubic_two_cubes(q: BinaryForm) -> CubicSplit:
@@ -267,7 +247,7 @@ def cubic_two_cubes(q: BinaryForm) -> CubicSplit:
     s = 3.0 * _SQRTM3_F * alpha * beta
     c = (complex(scale) / s) ** (1.0 / 3.0)
     ell1, ell2 = h1.scale(c), h2.scale(c)
-    residual = _relative_residual(ell1 ** 3 + ell2 ** 3, q.to_float())
+    residual = relative_residual(ell1 ** 3 + ell2 ** 3, q.to_float())
     if residual > REP_RESIDUAL_TOL:
         raise ArithmeticError(f"cubic split residual {residual:.2e} too large")
     return CubicSplit(True, ell1, ell2)
@@ -291,7 +271,7 @@ def H_eval(roots) -> complex:
         for i, j in pairing:
             a, b = slots[i], slots[j]
             rows.append((a.t * b.t, a.s * b.t + b.s * a.t, a.s * b.s))
-        det = _det3(rows)
+        det = det3(rows)
         norm = 1.0
         for row in rows:
             norm *= math.sqrt(sum(abs(c) ** 2 for c in row))
@@ -371,12 +351,12 @@ def rep_count(p: BinaryForm) -> DecompositionReport:
         base = construct_from_triple(g1, g2, g3, dep.alpha, dep.beta)
         f1 = base.f1.scale(cube_root)
         f2 = base.f2.scale(cube_root)
-        residual = _relative_residual(f1 ** 3 + f2 ** 3, pf)
+        cubes = (f1 ** 3, f2 ** 3)
+        residual = relative_residual(cubes[0] + cubes[1], pf)
         if residual > REP_RESIDUAL_TOL:
             continue
         rep = Representation(f1, f2, 1.0, residual)
         projector = _orthonormal_projector(f1, f2)
-        cubes = (f1 ** 3, f2 ** 3)
         duplicate = any(
             _projector_distance(projector, proj) <= SUBSPACE_MATCH_TOL
             and _cube_pairs_match(cubes, seen_cubes)

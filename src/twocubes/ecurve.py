@@ -23,26 +23,10 @@ import dataclasses
 from fractions import Fraction
 
 from .exact import CycNum
-from .forms import EXACT, BinaryForm, FloatKernel, form_gcd
+from .forms import EXACT, BinaryForm, form_gcd
 
 FLOAT_TOL = 1e-9
 _NEAR_ZERO = 1e-12
-
-
-def _is_exact_scalar(v) -> bool:
-    return isinstance(v, (int, Fraction, CycNum))
-
-
-def _scalar_inverse(v):
-    if isinstance(v, CycNum):
-        return v.inverse()
-    return 1 / Fraction(v)
-
-
-def _scalar_is_zero(v) -> bool:
-    if isinstance(v, CycNum):
-        return v.is_zero()
-    return v == 0
 
 
 def _const_form(v) -> BinaryForm:
@@ -61,11 +45,11 @@ def _divide_forms(num: BinaryForm, den: BinaryForm) -> BinaryForm:
     # dense division of the dehomogenized polynomials in t = y/x
     n = list(num.coeffs)
     d = list(den.coeffs)
-    dtop = max(i for i, c in enumerate(d) if not _scalar_is_zero(c))
-    lead_inv = _scalar_inverse(d[dtop])
-    quot = [Fraction(0)] * (qdeg + 1)
+    dtop = max(i for i, c in enumerate(d) if not EXACT.is_zero(c))
+    lead_inv = EXACT.inv(d[dtop])
+    quot = [EXACT.zero] * (qdeg + 1)
     for i in range(len(n) - 1, dtop - 1, -1):
-        if _scalar_is_zero(n[i]):
+        if EXACT.is_zero(n[i]):
             continue
         k = i - dtop
         if k > qdeg:
@@ -74,7 +58,7 @@ def _divide_forms(num: BinaryForm, den: BinaryForm) -> BinaryForm:
         quot[k] = c
         for j, dj in enumerate(d):
             n[k + j] = n[k + j] - c * dj
-    if any(not _scalar_is_zero(c) for c in n):
+    if not all(EXACT.is_zero(c) for c in n):
         raise ValueError("form quotient is not polynomial")
     return BinaryForm.exact(qdeg, quot)
 
@@ -91,7 +75,7 @@ class RationalFunction:
             den = _const_form(Fraction(1))
         elif not isinstance(den, BinaryForm):
             den = _const_form(den)
-        if isinstance(num.kernel, FloatKernel) or isinstance(den.kernel, FloatKernel):
+        if not (num.kernel.exact and den.kernel.exact):
             raise TypeError("rational-function arithmetic requires exact forms")
         if den.is_zero():
             raise ZeroDivisionError("zero denominator form")
@@ -103,9 +87,9 @@ class RationalFunction:
             if g.degree > 0:
                 num = _divide_forms(num, g)
                 den = _divide_forms(den, g)
-            lead = next(c for c in den.coeffs if not _scalar_is_zero(c))
+            lead = next(c for c in den.coeffs if not EXACT.is_zero(c))
             if not (isinstance(lead, Fraction) and lead == 1):
-                inv = _scalar_inverse(lead)
+                inv = EXACT.inv(lead)
                 num = num.scale(inv)
                 den = den.scale(inv)
         self.num = num
@@ -117,7 +101,7 @@ class RationalFunction:
     def _coerce(cls, v):
         if isinstance(v, cls):
             return v
-        if isinstance(v, BinaryForm) or _is_exact_scalar(v):
+        if isinstance(v, (BinaryForm, int, Fraction, CycNum)):
             return cls(v)
         return NotImplemented
 
@@ -242,15 +226,22 @@ def _lift_param(v):
 
 
 def _value_is_zero(v, scale=None) -> bool:
-    if isinstance(v, RationalFunction):
-        return v.is_zero()
-    if isinstance(v, BinaryForm):
-        return v.is_zero()
-    if isinstance(v, CycNum):
+    if isinstance(v, (RationalFunction, BinaryForm)):
         return v.is_zero()
     if isinstance(v, complex):
         return abs(v) <= _NEAR_ZERO * (scale if scale else 1.0)
-    return v == 0
+    return EXACT.is_zero(v)
+
+
+def _check_identity(diff, terms, name: str):
+    """Raise ArithmeticError unless diff vanishes: exactly, or for complex
+    values to FLOAT_TOL against the cube of the largest of `terms` (and 1)."""
+    if isinstance(diff, complex):
+        holds = abs(diff) <= FLOAT_TOL * max([abs(t) for t in terms] + [1.0]) ** 3
+    else:
+        holds = _value_is_zero(diff)
+    if not holds:
+        raise ArithmeticError(f"{name} identity failed")
 
 
 def eb_forward(params: EBParams) -> EBQuadruple:
@@ -262,13 +253,7 @@ def eb_forward(params: EBParams) -> EBQuadruple:
     f3 = mu * ((a + 3 * b) - q * q)
     f4 = mu * (q * q - (a - 3 * b))
     left = f1 ** 3 + f2 ** 3
-    right = f3 ** 3 + f4 ** 3
-    diff = left - right
-    if isinstance(diff, complex):
-        scale = max(abs(f1), abs(f2), abs(f3), abs(f4), 1.0) ** 3
-        assert abs(diff) <= FLOAT_TOL * scale
-    else:
-        assert _value_is_zero(diff)
+    _check_identity(left - (f3 ** 3 + f4 ** 3), (f1, f2, f3, f4), "equal-sum")
     scale = None
     if isinstance(left, complex):
         scale = max(abs(f1), abs(f2), 1.0) ** 3
@@ -300,7 +285,7 @@ def eb_inverse(f1, f2, f3, f4) -> EBParams:
     if forms:
         if not all(isinstance(v, BinaryForm) for v in values):
             raise TypeError("mixed form and scalar quadruple")
-        if any(isinstance(v.kernel, FloatKernel) for v in values):
+        if not all(v.kernel.exact for v in values):
             raise TypeError("inverse parameterization requires exact forms")
     else:
         values = [_lift_param(v) for v in values]
@@ -329,7 +314,7 @@ def eb_inverse(f1, f2, f3, f4) -> EBParams:
         a = num_a / den
         b = num_b / den
     else:
-        inv = _scalar_inverse(den)
+        inv = EXACT.inv(den)
         a = num_a * inv
         b = num_b * inv
 
@@ -352,7 +337,7 @@ def curve_third_rep(params: EBParams):
     """The pair (h1, h2) with h1^3 - h2^3 = f1^3 - f4^3 for the quadruple.
 
     The flipped sum of the parameterized quadruple has this one extra
-    representation; the identity is asserted exactly (or to 1e-9 relative
+    representation; the identity is checked exactly (or to 1e-9 relative
     in the complex case).
     """
     a, b, mu = (_lift_param(v) for v in (params.a, params.b, params.mu))
@@ -361,11 +346,7 @@ def curve_third_rep(params: EBParams):
     h2 = mu * (2 * a + q * q)
     quad = eb_forward(params)
     diff = (h1 ** 3 - h2 ** 3) - (quad.f1 ** 3 - quad.f4 ** 3)
-    if isinstance(diff, complex):
-        scale = max(abs(h1), abs(h2), abs(quad.f1), abs(quad.f4), 1.0) ** 3
-        assert abs(diff) <= FLOAT_TOL * scale
-    else:
-        assert _value_is_zero(diff)
+    _check_identity(diff, (h1, h2, quad.f1, quad.f4), "third-representation")
     return h1, h2
 
 
@@ -400,7 +381,7 @@ def curve_add(point1, point2, a, tol: float = FLOAT_TOL):
     if forms:
         if not (all(isinstance(v, BinaryForm) for v in entries) and isinstance(a, BinaryForm)):
             raise TypeError("form points need form coordinates and a form right side")
-        if any(isinstance(v.kernel, FloatKernel) for v in entries + [a]):
+        if not all(v.kernel.exact for v in entries + [a]):
             raise TypeError("chord addition on forms requires the exact kernel")
         floating = False
     else:
@@ -429,9 +410,7 @@ def curve_add(point1, point2, a, tol: float = FLOAT_TOL):
     if forms:
         x3 = RationalFunction(num_x, den)
         y3 = RationalFunction(num_y, den)
-        check_x, check_y, check_a = x3, y3, RationalFunction(a)
-        diff = check_x ** 3 + check_y ** 3 - check_a
-        assert diff.is_zero()
+        _check_identity(x3 ** 3 + y3 ** 3 - RationalFunction(a), (), "chord")
         if x3.den.degree == 0:
             x3 = x3.to_form()
         if y3.den.degree == 0:
@@ -442,7 +421,7 @@ def curve_add(point1, point2, a, tol: float = FLOAT_TOL):
         y3 = num_y / den
         _on_curve_check(x3, y3, a, True, tol)
         return x3, y3
-    inv = _scalar_inverse(den)
+    inv = EXACT.inv(den)
     x3 = num_x * inv
     y3 = num_y * inv
     _on_curve_check(x3, y3, a, False, tol)

@@ -3,8 +3,12 @@
 A form of degree d is the coefficient tuple (c0, ..., cd) of
 sum_k c_k x^(d-k) y^k.  Two kernels are provided: an exact one whose scalars
 are Fractions, CycNums or ParamPolys, and a complex floating one with
-relative-tolerance equality.  Forms are immutable; all operations return new
-values, so they are safe to share across threads.
+relative-tolerance equality.  Each kernel owns its scalar protocol (`zero`,
+`one`, `is_zero`, `negligible`, `inv`, `div`, `coerce`, `magnitude` and the
+`exact` flag), so code above this module asks the kernel instead of testing
+its type.
+Forms are immutable; all operations return new values, so they are safe to
+share across threads.
 """
 from __future__ import annotations
 
@@ -14,12 +18,32 @@ from fractions import Fraction
 
 from .exact import CycNum, ParamPoly, is_zero_scalar
 
+NEGLIGIBLE_REL = 1e-12  # floating coefficients below this share of the scale are dropped
+
 
 class ExactKernel:
+    """Scalars in Q, Q(zeta24) or a ParamPoly ring; zero means exactly zero,
+    so every scale argument is ignored."""
+
     name = "exact"
+    exact = True
+    zero = Fraction(0)
+    one = Fraction(1)
 
     def is_zero(self, value, scale=None) -> bool:
         return is_zero_scalar(value)
+
+    negligible = is_zero
+
+    def inv(self, value):
+        return value.inverse() if isinstance(value, CycNum) else Fraction(1) / value
+
+    def div(self, num, den):
+        return num * self.inv(den)
+
+    @staticmethod
+    def coerce(value):
+        return value
 
     def magnitude(self, value) -> float:
         if isinstance(value, CycNum):
@@ -30,7 +54,12 @@ class ExactKernel:
 
 
 class FloatKernel:
+    """Complex floats; zero means small against a scale."""
+
     name = "float"
+    exact = False
+    zero = 0j
+    one = 1.0 + 0j
 
     def __init__(self, tolerance: float = 1e-9):
         if tolerance <= 0:
@@ -40,22 +69,33 @@ class FloatKernel:
     def is_zero(self, value, scale=1.0) -> bool:
         return abs(value) <= self.tolerance * max(scale, 1e-300)
 
+    def negligible(self, value, scale) -> bool:
+        """The coefficient cut used to trim and dehomogenize forms."""
+        return abs(value) <= NEGLIGIBLE_REL * max(scale, 1e-300)
+
+    def inv(self, value):
+        return 1 / value
+
+    def div(self, num, den):
+        return num / den
+
+    @staticmethod
+    def coerce(value) -> complex:
+        """The complex value of an exact or floating scalar."""
+        if isinstance(value, CycNum):
+            return value.to_complex()
+        if isinstance(value, ParamPoly):
+            raise TypeError("cannot promote a formal parameter to a complex number")
+        if isinstance(value, Fraction):
+            return complex(float(value))
+        return complex(value)
+
     def magnitude(self, value) -> float:
         return abs(value)
 
 
 EXACT = ExactKernel()
 FLOAT = FloatKernel()
-
-
-def _to_complex(v) -> complex:
-    if isinstance(v, CycNum):
-        return v.to_complex()
-    if isinstance(v, ParamPoly):
-        raise TypeError("cannot promote a formal parameter to a complex number")
-    if isinstance(v, Fraction):
-        return complex(float(v))
-    return complex(v)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -81,21 +121,17 @@ class BinaryForm:
 
     @staticmethod
     def zero(degree: int, kernel=EXACT) -> BinaryForm:
-        z = 0j if isinstance(kernel, FloatKernel) else Fraction(0)
-        return BinaryForm(degree, tuple(z for _ in range(degree + 1)), kernel)
+        return BinaryForm(degree, (kernel.zero,) * (degree + 1), kernel)
 
     def to_float(self, kernel: FloatKernel | None = None) -> BinaryForm:
         k = kernel if kernel is not None else FLOAT
-        return BinaryForm(self.degree, tuple(_to_complex(c) for c in self.coeffs), k)
+        return BinaryForm(self.degree, tuple(k.coerce(c) for c in self.coeffs), k)
 
     # -- predicates -------------------------------------------------------
 
     def is_zero(self) -> bool:
-        scale = self.max_magnitude()
-        if isinstance(self.kernel, FloatKernel):
-            # the zero form is zero at its own scale; test absolutely
-            return all(abs(c) == 0 for c in self.coeffs) or scale == 0.0
-        return all(self.kernel.is_zero(c) for c in self.coeffs)
+        # the zero form is zero at its own scale, so every kernel tests exactly
+        return all(is_zero_scalar(c) for c in self.coeffs)
 
     def max_magnitude(self) -> float:
         mags = [self.kernel.magnitude(c) for c in self.coeffs]
@@ -104,10 +140,8 @@ class BinaryForm:
     def equals(self, other: BinaryForm) -> bool:
         if self.degree != other.degree:
             return False
-        if isinstance(self.kernel, FloatKernel):
-            scale = max(self.max_magnitude(), other.max_magnitude())
-            return all(self.kernel.is_zero(a - b, scale) for a, b in zip(self.coeffs, other.coeffs))
-        return all(self.kernel.is_zero(a - b) for a, b in zip(self.coeffs, other.coeffs))
+        scale = None if self.kernel.exact else max(self.max_magnitude(), other.max_magnitude())
+        return all(self.kernel.is_zero(a - b, scale) for a, b in zip(self.coeffs, other.coeffs))
 
     def proportional_to(self, other: BinaryForm, rel_tol: float = 1e-7) -> bool:
         """True when self and other span the same line of forms."""
@@ -115,20 +149,12 @@ class BinaryForm:
             return False
         if self.is_zero() or other.is_zero():
             return self.is_zero() and other.is_zero()
-        if isinstance(self.kernel, FloatKernel):
-            cross_scale = self.max_magnitude() * other.max_magnitude()
-            for i in range(self.degree + 1):
-                for j in range(i + 1, self.degree + 1):
-                    cr = self.coeffs[i] * other.coeffs[j] - self.coeffs[j] * other.coeffs[i]
-                    if abs(cr) > rel_tol * max(cross_scale, 1e-300):
-                        return False
-            return True
-        for i in range(self.degree + 1):
-            for j in range(i + 1, self.degree + 1):
-                cr = self.coeffs[i] * other.coeffs[j] - self.coeffs[j] * other.coeffs[i]
-                if not is_zero_scalar(cr):
-                    return False
-        return True
+        a, b, n = self.coeffs, other.coeffs, self.degree + 1
+        crosses = (a[i] * b[j] - a[j] * b[i] for i in range(n) for j in range(i + 1, n))
+        if self.kernel.exact:
+            return all(self.kernel.is_zero(cr) for cr in crosses)
+        cut = rel_tol * max(self.max_magnitude() * other.max_magnitude(), 1e-300)
+        return not any(abs(cr) > cut for cr in crosses)
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -149,8 +175,7 @@ class BinaryForm:
 
     def __mul__(self, other: BinaryForm) -> BinaryForm:
         d = self.degree + other.degree
-        zero = 0j if isinstance(self.kernel, FloatKernel) else Fraction(0)
-        out = [zero] * (d + 1)
+        out = [self.kernel.zero] * (d + 1)
         for i, a in enumerate(self.coeffs):
             for j, b in enumerate(other.coeffs):
                 out[i + j] = out[i + j] + a * b
@@ -162,15 +187,18 @@ class BinaryForm:
     def __pow__(self, n: int) -> BinaryForm:
         if n < 0:
             raise ValueError("forms have no negative powers")
-        one = 1.0 + 0j if isinstance(self.kernel, FloatKernel) else Fraction(1)
-        out = BinaryForm(0, (one,), self.kernel)
-        base = self
-        while n:
+        if n == 0:
+            return BinaryForm(0, (self.kernel.one,), self.kernel)
+        # binary powering from the low bits, starting from self itself and
+        # stopping at the top bit: a cube is the one product self * self**2
+        out, base = None, self
+        while True:
             if n & 1:
-                out = out * base
-            base = base * base
+                out = base if out is None else out * base
             n >>= 1
-        return out
+            if not n:
+                return out
+            base = base * base
 
     def evaluate(self, x, y):
         acc = None
@@ -185,8 +213,7 @@ class BinaryForm:
             raise ValueError("substitution needs two linear forms")
         out = BinaryForm.zero(self.degree, self.kernel)
         for k, c in enumerate(self.coeffs):
-            skip = (c == 0) if isinstance(self.kernel, FloatKernel) else is_zero_scalar(c)
-            if skip:
+            if is_zero_scalar(c):
                 continue
             term = (fx ** (self.degree - k)) * (fy**k)
             out = out + term.scale(c)
@@ -207,23 +234,15 @@ class LinearChange:
         return self.alpha * self.delta - self.beta * self.gamma
 
     def check_invertible(self):
-        scale = None
-        if isinstance(self.kernel, FloatKernel):
-            scale = max(abs(self.alpha), abs(self.beta), abs(self.gamma), abs(self.delta)) ** 2
-            if self.kernel.is_zero(self.det(), scale):
-                raise ValueError("singular linear change")
-        elif is_zero_scalar(self.det()):
+        k = self.kernel
+        scale = None if k.exact else max(abs(self.alpha), abs(self.beta), abs(self.gamma), abs(self.delta)) ** 2
+        if k.is_zero(self.det(), scale):
             raise ValueError("singular linear change")
 
     def inverse(self) -> LinearChange:
         self.check_invertible()
-        d = self.det()
-        if isinstance(self.kernel, FloatKernel):
-            return LinearChange(self.delta / d, -self.beta / d, -self.gamma / d, self.alpha / d, self.kernel)
-        one_over = Fraction(1) / d if isinstance(d, (int, Fraction)) else d.inverse()
-        return LinearChange(
-            self.delta * one_over, -self.beta * one_over, -self.gamma * one_over, self.alpha * one_over, self.kernel
-        )
+        k, d = self.kernel, self.det()
+        return LinearChange(k.div(self.delta, d), k.div(-self.beta, d), k.div(-self.gamma, d), k.div(self.alpha, d), k)
 
     def then(self, other: LinearChange) -> LinearChange:
         """Matrix product: applying self after substituting with other.
@@ -238,9 +257,7 @@ class LinearChange:
 
     def to_float(self, kernel: FloatKernel | None = None) -> LinearChange:
         k = kernel if kernel is not None else FLOAT
-        return LinearChange(
-            _to_complex(self.alpha), _to_complex(self.beta), _to_complex(self.gamma), _to_complex(self.delta), k
-        )
+        return LinearChange(k.coerce(self.alpha), k.coerce(self.beta), k.coerce(self.gamma), k.coerce(self.delta), k)
 
 
 def form_compose(f: BinaryForm, m: LinearChange) -> BinaryForm:
@@ -253,15 +270,8 @@ def form_compose(f: BinaryForm, m: LinearChange) -> BinaryForm:
 def _y_multiplicity(f: BinaryForm) -> int:
     scale = f.max_magnitude()
     m = 0
-    for c in f.coeffs:
-        if isinstance(f.kernel, FloatKernel):
-            if abs(c) <= 1e-12 * max(scale, 1e-300):
-                m += 1
-                continue
-        elif is_zero_scalar(c):
-            m += 1
-            continue
-        break
+    while m < len(f.coeffs) and f.kernel.negligible(f.coeffs[m], scale):
+        m += 1
     return m
 
 
@@ -273,16 +283,8 @@ def _dehomogenize(f: BinaryForm):
 
 def _poly_trim(c, kernel, scale):
     c = list(c)
-    while len(c) > 1:
-        lead = c[0]
-        if isinstance(kernel, FloatKernel):
-            if abs(lead) <= 1e-12 * max(scale, 1e-300):
-                c.pop(0)
-                continue
-        elif is_zero_scalar(lead):
-            c.pop(0)
-            continue
-        break
+    while len(c) > 1 and kernel.negligible(c[0], scale):
+        c.pop(0)
     return c
 
 
@@ -291,7 +293,7 @@ def _poly_mod(a, b, kernel, scale):
     a = _poly_trim(list(a), kernel, scale)
     b = _poly_trim(list(b), kernel, scale)
     while len(a) >= len(b) and not _is_poly_zero(a, kernel, scale):
-        q = a[0] / b[0] if isinstance(kernel, FloatKernel) else a[0] * _inv_scalar(b[0])
+        q = kernel.div(a[0], b[0])
         for i in range(len(b)):
             a[i] = a[i] - q * b[i]
         a = _poly_trim(a[1:], kernel, scale)
@@ -299,15 +301,7 @@ def _poly_mod(a, b, kernel, scale):
 
 
 def _is_poly_zero(a, kernel, scale):
-    if isinstance(kernel, FloatKernel):
-        return all(abs(c) <= 1e-12 * max(scale, 1e-300) for c in a)
-    return all(is_zero_scalar(c) for c in a)
-
-
-def _inv_scalar(v):
-    if isinstance(v, CycNum):
-        return v.inverse()
-    return Fraction(1) / Fraction(v) if isinstance(v, int) else 1 / v
+    return all(kernel.negligible(c, scale) for c in a)
 
 
 def form_gcd(f: BinaryForm, g: BinaryForm) -> BinaryForm:
@@ -337,9 +331,7 @@ def form_gcd(f: BinaryForm, g: BinaryForm) -> BinaryForm:
     a = _poly_trim(a, kernel, scale)
     # re-homogenize: y^ycommon shifts the x-polynomial toward higher k indices
     deg = len(a) - 1 + ycommon
-    zero = 0j if isinstance(kernel, FloatKernel) else Fraction(0)
-    coeffs = [zero] * ycommon + list(a)
-    return BinaryForm(deg, tuple(coeffs), kernel)
+    return BinaryForm(deg, tuple([kernel.zero] * ycommon + a), kernel)
 
 
 def form_derivative_x(f: BinaryForm) -> BinaryForm:
@@ -353,37 +345,36 @@ def form_derivative_x(f: BinaryForm) -> BinaryForm:
 
 def form_divexact(f: BinaryForm, g: BinaryForm) -> BinaryForm:
     """Exact division f / g for forms known to divide; exact kernel only."""
-    if isinstance(f.kernel, FloatKernel):
+    kernel = f.kernel
+    if not kernel.exact:
         raise TypeError("exact division requires the exact kernel")
     my, a = _dehomogenize(f)
     ny, b = _dehomogenize(g)
     if ny > my:
         raise ValueError("does not divide (y-multiplicity)")
-    a = _poly_trim(a, f.kernel, 1.0)
-    b = _poly_trim(b, f.kernel, 1.0)
+    a = _poly_trim(a, kernel, 1.0)
+    b = _poly_trim(b, kernel, 1.0)
     da, db = len(a) - 1, len(b) - 1
     if db > da:
         raise ValueError("does not divide (degree)")
-    q = [Fraction(0)] * (da - db + 1)
+    q = [kernel.zero] * (da - db + 1)
     rem = list(a)
-    binv = _inv_scalar(b[0])
+    binv = kernel.inv(b[0])
     for i in range(da - db + 1):
         c = rem[i] * binv
         q[i] = c
         for j in range(db + 1):
             rem[i + j] = rem[i + j] - c * b[j]
-    if not all(is_zero_scalar(r) for r in rem):
+    if not all(kernel.is_zero(r) for r in rem):
         raise ValueError("does not divide (remainder)")
-    deg = f.degree - g.degree
-    coeffs = [Fraction(0)] * (my - ny) + list(q)
-    return BinaryForm(deg, tuple(coeffs), f.kernel)
+    return BinaryForm(f.degree - g.degree, tuple([kernel.zero] * (my - ny) + q), kernel)
 
 
 def multiplicity_structure(p: BinaryForm) -> list[int]:
     """Sorted multiset of projective root multiplicities (root at infinity included)."""
     if p.is_zero():
         raise ValueError("zero form has no multiplicity structure")
-    if isinstance(p.kernel, FloatKernel):
+    if not p.kernel.exact:
         from .roots import linear_factors
 
         _, roots = linear_factors(p)
@@ -424,7 +415,7 @@ def _exact_multiplicities(f: BinaryForm) -> list[int]:
 
 
 def form_to_json(f: BinaryForm) -> dict:
-    if isinstance(f.kernel, FloatKernel):
+    if not f.kernel.exact:
         coeffs = [[c.real, c.imag] for c in (complex(c) for c in f.coeffs)]
     else:
         coeffs = []
@@ -457,12 +448,21 @@ def form_from_json(obj: dict, kernel=None) -> BinaryForm:
                 exact = False
         else:
             raise ValueError(f"unreadable coefficient {item!r}")
-    if kernel is not None:
-        if isinstance(kernel, FloatKernel):
-            return BinaryForm(degree, tuple(_to_complex(c) for c in parsed), kernel)
-        if not exact:
-            raise ValueError("exact kernel requested for floating coefficients")
-        return BinaryForm(degree, tuple(parsed), kernel)
-    if exact:
-        return BinaryForm(degree, tuple(parsed), EXACT)
-    return BinaryForm(degree, tuple(_to_complex(c) for c in parsed), FLOAT)
+    if kernel is None:
+        kernel = EXACT if exact else FLOAT
+    elif kernel.exact and not exact:
+        raise ValueError("exact kernel requested for floating coefficients")
+    return BinaryForm(degree, tuple(kernel.coerce(c) for c in parsed), kernel)
+
+
+def det3(rows):
+    """Determinant of a 3x3 matrix of scalars, by cofactors along the first row."""
+    (a, b, c), (d, e, f), (g, h, i) = rows
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+
+
+def relative_residual(got: BinaryForm, want: BinaryForm) -> float:
+    """Coefficient 2-norm of got - want over that of want, in complex floats."""
+    num = math.sqrt(sum(abs(complex(a) - complex(b)) ** 2 for a, b in zip(got.coeffs, want.coeffs)))
+    den = math.sqrt(sum(abs(complex(b)) ** 2 for b in want.coeffs))
+    return num / max(den, 1e-300)

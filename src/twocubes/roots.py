@@ -12,7 +12,7 @@ import cmath
 import dataclasses
 import math
 
-from .forms import BinaryForm, FloatKernel
+from .forms import NEGLIGIBLE_REL, BinaryForm
 
 CLUSTER_REL = 1e-6          # base mutual-distance threshold for multiplicity grouping
 RECONSTRUCT_TOL = 1e-8      # relative residual demanded of the refactored product
@@ -164,18 +164,19 @@ def linear_factors(p: BinaryForm) -> tuple[complex, list[ProjectiveRoot]]:
     Roots are ordered deterministically: infinity first, then by (Re, Im) of
     the affine value, so partition enumeration downstream is reproducible.
     """
-    if not isinstance(p.kernel, FloatKernel):
+    if p.kernel.exact:
         p = p.to_float()
     if p.is_zero():
         raise ValueError("cannot factor the zero form")
     coeffs = [complex(c) for c in p.coeffs]
     scale_mag = max(abs(c) for c in coeffs)
     inf_mult = 0
-    while inf_mult < p.degree and abs(coeffs[inf_mult]) <= 1e-12 * scale_mag:
+    # the kernel's coefficient cut without its 1e-300 floor: p is nonzero
+    while inf_mult < p.degree and abs(coeffs[inf_mult]) <= NEGLIGIBLE_REL * scale_mag:
         inf_mult += 1
     body = coeffs[inf_mult:]
     zero_mult = 0
-    while len(body) > 1 and abs(body[-1]) <= 1e-12 * scale_mag:
+    while len(body) > 1 and abs(body[-1]) <= NEGLIGIBLE_REL * scale_mag:
         body.pop()
         zero_mult += 1
 

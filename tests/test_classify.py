@@ -15,7 +15,7 @@ from twocubes.classify import (
     wild_family,
 )
 from twocubes.decomp import rep_count
-from twocubes.forms import BinaryForm, LinearChange, form_compose
+from twocubes.forms import FLOAT, BinaryForm, LinearChange, form_compose
 
 
 def fl2(a, b, c):
@@ -93,6 +93,13 @@ def test_diagonalize_already_diagonal():
     m = diagonalize(fl2(1, 0, 0), fl2(0, 0, 1))
     assert abs(complex(m.alpha) - 1) < 1e-12 and abs(complex(m.delta) - 1) < 1e-12
     assert abs(complex(m.beta)) < 1e-12 and abs(complex(m.gamma)) < 1e-12
+
+
+def test_diagonalize_change_inverts_back_to_the_input():
+    f1 = fl2(1, 0, 1)
+    m = diagonalize(f1, fl2(1, 1, 0))
+    assert m.kernel is FLOAT
+    assert form_compose(form_compose(f1, m), m.inverse()).equals(f1)
 
 
 def test_diagonalize_common_factor_rejected():

@@ -200,11 +200,21 @@ def test_verify_failure_exits_three(capsys, monkeypatch):
 
 
 def test_verify_seed_flag_reseeds_sampled_entry(capsys, monkeypatch):
-    monkeypatch.setattr(families, "_SAMPLE_SEED", 20240814)
+    # record the seed each generator is drawn from while group 21 runs
+    seeds = []
+    real_random = families.random.Random
+
+    def recording_random(seed=None):
+        seeds.append(seed)
+        return real_random(seed)
+
+    monkeypatch.setattr(families.random, "Random", recording_random)
+    default = families._SAMPLE_SEED
     code, payload = run_json(capsys, "--seed", "7", "verify", "--ids", "21")
     assert code == 0
     assert payload[0]["pass"] is True
-    assert families._SAMPLE_SEED == 7
+    assert seeds == [7]
+    assert families._SAMPLE_SEED == default
 
 
 def test_verify_text_format_lines(capsys):

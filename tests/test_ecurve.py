@@ -1,9 +1,11 @@
 """Cube-sum curve parameterization and chord addition."""
+import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
 
+from twocubes import ecurve
 from twocubes.ecurve import (
     EBParams,
     RationalFunction,
@@ -150,6 +152,35 @@ def test_third_representation_random_exact():
         quad = eb_forward(EBParams(a, b, mu))
         assert h1 ** 3 - h2 ** 3 == quad.f1 ** 3 - quad.f4 ** 3
         assert h1 ** 3 - h2 ** 3 == -(quad.f2 ** 3) + quad.f3 ** 3
+
+
+# ---------------------------------------------------------------- identity checks
+# The identities are checked with a raise, not an assert, so python -O keeps them.
+
+def test_forward_identity_check_raises_when_the_zero_test_fails(monkeypatch):
+    monkeypatch.setattr(ecurve, "_value_is_zero", lambda v, scale=None: False)
+    with pytest.raises(ArithmeticError, match="equal-sum identity"):
+        eb_forward(EBParams(Q(-3, 2), Q(1, 2), Q(1)))
+
+
+def test_forward_complex_identity_check_raises_beyond_tolerance(monkeypatch):
+    monkeypatch.setattr(ecurve, "FLOAT_TOL", -1.0)
+    with pytest.raises(ArithmeticError, match="equal-sum identity"):
+        eb_forward(EBParams(0.3 + 0.1j, 0.7 - 0.2j, 1.1 + 0j))
+
+
+def test_third_representation_check_raises_on_a_wrong_quadruple(monkeypatch):
+    forward = ecurve.eb_forward
+    monkeypatch.setattr(ecurve, "eb_forward", lambda params: dataclasses.replace(forward(params), f1=Q(0)))
+    with pytest.raises(ArithmeticError, match="third-representation identity"):
+        curve_third_rep(EBParams(Q(-3, 2), Q(1, 2), Q(1)))
+
+
+def test_chord_identity_check_raises_when_the_zero_test_fails(monkeypatch):
+    f1, f2, f3, f4, _, _ = f_forms(Q(2))
+    monkeypatch.setattr(RationalFunction, "is_zero", lambda self: False)
+    with pytest.raises(ArithmeticError, match="chord identity"):
+        curve_add((f1, f2), (f3, f4), p1_sextic(Q(2)))
 
 
 # ---------------------------------------------------------------- chord addition

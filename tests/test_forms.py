@@ -38,6 +38,31 @@ def test_cubic_sum_identity():
     assert (a + b).equals(ex(2, 0, 0, 0, 0, 0, -2))
 
 
+def test_pow_matches_repeated_products():
+    for base in (ex(1, -2, 3), BinaryForm.floating(2, [1 + 2j, -0.5, 3j])):
+        assert (base ** 0).coeffs == (base.kernel.one,)
+        prod = base
+        for n in range(1, 8):
+            assert (base ** n).equals(prod)
+            prod = prod * base
+        # a cube is the one product base * base**2, bit for bit
+        assert (base ** 3).coeffs == (base * (base * base)).coeffs
+
+
+def test_kernel_scalar_protocol():
+    assert EXACT.exact and not FLOAT.exact
+    assert EXACT.inv(3) == F(1, 3) and isinstance(EXACT.inv(3), F)
+    assert EXACT.inv(OMEGA) * OMEGA == CycNum.one()
+    assert EXACT.div(F(1), F(4)) == F(1, 4) and FLOAT.div(1.0, 4.0) == 0.25
+    assert EXACT.is_zero(OMEGA - OMEGA, 1.0) and not EXACT.is_zero(F(1, 10 ** 30))
+    assert FLOAT.is_zero(1e-10) and not FLOAT.is_zero(1e-8)
+    assert FLOAT.negligible(1e-13, 1.0) and not FLOAT.negligible(1e-11, 1.0)
+    assert FLOAT.coerce(F(1, 2)) == 0.5 + 0j and FLOAT.coerce(OMEGA) == OMEGA.to_complex()
+    assert LinearChange(1.0, 0.0, 0.0, 1e-20, FLOAT).det() == 1e-20
+    with pytest.raises(ValueError, match="singular"):
+        LinearChange(1.0, 0.0, 0.0, 1e-20, FLOAT).check_invertible()
+
+
 def test_add_degree_mismatch():
     with pytest.raises(ValueError):
         ex(1, 0) + ex(1, 0, 0)
