@@ -284,10 +284,10 @@ def _phi_roots(T: complex):
 
 
 def _square_pencil_lines(f3: BinaryForm, f4: BinaryForm, roots):
-    return tuple(
+    return tuple([
         _square_root_of_quadratic(f3.to_float() + f4.to_float().scale(-r))
         for r in roots
-    )
+    ])
 
 
 def canonicalize_type(f1: BinaryForm, f2: BinaryForm, f3: BinaryForm,
@@ -300,7 +300,7 @@ def canonicalize_type(f1: BinaryForm, f2: BinaryForm, f3: BinaryForm,
     T = lv * lv
     if abs(T) < 1e-10 or abs(T ** 3 - 1) < 1e-10:
         raise ValueError("T(T^3 - 1) = 0 is excluded")
-    forms = tuple(f.to_float() for f in (f1, f2, f3, f4))
+    forms = tuple([f.to_float() for f in (f1, f2, f3, f4)])
     _check_equal_cube_sums(*forms)
     arrangement = forms[0] + forms[1]
     right = forms[2] + forms[3]
@@ -332,7 +332,7 @@ def canonicalize_type(f1: BinaryForm, f2: BinaryForm, f3: BinaryForm,
         FLOAT,
     )
     m.check_invertible()
-    images = tuple(form_compose(f, m) for f in forms)
+    images = tuple([form_compose(f, m) for f in forms])
     for image, target in ((images[2], ref[2]), (images[3], ref[3])):
         if relative_residual(image, target) > CANON_MATCH_TOL:
             raise ArithmeticError("canonicalization failed to hit the reference pair")

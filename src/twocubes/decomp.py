@@ -16,7 +16,7 @@ from __future__ import annotations
 import dataclasses
 import math
 
-from .exact import OMEGA, SQRTM3
+from .exact import OMEGA, SQRTM3, scalar_key
 from .forms import BinaryForm, det3, form_to_json, relative_residual
 from .roots import ProjectiveRoot, expanded_root_slots, linear_factors
 
@@ -44,7 +44,7 @@ def _index_pairings(n: int = 6) -> tuple:
                 out.append([(first, partner)] + tail)
         return out
 
-    return tuple(tuple(map(tuple, p)) for p in rec(list(range(n))))
+    return tuple([tuple(map(tuple, p)) for p in rec(list(range(n)))])
 
 
 PAIRINGS = _index_pairings()
@@ -91,7 +91,7 @@ class Subspace:
                 break
         if rank < 2:
             raise ValueError("coefficient vectors do not span a plane")
-        return Subspace(tuple(tuple(row) for row in rows))
+        return Subspace(tuple([tuple(row) for row in rows]))
 
     def matches(self, other: "Subspace", tol: float = 1e-6) -> bool:
         return all(
@@ -129,8 +129,8 @@ class CubicSplit:
 
 def _coeff_key(f: BinaryForm):
     if f.kernel.exact:
-        return tuple(str(c) for c in f.coeffs)
-    return tuple((round(complex(c).real, 12), round(complex(c).imag, 12)) for c in f.coeffs)
+        return tuple([scalar_key(c) for c in f.coeffs])
+    return tuple([(round(complex(c).real, 12), round(complex(c).imag, 12)) for c in f.coeffs])
 
 
 def pair_partitions(factors) -> list:
@@ -144,7 +144,7 @@ def pair_partitions(factors) -> list:
     out = []
     seen = set()
     for pairing in PAIRINGS:
-        triple = tuple(factors[i] * factors[j] for i, j in pairing)
+        triple = tuple([factors[i] * factors[j] for i, j in pairing])
         key = tuple(sorted(_coeff_key(q) for q in triple))
         if key in seen:
             continue
@@ -290,11 +290,11 @@ def _orthonormal_projector(f1: BinaryForm, f2: BinaryForm):
     v2 = [a - dot * b for a, b in zip(v2, v1)]
     n2 = math.sqrt(sum(abs(c) ** 2 for c in v2))
     v2 = [c / n2 for c in v2]
-    return tuple(
+    return tuple([
         v1[i] * v1[j].conjugate() + v2[i] * v2[j].conjugate()
         for i in range(3)
         for j in range(3)
-    )
+    ])
 
 
 def _projector_distance(p, q) -> float:
@@ -365,7 +365,7 @@ def rep_count(p: BinaryForm) -> DecompositionReport:
         if not duplicate:
             kept.append((rep, projector, cubes))
 
-    reps = tuple(rep for rep, _, _ in kept)
+    reps = tuple([rep for rep, _, _ in kept])
     subspaces = []
     for rep, proj, _ in kept:
         if not any(
@@ -376,7 +376,7 @@ def rep_count(p: BinaryForm) -> DecompositionReport:
     return DecompositionReport(
         N=len(reps),
         reps=reps,
-        subspaces=tuple(sub for _, sub in subspaces),
+        subspaces=tuple([sub for _, sub in subspaces]),
         roots=tuple(roots),
         multiplicities=tuple(sorted((r.multiplicity for r in roots), reverse=True)),
         H=H,

@@ -2,10 +2,12 @@
 every constant the identity suite needs, and univariate parameter polynomials.
 
 The field is Q(z) with z a primitive 24th root of unity, reduced by the minimal
-polynomial z^8 = z^4 - 1.  Elements are length-8 tuples of Fractions giving the
-coordinates on 1, z, ..., z^7.  That one field houses omega, i, the 8th and 12th
-roots of unity, sqrt2, sqrt3, sqrt(-3), sqrt6, sqrt(-6) and eta, so every exact
-identity in the suite can be checked coefficient-wise without nested radicals.
+polynomial z^8 = z^4 - 1.  An element is stored as eight integer numerators
+on 1, z, ..., z^7 over one positive common denominator, reduced by their gcd,
+so equal elements have equal storage and the ring operations run on Python
+ints alone.  That one field houses omega, i, the 8th and 12th roots of unity,
+sqrt2, sqrt3, sqrt(-3), sqrt6, sqrt(-6) and eta, so every exact identity in
+the suite can be checked coefficient-wise without nested radicals.
 """
 from __future__ import annotations
 
@@ -17,174 +19,196 @@ from fractions import Fraction
 Rational = Fraction
 
 _DEG = 8
+_ZPOWERS = [cmath.exp(1j * math.pi / 12) ** k for k in range(_DEG)]
+_new_object = object.__new__
+_set_slot = object.__setattr__  # CycNum's own __setattr__ refuses every write
 
 
-def _as_fraction(v) -> Fraction:
-    if isinstance(v, Fraction):
-        return v
+def _ratio(v) -> tuple[int, int]:
+    """(numerator, positive denominator) in lowest terms of an int, Fraction
+    or rational string; TypeError for anything else."""
     if isinstance(v, int):
-        return Fraction(v)
+        return v, 1
     if isinstance(v, str):
-        return Fraction(v)
+        v = Fraction(v)
+    if isinstance(v, Fraction):
+        return v.numerator, v.denominator
     raise TypeError(f"cannot interpret {v!r} as a rational")
 
 
-@dataclasses.dataclass(frozen=True)
 class CycNum:
-    """An exact element of the 24th cyclotomic field.
+    """An exact element of the 24th cyclotomic field, immutable like a frozen
+    dataclass.
+
+    `num` holds the numerators on 1, z, ..., z^7 and `den` their positive
+    common denominator, coprime to the numerators taken together.
 
     >>> (CycNum.zeta() ** 24) == CycNum.one()
     True
     """
 
-    coeffs: tuple[Fraction, ...]
+    __slots__ = ("num", "den")
 
-    def __post_init__(self):
-        if len(self.coeffs) != _DEG:
+    def __init__(self, coeffs):
+        if len(coeffs) != _DEG:
             raise ValueError("CycNum needs exactly 8 coordinates")
+        parts = [_ratio(c) for c in coeffs]
+        # the lcm of reduced denominators leaves the numerators coprime to it
+        den = math.lcm(*[q for _, q in parts])
+        _set_slot(self, "num", tuple([p * (den // q) for p, q in parts]))
+        _set_slot(self, "den", den)
+
+    def __setattr__(self, name, value):
+        raise dataclasses.FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise dataclasses.FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return _cyc, (self.num, self.den)
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coordinates on 1, z, ..., z^7 as Fractions."""
+        d = self.den
+        return tuple([Fraction(n, d) for n in self.num])
 
     # -- constructors -------------------------------------------------
 
     @staticmethod
     def from_rational(v) -> CycNum:
-        c = [Fraction(0)] * _DEG
-        c[0] = _as_fraction(v)
-        return CycNum(tuple(c))
+        p, q = _ratio(v)
+        return _cyc((p, 0, 0, 0, 0, 0, 0, 0), q)
 
     @staticmethod
     def zero() -> CycNum:
-        return CycNum.from_rational(0)
+        return _ZERO
 
     @staticmethod
     def one() -> CycNum:
-        return CycNum.from_rational(1)
+        return _ONE
 
     @staticmethod
     def zeta() -> CycNum:
-        c = [Fraction(0)] * _DEG
-        c[1] = Fraction(1)
-        return CycNum(tuple(c))
+        return _cyc((0, 1, 0, 0, 0, 0, 0, 0), 1)
 
     # -- ring structure ------------------------------------------------
 
-    @staticmethod
-    def _coerce(v) -> CycNum:
-        if isinstance(v, CycNum):
-            return v
-        return CycNum.from_rational(v)
-
     def __add__(self, other):
+        if isinstance(other, CycNum):
+            return _plus(self, other, 1)
         if isinstance(other, ParamPoly):
             return NotImplemented
-        o = CycNum._coerce(other)
-        return CycNum(tuple(a + b for a, b in zip(self.coeffs, o.coeffs)))
+        return _plus_rational(self, *_ratio(other))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CycNum(tuple(-a for a in self.coeffs))
+        return _cyc(tuple([-x for x in self.num]), self.den)
 
     def __sub__(self, other):
+        if isinstance(other, CycNum):
+            return _plus(self, other, -1)
         if isinstance(other, ParamPoly):
             return NotImplemented
-        return self + (-CycNum._coerce(other))
+        p, q = _ratio(other)
+        return _plus_rational(self, -p, q)
 
     def __rsub__(self, other):
-        return CycNum._coerce(other) + (-self)
+        return _plus_rational(-self, *_ratio(other))
 
     def __mul__(self, other):
+        if isinstance(other, CycNum):
+            if not any(other.num) or not any(self.num):
+                return _ZERO
+            return _normalized(_mul_vec(self.num, other.num), self.den * other.den)
         if isinstance(other, ParamPoly):
             return NotImplemented
-        o = CycNum._coerce(other)
-        prod = [Fraction(0)] * (2 * _DEG - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(o.coeffs):
-                if b != 0:
-                    prod[i + j] += a * b
-        # reduce by z^8 = z^4 - 1, highest power first
-        for d in range(2 * _DEG - 2, _DEG - 1, -1):
-            c = prod[d]
-            if c != 0:
-                prod[d] = Fraction(0)
-                prod[d - 4] += c
-                prod[d - 8] -= c
-        return CycNum(tuple(prod[:_DEG]))
+        return _scaled(self, *_ratio(other))
 
     __rmul__ = __mul__
 
     def inverse(self) -> CycNum:
-        """Field inverse via the extended Euclidean algorithm mod x^8 - x^4 + 1."""
+        """Field inverse: the product of the other seven Galois conjugates over
+        the norm.  The Galois group {1, 5, 7, ..., 23} is generated by the
+        commuting involutions z -> z^5, z^7, z^13, so three conjugate-and-multiply
+        steps reach the rational norm."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero in the cyclotomic field")
-        # polynomials as coefficient lists, low degree first
-        modulus = [Fraction(1), 0, 0, 0, Fraction(-1), 0, 0, 0, Fraction(1)]
-        modulus = [_as_fraction(v) for v in modulus]
-        r0, r1 = modulus, [Fraction(v) for v in self.coeffs]
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-        while True:
-            while r1 and r1[-1] == 0:
-                r1.pop()
-            if len(r1) == 1:
-                inv = [c / r1[0] for c in s1]
-                inv += [Fraction(0)] * (_DEG - len(inv))
-                return CycNum(tuple(inv[:_DEG]))
-            q, rem = _polydivmod(r0, r1)
-            r0, r1 = r1, rem
-            s0, s1 = s1, _polysub(s0, _polymul(q, s1))
+        n = self.num
+        m1 = _conjugate(n, 5)
+        p1 = _mul_vec(n, m1)
+        m2 = _conjugate(p1, 7)
+        p2 = _mul_vec(p1, m2)
+        m3 = _conjugate(p2, 13)
+        norm = _mul_vec(p2, m3)[0]
+        adjugate = _mul_vec(_mul_vec(m1, m2), m3)
+        if norm < 0:
+            norm, adjugate = -norm, [-x for x in adjugate]
+        return _normalized([x * self.den for x in adjugate], norm)
 
     def __truediv__(self, other):
-        return self * CycNum._coerce(other).inverse()
+        if isinstance(other, CycNum):
+            return self * other.inverse()
+        p, q = _ratio(other)
+        if not p:
+            raise ZeroDivisionError("inverse of zero in the cyclotomic field")
+        return _scaled(self, q, p) if p > 0 else _scaled(self, -q, -p)
 
     def __rtruediv__(self, other):
-        return CycNum._coerce(other) * self.inverse()
+        return _scaled(self.inverse(), *_ratio(other))
 
     def __pow__(self, n: int):
         if n < 0:
             return self.inverse() ** (-n)
-        out = CycNum.one()
-        base = self
-        while n:
+        if n == 0:
+            return _ONE
+        # binary powering from the low bits, starting from self itself and
+        # stopping at the top bit: a cube is the one product self * self**2
+        out, base = None, self
+        while True:
             if n & 1:
-                out = out * base
-            base = base * base
+                out = base if out is None else out * base
             n >>= 1
-        return out
+            if not n:
+                return out
+            base = base * base
 
     def __eq__(self, other):
+        if isinstance(other, CycNum):
+            return self.den == other.den and self.num == other.num
         try:
-            o = CycNum._coerce(other)
+            p, q = _ratio(other)
         except TypeError:
             return NotImplemented
-        return self.coeffs == o.coeffs
+        return self.den == q and self.num[0] == p and not any(self.num[1:])
 
     def __hash__(self):
         return hash(self.coeffs)
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.num)
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.num[1:])
 
     def rational_value(self) -> Fraction:
         if not self.is_rational():
             raise ValueError("not a rational element")
-        return self.coeffs[0]
+        return Fraction(self.num[0], self.den)
 
     # -- conversions ----------------------------------------------------
 
     def to_complex(self) -> complex:
-        z = cmath.exp(1j * math.pi / 12)
-        return sum(float(c) * z**k for k, c in enumerate(self.coeffs))
+        d = self.den
+        return sum((n / d) * zk for n, zk in zip(self.num, _ZPOWERS))
 
     def to_strings(self) -> list[str]:
         return [str(c) for c in self.coeffs]
 
     @staticmethod
     def from_strings(parts) -> CycNum:
-        return CycNum(tuple(Fraction(p) for p in parts))
+        return CycNum([Fraction(p) for p in parts])
 
     def __repr__(self):
         terms = []
@@ -198,45 +222,130 @@ class CycNum:
         return "CycNum(" + (" + ".join(terms) if terms else "0") + ")"
 
 
-def _polydivmod(a: list[Fraction], b: list[Fraction]):
-    a = list(a)
-    while a and a[-1] == 0:
-        a.pop()
-    db, lb = len(b) - 1, b[-1]
-    q = [Fraction(0)] * max(1, len(a) - db)
-    while len(a) - 1 >= db and a:
-        d = len(a) - 1 - db
-        c = a[-1] / lb
-        q[d] = c
-        for i in range(len(b)):
-            a[d + i] -= c * b[i]
-        while a and a[-1] == 0:
-            a.pop()
-    return q, (a if a else [Fraction(0)])
+def _cyc(num: tuple, den: int) -> CycNum:
+    """A CycNum from numerators and a denominator already in reduced form."""
+    v = _new_object(CycNum)
+    _set_slot(v, "num", num)
+    _set_slot(v, "den", den)
+    return v
 
 
-def _polymul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
+def _normalized(num: list, den: int) -> CycNum:
+    """Reduce numerators over a positive denominator by their common gcd."""
+    if den != 1:
+        g = math.gcd(*num, den)
+        if g != 1:
+            num = [x // g for x in num]
+            den //= g
+    return _cyc(tuple(num), den)
+
+
+def _plus(a: CycNum, b: CycNum, sign: int) -> CycNum:
+    """a + sign*b for sign = +1 or -1."""
+    if not any(b.num):
+        return a
+    if not any(a.num):
+        return b if sign > 0 else -b
+    an, bn, ad, bd = a.num, b.num, a.den, b.den
+    if ad == bd:
+        num = [x + y for x, y in zip(an, bn)] if sign > 0 else [x - y for x, y in zip(an, bn)]
+        return _normalized(num, ad)
+    g = math.gcd(ad, bd)
+    fa, fb = bd // g, sign * (ad // g)
+    return _normalized([x * fa + y * fb for x, y in zip(an, bn)], ad * fa)
+
+
+def _plus_rational(a: CycNum, p: int, q: int) -> CycNum:
+    """a + p/q for a positive denominator q."""
+    if not p:
+        return a
+    g = math.gcd(a.den, q)
+    s = q // g
+    num = [x * s for x in a.num] if s != 1 else list(a.num)
+    num[0] += p * (a.den // g)
+    return _normalized(num, a.den * s)
+
+
+def _scaled(a: CycNum, p: int, q: int) -> CycNum:
+    """a * p/q for a positive denominator q."""
+    if not p or not any(a.num):
+        return _ZERO
+    return _normalized([x * p for x in a.num], a.den * q)
+
+
+def _mul_vec(a, b) -> list:
+    """Product of two integer coordinate vectors, reduced by z^8 = z^4 - 1."""
+    terms = [(j, y) for j, y in enumerate(b) if y]
+    prod = [0] * (2 * _DEG - 1)
     for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
+        if x:
+            for j, y in terms:
+                prod[i + j] += x * y
+    # highest power first, so a carry into z^8..z^10 is reduced in turn
+    for d in range(2 * _DEG - 2, _DEG - 1, -1):
+        c = prod[d]
+        if c:
+            prod[d - 4] += c
+            prod[d - 8] -= c
+    return prod[:_DEG]
+
+
+def _conjugate(num, k: int) -> list:
+    """The Galois conjugate z -> z^k of an integer coordinate vector."""
+    out = [0] * _DEG
+    for j, c in enumerate(num):
+        if c:
+            e = j * k % 24
+            if e >= 12:  # z^12 = -1
+                e, c = e - 12, -c
+            if e < _DEG:
+                out[e] += c
+            else:        # z^e = z^(e-4) - z^(e-8)
+                out[e - 4] += c
+                out[e - 8] -= c
     return out
 
 
-def _polysub(a, b):
-    n = max(len(a), len(b))
-    a = list(a) + [Fraction(0)] * (n - len(a))
-    b = list(b) + [Fraction(0)] * (n - len(b))
-    return [x - y for x, y in zip(a, b)]
+_ZERO = _cyc((0,) * _DEG, 1)
+_ONE = _cyc((1,) + (0,) * (_DEG - 1), 1)
 
 
 def is_zero_scalar(v) -> bool:
     """Exact zero test across the scalar types this package mixes."""
-    if isinstance(v, CycNum):
-        return v.is_zero()
-    if isinstance(v, ParamPoly):
+    if isinstance(v, (CycNum, ParamPoly)):
         return v.is_zero()
     return v == 0
+
+
+def scalar_key(v) -> tuple:
+    """A canonical, orderable key of an exact scalar (int, Fraction, CycNum or
+    ParamPoly): scalars that compare equal get equal keys, so trailing zero
+    coefficients and constant polynomials do not split a value in two."""
+    if isinstance(v, ParamPoly):
+        terms = v.coeffs[: v.degree() + 1]
+        if len(terms) <= 1:
+            return scalar_key(terms[0] if terms else 0)
+        return (1, v.param, tuple([scalar_key(c) for c in terms]))
+    if isinstance(v, CycNum):
+        return (0, v.num, v.den)
+    p, q = _ratio(v)
+    return (0, (p,) + (0,) * (_DEG - 1), q)
+
+
+def _poly_sum(a: tuple, b: tuple, sign: int) -> tuple:
+    """Coefficients of a + sign*b, touching only the nonzero terms of b."""
+    out = list(a)
+    if len(b) > len(out):
+        out += [0] * (len(b) - len(out))
+    for j, y in enumerate(b):
+        if is_zero_scalar(y):
+            continue
+        x = out[j]
+        if is_zero_scalar(x):
+            out[j] = y if sign > 0 else -y
+        else:
+            out[j] = x + y if sign > 0 else x - y
+    return tuple(out)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -281,50 +390,50 @@ class ParamPoly:
     def __add__(self, other):
         if self._outranks(other):
             return other + self
-        o = self._coerce(other)
-        n = max(len(self.coeffs), len(o.coeffs))
-        a = list(self.coeffs) + [0] * (n - len(self.coeffs))
-        b = list(o.coeffs) + [0] * (n - len(o.coeffs))
-        return ParamPoly(self.param, tuple(x + y for x, y in zip(a, b)))
+        return ParamPoly(self.param, _poly_sum(self.coeffs, self._coerce(other).coeffs, 1))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ParamPoly(self.param, tuple(-c for c in self.coeffs))
+        return ParamPoly(self.param, tuple([-c for c in self.coeffs]))
 
     def __sub__(self, other):
         if self._outranks(other):
             return -(other - self)
-        return self + (-self._coerce(other))
+        return ParamPoly(self.param, _poly_sum(self.coeffs, self._coerce(other).coeffs, -1))
 
     def __rsub__(self, other):
-        return self._coerce(other) + (-self)
+        return ParamPoly(self.param, _poly_sum(self._coerce(other).coeffs, self.coeffs, -1))
 
     def __mul__(self, other):
         if self._outranks(other):
             return other * self
         o = self._coerce(other)
-        out = [0] * (len(self.coeffs) + len(o.coeffs) - 1)
+        terms = [(j, b) for j, b in enumerate(o.coeffs) if not is_zero_scalar(b)]
+        out = [None] * (len(self.coeffs) + len(o.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if is_zero_scalar(a):
                 continue
-            for j, b in enumerate(o.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return ParamPoly(self.param, tuple(out))
+            for j, b in terms:
+                acc = out[i + j]
+                out[i + j] = a * b if acc is None else acc + a * b
+        return ParamPoly(self.param, tuple([0 if c is None else c for c in out]))
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("ParamPoly has no negative powers; clear denominators first")
-        out = ParamPoly(self.param, (Fraction(1),))
-        base = self
-        while n:
+        if n == 0:
+            return ParamPoly(self.param, (Fraction(1),))
+        out, base = None, self
+        while True:
             if n & 1:
-                out = out * base
-            base = base * base
+                out = base if out is None else out * base
             n >>= 1
-        return out
+            if not n:
+                return out
+            base = base * base
 
     def __eq__(self, other):
         if not isinstance(other, (ParamPoly, int, Fraction, CycNum)):
@@ -332,7 +441,7 @@ class ParamPoly:
         return (self - other).is_zero()
 
     def __hash__(self):
-        return hash((self.param, self.coeffs))
+        return hash(scalar_key(self))
 
     def evaluate(self, value):
         acc = 0

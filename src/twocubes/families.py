@@ -51,7 +51,7 @@ def _parameter(value, name: str):
 
 
 def _form(degree: int, coeffs, kernel) -> BinaryForm:
-    return BinaryForm(degree, tuple(kernel.coerce(c) for c in coeffs), kernel)
+    return BinaryForm(degree, tuple([kernel.coerce(c) for c in coeffs]), kernel)
 
 
 def cube_sum_difference(left, right) -> BinaryForm:
@@ -539,7 +539,7 @@ def _negated_parameter(poly):
         return poly
     return ParamPoly(
         poly.param,
-        tuple(c if i % 2 == 0 else -c for i, c in enumerate(poly.coeffs)),
+        tuple([c if i % 2 == 0 else -c for i, c in enumerate(poly.coeffs)]),
     )
 
 

@@ -117,7 +117,7 @@ class BinaryForm:
     @staticmethod
     def floating(degree: int, coeffs, kernel: FloatKernel | None = None) -> BinaryForm:
         k = kernel if kernel is not None else FLOAT
-        return BinaryForm(degree, tuple(complex(c) for c in coeffs), k)
+        return BinaryForm(degree, tuple([complex(c) for c in coeffs]), k)
 
     @staticmethod
     def zero(degree: int, kernel=EXACT) -> BinaryForm:
@@ -125,7 +125,7 @@ class BinaryForm:
 
     def to_float(self, kernel: FloatKernel | None = None) -> BinaryForm:
         k = kernel if kernel is not None else FLOAT
-        return BinaryForm(self.degree, tuple(k.coerce(c) for c in self.coeffs), k)
+        return BinaryForm(self.degree, tuple([k.coerce(c) for c in self.coeffs]), k)
 
     # -- predicates -------------------------------------------------------
 
@@ -164,14 +164,14 @@ class BinaryForm:
 
     def __add__(self, other: BinaryForm) -> BinaryForm:
         self._require_same_degree(other)
-        return BinaryForm(self.degree, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)), self.kernel)
+        return BinaryForm(self.degree, tuple([a + b for a, b in zip(self.coeffs, other.coeffs)]), self.kernel)
 
     def __sub__(self, other: BinaryForm) -> BinaryForm:
         self._require_same_degree(other)
-        return BinaryForm(self.degree, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)), self.kernel)
+        return BinaryForm(self.degree, tuple([a - b for a, b in zip(self.coeffs, other.coeffs)]), self.kernel)
 
     def __neg__(self) -> BinaryForm:
-        return BinaryForm(self.degree, tuple(-a for a in self.coeffs), self.kernel)
+        return BinaryForm(self.degree, tuple([-a for a in self.coeffs]), self.kernel)
 
     def __mul__(self, other: BinaryForm) -> BinaryForm:
         d = self.degree + other.degree
@@ -182,7 +182,7 @@ class BinaryForm:
         return BinaryForm(d, tuple(out), self.kernel)
 
     def scale(self, s) -> BinaryForm:
-        return BinaryForm(self.degree, tuple(s * a for a in self.coeffs), self.kernel)
+        return BinaryForm(self.degree, tuple([s * a for a in self.coeffs]), self.kernel)
 
     def __pow__(self, n: int) -> BinaryForm:
         if n < 0:
@@ -452,7 +452,7 @@ def form_from_json(obj: dict, kernel=None) -> BinaryForm:
         kernel = EXACT if exact else FLOAT
     elif kernel.exact and not exact:
         raise ValueError("exact kernel requested for floating coefficients")
-    return BinaryForm(degree, tuple(kernel.coerce(c) for c in parsed), kernel)
+    return BinaryForm(degree, tuple([kernel.coerce(c) for c in parsed]), kernel)
 
 
 def det3(rows):

@@ -15,7 +15,7 @@ from twocubes.decomp import (
     rep_count,
     report_to_json,
 )
-from twocubes.exact import OMEGA, SQRTM3, Rational
+from twocubes.exact import OMEGA, SQRTM3, ParamPoly, Rational
 from twocubes.forms import BinaryForm, LinearChange, form_compose
 from twocubes.roots import linear_factors
 
@@ -85,6 +85,17 @@ def test_pair_partitions_collapses_repeated_factors():
         if all(any(q.equals(s) for s in squares) for q in triple):
             found_squares = True
     assert found_squares
+
+
+def test_pair_partitions_keys_parametric_factors_by_value():
+    # six distinct factors (lam, k*lam): all 15 groupings differ
+    lam = ParamPoly.variable("lam")
+    assert len(pair_partitions([ex_lin(lam, k * lam) for k in range(1, 7)])) == 15
+    # equal factors collapse even when one copy carries a trailing zero coefficient
+    padded = [ParamPoly("lam", (0, k, 0)) for k in (1, 2, 3)]
+    factors = [ex_lin(lam, k * lam) for k in (1, 2, 3)] + [ex_lin(lam, p) for p in padded]
+    integer = [ex_lin(1, k) for k in (1, 2, 3, 1, 2, 3)]
+    assert len(pair_partitions(factors)) == len(pair_partitions(integer)) < 15
 
 
 # ---------------------------------------------------------------- dependence

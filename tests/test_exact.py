@@ -1,8 +1,9 @@
+import cmath
 import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from twocubes.exact import (
     ETA,
@@ -156,3 +157,139 @@ def test_parampoly_negative_power_rejected():
     lam = ParamPoly.variable("lambda")
     with pytest.raises(ValueError):
         lam**-1
+
+
+def test_parampoly_hash_ignores_trailing_zeros():
+    a, b = ParamPoly("t", (1, 0)), ParamPoly("t", (1,))
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    lam = ParamPoly.variable("t")
+    assert len({lam * lam, ParamPoly("t", (0, 0, Fraction(1), 0, CycNum.zero()))}) == 1
+
+
+def test_pow_matches_repeated_products():
+    v = OMEGA + SQRT2 - Fraction(2, 3) * ZETA24**5
+    prod = CycNum.one()
+    for n in range(8):
+        assert v**n == prod
+        assert v ** (-n) * prod == CycNum.one()
+        prod = prod * v
+    lam = ParamPoly.variable("lam")
+    p = 2 * lam**2 - OMEGA * lam + Fraction(1, 3)
+    prod = ParamPoly("lam", (Fraction(1),))
+    for n in range(8):
+        assert p**n == prod
+        prod = prod * p
+
+
+# -- the integer-vector CycNum against a plain 8-Fraction reference -------------
+
+def _ref_mul(a, b):
+    prod = [Fraction(0)] * 15
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    for d in range(14, 7, -1):  # z^8 = z^4 - 1
+        prod[d - 4] += prod[d]
+        prod[d - 8] -= prod[d]
+    return tuple(prod[:8])
+
+
+def _ref_inverse(a):
+    """Solve a * x = 1 by Gaussian elimination on the multiplication matrix."""
+    unit = [tuple(Fraction(int(i == k)) for i in range(8)) for k in range(8)]
+    columns = [_ref_mul(a, e) for e in unit]
+    rows = [[columns[k][i] for k in range(8)] + [Fraction(int(i == 0))] for i in range(8)]
+    for c in range(8):
+        pivot = next(r for r in range(c, 8) if rows[r][c] != 0)
+        rows[c], rows[pivot] = rows[pivot], rows[c]
+        rows[c] = [x / rows[c][c] for x in rows[c]]
+        for r in range(8):
+            if r != c and rows[r][c] != 0:
+                rows[r] = [x - rows[r][c] * y for x, y in zip(rows[r], rows[c])]
+    return tuple(row[8] for row in rows)
+
+
+_ZERO8 = (Fraction(0),) * 8
+_coord = st.one_of(
+    st.just(Fraction(0)),
+    st.fractions(min_value=-40, max_value=40, max_denominator=12),
+)
+_vectors = st.one_of(st.just(_ZERO8), st.lists(_coord, min_size=8, max_size=8).map(tuple))
+_rationals = st.one_of(st.integers(-30, 30), st.fractions(min_value=-30, max_value=30, max_denominator=12))
+
+
+@settings(max_examples=60)
+@given(_vectors, _vectors)
+def test_cycnum_matches_fraction_reference(a, b):
+    x, y = CycNum(a), CycNum(b)
+    assert x.coeffs == a and all(type(c) is Fraction for c in x.coeffs)
+    assert (x + y).coeffs == tuple(u + v for u, v in zip(a, b))
+    assert (x - y).coeffs == tuple(u - v for u, v in zip(a, b))
+    assert (-x).coeffs == tuple(-u for u in a)
+    assert (x * y).coeffs == _ref_mul(a, b)
+    assert (x == y) == (a == b) and (x != y) == (a != b)
+    assert x == CycNum(list(a)) and hash(x) == hash(a)
+    assert x.is_zero() == (a == _ZERO8)
+    assert CycNum.from_strings(x.to_strings()) == x
+    assert x.to_strings() == [str(c) for c in a]
+    z = cmath.exp(1j * math.pi / 12)
+    assert x.to_complex() == sum(float(c) * z**k for k, c in enumerate(a))
+    if b == _ZERO8:
+        with pytest.raises(ZeroDivisionError):
+            y.inverse()
+        with pytest.raises(ZeroDivisionError):
+            x / y
+    else:
+        inv = _ref_inverse(b)
+        assert y.inverse().coeffs == inv
+        assert (x / y).coeffs == _ref_mul(a, inv)
+        assert (y ** -2).coeffs == _ref_mul(inv, inv)
+        assert (y ** 3).coeffs == _ref_mul(b, _ref_mul(b, b))
+
+
+@settings(max_examples=60)
+@given(_vectors, _rationals)
+def test_cycnum_rational_operands_on_either_side(a, r):
+    x, q = CycNum(a), Fraction(r)
+    rv = (q,) + _ZERO8[1:]
+    assert (x + r).coeffs == (r + x).coeffs == tuple(u + v for u, v in zip(a, rv))
+    assert (x - r).coeffs == tuple(u - v for u, v in zip(a, rv))
+    assert (r - x).coeffs == tuple(v - u for u, v in zip(a, rv))
+    assert (x * r).coeffs == (r * x).coeffs == tuple(u * q for u in a)
+    assert (x == r) == (a == rv) and (r == x) == (a == rv)
+    if r != 0:
+        assert (x / r).coeffs == tuple(u / q for u in a)
+    else:
+        with pytest.raises(ZeroDivisionError):
+            x / r
+    if a != _ZERO8:
+        assert (r / x).coeffs == tuple(q * u for u in _ref_inverse(a))
+
+
+def test_cycnum_is_frozen():
+    import dataclasses
+
+    v = OMEGA / 3
+    for name, value in (("num", (0,) * 8), ("den", 1), ("coeffs", _ZERO8)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(v, name, value)
+    assert v == CycNum((Fraction(-1, 3), 0, 0, 0, Fraction(1, 3), 0, 0, 0))
+
+
+@given(
+    st.lists(_rationals, min_size=1, max_size=5),
+    st.lists(_rationals, min_size=1, max_size=5),
+)
+def test_parampoly_matches_dense_reference(a, b):
+    p, q = ParamPoly("t", tuple(a)), ParamPoly("t", tuple(b))
+    n = max(len(a), len(b))
+    pa = [Fraction(c) for c in a] + [Fraction(0)] * (n - len(a))
+    pb = [Fraction(c) for c in b] + [Fraction(0)] * (n - len(b))
+    prod = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, u in enumerate(a):
+        for j, v in enumerate(b):
+            prod[i + j] += u * v
+    assert list((p + q).coeffs) == [u + v for u, v in zip(pa, pb)]
+    assert list((p - q).coeffs) == [u - v for u, v in zip(pa, pb)]
+    assert list((p * q).coeffs) == prod
+    assert list((3 - q).coeffs) == [Fraction(3) - pb[0]] + [-v for v in pb[1:len(b)]]
