@@ -14,12 +14,16 @@ import dataclasses
 import math
 
 from .exact import OMEGA
-from .forms import FLOAT, BinaryForm, LinearChange, form_compose, form_gcd, relative_residual
+from .forms import (FLOAT, FLOAT_TOL, NEGLIGIBLE_REL, UNDERFLOW_FLOOR, BinaryForm, LinearChange,
+                    form_compose, form_gcd, relative_residual)
 
 TYPE_PROP_TOL = 1e-8       # proportionality tolerance in arrangement search
-CUBESUM_TOL = 1e-9         # relative tolerance on the equal-cube-sum premise
 SQUARE_DISC_TOL = 1e-8     # relative discriminant bound for square extraction
 CANON_MATCH_TOL = 1e-7     # relative tolerance on canonicalization output
+DEGENERATE_REL = 1e-10     # relative cut under which a pencil, pair or type degenerates
+ARRANGEMENT_TOL = 1e-6     # relative residual accepted for f1 + f2 = T (f3 + f4)
+COINCIDENT_REL = 1e-9      # relative distance under which the two pencil roots coincide
+SIGN_CUT = 1e-15           # real parts within this of zero count as zero when fixing a sign
 
 _W = complex(OMEGA.to_complex())
 
@@ -58,7 +62,7 @@ def _check_equal_cube_sums(f1, f2, f3, f4):
     if lhs.kernel.exact:
         if not lhs.equals(rhs):
             raise ValueError("cube sums differ")
-    elif relative_residual(lhs, rhs) > CUBESUM_TOL:
+    elif relative_residual(lhs, rhs) > FLOAT_TOL:
         raise ValueError("cube sums differ beyond tolerance")
 
 
@@ -72,7 +76,7 @@ def type_detect(f1: BinaryForm, f2: BinaryForm, f3: BinaryForm,
     _check_equal_cube_sums(f1, f2, f3, f4)
     for i, a in enumerate(forms):
         for b in forms[i + 1:]:
-            if a.proportional_to(b, rel_tol=1e-10):
+            if a.proportional_to(b, rel_tol=DEGENERATE_REL):
                 raise ValueError("dishonest family: proportional members")
     omega = kernel.coerce(OMEGA)
     for split_index, ((a, b, sb), (c, d, sd)) in enumerate(_SPLITS):
@@ -115,7 +119,7 @@ def _square_root_of_quadratic(q: BinaryForm) -> BinaryForm:
     a, b, c = _quadratic_coeffs(q)
     scale = (abs(a) + abs(b) + abs(c)) ** 2
     disc = b * b - 4 * a * c
-    if abs(disc) > SQUARE_DISC_TOL * max(scale, 1e-300):
+    if abs(disc) > SQUARE_DISC_TOL * max(scale, UNDERFLOW_FLOOR):
         raise ValueError("quadratic is not a perfect square")
     if abs(a) >= abs(c):
         s = cmath.sqrt(a)
@@ -123,8 +127,8 @@ def _square_root_of_quadratic(q: BinaryForm) -> BinaryForm:
     else:
         t = cmath.sqrt(c)
         ell = (b / (2 * t), t)
-    lead = ell[0] if abs(ell[0]) > 1e-12 * (abs(ell[0]) + abs(ell[1])) else ell[1]
-    if lead.real < -1e-15 or (abs(lead.real) <= 1e-15 and lead.imag < 0):
+    lead = ell[0] if abs(ell[0]) > NEGLIGIBLE_REL * (abs(ell[0]) + abs(ell[1])) else ell[1]
+    if lead.real < -SIGN_CUT or (abs(lead.real) <= SIGN_CUT and lead.imag < 0):
         ell = (-ell[0], -ell[1])
     return BinaryForm.floating(1, ell)
 
@@ -149,7 +153,7 @@ def diagonalize(f1: BinaryForm, f2: BinaryForm) -> LinearChange:
     f1f = f1.to_float()
     f2f = f2.to_float()
     squares = []
-    if abs(A) > 1e-10 * max(scale, 1e-300):
+    if abs(A) > DEGENERATE_REL * max(scale, UNDERFLOW_FLOOR):
         root = cmath.sqrt(B * B - 4 * A * C)
         for sign in (1, -1):
             u = (-B + sign * root) / (2 * A)
@@ -157,7 +161,7 @@ def diagonalize(f1: BinaryForm, f2: BinaryForm) -> LinearChange:
     else:
         # f1 is itself the square member at infinity of the pencil
         squares.append(f1f)
-        if abs(B) <= 1e-10 * max(scale, 1e-300):
+        if abs(B) <= DEGENERATE_REL * max(scale, UNDERFLOW_FLOOR):
             raise ValueError("degenerate pencil; forms are not coprime")
         squares.append(f1f.scale(-C / B) + f2f)
     ell1 = _square_root_of_quadratic(squares[0])
@@ -165,7 +169,7 @@ def diagonalize(f1: BinaryForm, f2: BinaryForm) -> LinearChange:
     l11, l12 = (complex(v) for v in ell1.coeffs)
     l21, l22 = (complex(v) for v in ell2.coeffs)
     det = l11 * l22 - l12 * l21
-    if abs(det) <= 1e-10 * max(abs(l11), abs(l12), abs(l21), abs(l22)) ** 2:
+    if abs(det) <= DEGENERATE_REL * max(abs(l11), abs(l12), abs(l21), abs(l22)) ** 2:
         raise ValueError("pencil squares are dependent; forms are not coprime")
     return LinearChange(l22 / det, -l12 / det, -l21 / det, l11 / det, FLOAT)
 
@@ -181,10 +185,10 @@ def tame_complete(gamma):
     sums equal 2*(x^6 + 3(1+g^2)x^4y^2 + 3(1+g^2)x^2y^4 + y^6); T = P/2.
     """
     g = complex(gamma)
-    if abs(g) < 1e-12:
+    if abs(g) < NEGLIGIBLE_REL:
         raise ValueError("gamma = 0 degenerates the pair")
     base = 8 + 6 * g * g
-    if abs(base) < 1e-12:
+    if abs(base) < NEGLIGIBLE_REL:
         raise ValueError("gamma^2 = -4/3 is excluded")
     P = base ** (1.0 / 3.0)
     Q = 2 * (1 + g * g) / P
@@ -198,7 +202,7 @@ def tame_complete(gamma):
     t_coeff = 3 * (1 + g * g)
     target = BinaryForm.floating(6, [2, 0, 2 * t_coeff, 0, 2 * t_coeff, 0, 2])
     for fa, fb in ((f1, f2), (f3, f4)):
-        if relative_residual(fa ** 3 + fb ** 3, target) > 1e-9:
+        if relative_residual(fa ** 3 + fb ** 3, target) > FLOAT_TOL:
             raise ArithmeticError("tame completion failed its sum contract")
     return f1, f2, f3, f4, P / 2
 
@@ -213,7 +217,7 @@ def wild_family(d):
     (the sum is even while f1, f2 carry odd cross terms); T = d^2.
     """
     dv = complex(d)
-    if abs(dv) < 1e-12 or abs(dv ** 6 - 1) < 1e-12:
+    if abs(dv) < NEGLIGIBLE_REL or abs(dv ** 6 - 1) < NEGLIGIBLE_REL:
         raise ValueError("d*(d^6 - 1) = 0 is excluded")
     r = dv ** 3
     u = cmath.sqrt(1 - dv ** 6)
@@ -228,19 +232,19 @@ def wild_family(d):
         2, [(1 + 3 * r + 2 * r * r) / denom, 0, (1 - 3 * r + 2 * r * r) / denom]
     )
     p = f1 ** 3 + f2 ** 3
-    if relative_residual(f3 ** 3 + f4 ** 3, p) > 1e-9:
+    if relative_residual(f3 ** 3 + f4 ** 3, p) > FLOAT_TOL:
         raise ArithmeticError("wild family failed its equal-sum contract")
-    if relative_residual(f1 ** 3 - f4 ** 3, f3 ** 3 - f2 ** 3) > 1e-9:
+    if relative_residual(f1 ** 3 - f4 ** 3, f3 ** 3 - f2 ** 3) > FLOAT_TOL:
         raise ArithmeticError("wild family failed its flip contract")
     line = BinaryForm.floating(2, [1 + r, 0, 1 - r])
     dsq = dv * dv
     if (
-        relative_residual(f1 + f2.scale(dsq), line) > 1e-9
-        or relative_residual(f3.scale(dsq) + f4, line) > 1e-9
+        relative_residual(f1 + f2.scale(dsq), line) > FLOAT_TOL
+        or relative_residual(f3.scale(dsq) + f4, line) > FLOAT_TOL
     ):
         raise ArithmeticError("wild family failed its linear relation")
     third = (_negate_y(f1), _negate_y(f2))
-    if relative_residual(third[0] ** 3 + third[1] ** 3, p) > 1e-9:
+    if relative_residual(third[0] ** 3 + third[1] ** 3, p) > FLOAT_TOL:
         raise ArithmeticError("wild family failed its third-representation contract")
     return f1, f2, f3, f4, third, dsq
 
@@ -271,14 +275,14 @@ def _phi_roots(T: complex):
     """Roots r of (4 - T^3) r^2 - (4 + 2 T^3) r + (4 - T^3), ordered."""
     a = 4 - T ** 3
     b = -(4 + 2 * T ** 3)
-    if abs(a) < 1e-12 * max(1.0, abs(b)):
+    if abs(a) < NEGLIGIBLE_REL * max(1.0, abs(b)):
         raise ValueError("T^3 = 4 degenerates the square pencil")
     root = cmath.sqrt(b * b - 4 * a * a)
     r1 = (-b + root) / (2 * a)
     r2 = (-b - root) / (2 * a)
     if (round(r2.real, 9), round(r2.imag, 9)) < (round(r1.real, 9), round(r1.imag, 9)):
         r1, r2 = r2, r1
-    if abs(r1 - r2) < 1e-9 * max(1.0, abs(r1)):
+    if abs(r1 - r2) < COINCIDENT_REL * max(1.0, abs(r1)):
         raise ValueError("coincident square-pencil roots; type is degenerate")
     return r1, r2
 
@@ -298,13 +302,13 @@ def canonicalize_type(f1: BinaryForm, f2: BinaryForm, f3: BinaryForm,
     reference completion up to cube roots of unity."""
     lv = complex(lam)
     T = lv * lv
-    if abs(T) < 1e-10 or abs(T ** 3 - 1) < 1e-10:
+    if abs(T) < DEGENERATE_REL or abs(T ** 3 - 1) < DEGENERATE_REL:
         raise ValueError("T(T^3 - 1) = 0 is excluded")
     forms = tuple([f.to_float() for f in (f1, f2, f3, f4)])
     _check_equal_cube_sums(*forms)
     arrangement = forms[0] + forms[1]
     right = forms[2] + forms[3]
-    if relative_residual(arrangement, right.scale(T)) > 1e-6:
+    if relative_residual(arrangement, right.scale(T)) > ARRANGEMENT_TOL:
         raise ValueError(
             "family must be arranged with f1 + f2 = lam^2 (f3 + f4)"
         )
@@ -318,7 +322,7 @@ def canonicalize_type(f1: BinaryForm, f2: BinaryForm, f3: BinaryForm,
     l11, l12 = (complex(v) for v in ells[0].coeffs)
     l21, l22 = (complex(v) for v in ells[1].coeffs)
     det = l11 * l22 - l12 * l21
-    if abs(det) <= 1e-10 * max(abs(l11) + abs(l12), abs(l21) + abs(l22)) ** 2:
+    if abs(det) <= DEGENERATE_REL * max(abs(l11) + abs(l12), abs(l21) + abs(l22)) ** 2:
         raise ValueError("dishonest family: dependent square pencil")
     h11, h12 = (complex(v) for v in ref_ells[0].coeffs)
     h21, h22 = (complex(v) for v in ref_ells[1].coeffs)

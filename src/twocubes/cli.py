@@ -32,7 +32,7 @@ from .families import (
     young_family,
     young_quadruple,
 )
-from .forms import BinaryForm
+from .forms import FLOAT_TOL, BinaryForm
 
 
 class UsageError(ValueError):
@@ -322,7 +322,7 @@ def _build_parser() -> _Parser:
         description="Decide, count, construct and classify representations of "
         "binary sextics as sums of two cubes of quadratic forms.",
     )
-    parser.add_argument("--tol", type=float, default=1e-9, help="floating comparison tolerance")
+    parser.add_argument("--tol", type=float, default=FLOAT_TOL, help="floating comparison tolerance")
     parser.add_argument("--format", choices=("json", "text"), default="json")
     parser.add_argument("--jobs", type=int, default=1, help="parallel workers for census sweeps")
     parser.add_argument("--seed", type=int, default=None, help="seed for sampled verification entries")

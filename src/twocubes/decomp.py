@@ -17,15 +17,17 @@ import dataclasses
 import math
 
 from .exact import OMEGA, SQRTM3, scalar_key
-from .forms import BinaryForm, det3, form_to_json, relative_residual
+from .forms import FLOAT_TOL, UNDERFLOW_FLOOR, BinaryForm, det3, form_to_json, relative_residual
 from .roots import ProjectiveRoot, expanded_root_slots, linear_factors
 
 DISTINCT_REL = 1e-5        # quadratics closer than this count as proportional
 DEP_DET_REL = 1e-7         # |det| below this (times row-norm product) = dependent
 COEFF_SOLVE_REL = 1e-6     # accepted relative residual of the dependence solve
 MIN_COEFF_ABS = 1e-9       # dependence coefficients below this count as zero
-REP_RESIDUAL_TOL = 1e-9    # relative residual contract on emitted representations
 SUBSPACE_MATCH_TOL = 1e-5  # projector distance under which spans are identified
+PIVOT_REL = 1e-9           # echelon pivots below this share of the largest entry count as zero
+SUBSPACE_ROW_TOL = 1e-6    # entrywise distance under which two echelon bases are one span
+CUBE_PAIR_REL = 1e-6       # relative distance under which two summand cubes are one
 
 _OMEGA_F = complex(OMEGA.to_complex())
 _SQRTM3_F = complex(SQRTM3.to_complex())
@@ -77,7 +79,7 @@ class Subspace:
         rank = 0
         for col in range(3):
             pivot = max(range(rank, 2), key=lambda r: abs(rows[r][col]), default=None)
-            if pivot is None or abs(rows[pivot][col]) <= 1e-9 * scale:
+            if pivot is None or abs(rows[pivot][col]) <= PIVOT_REL * scale:
                 continue
             rows[rank], rows[pivot] = rows[pivot], rows[rank]
             lead = rows[rank][col]
@@ -93,7 +95,7 @@ class Subspace:
             raise ValueError("coefficient vectors do not span a plane")
         return Subspace(tuple([tuple(row) for row in rows]))
 
-    def matches(self, other: "Subspace", tol: float = 1e-6) -> bool:
+    def matches(self, other: "Subspace", tol: float = SUBSPACE_ROW_TOL) -> bool:
         return all(
             abs(a - b) <= tol
             for ra, rb in zip(self.rows, other.rows)
@@ -194,9 +196,19 @@ def dependence_test(q1: BinaryForm, q2: BinaryForm, q3: BinaryForm) -> Dependenc
     fit = [alpha * a + beta * b for a, b in zip(crows[0], crows[1])]
     err = math.sqrt(sum(abs(f - c) ** 2 for f, c in zip(fit, crows[2])))
     nq3 = math.sqrt(sum(abs(c) ** 2 for c in crows[2]))
-    if err > COEFF_SOLVE_REL * max(nq3, 1e-300):
+    if err > COEFF_SOLVE_REL * max(nq3, UNDERFLOW_FLOOR):
         return Dependence(False)
     return Dependence(True, alpha, beta)
+
+
+def _float_cube_pair(g1: BinaryForm, g2: BinaryForm, alpha, beta, scale):
+    """(f1, f2) with f1^3 + f2^3 = scale * g1*g2*g3 for g3 = alpha*g1 + beta*g2,
+    over complex floats."""
+    h1 = g1.scale(_OMEGA_F * alpha) - g2.scale(beta)
+    h2 = g2.scale(_OMEGA_F * beta) - g1.scale(alpha)
+    s = 3.0 * _SQRTM3_F * alpha * beta
+    c = (scale / s) ** (1.0 / 3.0)
+    return h1.scale(c), h2.scale(c)
 
 
 def construct_from_triple(g1: BinaryForm, g2: BinaryForm, g3: BinaryForm,
@@ -214,11 +226,7 @@ def construct_from_triple(g1: BinaryForm, g2: BinaryForm, g3: BinaryForm,
     alpha, beta = complex(alpha), complex(beta)
     if abs(alpha) <= MIN_COEFF_ABS or abs(beta) <= MIN_COEFF_ABS:
         raise ValueError("dependence coefficients must both be nonzero")
-    h1 = g1.scale(_OMEGA_F * alpha) - g2.scale(beta)
-    h2 = g2.scale(_OMEGA_F * beta) - g1.scale(alpha)
-    s = 3.0 * _SQRTM3_F * alpha * beta
-    c = (1.0 / s) ** (1.0 / 3.0)
-    f1, f2 = h1.scale(c), h2.scale(c)
+    f1, f2 = _float_cube_pair(g1, g2, alpha, beta, 1.0)
     target = g1 * g2 * g3
     residual = relative_residual(f1 ** 3 + f2 ** 3, target)
     return Representation(f1, f2, 1.0, residual)
@@ -242,13 +250,9 @@ def cubic_two_cubes(q: BinaryForm) -> CubicSplit:
     d11 = g1.coeffs[0] * g2.coeffs[1] - g1.coeffs[1] * g2.coeffs[0]
     alpha = (g3.coeffs[0] * g2.coeffs[1] - g3.coeffs[1] * g2.coeffs[0]) / d11
     beta = (g1.coeffs[0] * g3.coeffs[1] - g1.coeffs[1] * g3.coeffs[0]) / d11
-    h1 = g1.scale(_OMEGA_F * alpha) - g2.scale(beta)
-    h2 = g2.scale(_OMEGA_F * beta) - g1.scale(alpha)
-    s = 3.0 * _SQRTM3_F * alpha * beta
-    c = (complex(scale) / s) ** (1.0 / 3.0)
-    ell1, ell2 = h1.scale(c), h2.scale(c)
+    ell1, ell2 = _float_cube_pair(g1, g2, alpha, beta, scale)
     residual = relative_residual(ell1 ** 3 + ell2 ** 3, q.to_float())
-    if residual > REP_RESIDUAL_TOL:
+    if residual > FLOAT_TOL:
         raise ArithmeticError(f"cubic split residual {residual:.2e} too large")
     return CubicSplit(True, ell1, ell2)
 
@@ -301,12 +305,12 @@ def _projector_distance(p, q) -> float:
     return math.sqrt(sum(abs(a - b) ** 2 for a, b in zip(p, q)))
 
 
-def _forms_close(a: BinaryForm, b: BinaryForm, tol: float = 1e-6) -> bool:
+def _forms_close(a: BinaryForm, b: BinaryForm, tol: float = CUBE_PAIR_REL) -> bool:
     na = math.sqrt(sum(abs(complex(c)) ** 2 for c in a.coeffs))
     nb = math.sqrt(sum(abs(complex(c)) ** 2 for c in b.coeffs))
     diff = math.sqrt(sum(abs(complex(x) - complex(y)) ** 2
                          for x, y in zip(a.coeffs, b.coeffs)))
-    return diff <= tol * max(na, nb, 1e-300)
+    return diff <= tol * max(na, nb, UNDERFLOW_FLOOR)
 
 
 def _cube_pairs_match(pair_a, pair_b) -> bool:
@@ -353,7 +357,7 @@ def rep_count(p: BinaryForm) -> DecompositionReport:
         f2 = base.f2.scale(cube_root)
         cubes = (f1 ** 3, f2 ** 3)
         residual = relative_residual(cubes[0] + cubes[1], pf)
-        if residual > REP_RESIDUAL_TOL:
+        if residual > FLOAT_TOL:
             continue
         rep = Representation(f1, f2, 1.0, residual)
         projector = _orthonormal_projector(f1, f2)

@@ -23,10 +23,7 @@ import dataclasses
 from fractions import Fraction
 
 from .exact import CycNum
-from .forms import EXACT, BinaryForm, form_gcd
-
-FLOAT_TOL = 1e-9
-_NEAR_ZERO = 1e-12
+from .forms import EXACT, FLOAT_TOL, NEGLIGIBLE_REL, BinaryForm, form_gcd
 
 
 def _const_form(v) -> BinaryForm:
@@ -229,7 +226,7 @@ def _value_is_zero(v, scale=None) -> bool:
     if isinstance(v, (RationalFunction, BinaryForm)):
         return v.is_zero()
     if isinstance(v, complex):
-        return abs(v) <= _NEAR_ZERO * (scale if scale else 1.0)
+        return abs(v) <= NEGLIGIBLE_REL * (scale if scale else 1.0)
     return EXACT.is_zero(v)
 
 
@@ -399,7 +396,7 @@ def curve_add(point1, point2, a, tol: float = FLOAT_TOL):
     den = (x1 * x1 * x2 + y1 * y1 * y2) - (x1 * x2 * x2 + y1 * y2 * y2)
     if floating:
         scale = max(abs(v) for v in entries) ** 3 or 1.0
-        degenerate = abs(den) <= _NEAR_ZERO * scale
+        degenerate = abs(den) <= NEGLIGIBLE_REL * scale
     else:
         degenerate = _value_is_zero(den)
     if degenerate:

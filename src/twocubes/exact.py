@@ -163,16 +163,7 @@ class CycNum:
             return self.inverse() ** (-n)
         if n == 0:
             return _ONE
-        # binary powering from the low bits, starting from self itself and
-        # stopping at the top bit: a cube is the one product self * self**2
-        out, base = None, self
-        while True:
-            if n & 1:
-                out = base if out is None else out * base
-            n >>= 1
-            if not n:
-                return out
-            base = base * base
+        return binary_power(self, n)
 
     def __eq__(self, other):
         if isinstance(other, CycNum):
@@ -310,6 +301,20 @@ _ZERO = _cyc((0,) * _DEG, 1)
 _ONE = _cyc((1,) + (0,) * (_DEG - 1), 1)
 
 
+def binary_power(base, n: int):
+    """base**n for n >= 1 by binary powering from the low bits, starting from
+    base itself and stopping at the top bit: a cube is the one product
+    base * base**2."""
+    out = None
+    while True:
+        if n & 1:
+            out = base if out is None else out * base
+        n >>= 1
+        if not n:
+            return out
+        base = base * base
+
+
 def is_zero_scalar(v) -> bool:
     """Exact zero test across the scalar types this package mixes."""
     if isinstance(v, (CycNum, ParamPoly)):
@@ -362,7 +367,7 @@ class ParamPoly:
 
     @staticmethod
     def variable(name: str) -> ParamPoly:
-        return ParamPoly(name, (Fraction(0), Fraction(1)))
+        return ParamPoly(name, (0, 1))
 
     @staticmethod
     def constant(name: str, value) -> ParamPoly:
@@ -425,15 +430,8 @@ class ParamPoly:
         if n < 0:
             raise ValueError("ParamPoly has no negative powers; clear denominators first")
         if n == 0:
-            return ParamPoly(self.param, (Fraction(1),))
-        out, base = None, self
-        while True:
-            if n & 1:
-                out = base if out is None else out * base
-            n >>= 1
-            if not n:
-                return out
-            base = base * base
+            return ParamPoly(self.param, (1,))
+        return binary_power(self, n)
 
     def __eq__(self, other):
         if not isinstance(other, (ParamPoly, int, Fraction, CycNum)):

@@ -33,10 +33,10 @@ from .exact import (
     ZETA8,
     ZETA12,
 )
-from .forms import EXACT, FLOAT, BinaryForm, LinearChange, det3, form_compose
+from .forms import EXACT, FLOAT, FLOAT_TOL, BinaryForm, LinearChange, det3, form_compose
 
 ONE = Fraction(1)
-SAMPLED_TOL = 1e-9
+MIRROR_SCALE_FLOOR = 1e-30  # least scale of the sampled pair-shape comparisons
 _SAMPLE_SEED = 20240814
 EXCEPTIONAL_PARAMETER = IMAG * ETA  # smallest-argument root of t^4 + 4t^2 + 1
 
@@ -337,7 +337,7 @@ def exceptional_parameter_determinant(lam=None):
 class _SqrtExt:
     """p + q*u over ParamPoly in d, with the reduction u^2 = 1 - d^6."""
 
-    _zero = ParamPoly("d", (Fraction(0),))
+    _zero = ParamPoly("d", (0,))
     _mod = 1 - ParamPoly.variable("d") ** 6
 
     def __init__(self, p, q=None):
@@ -373,29 +373,10 @@ class _SqrtExt:
     def is_zero(self) -> bool:
         return self.p.is_zero() and self.q.is_zero()
 
-
-def _ext_polymul(a, b):
-    out = [_SqrtExt(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] = out[i + j] + x * y
-    return out
-
-
-def _ext_cube(a):
-    return _ext_polymul(_ext_polymul(a, a), a)
-
-
-def _ext_sub(a, b):
-    return [x - y for x, y in zip(a, b)]
-
-
-def _ext_add(a, b):
-    return [x + y for x, y in zip(a, b)]
-
-
-def _ext_zero(a) -> bool:
-    return all(x.is_zero() for x in a)
+    def __eq__(self, other):
+        # exact zero tests compare with 0 (`is_zero_scalar`); defining __eq__
+        # without __hash__ leaves the class unhashable
+        return (self - other).is_zero()
 
 
 # --------------------------------------------------------------------------
@@ -576,40 +557,27 @@ def _check_tame_mirror_sum() -> bool:
 def _check_wild_construction() -> bool:
     d = ParamPoly.variable("d")
     mod = 1 - d ** 6
+    quad = lambda a, b, c: BinaryForm.exact(2, [_SqrtExt._coerce(v) for v in (a, b, c)])
+    mirror = lambda f: quad(f.coeffs[0], -f.coeffs[1], f.coeffs[2])
     # cleared members: (1-d^6) times each quadratic, sqrt(1-d^6) as the
     # extension generator u
-    e1 = [_SqrtExt(mod), _SqrtExt(0, -2 * SQRT3 * d ** 3), _SqrtExt(mod)]
-    e2 = [_SqrtExt(d * mod), _SqrtExt(0, 2 * SQRT3 * d), _SqrtExt(-d * mod)]
-    g3 = [
-        _SqrtExt(-d * (2 + 3 * d ** 3 + d ** 6)),
-        _SqrtExt(0),
-        _SqrtExt(d * (2 - 3 * d ** 3 + d ** 6)),
-    ]
-    g4 = [
-        _SqrtExt(1 + 3 * d ** 3 + 2 * d ** 6),
-        _SqrtExt(0),
-        _SqrtExt(1 - 3 * d ** 3 + 2 * d ** 6),
-    ]
-    ok = _ext_zero(
-        _ext_sub(_ext_add(_ext_cube(e1), _ext_cube(e2)), _ext_add(_ext_cube(g3), _ext_cube(g4)))
-    )
-    ok = ok and _ext_zero(
-        _ext_sub(_ext_sub(_ext_cube(e1), _ext_cube(g4)), _ext_sub(_ext_cube(g3), _ext_cube(e2)))
-    )
+    e1 = quad(mod, _SqrtExt(0, -2 * SQRT3 * d ** 3), mod)
+    e2 = quad(d * mod, _SqrtExt(0, 2 * SQRT3 * d), -d * mod)
+    g3 = quad(-d * (2 + 3 * d ** 3 + d ** 6), 0, d * (2 - 3 * d ** 3 + d ** 6))
+    g4 = quad(1 + 3 * d ** 3 + 2 * d ** 6, 0, 1 - 3 * d ** 3 + 2 * d ** 6)
+    c1, c2, c3, c4 = e1 ** 3, e2 ** 3, g3 ** 3, g4 ** 3
+    total = c1 + c2
+    ok = (total - (c3 + c4)).is_zero()
+    ok = ok and ((c1 - c4) - (c3 - c2)).is_zero()
     dd = _SqrtExt(d * d)
-    left_line = _ext_add(e1, [dd * v for v in e2])
-    right_line = _ext_add([dd * v for v in g3], g4)
-    target = [_SqrtExt(mod * (1 + d ** 3)), _SqrtExt(0), _SqrtExt(mod * (1 - d ** 3))]
-    ok = ok and _ext_zero(_ext_sub(left_line, right_line))
-    ok = ok and _ext_zero(_ext_sub(left_line, target))
+    left_line = e1 + e2.scale(dd)
+    ok = ok and (left_line - (g3.scale(dd) + g4)).is_zero()
+    ok = ok and (left_line - quad(mod * (1 + d ** 3), 0, mod * (1 - d ** 3))).is_zero()
     # mirroring y -> -y gives the even sum's genuinely new third pair
-    e5 = [e1[0], -e1[1], e1[2]]
-    e6 = [e2[0], -e2[1], e2[2]]
-    ok = ok and _ext_zero(
-        _ext_sub(_ext_add(_ext_cube(e5), _ext_cube(e6)), _ext_add(_ext_cube(e1), _ext_cube(e2)))
-    )
-    ok = ok and not _ext_zero(_ext_sub(e5, e1))
-    ok = ok and not _ext_zero(_ext_sub(e5, g3))
+    e5, e6 = mirror(e1), mirror(e2)
+    ok = ok and (cube_sum_difference([e5, e6], []) - total).is_zero()
+    ok = ok and not (e5 - e1).is_zero()
+    ok = ok and not (e5 - g3).is_zero()
     # evenness constraints on x^5 y, x^3 y^3, x y^5 coefficients, split into
     # u-odd parts (cleared by one power of u) and the mixed cubic part
     b_cl = -2 * SQRT3 * d ** 3
@@ -779,7 +747,7 @@ def _check_chord_third_representation() -> bool:
 
 
 def _palindromic_mirror_pair(u: BinaryForm, v: BinaryForm, tol: float) -> bool:
-    scale = max(u.max_magnitude(), v.max_magnitude(), 1e-30)
+    scale = max(u.max_magnitude(), v.max_magnitude(), MIRROR_SCALE_FLOOR)
     return (
         abs(u.coeffs[0] - u.coeffs[2]) <= tol * scale
         and abs(v.coeffs[0] - v.coeffs[2]) <= tol * scale
@@ -789,7 +757,7 @@ def _palindromic_mirror_pair(u: BinaryForm, v: BinaryForm, tol: float) -> bool:
 
 
 def _diagonal_swap_pair(u: BinaryForm, v: BinaryForm, tol: float) -> bool:
-    scale = max(u.max_magnitude(), v.max_magnitude(), 1e-30)
+    scale = max(u.max_magnitude(), v.max_magnitude(), MIRROR_SCALE_FLOOR)
     return (
         abs(u.coeffs[1]) <= tol * scale
         and abs(v.coeffs[1]) <= tol * scale
@@ -818,16 +786,16 @@ def _check_tau_substitution(seed=None) -> bool:
         resid = max(
             abs(ic - ratio * tc) for ic, tc in zip(image.coeffs, target.coeffs)
         )
-        if resid > SAMPLED_TOL * scale:
+        if resid > FLOAT_TOL * scale:
             return False
         pair_a = (form_compose(f4, m), form_compose(-f6, m))
         pair_b = (form_compose(f5, m), form_compose(-f3, m))
         shaped = (
-            _palindromic_mirror_pair(*pair_a, SAMPLED_TOL)
-            and _diagonal_swap_pair(*pair_b, SAMPLED_TOL)
+            _palindromic_mirror_pair(*pair_a, FLOAT_TOL)
+            and _diagonal_swap_pair(*pair_b, FLOAT_TOL)
         ) or (
-            _diagonal_swap_pair(*pair_a, SAMPLED_TOL)
-            and _palindromic_mirror_pair(*pair_b, SAMPLED_TOL)
+            _diagonal_swap_pair(*pair_a, FLOAT_TOL)
+            and _palindromic_mirror_pair(*pair_b, FLOAT_TOL)
         )
         if not shaped:
             return False

@@ -16,9 +16,16 @@ import dataclasses
 import math
 from fractions import Fraction
 
-from .exact import CycNum, ParamPoly, is_zero_scalar
+from .exact import CycNum, ParamPoly, binary_power, is_zero_scalar
 
-NEGLIGIBLE_REL = 1e-12  # floating coefficients below this share of the scale are dropped
+# The float tolerance policy.  A threshold that more than one module applies
+# is defined here, next to the float kernel; a threshold that one module
+# alone applies is named at the top of that module.
+FLOAT_TOL = 1e-9          # a floating result agrees to this relative residual
+NEGLIGIBLE_REL = 1e-12    # floating values below this share of their scale count as zero
+UNDERFLOW_FLOOR = 1e-300  # scales are floored here, so a zero scale never zeroes a cut or a divisor
+
+PROPORTIONAL_REL = 1e-7   # default cut on the cross products of proportional forms
 
 
 class ExactKernel:
@@ -61,17 +68,17 @@ class FloatKernel:
     zero = 0j
     one = 1.0 + 0j
 
-    def __init__(self, tolerance: float = 1e-9):
+    def __init__(self, tolerance: float = FLOAT_TOL):
         if tolerance <= 0:
             raise ValueError("tolerance must be positive")
         self.tolerance = tolerance
 
     def is_zero(self, value, scale=1.0) -> bool:
-        return abs(value) <= self.tolerance * max(scale, 1e-300)
+        return abs(value) <= self.tolerance * max(scale, UNDERFLOW_FLOOR)
 
     def negligible(self, value, scale) -> bool:
         """The coefficient cut used to trim and dehomogenize forms."""
-        return abs(value) <= NEGLIGIBLE_REL * max(scale, 1e-300)
+        return abs(value) <= NEGLIGIBLE_REL * max(scale, UNDERFLOW_FLOOR)
 
     def inv(self, value):
         return 1 / value
@@ -143,7 +150,7 @@ class BinaryForm:
         scale = None if self.kernel.exact else max(self.max_magnitude(), other.max_magnitude())
         return all(self.kernel.is_zero(a - b, scale) for a, b in zip(self.coeffs, other.coeffs))
 
-    def proportional_to(self, other: BinaryForm, rel_tol: float = 1e-7) -> bool:
+    def proportional_to(self, other: BinaryForm, rel_tol: float = PROPORTIONAL_REL) -> bool:
         """True when self and other span the same line of forms."""
         if self.degree != other.degree:
             return False
@@ -153,7 +160,7 @@ class BinaryForm:
         crosses = (a[i] * b[j] - a[j] * b[i] for i in range(n) for j in range(i + 1, n))
         if self.kernel.exact:
             return all(self.kernel.is_zero(cr) for cr in crosses)
-        cut = rel_tol * max(self.max_magnitude() * other.max_magnitude(), 1e-300)
+        cut = rel_tol * max(self.max_magnitude() * other.max_magnitude(), UNDERFLOW_FLOOR)
         return not any(abs(cr) > cut for cr in crosses)
 
     # -- arithmetic ---------------------------------------------------------
@@ -189,16 +196,7 @@ class BinaryForm:
             raise ValueError("forms have no negative powers")
         if n == 0:
             return BinaryForm(0, (self.kernel.one,), self.kernel)
-        # binary powering from the low bits, starting from self itself and
-        # stopping at the top bit: a cube is the one product self * self**2
-        out, base = None, self
-        while True:
-            if n & 1:
-                out = base if out is None else out * base
-            n >>= 1
-            if not n:
-                return out
-            base = base * base
+        return binary_power(self, n)
 
     def evaluate(self, x, y):
         acc = None
@@ -307,8 +305,8 @@ def _is_poly_zero(a, kernel, scale):
 def form_gcd(f: BinaryForm, g: BinaryForm) -> BinaryForm:
     """A gcd up to scalar; the constant form 1 means relatively prime.
 
-    The floating kernel truncates remainders below 1e-12 of the operand scale,
-    which is the documented meaning of 'common factor' there.
+    The floating kernel truncates remainders below NEGLIGIBLE_REL of the
+    operand scale, which is the documented meaning of 'common factor' there.
     """
     if f.is_zero() and g.is_zero():
         raise ValueError("gcd of two zero forms")
@@ -465,4 +463,4 @@ def relative_residual(got: BinaryForm, want: BinaryForm) -> float:
     """Coefficient 2-norm of got - want over that of want, in complex floats."""
     num = math.sqrt(sum(abs(complex(a) - complex(b)) ** 2 for a, b in zip(got.coeffs, want.coeffs)))
     den = math.sqrt(sum(abs(complex(b)) ** 2 for b in want.coeffs))
-    return num / max(den, 1e-300)
+    return num / max(den, UNDERFLOW_FLOOR)

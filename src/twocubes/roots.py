@@ -16,6 +16,10 @@ from .forms import NEGLIGIBLE_REL, BinaryForm
 
 CLUSTER_REL = 1e-6          # base mutual-distance threshold for multiplicity grouping
 RECONSTRUCT_TOL = 1e-8      # relative residual demanded of the refactored product
+ABERTH_STEP_TOL = 1e-14     # Aberth stops once no root moves more than this, relative
+POLISH_STEP_TOL = 1e-15     # Newton polishing stops at a step this small, relative
+STALL_NUDGE = 1e-6          # real and imaginary shift of an iterate where p' vanishes
+GAP_GUARD = 1e-30           # stands in for a zero gap or denominator in the Aberth step
 MAX_RESTARTS = 5
 # Threshold multipliers tried tightest-first: an m-fold root scatters the solver
 # output across a radius ~eps**(1/m), so coarser groupings must be available,
@@ -38,12 +42,12 @@ class ProjectiveRoot:
         if nrm == 0:
             raise ValueError("(0, 0) is not a projective point")
         s, t = s / nrm, t / nrm
-        lead = s if abs(s) > 1e-12 else t
+        lead = s if abs(s) > NEGLIGIBLE_REL else t
         phase = lead / abs(lead)
         return ProjectiveRoot(s / phase, t / phase, multiplicity)
 
     def is_infinite(self) -> bool:
-        return abs(self.t) <= 1e-12
+        return abs(self.t) <= NEGLIGIBLE_REL
 
     def affine(self) -> complex:
         if self.is_infinite():
@@ -78,14 +82,14 @@ def _aberth_roots(coeffs, attempt: int) -> list[complex]:
         0.5 * radius * cmath.exp(2j * math.pi * (k + offset) / n) * (1 + 0.05 * attempt)
         for k in range(n)
     ]
-    deriv = [coeffs[i] * (n - i) for i in range(n)]
+    deriv = _derivative(coeffs, 1)
     for _ in range(260):
         moved = 0.0
         for i in range(n):
             p = _polyval(coeffs, zs[i])
             dp = _polyval(deriv, zs[i])
             if dp == 0:
-                zs[i] += complex(1e-6, 1e-6)
+                zs[i] += complex(STALL_NUDGE, STALL_NUDGE)
                 moved = math.inf
                 continue
             newton = p / dp
@@ -95,15 +99,15 @@ def _aberth_roots(coeffs, attempt: int) -> list[complex]:
                     continue
                 gap = zs[i] - zs[j]
                 if gap == 0:
-                    gap = complex(1e-30)
+                    gap = complex(GAP_GUARD)
                 repulsion += 1.0 / gap
             denom = 1.0 - newton * repulsion
             if denom == 0:
-                denom = complex(1e-30)
+                denom = complex(GAP_GUARD)
             step = newton / denom
             zs[i] -= step
             moved = max(moved, abs(step) / (1.0 + abs(zs[i])))
-        if moved <= 1e-14:
+        if moved <= ABERTH_STEP_TOL:
             break
     return zs
 
@@ -153,7 +157,7 @@ def _polished_center(body: list[complex], center: complex, mult: int, move_cap: 
         z -= step
         if abs(z - center) > move_cap:
             return center
-        if abs(step) <= 1e-15 * (1.0 + abs(z)):
+        if abs(step) <= POLISH_STEP_TOL * (1.0 + abs(z)):
             break
     return z
 
@@ -171,7 +175,7 @@ def linear_factors(p: BinaryForm) -> tuple[complex, list[ProjectiveRoot]]:
     coeffs = [complex(c) for c in p.coeffs]
     scale_mag = max(abs(c) for c in coeffs)
     inf_mult = 0
-    # the kernel's coefficient cut without its 1e-300 floor: p is nonzero
+    # the kernel's coefficient cut without its UNDERFLOW_FLOOR: p is nonzero
     while inf_mult < p.degree and abs(coeffs[inf_mult]) <= NEGLIGIBLE_REL * scale_mag:
         inf_mult += 1
     body = coeffs[inf_mult:]
@@ -262,7 +266,7 @@ def cross_ratio_multiset(roots: list[ProjectiveRoot]) -> list[complex]:
                 for l in range(n):
                     if len({i, j, k, l}) == 4:
                         den = d(slots[j], slots[k]) * d(slots[i], slots[l])
-                        if abs(den) < 1e-12:
+                        if abs(den) < NEGLIGIBLE_REL:
                             continue
                         out.append(d(slots[i], slots[k]) * d(slots[j], slots[l]) / den)
     return out

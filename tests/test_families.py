@@ -148,6 +148,20 @@ def test_cube_sum_difference_helper():
     assert not cube_sum_difference([r2, r3], [r1]).is_zero()
 
 
+def test_sqrt_extension_form_is_zero_only_when_every_part_is():
+    # group 11 runs BinaryForm arithmetic over p + q*u with u^2 = 1 - d^6
+    ext = fam._SqrtExt
+    d = ParamPoly.variable("d")
+    u = ext(0, 1)
+    assert BinaryForm.exact(2, [ext(0), ext(0, 0), ext(d - d)]).is_zero()
+    assert (BinaryForm.exact(1, [u, 0]) ** 2 - BinaryForm.exact(2, [1 - d ** 6, 0, 0])).is_zero()
+    for k in range(3):
+        for part in (ext(d), ext(0, d), ext(1, -1)):
+            coeffs = [ext(0)] * 3
+            coeffs[k] = part
+            assert not BinaryForm.exact(2, coeffs).is_zero()
+
+
 # ---------------------------------------------------------------- conditional families
 
 def test_sandor_premise_violation_rejected():

@@ -11,6 +11,11 @@
   pass (up to 2,000 tuples per size) and shows as peak memory once the exact
   arithmetic stops triggering full collections.  `tuple([...])` allocates at
   the final size.
+- No float literal below 1e-3 in magnitude except as the whole value of a
+  module-level `NAME = ...` assignment: each tolerance is one decision with
+  one name, so retuning a threshold edits one place.  Thresholds shared by
+  several modules live in `forms.py` (`FLOAT_TOL`, `NEGLIGIBLE_REL`,
+  `UNDERFLOW_FLOOR`); the others are named at the top of their module.
 """
 import ast
 from pathlib import Path
@@ -64,3 +69,24 @@ def test_no_tuple_of_generator(path):
         and any(isinstance(arg, ast.GeneratorExp) for arg in node.args)
     ]
     assert not lines, f"{path.name}: tuple(<generator>) at lines {lines}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_small_float_literals_are_named(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    named = {
+        id(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and all(isinstance(t, ast.Name) for t in node.targets)
+        and isinstance(node.value, ast.Constant)
+    }
+    lines = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant)
+        and type(node.value) is float
+        and 0 < abs(node.value) < 1e-3
+        and id(node) not in named
+    ]
+    assert not lines, f"{path.name}: unnamed small float literals at lines {lines}"
