@@ -301,7 +301,7 @@ def cmd_eb(ns) -> int:
 def cmd_curve_add(ns) -> int:
     values = parse_scalars(ns.values)
     x1, y1, x2, y2, a = values
-    x3, y3 = curve_add((x1, y1), (x2, y2), a, tol=ns.tol)
+    x3, y3 = curve_add((x1, y1), (x2, y2), a, tol=FLOAT_TOL if ns.tol is None else ns.tol)
     payload = {"x3": scalar_json(x3), "y3": scalar_json(y3)}
 
     def text():
@@ -322,7 +322,8 @@ def _build_parser() -> _Parser:
         description="Decide, count, construct and classify representations of "
         "binary sextics as sums of two cubes of quadratic forms.",
     )
-    parser.add_argument("--tol", type=float, default=FLOAT_TOL, help="floating comparison tolerance")
+    parser.add_argument("--tol", type=float, default=None,
+                        help=f"floating on-curve tolerance of curve-add (default {FLOAT_TOL:g})")
     parser.add_argument("--format", choices=("json", "text"), default="json")
     parser.add_argument("--jobs", type=int, default=1, help="parallel workers for census sweeps")
     parser.add_argument("--seed", type=int, default=None, help="seed for sampled verification entries")
@@ -370,6 +371,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:
+        # no other command reads --tol, so accepting it there would ignore it
+        if ns.tol is not None and ns.handler is not cmd_curve_add:
+            raise UsageError("--tol applies only to curve-add")
         return ns.handler(ns)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -17,7 +17,7 @@ import dataclasses
 import math
 
 from .exact import OMEGA, SQRTM3, scalar_key
-from .forms import FLOAT_TOL, UNDERFLOW_FLOOR, BinaryForm, det3, form_to_json, relative_residual
+from .forms import FLOAT, FLOAT_TOL, UNDERFLOW_FLOOR, BinaryForm, det3, form_to_json, relative_residual
 from .roots import ProjectiveRoot, expanded_root_slots, linear_factors
 
 DISTINCT_REL = 1e-5        # quadratics closer than this count as proportional
@@ -50,6 +50,9 @@ def _index_pairings(n: int = 6) -> tuple:
 
 
 PAIRINGS = _index_pairings()
+_PAIRS = tuple([(i, j) for i in range(6) for j in range(i + 1, 6)])
+# each pairing as three indices into _PAIRS
+_PAIRING_IDS = tuple([tuple([_PAIRS.index(pair) for pair in pairing]) for pairing in PAIRINGS])
 
 
 @dataclasses.dataclass(frozen=True)
@@ -129,10 +132,26 @@ class CubicSplit:
     reason: str = ""
 
 
+def _float_key(coeffs):
+    return tuple([(round(c.real, 12), round(c.imag, 12)) for c in coeffs])
+
+
 def _coeff_key(f: BinaryForm):
     if f.kernel.exact:
         return tuple([scalar_key(c) for c in f.coeffs])
-    return tuple([(round(complex(c).real, 12), round(complex(c).imag, 12)) for c in f.coeffs])
+    return _float_key([complex(c) for c in f.coeffs])
+
+
+def _fresh_pairings(pair_keys):
+    """(index, pairing) of each pairing whose sorted pair keys were not seen
+    at an earlier index: groupings made identical by repeated factors
+    collapse to their first pairing."""
+    seen = set()
+    for k, pairing in enumerate(_PAIRING_IDS):
+        key = tuple(sorted([pair_keys[pair] for pair in pairing]))
+        if key not in seen:
+            seen.add(key)
+            yield k, pairing
 
 
 def pair_partitions(factors) -> list:
@@ -143,16 +162,35 @@ def pair_partitions(factors) -> list:
         raise ValueError("exactly six linear factors required")
     if any(f.degree != 1 for f in factors):
         raise ValueError("factors must be linear forms")
-    out = []
-    seen = set()
-    for pairing in PAIRINGS:
-        triple = tuple([factors[i] * factors[j] for i, j in pairing])
-        key = tuple(sorted(_coeff_key(q) for q in triple))
-        if key in seen:
-            continue
-        seen.add(key)
-        out.append(triple)
-    return out
+    products = [factors[i] * factors[j] for i, j in _PAIRS]
+    keys = [_coeff_key(q) for q in products]
+    return [tuple([products[pair] for pair in pairing]) for _, pairing in _fresh_pairings(keys)]
+
+
+def _row_norm(row) -> float:
+    return math.sqrt(sum(abs(c) ** 2 for c in row))
+
+
+def _span_fit(r1, r2, r3, n3):
+    """Least-squares (alpha, beta) with r3 = alpha*r1 + beta*r2 over complex
+    rows, via the 2x2 normal equations; None when the fit misses r3 by more
+    than COEFF_SOLVE_REL of its 2-norm n3."""
+    g11 = sum(a * b.conjugate() for a, b in zip(r1, r1))
+    g12 = sum(a * b.conjugate() for a, b in zip(r2, r1))
+    g21 = g12.conjugate()
+    g22 = sum(a * b.conjugate() for a, b in zip(r2, r2))
+    b1 = sum(a * b.conjugate() for a, b in zip(r3, r1))
+    b2 = sum(a * b.conjugate() for a, b in zip(r3, r2))
+    disc = g11 * g22 - g12 * g21
+    if abs(disc) == 0:
+        raise ValueError("first two quadratics are proportional")
+    alpha = (b1 * g22 - b2 * g12) / disc
+    beta = (g11 * b2 - g21 * b1) / disc
+    fit = [alpha * a + beta * b for a, b in zip(r1, r2)]
+    err = math.sqrt(sum(abs(f - c) ** 2 for f, c in zip(fit, r3)))
+    if err > COEFF_SOLVE_REL * max(n3, UNDERFLOW_FLOOR):
+        return None
+    return alpha, beta
 
 
 def dependence_test(q1: BinaryForm, q2: BinaryForm, q3: BinaryForm) -> Dependence:
@@ -175,40 +213,25 @@ def dependence_test(q1: BinaryForm, q2: BinaryForm, q3: BinaryForm) -> Dependenc
                 return Dependence(True, alpha, beta)
         raise ValueError("first two quadratics are proportional")
     crows = [[complex(c) for c in row] for row in rows]
-    det = det3(crows)
-    norm_prod = 1.0
-    for row in crows:
-        norm_prod *= math.sqrt(sum(abs(c) ** 2 for c in row))
-    if abs(det) > DEP_DET_REL * norm_prod:
+    norms = [_row_norm(row) for row in crows]
+    if abs(det3(crows)) > DEP_DET_REL * (norms[0] * norms[1] * norms[2]):
         return Dependence(False)
-    # least-squares span coefficients via the 2x2 normal equations
-    g11 = sum(a * b.conjugate() for a, b in zip(crows[0], crows[0]))
-    g12 = sum(a * b.conjugate() for a, b in zip(crows[1], crows[0]))
-    g21 = g12.conjugate()
-    g22 = sum(a * b.conjugate() for a, b in zip(crows[1], crows[1]))
-    b1 = sum(a * b.conjugate() for a, b in zip(crows[2], crows[0]))
-    b2 = sum(a * b.conjugate() for a, b in zip(crows[2], crows[1]))
-    disc = g11 * g22 - g12 * g21
-    if abs(disc) == 0:
-        raise ValueError("first two quadratics are proportional")
-    alpha = (b1 * g22 - b2 * g12) / disc
-    beta = (g11 * b2 - g21 * b1) / disc
-    fit = [alpha * a + beta * b for a, b in zip(crows[0], crows[1])]
-    err = math.sqrt(sum(abs(f - c) ** 2 for f, c in zip(fit, crows[2])))
-    nq3 = math.sqrt(sum(abs(c) ** 2 for c in crows[2]))
-    if err > COEFF_SOLVE_REL * max(nq3, UNDERFLOW_FLOOR):
+    fit = _span_fit(crows[0], crows[1], crows[2], norms[2])
+    if fit is None:
         return Dependence(False)
-    return Dependence(True, alpha, beta)
+    return Dependence(True, *fit)
 
 
-def _float_cube_pair(g1: BinaryForm, g2: BinaryForm, alpha, beta, scale):
-    """(f1, f2) with f1^3 + f2^3 = scale * g1*g2*g3 for g3 = alpha*g1 + beta*g2,
-    over complex floats."""
-    h1 = g1.scale(_OMEGA_F * alpha) - g2.scale(beta)
-    h2 = g2.scale(_OMEGA_F * beta) - g1.scale(alpha)
+def _float_cube_pair(r1, r2, alpha, beta, scale):
+    """Coefficients (f1, f2) with f1^3 + f2^3 = scale * g1*g2*g3, over complex
+    floats, where r1, r2 are the coefficients of g1, g2 and g3 = alpha*g1 +
+    beta*g2."""
+    wa, wb = _OMEGA_F * alpha, _OMEGA_F * beta
     s = 3.0 * _SQRTM3_F * alpha * beta
     c = (scale / s) ** (1.0 / 3.0)
-    return h1.scale(c), h2.scale(c)
+    f1 = [c * (wa * a - beta * b) for a, b in zip(r1, r2)]
+    f2 = [c * (wb * b - alpha * a) for a, b in zip(r1, r2)]
+    return f1, f2
 
 
 def construct_from_triple(g1: BinaryForm, g2: BinaryForm, g3: BinaryForm,
@@ -226,9 +249,10 @@ def construct_from_triple(g1: BinaryForm, g2: BinaryForm, g3: BinaryForm,
     alpha, beta = complex(alpha), complex(beta)
     if abs(alpha) <= MIN_COEFF_ABS or abs(beta) <= MIN_COEFF_ABS:
         raise ValueError("dependence coefficients must both be nonzero")
-    f1, f2 = _float_cube_pair(g1, g2, alpha, beta, 1.0)
-    target = g1 * g2 * g3
-    residual = relative_residual(f1 ** 3 + f2 ** 3, target)
+    c1, c2 = _float_cube_pair(g1.coeffs, g2.coeffs, alpha, beta, 1.0)
+    f1 = BinaryForm(g1.degree, tuple(c1), g1.kernel)
+    f2 = BinaryForm(g2.degree, tuple(c2), g2.kernel)
+    residual = relative_residual(f1 ** 3 + f2 ** 3, g1 * g2 * g3)
     return Representation(f1, f2, 1.0, residual)
 
 
@@ -250,11 +274,35 @@ def cubic_two_cubes(q: BinaryForm) -> CubicSplit:
     d11 = g1.coeffs[0] * g2.coeffs[1] - g1.coeffs[1] * g2.coeffs[0]
     alpha = (g3.coeffs[0] * g2.coeffs[1] - g3.coeffs[1] * g2.coeffs[0]) / d11
     beta = (g1.coeffs[0] * g3.coeffs[1] - g1.coeffs[1] * g3.coeffs[0]) / d11
-    ell1, ell2 = _float_cube_pair(g1, g2, alpha, beta, scale)
+    c1, c2 = _float_cube_pair(g1.coeffs, g2.coeffs, alpha, beta, scale)
+    ell1, ell2 = BinaryForm(1, tuple(c1), g1.kernel), BinaryForm(1, tuple(c2), g2.kernel)
     residual = relative_residual(ell1 ** 3 + ell2 ** 3, q.to_float())
     if residual > FLOAT_TOL:
         raise ArithmeticError(f"cubic split residual {residual:.2e} too large")
     return CubicSplit(True, ell1, ell2)
+
+
+def _h_rows(slots) -> list:
+    """The coefficient row (t_i t_j, s_i t_j + s_j t_i, s_i s_j) of the
+    quadratic from each pair of the six root slots, in _PAIRS order."""
+    if len(slots) != 6:
+        raise ValueError("exactly six projective roots required")
+    return [(a.t * b.t, a.s * b.t + b.s * a.t, a.s * b.s)
+            for a, b in [(slots[i], slots[j]) for i, j in _PAIRS]]
+
+
+def _grouping_determinants(rows, norms) -> list:
+    """(det, product of the row norms) of the three pair rows of each
+    pairing, in PAIRINGS order."""
+    return [(det3((rows[i], rows[j], rows[k])), norms[i] * norms[j] * norms[k])
+            for i, j, k in _PAIRING_IDS]
+
+
+def _H_product(dets) -> complex:
+    total = 1.0 + 0j
+    for det, norm in dets:
+        total *= det / norm
+    return total
 
 
 def H_eval(roots) -> complex:
@@ -266,21 +314,8 @@ def H_eval(roots) -> complex:
     divided by the product of the row 2-norms, so the value is invariant
     under root rescaling.
     """
-    slots = expanded_root_slots(list(roots))
-    if len(slots) != 6:
-        raise ValueError("exactly six projective roots required")
-    total = 1.0 + 0j
-    for pairing in PAIRINGS:
-        rows = []
-        for i, j in pairing:
-            a, b = slots[i], slots[j]
-            rows.append((a.t * b.t, a.s * b.t + b.s * a.t, a.s * b.s))
-        det = det3(rows)
-        norm = 1.0
-        for row in rows:
-            norm *= math.sqrt(sum(abs(c) ** 2 for c in row))
-        total *= det / norm
-    return total
+    rows = _h_rows(expanded_root_slots(list(roots)))
+    return _H_product(_grouping_determinants(rows, [_row_norm(row) for row in rows]))
 
 
 def _orthonormal_projector(f1: BinaryForm, f2: BinaryForm):
@@ -321,11 +356,28 @@ def _cube_pairs_match(pair_a, pair_b) -> bool:
     )
 
 
+def _distinct(a, b, mag_prod) -> bool:
+    """Two nonzero quadratic rows are not proportional to DISTINCT_REL, as
+    BinaryForm.proportional_to decides it; mag_prod is the product of their
+    largest coefficient magnitudes."""
+    cut = DISTINCT_REL * max(mag_prod, UNDERFLOW_FLOOR)
+    return (abs(a[0] * b[1] - a[1] * b[0]) > cut
+            or abs(a[0] * b[2] - a[2] * b[0]) > cut
+            or abs(a[1] * b[2] - a[2] * b[1]) > cut)
+
+
 def rep_count(p: BinaryForm) -> DecompositionReport:
     """Count and construct all essentially distinct two-cube representations
     of a sextic.  Repeated factors need no special casing: groupings that
     repeat a quadratic or merge proportional ones are filtered, and the rest
-    run through the same dependence test."""
+    run through the same dependence test.
+
+    One pass over the pairings on complex coefficient rows: per call, each
+    of the 15 pair quadratics is formed once, and forms are built only for
+    candidate representations.  The answers are those of the staged
+    pipeline pair_partitions -> proportional_to(rel_tol=DISTINCT_REL) ->
+    dependence_test -> construct_from_triple, bit for bit.
+    """
     if p.degree != 6:
         raise ValueError("sextic form required")
     if p.is_zero():
@@ -333,28 +385,41 @@ def rep_count(p: BinaryForm) -> DecompositionReport:
     pf = p.to_float()
     scale, roots = linear_factors(pf)
     slots = expanded_root_slots(roots)
-    factors = [BinaryForm.floating(1, r.factor_coeffs()) for r in slots]
-    H = H_eval(slots)
+    hrows = _h_rows(slots)
+    norms = [_row_norm(row) for row in hrows]
+    dets = _grouping_determinants(hrows, norms)
+    H = _H_product(dets)
+    # the coefficients of the products of the linear factors (t, -s), summed
+    # in BinaryForm.__mul__'s order: keys, cross products and fits see the
+    # bits of the product forms.  Each H row is the same quadratic with its
+    # middle coefficient negated, so its |det| and norms are the same bits.
+    lin = [(complex(r.t), complex(-r.s)) for r in slots]
+    prows = [(0j + a0 * b0, (0j + a0 * b1) + a1 * b0, 0j + a1 * b1)
+             for (a0, a1), (b0, b1) in [(lin[i], lin[j]) for i, j in _PAIRS]]
+    mags = [max([abs(c) for c in row]) for row in prows]
     cube_root = complex(scale) ** (1.0 / 3.0)
 
     kept = []  # (Representation, projector, cube pair)
     dependent_triples = 0
-    for g1, g2, g3 in pair_partitions(factors):
-        if (
-            g1.proportional_to(g2, rel_tol=DISTINCT_REL)
-            or g1.proportional_to(g3, rel_tol=DISTINCT_REL)
-            or g2.proportional_to(g3, rel_tol=DISTINCT_REL)
-        ):
+    for k, (i, j, m) in _fresh_pairings([_float_key(row) for row in prows]):
+        q1, q2, q3 = prows[i], prows[j], prows[m]
+        # slots are unit vectors, so no pair quadratic is the zero form
+        if not (_distinct(q1, q2, mags[i] * mags[j]) and _distinct(q1, q3, mags[i] * mags[m])
+                and _distinct(q2, q3, mags[j] * mags[m])):
             continue
-        dep = dependence_test(g1, g2, g3)
-        if not dep.dependent:
+        det, norm_prod = dets[k]
+        if abs(det) > DEP_DET_REL * norm_prod:
+            continue
+        fit = _span_fit(q1, q2, q3, norms[m])
+        if fit is None:
             continue
         dependent_triples += 1
-        if abs(dep.alpha) <= MIN_COEFF_ABS or abs(dep.beta) <= MIN_COEFF_ABS:
+        alpha, beta = fit
+        if abs(alpha) <= MIN_COEFF_ABS or abs(beta) <= MIN_COEFF_ABS:
             continue
-        base = construct_from_triple(g1, g2, g3, dep.alpha, dep.beta)
-        f1 = base.f1.scale(cube_root)
-        f2 = base.f2.scale(cube_root)
+        c1, c2 = _float_cube_pair(q1, q2, alpha, beta, 1.0)
+        f1 = BinaryForm(2, tuple([cube_root * c for c in c1]), FLOAT)
+        f2 = BinaryForm(2, tuple([cube_root * c for c in c2]), FLOAT)
         cubes = (f1 ** 3, f2 ** 3)
         residual = relative_residual(cubes[0] + cubes[1], pf)
         if residual > FLOAT_TOL:

@@ -175,7 +175,11 @@ class CycNum:
         return self.den == q and self.num[0] == p and not any(self.num[1:])
 
     def __hash__(self):
-        return hash(self.coeffs)
+        # equal values hash alike: a rational element compares equal to its
+        # int or Fraction, so it takes that hash
+        if not any(self.num[1:]):
+            return hash(Fraction(self.num[0], self.den))
+        return hash((self.num, self.den))
 
     def is_zero(self) -> bool:
         return not any(self.num)
@@ -439,6 +443,10 @@ class ParamPoly:
         return (self - other).is_zero()
 
     def __hash__(self):
+        # a constant compares equal to its coefficient, so it takes that hash
+        terms = self.coeffs[: self.degree() + 1]
+        if len(terms) <= 1:
+            return hash(terms[0] if terms else 0)
         return hash(scalar_key(self))
 
     def evaluate(self, value):

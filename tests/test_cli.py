@@ -355,6 +355,31 @@ def test_curve_add_off_curve_point_is_computation_failure(capsys):
     assert code == 2
 
 
+def test_tol_reaches_curve_add(capsys):
+    # x1 = 1 + 1e-9 misses the curve by ~2e-12 relative: inside the default 1e-9
+    point = ["1.000000001,0", "12", "9", "10", "1729"]
+    code, payload = run_json(capsys, "curve-add", *point)
+    assert code == 0 and abs(payload["x3"][0] + 37 / 3) < 1e-6
+    code, again = run_json(capsys, "--tol", "1e-6", "curve-add", *point)
+    assert code == 0 and again == payload
+    code = main(["--tol", "1e-13", "curve-add", *point])
+    assert code == 2 and "not on the curve" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["decompose", "1", "0", "-5", "0", "-5", "0", "1"],
+    ["census", "A", "7"],
+    ["type-detect", "3", "5", "-5", "5", "-5", "-3", "6", "-4", "4", "-4", "4", "-6"],
+    ["verify", "--ids", "01"],
+])
+def test_tol_on_other_commands_is_usage_error(capsys, argv):
+    code = main(["--tol", "1e-20", *argv])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "error: --tol applies only to curve-add" in captured.err
+
+
 # -- harness ----------------------------------------------------------------
 
 def test_missing_command_is_usage_error(capsys):

@@ -4,9 +4,13 @@ import random
 
 import pytest
 
+from twocubes import decomp
 from twocubes.decomp import (
+    DISTINCT_REL,
     H_eval,
+    MIN_COEFF_ABS,
     PAIRINGS,
+    SUBSPACE_MATCH_TOL,
     Subspace,
     construct_from_triple,
     cubic_two_cubes,
@@ -16,8 +20,8 @@ from twocubes.decomp import (
     report_to_json,
 )
 from twocubes.exact import OMEGA, SQRTM3, ParamPoly, Rational
-from twocubes.forms import BinaryForm, LinearChange, form_compose
-from twocubes.roots import linear_factors
+from twocubes.forms import FLOAT, FLOAT_TOL, BinaryForm, LinearChange, form_compose, relative_residual
+from twocubes.roots import expanded_root_slots, linear_factors
 
 
 def ex_lin(a, b):
@@ -389,3 +393,137 @@ def test_report_json_schema():
     for entry in obj["representations"]:
         assert set(entry) == {"f1", "f2", "residual"}
         assert entry["residual"] <= 1e-9
+
+
+# ---------------------------------------------------------------- one-pass kernel
+
+def _staged_rep_count(p):
+    """rep_count rebuilt from its public stages, one BinaryForm per quadratic:
+    pair_partitions -> proportional_to(rel_tol=DISTINCT_REL) ->
+    dependence_test -> construct_from_triple -> scale, residual, dedup."""
+    pf = p.to_float()
+    scale, roots = linear_factors(pf)
+    slots = expanded_root_slots(roots)
+    factors = [BinaryForm.floating(1, r.factor_coeffs()) for r in slots]
+    H = H_eval(slots)
+    cube_root = complex(scale) ** (1.0 / 3.0)
+    kept = []
+    dependent = 0
+    for g1, g2, g3 in pair_partitions(factors):
+        if (g1.proportional_to(g2, rel_tol=DISTINCT_REL) or g1.proportional_to(g3, rel_tol=DISTINCT_REL)
+                or g2.proportional_to(g3, rel_tol=DISTINCT_REL)):
+            continue
+        dep = dependence_test(g1, g2, g3)
+        if not dep.dependent:
+            continue
+        dependent += 1
+        if abs(dep.alpha) <= MIN_COEFF_ABS or abs(dep.beta) <= MIN_COEFF_ABS:
+            continue
+        base = construct_from_triple(g1, g2, g3, dep.alpha, dep.beta)
+        f1, f2 = base.f1.scale(cube_root), base.f2.scale(cube_root)
+        cubes = (f1 ** 3, f2 ** 3)
+        residual = relative_residual(cubes[0] + cubes[1], pf)
+        if residual > FLOAT_TOL:
+            continue
+        proj = decomp._orthonormal_projector(f1, f2)
+        if not any(decomp._projector_distance(proj, q) <= SUBSPACE_MATCH_TOL
+                   and decomp._cube_pairs_match(cubes, c) for _, _, _, q, c in kept):
+            kept.append((f1, f2, residual, proj, cubes))
+    subspaces = []
+    for f1, f2, _, proj, _ in kept:
+        if not any(decomp._projector_distance(proj, q) <= SUBSPACE_MATCH_TOL for q, _ in subspaces):
+            subspaces.append((proj, Subspace.from_forms(f1, f2)))
+    return _answer(len(kept), [(f1, f2, res) for f1, f2, res, _, _ in kept],
+                   [sub for _, sub in subspaces], H, dependent)
+
+
+def _answer(n, reps, subspaces, H, dependent):
+    # repr keeps the sign of zero parts, which == would not compare
+    return (
+        n,
+        [(repr(f1.coeffs), repr(f2.coeffs), repr(res)) for f1, f2, res in reps],
+        [repr(s.rows) for s in subspaces],
+        repr(H),
+        dependent,
+    )
+
+
+def _report_answer(report):
+    return _answer(report.N, [(r.f1, r.f2, r.residual) for r in report.reps],
+                   report.subspaces, report.H, report.dependent_triples)
+
+
+def _conditioned_change(rng, cond):
+    """A real change R(u) diag(cond * s, s) R(v) with condition number cond."""
+    s = 10 ** rng.uniform(-1, 1)
+    u, v = rng.uniform(0, math.pi), rng.uniform(0, math.pi)
+    cu, su, cv, sv = math.cos(u), math.sin(u), math.cos(v), math.sin(v)
+    s1, s2 = cond * s, s
+    return LinearChange(s1 * cu * cv - s2 * su * sv, -s1 * cu * sv - s2 * su * cv,
+                        s1 * su * cv + s2 * cu * sv, -s1 * su * sv + s2 * cu * cv, FLOAT)
+
+
+def _oracle_mix():
+    rng = random.Random(20261018)
+    gauss = lambda: complex(rng.gauss(0, 1), rng.gauss(0, 1))  # noqa: E731
+    forms = [A_form(t) for t in (3, -1, 0, 15, -5, 7)]
+    forms += [B_form(t) for t in (0, 2, -2, 5j * math.sqrt(2), -5j * math.sqrt(2), 7)]
+    forms += [A_form(rng.randint(-60, 60) / rng.randint(1, 9)) for _ in range(4)]
+    forms += [B_form(rng.randint(-60, 60) / rng.randint(1, 9)) for _ in range(4)]
+    sums = [BinaryForm.floating(2, [gauss() for _ in range(3)]) ** 3
+            + BinaryForm.floating(2, [gauss() for _ in range(3)]) ** 3 for _ in range(4)]
+    forms += sums + [fl6([gauss() for _ in range(7)]) for _ in range(4)]
+    # x^6, x^2 y^2 (x^2 - y^2), x^3 y^3, x y (x^4 - y^4), and x^3 y (x^2 - y^2),
+    # whose one representation comes from a grouping repeated six times
+    forms += [fl6([1, 0, 0, 0, 0, 0, 0]), fl6([0, 0, 1, 0, -1, 0, 0]), fl6([0, 0, 0, 1, 0, 0, 0]), Q2_FORM,
+              fl6([0, 1, 0, -1, 0, 0, 0])]
+    for base in (A_form(-5), B_form(7), Q2_FORM, A_form(-1), sums[0]):
+        forms.append(form_compose(base, _conditioned_change(rng, 1e3)))
+    return forms
+
+
+def _outcome(fn, p):
+    try:
+        return fn(p)
+    except (ValueError, ArithmeticError) as exc:
+        return (type(exc).__name__, str(exc))
+
+
+def test_rep_count_matches_staged_pipeline_bit_for_bit():
+    mix = _oracle_mix()
+    counts = set()
+    for p in mix:
+        want = _outcome(_staged_rep_count, p)
+        got = _outcome(lambda q: _report_answer(rep_count(q)), p)
+        assert got == want, p.coeffs
+        counts.add(got[0])
+    # the mix reaches every census count the families have, including N = 6
+    assert {0, 1, 2, 3, 4, 6} <= counts
+
+
+@pytest.fixture
+def form_op_counts(monkeypatch):
+    counts = dict.fromkeys(("__mul__", "__pow__", "proportional_to"), 0)
+    for name in counts:
+        original = getattr(BinaryForm, name)
+
+        def counted(*args, _original=original, _name=name, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(BinaryForm, name, counted)
+    return counts
+
+
+def test_rep_count_builds_no_forms_for_rejected_groupings(form_op_counts):
+    rng = random.Random(41)
+    p = fl6([complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(7)])
+    assert rep_count(p).N == 0
+    assert form_op_counts == {"__mul__": 0, "__pow__": 0, "proportional_to": 0}
+
+
+def test_rep_count_builds_only_the_emitted_cubes(form_op_counts):
+    report = rep_count(Q2_FORM)
+    assert report.N == 6
+    # two cubes per representation, two products (q * q, then q * q**2) per cube
+    assert form_op_counts == {"__mul__": 4 * report.N, "__pow__": 2 * report.N, "proportional_to": 0}

@@ -166,6 +166,21 @@ def test_parampoly_hash_ignores_trailing_zeros():
     assert len({lam * lam, ParamPoly("t", (0, 0, Fraction(1), 0, CycNum.zero()))}) == 1
 
 
+def test_equal_scalars_hash_alike_across_types():
+    # a set holding one value in several exact types keeps one member
+    ones = {CycNum.one(), 1, Fraction(1), ParamPoly("t", (1,))}
+    assert len(ones) == 1
+    assert len({ParamPoly("t", (2,)), 2}) == 1
+    assert len({CycNum.from_rational(Fraction(-3, 4)), Fraction(-3, 4), ParamPoly("t", (Fraction(-3, 4), 0))}) == 1
+    assert len({CycNum.zero(), 0, ParamPoly("t", ())}) == 1
+    # equal irrational values reached two ways
+    a, b = OMEGA + 1, -(OMEGA * OMEGA)
+    assert a == b and hash(a) == hash(b)
+    const = ParamPoly("t", (b, 0))
+    assert const == a and hash(const) == hash(a)
+    assert SQRT2 * SQRT3 == SQRT6 and hash(SQRT2 * SQRT3) == hash(SQRT6)
+
+
 def test_pow_matches_repeated_products():
     v = OMEGA + SQRT2 - Fraction(2, 3) * ZETA24**5
     prod = CycNum.one()
@@ -228,7 +243,10 @@ def test_cycnum_matches_fraction_reference(a, b):
     assert (-x).coeffs == tuple(-u for u in a)
     assert (x * y).coeffs == _ref_mul(a, b)
     assert (x == y) == (a == b) and (x != y) == (a != b)
-    assert x == CycNum(list(a)) and hash(x) == hash(a)
+    # equal values hash alike, and a rational element hashes like its Fraction
+    assert x == CycNum(list(a)) and hash(x) == hash(CycNum(list(a)))
+    if x.is_rational():
+        assert x == a[0] and hash(x) == hash(a[0])
     assert x.is_zero() == (a == _ZERO8)
     assert CycNum.from_strings(x.to_strings()) == x
     assert x.to_strings() == [str(c) for c in a]
