@@ -168,10 +168,10 @@ class CycNum:
     def __eq__(self, other):
         if isinstance(other, CycNum):
             return self.den == other.den and self.num == other.num
-        try:
-            p, q = _ratio(other)
-        except TypeError:
+        # strings parse as scalars but never compare equal: they hash apart
+        if not isinstance(other, (int, Fraction)):
             return NotImplemented
+        p, q = _ratio(other)
         return self.den == q and self.num[0] == p and not any(self.num[1:])
 
     def __hash__(self):

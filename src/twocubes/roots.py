@@ -3,14 +3,16 @@
 A degree-d form splits into d projective linear factors (t_j x - s_j y); the
 root (s, t) = (1, 0) is the factor y coming from a deficient leading
 coefficient.  Finite roots come from a simultaneous-iteration solve of the
-dehomogenization p(x, 1), with restarts on stagnation, followed by clustering
-into multiplicities.
+dehomogenization p(x, 1) that stops at its rounding floor, followed by
+clustering into multiplicities; when the tightest clustering fails, the roots
+are polished on exact residuals before coarser clusterings and restarts.
 """
 from __future__ import annotations
 
 import cmath
 import dataclasses
 import math
+import sys
 
 from .forms import NEGLIGIBLE_REL, BinaryForm
 
@@ -20,6 +22,10 @@ ABERTH_STEP_TOL = 1e-14     # Aberth stops once no root moves more than this, re
 POLISH_STEP_TOL = 1e-15     # Newton polishing stops at a step this small, relative
 STALL_NUDGE = 1e-6          # real and imaginary shift of an iterate where p' vanishes
 GAP_GUARD = 1e-30           # stands in for a zero gap or denominator in the Aberth step
+# Bini's stopping rule: |p(z)| under this times n * sum |a_k| |z|^(n-k), the
+# rounding bound of a Horner evaluation, means more float sweeps cannot help
+PSEUDOZERO_REL = 4 * sys.float_info.epsilon
+POLISH_SWEEPS = 16          # cap on the exact-residual Aberth sweeps
 MAX_RESTARTS = 5
 # Threshold multipliers tried tightest-first: an m-fold root scatters the solver
 # output across a radius ~eps**(1/m), so coarser groupings must be available,
@@ -68,9 +74,11 @@ def _polyval(coeffs, z):
 def _aberth_roots(coeffs, attempt: int) -> list[complex]:
     """All roots of a dense complex polynomial (leading coefficient first).
 
-    Multiple roots stall the iteration at their rounding-noise scatter radius
-    instead of meeting the step tolerance, so the final configuration is
-    returned regardless; the caller validates it by reconstruction."""
+    The iteration ends on a small step, or after the first sweep in which
+    every iterate is a pseudozero (|p(z)| within Horner's rounding bound) when
+    its update starts: roots squeezed into a cluster never meet the step test
+    and would only wander inside the pseudozero set.  The final configuration
+    is returned regardless; the caller validates it by reconstruction."""
     n = len(coeffs) - 1
     if n == 0:
         return []
@@ -83,28 +91,101 @@ def _aberth_roots(coeffs, attempt: int) -> list[complex]:
         for k in range(n)
     ]
     deriv = _derivative(coeffs, 1)
+    moduli = [abs(c) for c in coeffs]
+    floor_rel = PSEUDOZERO_REL * n
     for _ in range(260):
         moved = 0.0
+        at_floor = True
         for i in range(n):
-            p = _polyval(coeffs, zs[i])
-            dp = _polyval(deriv, zs[i])
+            z = zs[i]
+            p = _polyval(coeffs, z)
+            if at_floor:
+                # Horner's rounding bound: the same pass on |a_k| at |z|
+                r = abs(z)
+                bound = 0.0
+                for m in moduli:
+                    bound = bound * r + m
+                at_floor = abs(p) <= floor_rel * bound
+            dp = _polyval(deriv, z)
             if dp == 0:
                 zs[i] += complex(STALL_NUDGE, STALL_NUDGE)
                 moved = math.inf
                 continue
-            newton = p / dp
-            repulsion = 0j
-            for j in range(n):
-                if j == i:
-                    continue
-                gap = zs[i] - zs[j]
-                if gap == 0:
-                    gap = complex(GAP_GUARD)
-                repulsion += 1.0 / gap
-            denom = 1.0 - newton * repulsion
-            if denom == 0:
-                denom = complex(GAP_GUARD)
-            step = newton / denom
+            step = _aberth_step(zs, i, p / dp)
+            zs[i] -= step
+            moved = max(moved, abs(step) / (1.0 + abs(zs[i])))
+        if moved <= ABERTH_STEP_TOL or at_floor:
+            break
+    return zs
+
+
+def _aberth_step(zs: list[complex], i: int, newton: complex) -> complex:
+    """The Aberth correction of zs[i] from its Newton step p/p'."""
+    zi = zs[i]
+    repulsion = 0j
+    for j, zj in enumerate(zs):
+        if j == i:
+            continue
+        gap = zi - zj
+        if gap == 0:
+            gap = complex(GAP_GUARD)
+        repulsion += 1.0 / gap
+    denom = 1.0 - newton * repulsion
+    if denom == 0:
+        denom = complex(GAP_GUARD)
+    return newton / denom
+
+
+def _dyadic(values: list[float]) -> tuple[list[int], int]:
+    """Ints m_k and one shift e >= 0 with values[k] == m_k / 2**e exactly."""
+    ratios = [x.as_integer_ratio() for x in values]
+    e = max(den.bit_length() for _, den in ratios) - 1
+    return [num << (e - den.bit_length() + 1) for num, den in ratios], e
+
+
+def _dyadic_poly(coeffs: list[complex]) -> tuple[list[tuple[int, int]], int]:
+    """The float coefficients as Gaussian integers over one power of two."""
+    parts, shift = _dyadic([x for c in coeffs for x in (c.real, c.imag)])
+    return list(zip(parts[::2], parts[1::2])), shift
+
+
+def _exact_eval(poly: tuple[list[tuple[int, int]], int], z: complex) -> tuple[complex, complex]:
+    """p(z) and p'(z) of a polynomial of degree >= 1, each computed exactly
+    and rounded once to a float.
+
+    With p = sum A_k x^(n-k) / 2^D and z = Z / 2^G, one Horner pass on
+    Gaussian integers gives P = sum A_k Z^(n-k) 2^(Gk) = 2^(D+Gn) p(z) and its
+    Z-derivative 2^(D+G(n-1)) p'(z); int true division rounds correctly."""
+    ints, shift = poly
+    (zr, zi), g = _dyadic([z.real, z.imag])
+    pr, pi = ints[0]
+    dr = di = 0
+    for k in range(1, len(ints)):
+        dr, di = dr * zr - di * zi + pr, dr * zi + di * zr + pi
+        ar, ai = ints[k]
+        pr, pi = pr * zr - pi * zi + (ar << (g * k)), pr * zi + pi * zr + (ai << (g * k))
+    n = len(ints) - 1
+    p_den = 1 << (shift + g * n)
+    dp_den = 1 << (shift + g * (n - 1))
+    return complex(pr / p_den, pi / p_den), complex(dr / dp_den, di / dp_den)
+
+
+def _exact_polish(body: list[complex], zs: list[complex]) -> list[complex]:
+    """Aberth sweeps on exact residuals from float iterates.
+
+    p(z) and p'(z) come from `_exact_eval`, so the Newton step keeps its
+    relative accuracy inside the pseudozero set, where float Horner returns
+    rounding noise; gaps and repulsion stay in floats.  Ends on the float
+    solver's step test, or after POLISH_SWEEPS sweeps."""
+    poly = _dyadic_poly(body)
+    zs = list(zs)
+    for _ in range(POLISH_SWEEPS):
+        moved = 0.0
+        for i in range(len(zs)):
+            p, dp = _exact_eval(poly, zs[i])
+            if dp == 0:
+                continue
+            step = _aberth_step(zs, i, p / dp)
             zs[i] -= step
             moved = max(moved, abs(step) / (1.0 + abs(zs[i])))
         if moved <= ABERTH_STEP_TOL:
@@ -185,31 +266,33 @@ def linear_factors(p: BinaryForm) -> tuple[complex, list[ProjectiveRoot]]:
         zero_mult += 1
 
     finite: list[tuple[complex, int]] = [(0j, zero_mult)] if zero_mult else []
-    last_error: Exception | None = None
+
+    def factored(solved: list[complex], tol_scale: float):
+        clusters = []
+        for z, m in _cluster(solved, tol_scale):
+            cap = 10.0 * CLUSTER_REL * tol_scale * (1.0 + abs(z)) * max(m, 1)
+            clusters.append((_polished_center(body, z, m, cap), m))
+        roots = []
+        if inf_mult:
+            roots.append(ProjectiveRoot(1.0 + 0j, 0j, inf_mult))
+        for z, m in finite + clusters:
+            nrm = math.sqrt(1.0 + abs(z) ** 2)
+            roots.append(ProjectiveRoot.normalized(z / nrm, 1.0 / nrm, m))
+        roots = _ordered(roots)
+        scale, residual = _reconstruction(p, roots)
+        return scale, roots, residual
+
     for attempt in range(MAX_RESTARTS + 1):
-        if len(body) <= 1:
-            solved: list[complex] = []
-        else:
-            solved = _aberth_roots(body, attempt)
+        solved = _aberth_roots(body, attempt) if len(body) > 1 else []
+        scale, roots, residual = factored(solved, _CLUSTER_LADDER[0])
+        if residual <= RECONSTRUCT_TOL:
+            return scale, roots
+        polished = _exact_polish(body, solved)
         for tol_scale in _CLUSTER_LADDER:
-            clusters = []
-            for z, m in _cluster(solved, tol_scale):
-                cap = 10.0 * CLUSTER_REL * tol_scale * (1.0 + abs(z)) * max(m, 1)
-                clusters.append((_polished_center(body, z, m, cap), m))
-            roots = []
-            if inf_mult:
-                roots.append(ProjectiveRoot(1.0 + 0j, 0j, inf_mult))
-            for z, m in finite + clusters:
-                nrm = math.sqrt(1.0 + abs(z) ** 2)
-                roots.append(ProjectiveRoot.normalized(z / nrm, 1.0 / nrm, m))
-            roots = _ordered(roots)
-            scale, residual = _reconstruction(p, roots)
+            scale, roots, residual = factored(polished, tol_scale)
             if residual <= RECONSTRUCT_TOL:
                 return scale, roots
-            last_error = ArithmeticError(
-                f"reconstruction residual {residual:.2e} too large"
-            )
-    raise last_error if last_error else ArithmeticError("factorization failed")
+    raise ArithmeticError(f"reconstruction residual {residual:.2e} too large")
 
 
 def _ordered(roots: list[ProjectiveRoot]) -> list[ProjectiveRoot]:

@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line interface."""
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -395,10 +396,14 @@ def test_unknown_command_is_usage_error(capsys):
 
 
 def test_console_entry_point_runs():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    inherited = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + inherited if inherited else ""))
     proc = subprocess.run(
         [sys.executable, "-m", "twocubes.cli", "curve-add", "1", "12", "9", "10", "1729"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout) == {"x3": "-37/3", "y3": "46/3"}

@@ -181,6 +181,27 @@ def test_equal_scalars_hash_alike_across_types():
     assert SQRT2 * SQRT3 == SQRT6 and hash(SQRT2 * SQRT3) == hash(SQRT6)
 
 
+def test_cycnum_never_equals_a_string():
+    # a rational string parses as a scalar but hashes apart, so it must not
+    # compare equal either
+    for x, text in ((CycNum.one(), "1"), (CycNum.from_rational(1), "1/1"),
+                    (CycNum.from_rational(Fraction(-3, 4)), "-3/4"), (CycNum.zero(), "0")):
+        assert x != text and not (x == text) and text != x
+        assert len({x, text}) == 2
+    assert CycNum.one() != "not a number"
+
+
+def test_cycnum_equality_with_numbers_and_polynomials_unchanged():
+    half = CycNum.from_rational(Fraction(1, 2))
+    assert CycNum.one() == 1 and 1 == CycNum.one()
+    assert half == Fraction(1, 2) and Fraction(1, 2) == half
+    assert half != 1 and half != Fraction(1, 3)
+    assert CycNum.zero() == 0
+    assert half == ParamPoly("t", (Fraction(1, 2),)) and ParamPoly("t", (Fraction(1, 2),)) == half
+    assert half != ParamPoly("t", (Fraction(1, 2), 1))
+    assert SQRT2 != 2 and SQRT2 * SQRT2 == 2
+
+
 def test_pow_matches_repeated_products():
     v = OMEGA + SQRT2 - Fraction(2, 3) * ZETA24**5
     prod = CycNum.one()

@@ -1,11 +1,20 @@
 import cmath
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
-from twocubes.forms import BinaryForm
-from twocubes.roots import ProjectiveRoot, cross_ratio_multiset, linear_factors
+from twocubes import roots as roots_module
+from twocubes.forms import FLOAT, BinaryForm, LinearChange, form_compose
+from twocubes.roots import (
+    RECONSTRUCT_TOL,
+    ProjectiveRoot,
+    _dyadic_poly,
+    _exact_eval,
+    cross_ratio_multiset,
+    linear_factors,
+)
 
 
 def fl(*coeffs):
@@ -89,8 +98,6 @@ def test_normalization_contract():
 
 
 def test_cross_ratios_projectively_invariant():
-    from twocubes.forms import FLOAT, LinearChange, form_compose
-
     rng = random.Random(5)
     p = fl(1, 2, 0, -1, 3, 0, 1)
     base = sorted(cross_ratio_multiset(linear_factors(p)[1]), key=lambda z: (round(z.real, 6), round(z.imag, 6)))
@@ -114,3 +121,86 @@ def test_cross_ratios_projectively_invariant():
 def test_zero_form_rejected():
     with pytest.raises(ValueError):
         linear_factors(BinaryForm.floating(6, [0] * 7))
+
+
+def _fraction_value(coeffs, z):
+    """sum a_k z^(n-k) over (real, imag) Fraction pairs a_k, in exact
+    rationals, rounded once to a complex."""
+    zr, zi = Fraction(z.real), Fraction(z.imag)
+    power_r, power_i = Fraction(1), Fraction(0)
+    re = im = Fraction(0)
+    for cr, ci in reversed(coeffs):
+        re += cr * power_r - ci * power_i
+        im += cr * power_i + ci * power_r
+        power_r, power_i = power_r * zr - power_i * zi, power_r * zi + power_i * zr
+    return complex(float(re), float(im))
+
+
+def _bits(z: complex):
+    return z.real.hex(), z.imag.hex()
+
+
+def test_exact_eval_is_the_rational_value_rounded_once():
+    rng = random.Random(3)
+
+    def part():
+        # zero about one time in four, else a sign and a magnitude in [1e-30, 1e30]
+        if rng.random() < 0.25:
+            return 0.0
+        return rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-30.0, 30.0)
+
+    for trial in range(300):
+        n = 1 + trial % 6
+        coeffs = [complex(part(), part()) for _ in range(n + 1)]
+        if coeffs[0] == 0:
+            coeffs[0] = 1 + 0j
+        exact = [(Fraction(c.real), Fraction(c.imag)) for c in coeffs]
+        deriv = [((n - k) * a, (n - k) * b) for k, (a, b) in enumerate(exact[:-1])]
+        poly = _dyadic_poly(coeffs)
+        for _ in range(4):
+            z = complex(part(), part())
+            p, dp = _exact_eval(poly, z)
+            want_p, want_dp = _fraction_value(exact, z), _fraction_value(deriv, z)
+            assert _bits(p) == _bits(want_p), (coeffs, z)
+            assert _bits(dp) == _bits(want_dp), (coeffs, z)
+
+
+def _clustered_sextics(seed: int, count: int):
+    """Family A(t) = x^6 + t x^4 y^2 + t x^2 y^4 + y^6 and B(t) = x^6 + t x^3 y^3
+    + y^6 at generic t, each moved by a real change R diag(sqrt k, 1/sqrt k) R
+    with rotations at uniform angles and condition k in [10^1.5, 10^2.5]:
+    the change squeezes their six simple roots into clusters."""
+    rng = random.Random(seed)
+    out = []
+    for i in range(count):
+        coeffs = [1, 0, 7, 0, 7, 0, 1] if i % 2 == 0 else [1, 0, 0, 5, 0, 0, 1]
+        root_k = math.sqrt(10.0 ** rng.uniform(1.5, 2.5))
+        u, v = rng.uniform(0.0, math.pi), rng.uniform(0.0, math.pi)
+        cu, su, cv, sv = math.cos(u), math.sin(u), math.cos(v), math.sin(v)
+        m = LinearChange(
+            root_k * cu * cv - su * sv / root_k, -root_k * cu * sv - su * cv / root_k,
+            root_k * su * cv + cu * sv / root_k, -root_k * su * sv + cu * cv / root_k,
+            FLOAT,
+        )
+        out.append(form_compose(BinaryForm.floating(6, coeffs), m))
+    return out
+
+
+def test_clustered_simple_roots_factor_in_one_solve(monkeypatch):
+    # changes of condition ~30-300 leave the float solver wandering inside the
+    # pseudozero set; the exact-residual polish must separate the six roots
+    # without a restarted solve
+    solves = []
+    real_solver = roots_module._aberth_roots
+
+    def spy(coeffs, attempt):
+        solves.append(attempt)
+        return real_solver(coeffs, attempt)
+
+    monkeypatch.setattr(roots_module, "_aberth_roots", spy)
+    for p in _clustered_sextics(7, 24):
+        solves.clear()
+        _, roots = linear_factors(p)
+        assert [r.multiplicity for r in roots] == [1] * 6
+        assert roots_module._reconstruction(p, roots)[1] <= RECONSTRUCT_TOL
+        assert solves == [0]
