@@ -160,7 +160,7 @@ def cmd_census(ns) -> int:
     if not t_values:
         raise UsageError("census needs parameter values or --grid")
 
-    jobs = max(1, ns.jobs)
+    jobs = max(1, ns.jobs or 1)
     work = [(family, t) for t in t_values]
     if jobs > 1:
         with multiprocessing.get_context("fork").Pool(jobs) as pool:
@@ -325,7 +325,7 @@ def _build_parser() -> _Parser:
     parser.add_argument("--tol", type=float, default=None,
                         help=f"floating on-curve tolerance of curve-add (default {FLOAT_TOL:g})")
     parser.add_argument("--format", choices=("json", "text"), default="json")
-    parser.add_argument("--jobs", type=int, default=1, help="parallel workers for census sweeps")
+    parser.add_argument("--jobs", type=int, default=None, help="parallel workers for census sweeps (default 1)")
     parser.add_argument("--seed", type=int, default=None, help="seed for sampled verification entries")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -364,6 +364,11 @@ def _build_parser() -> _Parser:
     return parser
 
 
+# Each global option and the one command that reads it: any other command
+# would ignore the option, so it rejects it instead.
+_OPTION_COMMANDS = {"tol": "curve-add", "jobs": "census", "seed": "verify"}
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -371,9 +376,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:
-        # no other command reads --tol, so accepting it there would ignore it
-        if ns.tol is not None and ns.handler is not cmd_curve_add:
-            raise UsageError("--tol applies only to curve-add")
+        for option, command in _OPTION_COMMANDS.items():
+            if getattr(ns, option) is not None and ns.command != command:
+                raise UsageError(f"--{option} applies only to {command}")
         return ns.handler(ns)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

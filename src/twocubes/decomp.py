@@ -14,10 +14,9 @@ roots of unity multiplying the summands.
 from __future__ import annotations
 
 import dataclasses
-import math
 
 from .exact import OMEGA, SQRTM3, scalar_key
-from .forms import FLOAT, FLOAT_TOL, UNDERFLOW_FLOOR, BinaryForm, det3, form_to_json, relative_residual
+from .forms import FLOAT, FLOAT_TOL, UNDERFLOW_FLOOR, BinaryForm, det3, form_to_json, norm2, relative_residual
 from .roots import ProjectiveRoot, expanded_root_slots, linear_factors
 
 DISTINCT_REL = 1e-5        # quadratics closer than this count as proportional
@@ -33,7 +32,7 @@ _OMEGA_F = complex(OMEGA.to_complex())
 _SQRTM3_F = complex(SQRTM3.to_complex())
 
 
-def _index_pairings(n: int = 6) -> tuple:
+def _index_pairings() -> tuple:
     def rec(avail):
         if not avail:
             return [[]]
@@ -46,7 +45,7 @@ def _index_pairings(n: int = 6) -> tuple:
                 out.append([(first, partner)] + tail)
         return out
 
-    return tuple([tuple(map(tuple, p)) for p in rec(list(range(n)))])
+    return tuple([tuple(map(tuple, p)) for p in rec(list(range(6)))])
 
 
 PAIRINGS = _index_pairings()
@@ -98,9 +97,9 @@ class Subspace:
             raise ValueError("coefficient vectors do not span a plane")
         return Subspace(tuple([tuple(row) for row in rows]))
 
-    def matches(self, other: "Subspace", tol: float = SUBSPACE_ROW_TOL) -> bool:
+    def matches(self, other: "Subspace") -> bool:
         return all(
-            abs(a - b) <= tol
+            abs(a - b) <= SUBSPACE_ROW_TOL
             for ra, rb in zip(self.rows, other.rows)
             for a, b in zip(ra, rb)
         )
@@ -167,10 +166,6 @@ def pair_partitions(factors) -> list:
     return [tuple([products[pair] for pair in pairing]) for _, pairing in _fresh_pairings(keys)]
 
 
-def _row_norm(row) -> float:
-    return math.sqrt(sum(abs(c) ** 2 for c in row))
-
-
 def _span_fit(r1, r2, r3, n3):
     """Least-squares (alpha, beta) with r3 = alpha*r1 + beta*r2 over complex
     rows, via the 2x2 normal equations; None when the fit misses r3 by more
@@ -187,7 +182,7 @@ def _span_fit(r1, r2, r3, n3):
     alpha = (b1 * g22 - b2 * g12) / disc
     beta = (g11 * b2 - g21 * b1) / disc
     fit = [alpha * a + beta * b for a, b in zip(r1, r2)]
-    err = math.sqrt(sum(abs(f - c) ** 2 for f, c in zip(fit, r3)))
+    err = norm2([f - c for f, c in zip(fit, r3)])
     if err > COEFF_SOLVE_REL * max(n3, UNDERFLOW_FLOOR):
         return None
     return alpha, beta
@@ -213,7 +208,7 @@ def dependence_test(q1: BinaryForm, q2: BinaryForm, q3: BinaryForm) -> Dependenc
                 return Dependence(True, alpha, beta)
         raise ValueError("first two quadratics are proportional")
     crows = [[complex(c) for c in row] for row in rows]
-    norms = [_row_norm(row) for row in crows]
+    norms = [norm2(row) for row in crows]
     if abs(det3(crows)) > DEP_DET_REL * (norms[0] * norms[1] * norms[2]):
         return Dependence(False)
     fit = _span_fit(crows[0], crows[1], crows[2], norms[2])
@@ -315,19 +310,19 @@ def H_eval(roots) -> complex:
     under root rescaling.
     """
     rows = _h_rows(expanded_root_slots(list(roots)))
-    return _H_product(_grouping_determinants(rows, [_row_norm(row) for row in rows]))
+    return _H_product(_grouping_determinants(rows, [norm2(row) for row in rows]))
 
 
 def _orthonormal_projector(f1: BinaryForm, f2: BinaryForm):
     """3x3 orthogonal projector onto the span of the two coefficient vectors;
     a basis-free fingerprint of the subspace."""
     v1 = [complex(c) for c in f1.coeffs]
-    n1 = math.sqrt(sum(abs(c) ** 2 for c in v1))
+    n1 = norm2(v1)
     v1 = [c / n1 for c in v1]
     v2 = [complex(c) for c in f2.coeffs]
     dot = sum(a * b.conjugate() for a, b in zip(v2, v1))
     v2 = [a - dot * b for a, b in zip(v2, v1)]
-    n2 = math.sqrt(sum(abs(c) ** 2 for c in v2))
+    n2 = norm2(v2)
     v2 = [c / n2 for c in v2]
     return tuple([
         v1[i] * v1[j].conjugate() + v2[i] * v2[j].conjugate()
@@ -337,15 +332,14 @@ def _orthonormal_projector(f1: BinaryForm, f2: BinaryForm):
 
 
 def _projector_distance(p, q) -> float:
-    return math.sqrt(sum(abs(a - b) ** 2 for a, b in zip(p, q)))
+    return norm2([a - b for a, b in zip(p, q)])
 
 
-def _forms_close(a: BinaryForm, b: BinaryForm, tol: float = CUBE_PAIR_REL) -> bool:
-    na = math.sqrt(sum(abs(complex(c)) ** 2 for c in a.coeffs))
-    nb = math.sqrt(sum(abs(complex(c)) ** 2 for c in b.coeffs))
-    diff = math.sqrt(sum(abs(complex(x) - complex(y)) ** 2
-                         for x, y in zip(a.coeffs, b.coeffs)))
-    return diff <= tol * max(na, nb, UNDERFLOW_FLOOR)
+def _forms_close(a: BinaryForm, b: BinaryForm) -> bool:
+    na = norm2(a.coeffs)
+    nb = norm2(b.coeffs)
+    diff = norm2([x - y for x, y in zip(a.coeffs, b.coeffs)])
+    return diff <= CUBE_PAIR_REL * max(na, nb, UNDERFLOW_FLOOR)
 
 
 def _cube_pairs_match(pair_a, pair_b) -> bool:
@@ -386,7 +380,7 @@ def rep_count(p: BinaryForm) -> DecompositionReport:
     scale, roots = linear_factors(pf)
     slots = expanded_root_slots(roots)
     hrows = _h_rows(slots)
-    norms = [_row_norm(row) for row in hrows]
+    norms = [norm2(row) for row in hrows]
     dets = _grouping_determinants(hrows, norms)
     H = _H_product(dets)
     # the coefficients of the products of the linear factors (t, -s), summed

@@ -6,8 +6,9 @@ quadratics whose cubes form equal sums (the 1913 integer quadruple, its
 flips, the tame and wild completions, plus the Vieta / Young / Hirschhorn /
 Sandor displays), and re-verifies every identity they satisfy.
 
-`verify_identity_suite` runs 21 identity groups.  All but one are proved as
-exact polynomial identities: coefficients live in Q(zeta24), formal
+`verify_identity_suite` runs 21 identity groups.  All but one are lists of
+named exact polynomial identities (label, lhs, rhs), each holding when
+lhs - rhs is exactly zero: coefficients live in Q(zeta24), formal
 parameters are ParamPoly values (nested for two-parameter identities), and
 the square root sqrt(1-d^6) needed by the wild family is handled by a tiny
 quadratic extension ring.  The final group involves a substitution whose
@@ -32,6 +33,7 @@ from .exact import (
     SQRTM6,
     ZETA8,
     ZETA12,
+    is_zero_scalar,
 )
 from .forms import EXACT, FLOAT, FLOAT_TOL, BinaryForm, LinearChange, det3, form_compose
 
@@ -382,137 +384,150 @@ class _SqrtExt:
 # --------------------------------------------------------------------------
 # identity suite
 # --------------------------------------------------------------------------
+#
+# Each exact group is a generator of named identities (label, lhs, rhs) over
+# exact scalars; `_holds` is the one test of whether an identity holds.
 
-def _check_integer_quadruple() -> bool:
+def _holds(lhs, rhs) -> bool:
+    """An identity holds when lhs - rhs is exactly zero."""
+    diff = lhs - rhs
+    if isinstance(diff, (BinaryForm, _SqrtExt)):
+        return diff.is_zero()
+    return is_zero_scalar(diff)
+
+
+def _lin(u, v) -> BinaryForm:
+    return BinaryForm.exact(1, [u, v])
+
+
+def _quad(a, b, c) -> BinaryForm:
+    return BinaryForm.exact(2, [a, b, c])
+
+
+def _integer_quadruple():
     r1, r2, r3, r4 = ramanujan_quadruple()
-    return cube_sum_difference([r2, r3, r4], [r1]).is_zero()
+    yield "r2^3 + r3^3 + r4^3 = r1^3", r2 ** 3 + r3 ** 3 + r4 ** 3, r1 ** 3
 
 
-def _check_integer_flips() -> bool:
+def _integer_flips():
     r1, r2, r3, r4 = ramanujan_quadruple()
-    e1 = BinaryForm.exact(2, [6, -8, 6])
-    e2 = BinaryForm.exact(2, [3, -11, 3])
-    g1 = BinaryForm.exact(2, [Fraction(94, 21), Fraction(-8, 21), Fraction(94, 21)])
-    g2 = BinaryForm.exact(2, [Fraction(23, 21), Fraction(-199, 21), Fraction(23, 21)])
-    lin = lambda u, v: BinaryForm.exact(1, [u, v])
-    quad = lambda a, b, c: BinaryForm.exact(2, [a, b, c])
+    e1, e2 = _quad(6, -8, 6), _quad(3, -11, 3)
+    g1 = _quad(Fraction(94, 21), Fraction(-8, 21), Fraction(94, 21))
+    g2 = _quad(Fraction(23, 21), Fraction(-199, 21), Fraction(23, 21))
 
     first = r3 ** 3 + r4 ** 3
-    ok = (first - (r1 ** 3 - r2 ** 3)).is_zero()
-    ok = ok and (first - (e1 ** 3 - e2 ** 3)).is_zero()
-    ok = ok and (first - (quad(1, 1, 1) * quad(3, -3, 1) * quad(1, -3, 3)).scale(63)).is_zero()
+    yield "first = r1^3 - r2^3", first, r1 ** 3 - r2 ** 3
+    yield "first = e1^3 - e2^3", first, e1 ** 3 - e2 ** 3
+    yield "first = 63 (x2+xy+y2)(3x2-3xy+y2)(x2-3xy+3y2)", first, (
+        _quad(1, 1, 1) * _quad(3, -3, 1) * _quad(1, -3, 3)).scale(63)
 
     second = r1 ** 3 - r4 ** 3
-    ok = ok and (second - (r3 ** 3 + r2 ** 3)).is_zero()
-    ok = ok and (second - (g1 ** 3 + g2 ** 3)).is_zero()
-    ok = ok and (second - quad(13, -23, 13) * quad(7, 1, 1) * quad(1, 1, 7)).is_zero()
+    yield "second = r3^3 + r2^3", second, r3 ** 3 + r2 ** 3
+    yield "second = g1^3 + g2^3", second, g1 ** 3 + g2 ** 3
+    yield "second = (13x2-23xy+13y2)(7x2+xy+y2)(x2+xy+7y2)", second, (
+        _quad(13, -23, 13) * _quad(7, 1, 1) * _quad(1, 1, 7))
 
     third = r1 ** 3 - r3 ** 3
-    ok = ok and (third - (r2 ** 3 + r4 ** 3)).is_zero()
-    ok = ok and (
-        third - (lin(1, -1) * lin(1, 1) * quad(1, -1, 1) * quad(19, -11, 19)).scale(8)
-    ).is_zero()
+    yield "third = r2^3 + r4^3", third, r2 ** 3 + r4 ** 3
+    yield "third = 8 (x-y)(x+y)(x2-xy+y2)(19x2-11xy+19y2)", third, (
+        _lin(1, -1) * _lin(1, 1) * _quad(1, -1, 1) * _quad(19, -11, 19)).scale(8)
 
     # the second rearrangement is the first one composed with an integer
     # change of variables, cleared of its sqrt(21) normalization
     m = LinearChange(5, -2, 3, 3)
-    pairs = [
-        (r3, g1), (r4, g2),          # extra pair -> extra pair
-        (r1, r1), (-r2, -r4),        # left pair  -> left pair
-        (e1, r3), (-e2, r2),         # third pair -> right pair
-    ]
-    for src, dst in pairs:
-        ok = ok and (form_compose(src, m) - dst.scale(21)).is_zero()
-    return ok
+    pairs = (
+        ("r3", r3, "g1", g1), ("r4", r4, "g2", g2),      # extra pair -> extra pair
+        ("r1", r1, "r1", r1), ("-r2", -r2, "-r4", -r4),  # left pair  -> left pair
+        ("e1", e1, "r3", r3), ("-e2", -e2, "r2", r2),    # third pair -> right pair
+    )
+    for src_name, src, dst_name, dst in pairs:
+        yield f"{src_name} o (5x-2y, 3x+3y) = 21 {dst_name}", form_compose(src, m), dst.scale(21)
 
 
-def _check_parametric_quadruple() -> bool:
+def _parametric_quadruple():
     n1, n2, n3, n4 = narayanan_quadruple()
-    ok = cube_sum_difference([n2, n3, n4], [n1]).is_zero()
     x1, x2 = narayanan_extra_pair()
-    ok = ok and cube_sum_difference([n4, n3], [n1]).equals(-(n2 ** 3))
-    ok = ok and ((n4 ** 3 + n3 ** 3) - (x1 ** 3 + x2 ** 3)).is_zero()
     lam = ParamPoly.variable("lam")
-    ok = ok and ((n2 ** 3 + n4 ** 3) - (n1 ** 3 - n3 ** 3)).is_zero()
-    ok = ok and ((n2 + n4) - (n1 - n3).scale(lam ** 2)).is_zero()
+    c1, c2, c3, c4 = n1 ** 3, n2 ** 3, n3 ** 3, n4 ** 3
+    yield "n2^3 + n3^3 + n4^3 = n1^3", c2 + c3 + c4, c1
+    yield "n4^3 + n3^3 = n1^3 - n2^3", c4 + c3, c1 - c2
+    yield "n4^3 + n3^3 = x1^3 + x2^3", c4 + c3, x1 ** 3 + x2 ** 3
+    yield "n2^3 + n4^3 = n1^3 - n3^3", c2 + c4, c1 - c3
+    yield "n2 + n4 = lam^2 (n1 - n3)", n2 + n4, (n1 - n3).scale(lam ** 2)
     # at parameter 2 the quadruple is three times the integer one
-    for nf, rf in zip(narayanan_quadruple(Fraction(2)), ramanujan_quadruple()):
-        ok = ok and (nf - rf.scale(Fraction(3))).is_zero()
-    return ok
+    for k, (nf, rf) in enumerate(zip(narayanan_quadruple(Fraction(2)), ramanujan_quadruple()), 1):
+        yield f"n{k}(2) = 3 r{k}", nf, rf.scale(Fraction(3))
 
 
-def _check_threefold_product() -> bool:
+def _threefold_product():
     al = ParamPoly.variable("al")
-    left = BinaryForm.exact(2, [al, -ONE, al])
-    right = BinaryForm.exact(2, [-ONE, al, -ONE])
+    left = _quad(al, -ONE, al)
+    right = _quad(-ONE, al, -ONE)
     prod = (
         BinaryForm.exact(3, [al, 0, 0, ONE]) * BinaryForm.exact(3, [ONE, 0, 0, al])
     ).scale(al ** 2 - 1)
-    return ((left ** 3 + (right ** 3).scale(al)) - prod).is_zero()
+    yield "left^3 + al right^3 = (al^2-1)(al x3+y3)(x3+al y3)", left ** 3 + (right ** 3).scale(al), prod
 
 
-def _check_twisted_equal_sums() -> bool:
+def _twisted_equal_sums():
     f1, f2, f3, f4, f5, f6 = f_forms()
+    c3, c4, c5, c6 = f3 ** 3, f4 ** 3, f5 ** 3, f6 ** 3
     lam = ParamPoly.variable("lam")
     total = f1 ** 3 + f2 ** 3
-    ok = (total - (f3 ** 3 + f4 ** 3)).is_zero()
-    ok = ok and (total - (f5 ** 3 + f6 ** 3)).is_zero()
-    ok = ok and (total - p1_sextic()).is_zero()
+    yield "f1^3 + f2^3 = f3^3 + f4^3", total, c3 + c4
+    yield "f1^3 + f2^3 = f5^3 + f6^3", total, c5 + c6
+    yield "f1^3 + f2^3 = p1", total, p1_sextic()
     # the family's defining linear relation (type parameter = lam^2)
-    ok = ok and ((f5 ** 3 - f3 ** 3) - (f4 ** 3 - f6 ** 3)).is_zero()
-    ok = ok and ((f5 - f3) - (f4 - f6).scale(lam ** 2)).is_zero()
-    return ok
+    yield "f5^3 - f3^3 = f4^3 - f6^3", c5 - c3, c4 - c6
+    yield "f5 - f3 = lam^2 (f4 - f6)", f5 - f3, (f4 - f6).scale(lam ** 2)
 
 
-def _check_clean_flips() -> bool:
-    f1, f2, f3, f4, f5, f6 = f_forms()
-    first = f4 ** 3 - f5 ** 3
-    ok = (first - (-(f3 ** 3) + f6 ** 3)).is_zero()
-    ok = ok and (first - p2_sextic()).is_zero()
-    second = f4 ** 3 - f6 ** 3
-    ok = ok and (second - (f5 ** 3 - f3 ** 3)).is_zero()
-    ok = ok and (second - p3_sextic()).is_zero()
-    return ok
+def _clean_flips():
+    _, _, f3, f4, f5, f6 = f_forms()
+    c3, c4, c5, c6 = f3 ** 3, f4 ** 3, f5 ** 3, f6 ** 3
+    yield "f4^3 - f5^3 = f6^3 - f3^3", c4 - c5, c6 - c3
+    yield "f4^3 - f5^3 = p2", c4 - c5, p2_sextic()
+    yield "f4^3 - f6^3 = f5^3 - f3^3", c4 - c6, c5 - c3
+    yield "f4^3 - f6^3 = p3", c4 - c6, p3_sextic()
 
 
-def _check_flip_similarity() -> bool:
+def _flip_similarity():
     f1, f2, f3, f4, f5, f6 = f_forms()
     g7, g8, s = f78_cleared()
     lam = ParamPoly.variable("lam")
     mc = LinearChange(lam ** 3, ONE, -ONE, -(lam ** 3))
-    ok = (form_compose(f1, mc) - g7).is_zero()
-    ok = ok and (form_compose(f2, mc) - g8).is_zero()
-    ok = ok and (form_compose(f3, mc) + f3.scale(s)).is_zero()
-    ok = ok and (form_compose(f4, mc) - f6.scale(s)).is_zero()
-    ok = ok and (form_compose(f5, mc) + f5.scale(s)).is_zero()
-    ok = ok and (form_compose(f6, mc) - f4.scale(s)).is_zero()
+    images = (
+        ("f1", f1, "g7", g7), ("f2", f2, "g8", g8),
+        ("f3", f3, "-s f3", f3.scale(-s)), ("f4", f4, "s f6", f6.scale(s)),
+        ("f5", f5, "-s f5", f5.scale(-s)), ("f6", f6, "s f4", f4.scale(s)),
+    )
+    for name, f, image_name, image in images:
+        yield f"{name} o M = {image_name}", form_compose(f, mc), image
+    s3 = s ** 3
+    p2 = p2_sextic()
     total = g7 ** 3 + g8 ** 3
-    ok = ok and (total - p2_sextic().scale(s ** 3)).is_zero()
-    ok = ok and (total - (-(f3 ** 3) + f6 ** 3).scale(s ** 3)).is_zero()
-    ok = ok and (total - (-(f5 ** 3) + f4 ** 3).scale(s ** 3)).is_zero()
-    ok = ok and (form_compose(p1_sextic(), mc) - p2_sextic().scale(s ** 3)).is_zero()
-    return ok
+    yield "g7^3 + g8^3 = s^3 p2", total, p2.scale(s3)
+    yield "g7^3 + g8^3 = s^3 (f6^3 - f3^3)", total, (f6 ** 3 - f3 ** 3).scale(s3)
+    yield "g7^3 + g8^3 = s^3 (f4^3 - f5^3)", total, (f4 ** 3 - f5 ** 3).scale(s3)
+    yield "p1 o M = s^3 p2", form_compose(p1_sextic(), mc), p2.scale(s3)
 
 
-def _check_sqrt_minus_three_change() -> bool:
+def _sqrt_minus_three_change():
     lam = ParamPoly.variable("lam")
-    quad = lambda a, b, c: BinaryForm.exact(2, [a, b, c])
     h = [
-        quad(1 - 2 * lam ** 3, 0, 3 + 6 * lam ** 3),
-        quad(2 * lam - lam ** 4, 0, -6 * lam - 3 * lam ** 4),
-        quad(1 + lam ** 3, 6 * lam ** 3, 3 - 3 * lam ** 3),
-        quad(-lam - lam ** 4, -6 * lam, 3 * lam - 3 * lam ** 4),
-        quad(1 + lam ** 3, -6 * lam ** 3, 3 - 3 * lam ** 3),
-        quad(-lam - lam ** 4, 6 * lam, 3 * lam - 3 * lam ** 4),
+        _quad(1 - 2 * lam ** 3, 0, 3 + 6 * lam ** 3),
+        _quad(2 * lam - lam ** 4, 0, -6 * lam - 3 * lam ** 4),
+        _quad(1 + lam ** 3, 6 * lam ** 3, 3 - 3 * lam ** 3),
+        _quad(-lam - lam ** 4, -6 * lam, 3 * lam - 3 * lam ** 4),
+        _quad(1 + lam ** 3, -6 * lam ** 3, 3 - 3 * lam ** 3),
+        _quad(-lam - lam ** 4, 6 * lam, 3 * lam - 3 * lam ** 4),
     ]
     msq = LinearChange(CycNum.one(), -SQRTM3, CycNum.one(), SQRTM3)
-    ok = True
-    for disp, f in zip(h, f_forms()):
-        ok = ok and (disp + form_compose(f, msq)).is_zero()
+    for k, (disp, f) in enumerate(zip(h, f_forms()), 1):
+        yield f"f{k} o (x-sqrt(-3)y, x+sqrt(-3)y) = -h{k}", form_compose(f, msq), -disp
     total = h[0] ** 3 + h[1] ** 3
-    ok = ok and (total - (h[2] ** 3 + h[3] ** 3)).is_zero()
-    ok = ok and (total - (h[4] ** 3 + h[5] ** 3)).is_zero()
-    return ok
+    yield "h1^3 + h2^3 = h3^3 + h4^3", total, h[2] ** 3 + h[3] ** 3
+    yield "h1^3 + h2^3 = h5^3 + h6^3", total, h[4] ** 3 + h[5] ** 3
 
 
 def _negated_parameter(poly):
@@ -524,211 +539,182 @@ def _negated_parameter(poly):
     )
 
 
-def _check_parameter_symmetries() -> bool:
+def _reversed_parameter(f: BinaryForm) -> BinaryForm:
+    """t^4 * f(1/t), coefficientwise in the formal parameter."""
+    out = []
+    for c in f.coeffs:
+        poly = c if isinstance(c, ParamPoly) else ParamPoly("lam", (c,))
+        out.append(poly.reversed_coeffs(4))
+    return BinaryForm.exact(2, out)
+
+
+def _parameter_symmetries():
     f1, f2 = f_forms()[:2]
-    ok = True
-    for f in (f1, f2):
-        negated = BinaryForm.exact(2, [_negated_parameter(c) for c in f.coeffs])
+    for name, f in (("f1", f1), ("f2", f2)):
         a, b, c = f.coeffs
-        mirrored = BinaryForm.exact(2, [a, -b, c])
-        ok = ok and (negated + mirrored).is_zero()
+        negated = BinaryForm.exact(2, [_negated_parameter(v) for v in f.coeffs])
+        yield f"{name}(-lam) = -{name}(x, -y)", negated, -_quad(a, -b, c)
     # t^4 * f(1/t) swaps the base pair up to sign
-    def reversed_form(f):
-        out = []
-        for c in f.coeffs:
-            poly = c if isinstance(c, ParamPoly) else ParamPoly("lam", (c,))
-            out.append(poly.reversed_coeffs(4))
-        return BinaryForm.exact(2, out)
-
-    ok = ok and (reversed_form(f1) + f2).is_zero()
-    ok = ok and (reversed_form(f2) + f1).is_zero()
-    return ok
+    yield "lam^4 f1(1/lam) = -f2", _reversed_parameter(f1), -f2
+    yield "lam^4 f2(1/lam) = -f1", _reversed_parameter(f2), -f1
 
 
-def _check_tame_mirror_sum() -> bool:
+def _tame_mirror_sum():
     ga = ParamPoly.variable("ga")
     left = BinaryForm.exact(2, [ONE, ga, ONE])
     right = BinaryForm.exact(2, [ONE, -ga, ONE])
     t = 3 * (1 + ga ** 2)
     target = BinaryForm.exact(6, [ONE, 0, t, 0, t, 0, ONE]).scale(Fraction(2))
-    return ((left ** 3 + right ** 3) - target).is_zero()
+    yield "(x2+ga xy+y2)^3 + (x2-ga xy+y2)^3 = 2 A(3(1+ga^2))", left ** 3 + right ** 3, target
 
 
-def _check_wild_construction() -> bool:
+def _wild_construction():
     d = ParamPoly.variable("d")
     mod = 1 - d ** 6
-    quad = lambda a, b, c: BinaryForm.exact(2, [_SqrtExt._coerce(v) for v in (a, b, c)])
+    quad = lambda a, b, c: _quad(*[_SqrtExt._coerce(v) for v in (a, b, c)])
     mirror = lambda f: quad(f.coeffs[0], -f.coeffs[1], f.coeffs[2])
     # cleared members: (1-d^6) times each quadratic, sqrt(1-d^6) as the
-    # extension generator u
-    e1 = quad(mod, _SqrtExt(0, -2 * SQRT3 * d ** 3), mod)
-    e2 = quad(d * mod, _SqrtExt(0, 2 * SQRT3 * d), -d * mod)
+    # extension generator u; b_cl and e_cl are the u-parts of the middle
+    # coefficients of e1 and e2
+    b_cl = -2 * SQRT3 * d ** 3
+    e_cl = 2 * SQRT3 * d
+    e1 = quad(mod, _SqrtExt(0, b_cl), mod)
+    e2 = quad(d * mod, _SqrtExt(0, e_cl), -d * mod)
     g3 = quad(-d * (2 + 3 * d ** 3 + d ** 6), 0, d * (2 - 3 * d ** 3 + d ** 6))
     g4 = quad(1 + 3 * d ** 3 + 2 * d ** 6, 0, 1 - 3 * d ** 3 + 2 * d ** 6)
     c1, c2, c3, c4 = e1 ** 3, e2 ** 3, g3 ** 3, g4 ** 3
     total = c1 + c2
-    ok = (total - (c3 + c4)).is_zero()
-    ok = ok and ((c1 - c4) - (c3 - c2)).is_zero()
+    yield "e1^3 + e2^3 = g3^3 + g4^3", total, c3 + c4
+    yield "e1^3 - g4^3 = g3^3 - e2^3", c1 - c4, c3 - c2
     dd = _SqrtExt(d * d)
     left_line = e1 + e2.scale(dd)
-    ok = ok and (left_line - (g3.scale(dd) + g4)).is_zero()
-    ok = ok and (left_line - quad(mod * (1 + d ** 3), 0, mod * (1 - d ** 3))).is_zero()
-    # mirroring y -> -y gives the even sum's genuinely new third pair
+    yield "e1 + d^2 e2 = d^2 g3 + g4", left_line, g3.scale(dd) + g4
+    yield "e1 + d^2 e2 = (1-d^6)((1+d^3)x2 + (1-d^3)y2)", left_line, quad(
+        mod * (1 + d ** 3), 0, mod * (1 - d ** 3))
+    # mirroring y -> -y gives the even sum's genuinely new third pair: it
+    # differs from e1 and from g3 by a nonzero u-odd xy term
     e5, e6 = mirror(e1), mirror(e2)
-    ok = ok and (cube_sum_difference([e5, e6], []) - total).is_zero()
-    ok = ok and not (e5 - e1).is_zero()
-    ok = ok and not (e5 - g3).is_zero()
+    yield "e5^3 + e6^3 = e1^3 + e2^3", e5 ** 3 + e6 ** 3, total
+    yield "e5 - e1 = -2 b_cl u xy", e5 - e1, quad(0, _SqrtExt(0, -2 * b_cl), 0)
+    yield "e5 - g3 has the xy term -b_cl u", e5 - g3, quad(
+        mod + d * (2 + 3 * d ** 3 + d ** 6), _SqrtExt(0, -b_cl), mod - d * (2 - 3 * d ** 3 + d ** 6))
     # evenness constraints on x^5 y, x^3 y^3, x y^5 coefficients, split into
     # u-odd parts (cleared by one power of u) and the mixed cubic part
-    b_cl = -2 * SQRT3 * d ** 3
-    e_cl = 2 * SQRT3 * d
     ca, cc, cd, cf = 1, 1, d, -d
-    s1 = 3 * ca * ca * b_cl + 3 * cd * cd * e_cl
-    s3 = 3 * b_cl * cc * cc + 3 * e_cl * cf * cf
-    s2 = (6 * ca * cc * b_cl + 6 * cd * cf * e_cl) * mod + b_cl ** 3 + e_cl ** 3
-    ok = ok and s1.is_zero() and s2.is_zero() and s3.is_zero()
-    return ok
+    yield "x^5 y coefficient vanishes", 3 * ca * ca * b_cl + 3 * cd * cd * e_cl, 0
+    yield "x^3 y^3 coefficient vanishes", (
+        (6 * ca * cc * b_cl + 6 * cd * cf * e_cl) * mod + b_cl ** 3 + e_cl ** 3), 0
+    yield "x y^5 coefficient vanishes", 3 * b_cl * cc * cc + 3 * e_cl * cf * cf, 0
 
 
-def _check_simplest_family() -> bool:
+def _simplest_family():
     w = OMEGA
-    quad = lambda a, b, c: BinaryForm.exact(2, [a, b, c])
     pairs = [
-        (quad(1, 1, -1), quad(1, -1, -1)),
-        (quad(w, ONE, -w ** 2), quad(w, -ONE, -w ** 2)),
-        (quad(w ** 2, ONE, -w), quad(w ** 2, -ONE, -w)),
+        (_quad(1, 1, -1), _quad(1, -1, -1)),
+        (_quad(w, ONE, -w ** 2), _quad(w, -ONE, -w ** 2)),
+        (_quad(w ** 2, ONE, -w), _quad(w ** 2, -ONE, -w)),
     ]
     target = BinaryForm.exact(6, [2, 0, 0, 0, 0, 0, -2])
-    ok = all(((a ** 3 + b ** 3) - target).is_zero() for a, b in pairs)
-    flip = pairs[1][0] ** 3 - pairs[2][0] ** 3
+    for k, (a, b) in enumerate(pairs):
+        yield f"pair w^{k}: a^3 + b^3 = 2(x6 - y6)", a ** 3 + b ** 3, target
     skew = BinaryForm.exact(6, [0, -3 * SQRTM3, 0, 0, 0, 3 * SQRTM3, 0])
-    return ok and (flip - skew).is_zero()
+    yield "flip: a1^3 - a2^3 = 3 sqrt(-3) xy(y4 - x4)", pairs[1][0] ** 3 - pairs[2][0] ** 3, skew
 
 
-def _check_dependent_factor_triples() -> bool:
+def _dependent_factor_triples():
     lam = ParamPoly.variable("lam")
     w = OMEGA
-    lin = lambda u, v: BinaryForm.exact(1, [u, v])
+    factors = (
+        _lin(lam, ONE), _lin(ONE, lam),
+        _lin(lam, w), _lin(ONE, lam * w ** 2),
+        _lin(lam, w ** 2), _lin(ONE, lam * w),
+    )
+    a0, b0, a1, b1, a2, b2 = factors
     triples = [
-        (
-            lin(lam, ONE) * lin(ONE, lam),
-            lin(lam, w) * lin(ONE, lam * w ** 2),
-            lin(lam, w ** 2) * lin(ONE, lam * w),
-        ),
-        (
-            lin(lam, ONE) * lin(ONE, lam * w),
-            lin(lam, w) * lin(ONE, lam),
-            lin(lam, w ** 2) * lin(ONE, lam * w ** 2),
-        ),
-        (
-            lin(lam, ONE) * lin(ONE, lam * w ** 2),
-            lin(lam, w) * lin(ONE, lam * w),
-            lin(lam, w ** 2) * lin(ONE, lam),
-        ),
+        (a0 * b0, a1 * b1, a2 * b2),
+        (a0 * b2, a1 * b0, a2 * b1),
+        (a0 * b1, a1 * b2, a2 * b0),
     ]
-    ok = True
     for k, triple in enumerate(triples):
-        det = det3([t.coeffs for t in triple])
-        ok = ok and det.is_zero()
+        yield f"triple {k}: det = 0", det3([t.coeffs for t in triple]), 0
         # every member lies in the span of x^2 + w^k y^2 and xy
-        for t in triple:
-            a, b, c = t.coeffs
-            ok = ok and (c - OMEGA ** k * a).is_zero()
+        for j, t in enumerate(triple, 1):
+            a, _, c = t.coeffs
+            yield f"triple {k} member {j}: y2 = w^{k} x2", c, OMEGA ** k * a
     # the product of all six linear factors is the family's sum, up to the
     # (t^6 - 1) normalization
-    factors = (
-        lin(lam, ONE), lin(ONE, lam),
-        lin(lam, w), lin(ONE, lam * w ** 2),
-        lin(lam, w ** 2), lin(ONE, lam * w),
-    )
     product = factors[0]
     for f in factors[1:]:
         product = product * f
-    ok = ok and (product.scale(lam ** 6 - 1) - p1_sextic()).is_zero()
-    return ok
+    yield "(lam^6 - 1) product of the six factors = p1", product.scale(lam ** 6 - 1), p1_sextic()
 
 
-def _check_octahedral_similarity() -> bool:
+def _octahedral_similarity():
     t = 5 * IMAG * SQRT2
     bt = BinaryForm.exact(6, [CycNum.one(), 0, 0, t, 0, 0, CycNum.one()])
     m = LinearChange(ZETA8 ** 2 * ETA, ZETA8, CycNum.one(), ZETA8 ** 3 * ETA)
     target = q2_sextic().scale(54 * ZETA8 ** 3 * ETA ** 3)
-    return (form_compose(bt, m) - target).is_zero()
+    yield "B(5 i sqrt2) o M = 54 z8^3 eta^3 q2", form_compose(bt, m), target
 
 
-def _check_octahedral_representations() -> bool:
+def _octahedral_representations():
     nu = ZETA12
-    quad = lambda a, b, c: BinaryForm.exact(2, [a, b, c])
     q2 = q2_sextic()
     minus = q2.scale(-3 * SQRTM3)
+    plus = q2.scale(6 * SQRTM6)
     entries = [
-        ((quad(nu ** 5, ONE, nu), quad(nu ** 7, -ONE, nu ** 11)), minus),
-        ((quad(nu ** 11, ONE, nu ** 7), quad(nu, -ONE, nu ** 5)), minus),
-        ((quad(nu ** 10, ONE, nu ** 8), quad(nu ** 8, -ONE, nu ** 10)), minus),
-        ((quad(nu ** 4, ONE, nu ** 2), quad(nu ** 2, -ONE, nu ** 4)), minus),
-        (
-            (quad(ZETA8 ** 5, SQRT6, ZETA8 ** 7), quad(ZETA8, SQRT6, ZETA8 ** 3)),
-            q2.scale(6 * SQRTM6),
-        ),
-        (
-            (quad(ZETA8 ** 7, -SQRT6, ZETA8 ** 5), quad(ZETA8 ** 3, -SQRT6, ZETA8)),
-            q2.scale(6 * SQRTM6),
-        ),
+        (_quad(nu ** 5, ONE, nu), _quad(nu ** 7, -ONE, nu ** 11), minus),
+        (_quad(nu ** 11, ONE, nu ** 7), _quad(nu, -ONE, nu ** 5), minus),
+        (_quad(nu ** 10, ONE, nu ** 8), _quad(nu ** 8, -ONE, nu ** 10), minus),
+        (_quad(nu ** 4, ONE, nu ** 2), _quad(nu ** 2, -ONE, nu ** 4), minus),
+        (_quad(ZETA8 ** 5, SQRT6, ZETA8 ** 7), _quad(ZETA8, SQRT6, ZETA8 ** 3), plus),
+        (_quad(ZETA8 ** 7, -SQRT6, ZETA8 ** 5), _quad(ZETA8 ** 3, -SQRT6, ZETA8), plus),
     ]
-    return all(((a ** 3 + b ** 3) - target).is_zero() for (a, b), target in entries)
+    for k, (a, b, target) in enumerate(entries, 1):
+        yield f"representation {k}: a^3 + b^3 = c q2", a ** 3 + b ** 3, target
 
 
-def _check_vieta_quartics() -> bool:
+def _vieta_quartic_identities():
     v1, v2, v3, v4 = vieta_quartics()
-    if not cube_sum_difference([v1, v2], [v3, v4]).is_zero():
-        return False
-    # linear independence: some 4x4 minor of the coefficient matrix is nonzero
-    rows = [f.coeffs for f in (v1, v2, v3, v4)]
-    for cols in ((0, 1, 2, 3), (0, 1, 2, 4), (0, 1, 3, 4), (0, 2, 3, 4), (1, 2, 3, 4)):
-        sub = [[row[c] for c in cols] for row in rows]
-        det = (
-            sub[0][0] * det3([r[1:] for r in sub[1:]])
-            - sub[0][1] * det3([[r[0], r[2], r[3]] for r in sub[1:]])
-            + sub[0][2] * det3([[r[0], r[1], r[3]] for r in sub[1:]])
-            - sub[0][3] * det3([r[:3] for r in sub[1:]])
-        )
-        if not (det == 0):
-            return True
-    return False
+    yield "v1^3 + v2^3 = v3^3 + v4^3", v1 ** 3 + v2 ** 3, v3 ** 3 + v4 ** 3
+    # linear independence: the x^2 y^2 column is zero, and the 4x4 minor on
+    # the other four columns is nonzero
+    sub = [[f.coeffs[c] for c in (0, 1, 3, 4)] for f in (v1, v2, v3, v4)]
+    minor = sum(
+        (-1) ** j * sub[0][j] * det3([row[:j] + row[j + 1:] for row in sub[1:]])
+        for j in range(4)
+    )
+    yield "minor on x4, x3y, xy3, y4 = -9", minor, -9
 
 
-def _check_sandor_instances() -> bool:
-    ok = True
+def _sandor_instances():
     for ws in ((12, 1, 10, 9), (10, -1, -9, 12)):
         a, b, c, d, T = sandor_family(*ws)
-        ok = ok and cube_sum_difference([a, b], [c, d]).is_zero()
-        ok = ok and ((a - c) - (d - b).scale(T)).is_zero()
-    return ok
+        yield f"w = {ws}: a^3 + b^3 = c^3 + d^3", a ** 3 + b ** 3, c ** 3 + d ** 3
+        yield f"w = {ws}: a - c = T (d - b)", a - c, (d - b).scale(T)
 
 
-def _check_young_families() -> bool:
+def _young_families():
     y1, y2, y3, y4 = young_quadruple()
-    ok = cube_sum_difference([y1, y2, y3], [y4]).is_zero()
-    ok = ok and ((y1 + y2) - (y4 - y3).scale(Fraction(4))).is_zero()
+    yield "y1^3 + y2^3 + y3^3 = y4^3", y1 ** 3 + y2 ** 3 + y3 ** 3, y4 ** 3
+    yield "y1 + y2 = 4 (y4 - y3)", y1 + y2, (y4 - y3).scale(Fraction(4))
     f1, f2, f3, f4 = young_family()
     n = ParamPoly.variable("n")
-    ok = ok and cube_sum_difference([f1, f2], [f3, f4]).is_zero()
-    ok = ok and ((f4 - f2) - (f1 - f3).scale(n ** 2)).is_zero()
-    return ok
+    yield "f1^3 + f2^3 = f3^3 + f4^3", f1 ** 3 + f2 ** 3, f3 ** 3 + f4 ** 3
+    yield "f4 - f2 = n^2 (f1 - f3)", f4 - f2, (f1 - f3).scale(n ** 2)
 
 
-def _check_hirschhorn_families() -> bool:
+def _hirschhorn_families():
     h1, h2, h3, h4 = hirschhorn_quadruple()
-    ok = cube_sum_difference([h1, h2], [h3, h4]).is_zero()
-    ok = ok and ((h1 - h4) - (h3 - h2).scale(Fraction(4))).is_zero()
+    yield "h1^3 + h2^3 = h3^3 + h4^3", h1 ** 3 + h2 ** 3, h3 ** 3 + h4 ** 3
+    yield "h1 - h4 = 4 (h3 - h2)", h1 - h4, (h3 - h2).scale(Fraction(4))
     f1, f2, f3, f4 = hirschhorn_family()
     n = ParamPoly.variable("n")
-    ok = ok and cube_sum_difference([f1, f2], [f3, f4]).is_zero()
-    ok = ok and ((f1 - f3) - (f4 - f2).scale(n ** 2)).is_zero()
-    return ok
+    yield "f1^3 + f2^3 = f3^3 + f4^3", f1 ** 3 + f2 ** 3, f3 ** 3 + f4 ** 3
+    yield "f1 - f3 = n^2 (f4 - f2)", f1 - f3, (f4 - f2).scale(n ** 2)
 
 
-def _check_chord_third_representation() -> bool:
+def _chord_third_representation():
     a = ParamPoly.variable("a")
     b = ParamPoly.variable("b")
     q = a * a + 3 * b * b
@@ -736,14 +722,14 @@ def _check_chord_third_representation() -> bool:
     f2 = (a + 3 * b) * q - 1
     f3 = (a + 3 * b) - q * q
     f4 = q * q - (a - 3 * b)
-    left = f1 ** 3 - f4 ** 3
-    ok = (left - (-(f2 ** 3) + f3 ** 3)).is_zero()
-    ok = ok and (left - ((1 + 2 * a * q) ** 3 - (2 * a + q * q) ** 3)).is_zero()
+    c1, c2, c3, c4 = f1 ** 3, f2 ** 3, f3 ** 3, f4 ** 3
+    left = c1 - c4
+    yield "f1^3 - f4^3 = f3^3 - f2^3", left, c3 - c2
+    yield "f1^3 - f4^3 = (1 + 2aq)^3 - (2a + q^2)^3", left, (1 + 2 * a * q) ** 3 - (2 * a + q * q) ** 3
     # the common sum of the parameterization, in factored display form
     conv = 18 * b * q * (1 - (a + b) ** 3 - (a - b) ** 3 + q ** 3)
-    ok = ok and ((f1 ** 3 + f2 ** 3) - conv).is_zero()
-    ok = ok and ((f3 ** 3 + f4 ** 3) - conv).is_zero()
-    return ok
+    yield "f1^3 + f2^3 = 18bq(1 - (a+b)^3 - (a-b)^3 + q^3)", c1 + c2, conv
+    yield "f3^3 + f4^3 = 18bq(1 - (a+b)^3 - (a-b)^3 + q^3)", c3 + c4, conv
 
 
 def _palindromic_mirror_pair(u: BinaryForm, v: BinaryForm, tol: float) -> bool:
@@ -803,26 +789,26 @@ def _check_tau_substitution(seed=None) -> bool:
 
 
 _SUITE = (
-    ("01", "ramanujan-integer-quadruple", "exact", _check_integer_quadruple),
-    ("02", "integer-flips-and-factored-products", "exact", _check_integer_flips),
-    ("03", "narayanan-parametric-quadruple", "exact", _check_parametric_quadruple),
-    ("04", "threefold-product-identity", "exact", _check_threefold_product),
-    ("05", "omega-twisted-equal-sums", "exact", _check_twisted_equal_sums),
-    ("06", "clean-flips-of-the-twisted-family", "exact", _check_clean_flips),
-    ("07", "flip-similarity-cleared-denominators", "exact", _check_flip_similarity),
-    ("08", "sqrt-minus-three-rational-display", "exact", _check_sqrt_minus_three_change),
-    ("09", "parameter-negation-and-inversion", "exact", _check_parameter_symmetries),
-    ("10", "tame-mirror-pair-sum", "exact", _check_tame_mirror_sum),
-    ("11", "wild-family-construction", "exact", _check_wild_construction),
-    ("12", "simplest-integer-family-and-flip", "exact", _check_simplest_family),
-    ("13", "dependent-factor-triples", "exact", _check_dependent_factor_triples),
-    ("14", "octahedral-similarity-change", "exact", _check_octahedral_similarity),
-    ("15", "octahedral-six-representations", "exact", _check_octahedral_representations),
-    ("16", "vieta-quartic-identity", "exact", _check_vieta_quartics),
-    ("17", "sandor-conditional-family", "exact", _check_sandor_instances),
-    ("18", "young-type-four-and-square", "exact", _check_young_families),
-    ("19", "hirschhorn-type-four-and-square", "exact", _check_hirschhorn_families),
-    ("20", "chord-third-representation", "exact", _check_chord_third_representation),
+    ("01", "ramanujan-integer-quadruple", "exact", _integer_quadruple),
+    ("02", "integer-flips-and-factored-products", "exact", _integer_flips),
+    ("03", "narayanan-parametric-quadruple", "exact", _parametric_quadruple),
+    ("04", "threefold-product-identity", "exact", _threefold_product),
+    ("05", "omega-twisted-equal-sums", "exact", _twisted_equal_sums),
+    ("06", "clean-flips-of-the-twisted-family", "exact", _clean_flips),
+    ("07", "flip-similarity-cleared-denominators", "exact", _flip_similarity),
+    ("08", "sqrt-minus-three-rational-display", "exact", _sqrt_minus_three_change),
+    ("09", "parameter-negation-and-inversion", "exact", _parameter_symmetries),
+    ("10", "tame-mirror-pair-sum", "exact", _tame_mirror_sum),
+    ("11", "wild-family-construction", "exact", _wild_construction),
+    ("12", "simplest-integer-family-and-flip", "exact", _simplest_family),
+    ("13", "dependent-factor-triples", "exact", _dependent_factor_triples),
+    ("14", "octahedral-similarity-change", "exact", _octahedral_similarity),
+    ("15", "octahedral-six-representations", "exact", _octahedral_representations),
+    ("16", "vieta-quartic-identity", "exact", _vieta_quartic_identities),
+    ("17", "sandor-conditional-family", "exact", _sandor_instances),
+    ("18", "young-type-four-and-square", "exact", _young_families),
+    ("19", "hirschhorn-type-four-and-square", "exact", _hirschhorn_families),
+    ("20", "chord-third-representation", "exact", _chord_third_representation),
     ("21", "tau-substitution-even-shape", "sampled", _check_tau_substitution),
 )
 
@@ -830,17 +816,22 @@ _SUITE = (
 def verify_identity_suite(ids=None, seed=None) -> list[dict]:
     """Run the identity suite; returns ordered report entries.
 
-    Each entry is {"id", "anchor", "method", "pass"}.  A raised exception in
-    a checker is reported as a failure, never propagated.  `seed` draws the
-    parameter points of the sampled groups; None keeps the fixed default.
+    Each entry is {"id", "anchor", "method", "pass"}.  An exact group passes
+    when each of its identities holds; the check stops at the first that
+    does not.  A raised exception in a group is reported as a failure, never
+    propagated.  `seed` draws the parameter points of the sampled groups;
+    None keeps the fixed default.
     """
     wanted = None if ids is None else set(ids)
     report = []
-    for entry_id, anchor, method, check in _SUITE:
+    for entry_id, anchor, method, group in _SUITE:
         if wanted is not None and entry_id not in wanted:
             continue
         try:
-            passed = bool(check(seed) if method == "sampled" else check())
+            if method == "sampled":
+                passed = bool(group(seed))
+            else:
+                passed = all(_holds(lhs, rhs) for _, lhs, rhs in group())
         except Exception:
             passed = False
         report.append(

@@ -67,11 +67,7 @@ class FloatKernel:
     exact = False
     zero = 0j
     one = 1.0 + 0j
-
-    def __init__(self, tolerance: float = FLOAT_TOL):
-        if tolerance <= 0:
-            raise ValueError("tolerance must be positive")
-        self.tolerance = tolerance
+    tolerance = FLOAT_TOL
 
     def is_zero(self, value, scale=1.0) -> bool:
         return abs(value) <= self.tolerance * max(scale, UNDERFLOW_FLOOR)
@@ -122,17 +118,15 @@ class BinaryForm:
         return BinaryForm(degree, tuple(coeffs), EXACT)
 
     @staticmethod
-    def floating(degree: int, coeffs, kernel: FloatKernel | None = None) -> BinaryForm:
-        k = kernel if kernel is not None else FLOAT
-        return BinaryForm(degree, tuple([complex(c) for c in coeffs]), k)
+    def floating(degree: int, coeffs) -> BinaryForm:
+        return BinaryForm(degree, tuple([complex(c) for c in coeffs]), FLOAT)
 
     @staticmethod
     def zero(degree: int, kernel=EXACT) -> BinaryForm:
         return BinaryForm(degree, (kernel.zero,) * (degree + 1), kernel)
 
-    def to_float(self, kernel: FloatKernel | None = None) -> BinaryForm:
-        k = kernel if kernel is not None else FLOAT
-        return BinaryForm(self.degree, tuple([k.coerce(c) for c in self.coeffs]), k)
+    def to_float(self) -> BinaryForm:
+        return BinaryForm(self.degree, tuple([FLOAT.coerce(c) for c in self.coeffs]), FLOAT)
 
     # -- predicates -------------------------------------------------------
 
@@ -253,9 +247,8 @@ class LinearChange:
         d = self.gamma * other.beta + self.delta * other.delta
         return LinearChange(a, b, c, d, self.kernel)
 
-    def to_float(self, kernel: FloatKernel | None = None) -> LinearChange:
-        k = kernel if kernel is not None else FLOAT
-        return LinearChange(k.coerce(self.alpha), k.coerce(self.beta), k.coerce(self.gamma), k.coerce(self.delta), k)
+    def to_float(self) -> LinearChange:
+        return LinearChange(*[FLOAT.coerce(v) for v in (self.alpha, self.beta, self.gamma, self.delta)], FLOAT)
 
 
 def form_compose(f: BinaryForm, m: LinearChange) -> BinaryForm:
@@ -425,7 +418,7 @@ def form_to_json(f: BinaryForm) -> dict:
     return {"degree": f.degree, "coeffs": coeffs}
 
 
-def form_from_json(obj: dict, kernel=None) -> BinaryForm:
+def form_from_json(obj: dict) -> BinaryForm:
     degree = int(obj["degree"])
     raw = obj["coeffs"]
     parsed = []
@@ -446,10 +439,7 @@ def form_from_json(obj: dict, kernel=None) -> BinaryForm:
                 exact = False
         else:
             raise ValueError(f"unreadable coefficient {item!r}")
-    if kernel is None:
-        kernel = EXACT if exact else FLOAT
-    elif kernel.exact and not exact:
-        raise ValueError("exact kernel requested for floating coefficients")
+    kernel = EXACT if exact else FLOAT
     return BinaryForm(degree, tuple([kernel.coerce(c) for c in parsed]), kernel)
 
 
@@ -459,8 +449,13 @@ def det3(rows):
     return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
 
+def norm2(values) -> float:
+    """The 2-norm of complex values, without overflow or underflow in the squares."""
+    return math.hypot(*[abs(v) for v in values])
+
+
 def relative_residual(got: BinaryForm, want: BinaryForm) -> float:
     """Coefficient 2-norm of got - want over that of want, in complex floats."""
-    num = math.sqrt(sum(abs(complex(a) - complex(b)) ** 2 for a, b in zip(got.coeffs, want.coeffs)))
-    den = math.sqrt(sum(abs(complex(b)) ** 2 for b in want.coeffs))
+    num = norm2([complex(a) - complex(b) for a, b in zip(got.coeffs, want.coeffs)])
+    den = norm2([complex(b) for b in want.coeffs])
     return num / max(den, UNDERFLOW_FLOOR)

@@ -14,7 +14,7 @@ import dataclasses
 import math
 import sys
 
-from .forms import NEGLIGIBLE_REL, BinaryForm
+from .forms import NEGLIGIBLE_REL, BinaryForm, norm2
 
 CLUSTER_REL = 1e-6          # base mutual-distance threshold for multiplicity grouping
 RECONSTRUCT_TOL = 1e-8      # relative residual demanded of the refactored product
@@ -320,8 +320,8 @@ def _reconstruction(p: BinaryForm, roots: list[ProjectiveRoot]) -> tuple[complex
     if abs(prod[k]) == 0:
         return 0j, math.inf
     scale = coeffs[k] / prod[k]
-    num = math.sqrt(sum(abs(scale * a - b) ** 2 for a, b in zip(prod, coeffs)))
-    den = math.sqrt(sum(abs(b) ** 2 for b in coeffs))
+    num = norm2([scale * a - b for a, b in zip(prod, coeffs)])
+    den = norm2(coeffs)
     return scale, num / den
 
 

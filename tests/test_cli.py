@@ -367,18 +367,31 @@ def test_tol_reaches_curve_add(capsys):
     assert code == 2 and "not on the curve" in capsys.readouterr().err
 
 
+_DECOMPOSE = ["decompose", "1", "0", "-5", "0", "-5", "0", "1"]
+_CURVE_ADD = ["curve-add", "1", "12", "9", "10", "1729"]
+
+
 @pytest.mark.parametrize("argv", [
-    ["decompose", "1", "0", "-5", "0", "-5", "0", "1"],
-    ["census", "A", "7"],
-    ["type-detect", "3", "5", "-5", "5", "-5", "-3", "6", "-4", "4", "-4", "4", "-6"],
-    ["verify", "--ids", "01"],
+    ["--tol", "1e-20", *_DECOMPOSE],
+    ["--tol", "1e-20", "census", "A", "7"],
+    ["--tol", "1e-20", "type-detect", "3", "5", "-5", "5", "-5", "-3", "6", "-4", "4", "-4", "4", "-6"],
+    ["--tol", "1e-20", "verify", "--ids", "01"],
+    ["--jobs", "4", *_DECOMPOSE],
+    ["--jobs", "1", *_DECOMPOSE],
+    ["--jobs", "3", "verify", "--ids", "01"],
+    ["--jobs", "2", *_CURVE_ADD],
+    ["--seed", "7", *_DECOMPOSE],
+    ["--seed", "7", "census", "A", "7"],
+    ["--seed", "7", *_CURVE_ADD],
 ])
 def test_tol_on_other_commands_is_usage_error(capsys, argv):
-    code = main(["--tol", "1e-20", *argv])
+    # each global option is read by one command; the others reject it
+    owner = {"--tol": "curve-add", "--jobs": "census", "--seed": "verify"}[argv[0]]
+    code = main(argv)
     captured = capsys.readouterr()
     assert code == 1
     assert captured.out == ""
-    assert "error: --tol applies only to curve-add" in captured.err
+    assert f"error: {argv[0]} applies only to {owner}" in captured.err
 
 
 # -- harness ----------------------------------------------------------------

@@ -527,3 +527,15 @@ def test_rep_count_builds_only_the_emitted_cubes(form_op_counts):
     assert report.N == 6
     # two cubes per representation, two products (q * q, then q * q**2) per cube
     assert form_op_counts == {"__mul__": 4 * report.N, "__pow__": 2 * report.N, "proportional_to": 0}
+
+
+@pytest.mark.parametrize("scale", [1e160, 1e-170, 1e300, 1e-300])
+@pytest.mark.parametrize("coeffs, n", [
+    ((1, 0, 0, 0, 0, 0, -1), 4),  # x^6 - y^6
+    ((0, 1, 0, 0, 0, -1, 0), 6),  # x y (x^4 - y^4)
+], ids=["x6-y6", "xy(x4-y4)"])
+def test_rep_count_at_extreme_coefficient_scales(coeffs, n, scale):
+    # N is invariant under scaling, and no 2-norm may overflow or underflow
+    report = rep_count(fl6([scale * c for c in coeffs]))
+    assert report.N == n
+    assert report.multiplicities == (1, 1, 1, 1, 1, 1)

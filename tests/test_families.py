@@ -82,6 +82,42 @@ def test_raising_checker_reported_not_propagated(monkeypatch):
     assert entry["pass"] is False
 
 
+EXACT_GROUPS = [(gid, group) for gid, _, method, group in fam._SUITE if method == "exact"]
+
+
+@pytest.mark.parametrize("gid, group", EXACT_GROUPS, ids=[gid for gid, _ in EXACT_GROUPS])
+def test_every_identity_of_an_exact_group_holds(gid, group):
+    identities = list(group())
+    labels = [label for label, _, _ in identities]
+    assert labels, f"group {gid} yields no identities"
+    assert len(set(labels)) == len(labels), f"group {gid} repeats a label: {labels}"
+    for label, lhs, rhs in identities:
+        assert fam._holds(lhs, rhs), f"group {gid}: {label!r} does not hold"
+
+
+def _spoiled(value):
+    # one more than the value: x^d added to a form, 1 to a scalar
+    if isinstance(value, BinaryForm):
+        return value + BinaryForm.exact(value.degree, [1] + [0] * value.degree)
+    return value + 1
+
+
+@pytest.mark.parametrize("gid, group", EXACT_GROUPS, ids=[gid for gid, _ in EXACT_GROUPS])
+def test_failing_last_identity_fails_its_group(monkeypatch, gid, group):
+    def spoiled_last():
+        *head, (label, lhs, rhs) = list(group())
+        yield from head
+        yield label, lhs, _spoiled(rhs)
+
+    suite = tuple([
+        (entry_id, anchor, method, spoiled_last if entry_id == gid else check)
+        for entry_id, anchor, method, check in fam._SUITE
+    ])
+    monkeypatch.setattr(fam, "_SUITE", suite)
+    (entry,) = verify_identity_suite(ids={gid})
+    assert entry["pass"] is False
+
+
 # ---------------------------------------------------------------- generators
 
 def test_integer_quadruple_point_values():

@@ -16,6 +16,7 @@ from twocubes.forms import (
     form_gcd,
     form_to_json,
     multiplicity_structure,
+    norm2,
 )
 
 F = Fraction
@@ -172,12 +173,18 @@ def test_multiplicity_structure_float_agrees():
 
 
 def test_float_equality_relative():
-    k = FloatKernel(1e-9)
-    f = BinaryForm.floating(2, [1e6, 0, 1], k)
-    g = BinaryForm.floating(2, [1e6 + 1e-4, 0, 1], k)
+    f = BinaryForm.floating(2, [1e6, 0, 1])
+    g = BinaryForm.floating(2, [1e6 + 1e-4, 0, 1])
     assert f.equals(g)
-    h = BinaryForm.floating(2, [1e6 + 1, 0, 1], k)
+    h = BinaryForm.floating(2, [1e6 + 1, 0, 1])
     assert not f.equals(h)
+
+
+def test_norm2_is_overflow_and_underflow_safe():
+    assert norm2([3, 4j]) == 5.0
+    assert norm2([]) == 0.0
+    assert norm2([3e200, 4e200j]) == pytest.approx(5e200)
+    assert norm2([3e-200j, 4e-200]) == pytest.approx(5e-200)
 
 
 def test_proportionality():

@@ -16,6 +16,9 @@
   one name, so retuning a threshold edits one place.  Thresholds shared by
   several modules live in `forms.py` (`FLOAT_TOL`, `NEGLIGIBLE_REL`,
   `UNDERFLOW_FLOOR`); the others are named at the top of their module.
+- No `math.sqrt(sum(...))`: squaring a coefficient above ~1e154 overflows
+  and one below ~1e-162 underflows, so a 2-norm of such values is inf or 0.
+  `forms.norm2` takes the 2-norm with `math.hypot`, which scales first.
 """
 import ast
 from pathlib import Path
@@ -90,3 +93,22 @@ def test_small_float_literals_are_named(path):
         and id(node) not in named
     ]
     assert not lines, f"{path.name}: unnamed small float literals at lines {lines}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_sqrt_of_sum(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "sqrt"
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id == "math"
+        and any(
+            isinstance(arg, ast.Call) and isinstance(arg.func, ast.Name) and arg.func.id == "sum"
+            for arg in node.args
+        )
+    ]
+    assert not lines, f"{path.name}: math.sqrt(sum(...)) at lines {lines}; use forms.norm2"
