@@ -80,9 +80,10 @@ def type_detect(f1: BinaryForm, f2: BinaryForm, f3: BinaryForm,
                 raise ValueError("dishonest family: proportional members")
     omega = kernel.coerce(OMEGA)
     for split_index, ((a, b, sb), (c, d, sd)) in enumerate(_SPLITS):
+        lefts = [forms[a] + forms[b].scale(omega ** k * sb) for k in range(3)]
+        rights = [forms[c] + forms[d].scale(omega ** k * sd) for k in range(3)]
         for i, j in _OMEGA_ORDER:
-            left = forms[a] + forms[b].scale(omega ** i * sb)
-            right = forms[c] + forms[d].scale(omega ** j * sd)
+            left, right = lefts[i], rights[j]
             if right.is_zero() or left.is_zero():
                 continue
             if not left.proportional_to(right, rel_tol=TYPE_PROP_TOL):

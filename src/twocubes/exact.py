@@ -181,6 +181,9 @@ class CycNum:
             return hash(Fraction(self.num[0], self.den))
         return hash((self.num, self.den))
 
+    def __bool__(self):
+        return any(self.num)
+
     def is_zero(self) -> bool:
         return not any(self.num)
 
@@ -320,10 +323,23 @@ def binary_power(base, n: int):
 
 
 def is_zero_scalar(v) -> bool:
-    """Exact zero test across the scalar types this package mixes."""
-    if isinstance(v, (CycNum, ParamPoly)):
-        return v.is_zero()
-    return v == 0
+    """Exact zero test across the scalar types this package mixes: every exact
+    scalar is false exactly when it is zero."""
+    return not v
+
+
+def sparse_product(a, b, zero) -> tuple:
+    """Coefficients of the product of two polynomials given low degree first.
+    Zero terms are skipped and each slot starts at its first product, so a
+    slot that no product reaches holds `zero`."""
+    terms = [(j, y) for j, y in enumerate(b) if y]
+    out = [None] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in terms:
+                acc = out[i + j]
+                out[i + j] = x * y if acc is None else acc + x * y
+    return tuple([zero if c is None else c for c in out])
 
 
 def scalar_key(v) -> tuple:
@@ -347,10 +363,10 @@ def _poly_sum(a: tuple, b: tuple, sign: int) -> tuple:
     if len(b) > len(out):
         out += [0] * (len(b) - len(out))
     for j, y in enumerate(b):
-        if is_zero_scalar(y):
+        if not y:
             continue
         x = out[j]
-        if is_zero_scalar(x):
+        if not x:
             out[j] = y if sign > 0 else -y
         else:
             out[j] = x + y if sign > 0 else x - y
@@ -389,12 +405,16 @@ class ParamPoly:
 
     def degree(self) -> int:
         d = len(self.coeffs) - 1
-        while d >= 0 and is_zero_scalar(self.coeffs[d]):
+        while d >= 0 and not self.coeffs[d]:
             d -= 1
         return d
 
+    def __bool__(self):
+        # any() recurses through nested polynomial and CycNum coefficients
+        return any(self.coeffs)
+
     def is_zero(self) -> bool:
-        return all(is_zero_scalar(c) for c in self.coeffs)
+        return not any(self.coeffs)
 
     def __add__(self, other):
         if self._outranks(other):
@@ -417,16 +437,7 @@ class ParamPoly:
     def __mul__(self, other):
         if self._outranks(other):
             return other * self
-        o = self._coerce(other)
-        terms = [(j, b) for j, b in enumerate(o.coeffs) if not is_zero_scalar(b)]
-        out = [None] * (len(self.coeffs) + len(o.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if is_zero_scalar(a):
-                continue
-            for j, b in terms:
-                acc = out[i + j]
-                out[i + j] = a * b if acc is None else acc + a * b
-        return ParamPoly(self.param, tuple([0 if c is None else c for c in out]))
+        return ParamPoly(self.param, sparse_product(self.coeffs, self._coerce(other).coeffs, 0))
 
     __rmul__ = __mul__
 

@@ -33,11 +33,10 @@ from .exact import (
     SQRTM6,
     ZETA8,
     ZETA12,
-    is_zero_scalar,
 )
 from .forms import EXACT, FLOAT, FLOAT_TOL, BinaryForm, LinearChange, det3, form_compose
 
-ONE = Fraction(1)
+ONE = 1
 MIRROR_SCALE_FLOOR = 1e-30  # least scale of the sampled pair-shape comparisons
 _SAMPLE_SEED = 20240814
 EXCEPTIONAL_PARAMETER = IMAG * ETA  # smallest-argument root of t^4 + 4t^2 + 1
@@ -363,6 +362,9 @@ class _SqrtExt:
     def __sub__(self, other):
         return self + (-self._coerce(other))
 
+    def __rsub__(self, other):
+        return self._coerce(other) - self
+
     def __mul__(self, other):
         o = self._coerce(other)
         return _SqrtExt(
@@ -372,13 +374,12 @@ class _SqrtExt:
 
     __rmul__ = __mul__
 
-    def is_zero(self) -> bool:
-        return self.p.is_zero() and self.q.is_zero()
+    def __bool__(self):
+        return bool(self.p) or bool(self.q)
 
     def __eq__(self, other):
-        # exact zero tests compare with 0 (`is_zero_scalar`); defining __eq__
-        # without __hash__ leaves the class unhashable
-        return (self - other).is_zero()
+        # defining __eq__ without __hash__ leaves the class unhashable
+        return not (self - other)
 
 
 # --------------------------------------------------------------------------
@@ -391,9 +392,7 @@ class _SqrtExt:
 def _holds(lhs, rhs) -> bool:
     """An identity holds when lhs - rhs is exactly zero."""
     diff = lhs - rhs
-    if isinstance(diff, (BinaryForm, _SqrtExt)):
-        return diff.is_zero()
-    return is_zero_scalar(diff)
+    return diff.is_zero() if isinstance(diff, BinaryForm) else not diff
 
 
 def _lin(u, v) -> BinaryForm:
@@ -455,8 +454,8 @@ def _parametric_quadruple():
     yield "n2^3 + n4^3 = n1^3 - n3^3", c2 + c4, c1 - c3
     yield "n2 + n4 = lam^2 (n1 - n3)", n2 + n4, (n1 - n3).scale(lam ** 2)
     # at parameter 2 the quadruple is three times the integer one
-    for k, (nf, rf) in enumerate(zip(narayanan_quadruple(Fraction(2)), ramanujan_quadruple()), 1):
-        yield f"n{k}(2) = 3 r{k}", nf, rf.scale(Fraction(3))
+    for k, (nf, rf) in enumerate(zip(narayanan_quadruple(2), ramanujan_quadruple()), 1):
+        yield f"n{k}(2) = 3 r{k}", nf, rf.scale(3)
 
 
 def _threefold_product():
@@ -564,7 +563,7 @@ def _tame_mirror_sum():
     left = BinaryForm.exact(2, [ONE, ga, ONE])
     right = BinaryForm.exact(2, [ONE, -ga, ONE])
     t = 3 * (1 + ga ** 2)
-    target = BinaryForm.exact(6, [ONE, 0, t, 0, t, 0, ONE]).scale(Fraction(2))
+    target = BinaryForm.exact(6, [ONE, 0, t, 0, t, 0, ONE]).scale(2)
     yield "(x2+ga xy+y2)^3 + (x2-ga xy+y2)^3 = 2 A(3(1+ga^2))", left ** 3 + right ** 3, target
 
 
@@ -697,7 +696,7 @@ def _sandor_instances():
 def _young_families():
     y1, y2, y3, y4 = young_quadruple()
     yield "y1^3 + y2^3 + y3^3 = y4^3", y1 ** 3 + y2 ** 3 + y3 ** 3, y4 ** 3
-    yield "y1 + y2 = 4 (y4 - y3)", y1 + y2, (y4 - y3).scale(Fraction(4))
+    yield "y1 + y2 = 4 (y4 - y3)", y1 + y2, (y4 - y3).scale(4)
     f1, f2, f3, f4 = young_family()
     n = ParamPoly.variable("n")
     yield "f1^3 + f2^3 = f3^3 + f4^3", f1 ** 3 + f2 ** 3, f3 ** 3 + f4 ** 3
@@ -707,7 +706,7 @@ def _young_families():
 def _hirschhorn_families():
     h1, h2, h3, h4 = hirschhorn_quadruple()
     yield "h1^3 + h2^3 = h3^3 + h4^3", h1 ** 3 + h2 ** 3, h3 ** 3 + h4 ** 3
-    yield "h1 - h4 = 4 (h3 - h2)", h1 - h4, (h3 - h2).scale(Fraction(4))
+    yield "h1 - h4 = 4 (h3 - h2)", h1 - h4, (h3 - h2).scale(4)
     f1, f2, f3, f4 = hirschhorn_family()
     n = ParamPoly.variable("n")
     yield "f1^3 + f2^3 = f3^3 + f4^3", f1 ** 3 + f2 ** 3, f3 ** 3 + f4 ** 3

@@ -16,7 +16,7 @@ import dataclasses
 import math
 from fractions import Fraction
 
-from .exact import CycNum, ParamPoly, binary_power, is_zero_scalar
+from .exact import CycNum, ParamPoly, binary_power, sparse_product
 
 # The float tolerance policy.  A threshold that more than one module applies
 # is defined here, next to the float kernel; a threshold that one module
@@ -29,8 +29,8 @@ PROPORTIONAL_REL = 1e-7   # default cut on the cross products of proportional fo
 
 
 class ExactKernel:
-    """Scalars in Q, Q(zeta24) or a ParamPoly ring; zero means exactly zero,
-    so every scale argument is ignored."""
+    """Scalars in Q, Q(zeta24) or a ParamPoly ring; zero means exactly zero
+    (`bool(value)` is false), so every scale argument is ignored."""
 
     name = "exact"
     exact = True
@@ -38,7 +38,7 @@ class ExactKernel:
     one = Fraction(1)
 
     def is_zero(self, value, scale=None) -> bool:
-        return is_zero_scalar(value)
+        return not value
 
     negligible = is_zero
 
@@ -56,7 +56,7 @@ class ExactKernel:
         if isinstance(value, CycNum):
             return abs(value.to_complex())
         if isinstance(value, ParamPoly):
-            return 0.0 if value.is_zero() else 1.0
+            return 1.0 if value else 0.0
         return abs(float(value)) if not isinstance(value, complex) else abs(value)
 
 
@@ -132,7 +132,7 @@ class BinaryForm:
 
     def is_zero(self) -> bool:
         # the zero form is zero at its own scale, so every kernel tests exactly
-        return all(is_zero_scalar(c) for c in self.coeffs)
+        return not any(self.coeffs)
 
     def max_magnitude(self) -> float:
         mags = [self.kernel.magnitude(c) for c in self.coeffs]
@@ -176,6 +176,9 @@ class BinaryForm:
 
     def __mul__(self, other: BinaryForm) -> BinaryForm:
         d = self.degree + other.degree
+        if self.kernel.exact:
+            return BinaryForm(d, sparse_product(self.coeffs, other.coeffs, self.kernel.zero), self.kernel)
+        # the float product stays dense: decomp.rep_count reproduces these bits
         out = [self.kernel.zero] * (d + 1)
         for i, a in enumerate(self.coeffs):
             for j, b in enumerate(other.coeffs):
@@ -203,12 +206,15 @@ class BinaryForm:
         """f(fx, fy) for two degree-1 forms; the workhorse behind compose."""
         if fx.degree != 1 or fy.degree != 1:
             raise ValueError("substitution needs two linear forms")
-        out = BinaryForm.zero(self.degree, self.kernel)
+        d, unit = self.degree, BinaryForm(0, (self.kernel.one,), self.kernel)
+        xs, ys = [unit], [unit]  # fx**k and fy**k by running products
+        for _ in range(d):
+            xs.append(xs[-1] * fx)
+            ys.append(ys[-1] * fy)
+        out = BinaryForm.zero(d, self.kernel)
         for k, c in enumerate(self.coeffs):
-            if is_zero_scalar(c):
-                continue
-            term = (fx ** (self.degree - k)) * (fy**k)
-            out = out + term.scale(c)
+            if c:
+                out = out + (xs[d - k] * ys[k]).scale(c)
         return out
 
 
@@ -259,7 +265,7 @@ def form_compose(f: BinaryForm, m: LinearChange) -> BinaryForm:
 
 
 def _y_multiplicity(f: BinaryForm) -> int:
-    scale = f.max_magnitude()
+    scale = None if f.kernel.exact else f.max_magnitude()
     m = 0
     while m < len(f.coeffs) and f.kernel.negligible(f.coeffs[m], scale):
         m += 1
@@ -308,7 +314,7 @@ def form_gcd(f: BinaryForm, g: BinaryForm) -> BinaryForm:
     if g.is_zero():
         return f
     kernel = f.kernel
-    scale = max(f.max_magnitude(), g.max_magnitude())
+    scale = None if kernel.exact else max(f.max_magnitude(), g.max_magnitude())
     my, a = _dehomogenize(f)
     ny, b = _dehomogenize(g)
     ycommon = min(my, ny)

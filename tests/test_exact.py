@@ -1,5 +1,6 @@
 import cmath
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -19,7 +20,9 @@ from twocubes.exact import (
     ZETA24,
     CycNum,
     ParamPoly,
+    is_zero_scalar,
 )
+from twocubes.forms import BinaryForm
 
 
 def close(z, w, tol=1e-12):
@@ -332,3 +335,83 @@ def test_parampoly_matches_dense_reference(a, b):
     assert list((p - q).coeffs) == [u - v for u, v in zip(pa, pb)]
     assert list((p * q).coeffs) == prod
     assert list((3 - q).coeffs) == [Fraction(3) - pb[0]] + [-v for v in pb[1:len(b)]]
+
+
+# -- one zero test (bool) and one zero-skipping product -----------------------
+
+def _isinstance_is_zero(v):
+    """The type-dispatched zero test that `bool` replaced, kept as a reference."""
+    if isinstance(v, CycNum):
+        return not any(v.num)
+    if isinstance(v, ParamPoly):
+        return all(_isinstance_is_zero(c) for c in v.coeffs)
+    return v == 0
+
+
+def _random_scalar(rng, params=("lam", "mu")):
+    """0, int, Fraction, CycNum or a polynomial in lam or mu; a lam polynomial
+    may carry mu polynomials as coefficients (the nesting order of ParamPoly)."""
+    kind = rng.randrange(3 + len(params) + 2)
+    if kind == 0:
+        return 0
+    if kind == 1:
+        return rng.randint(-9, 9)
+    if kind == 2:
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+    if kind <= 4:
+        coord = lambda: rng.choice((0, 0, rng.randint(-5, 5), Fraction(rng.randint(-5, 5), rng.randint(1, 4))))
+        return CycNum([coord() for _ in range(8)])
+    name, inner = params[0], params[1:]
+    return ParamPoly(name, tuple([_random_scalar(rng, inner) for _ in range(rng.randint(1, 3))]))
+
+
+def _dense_product(a, b):
+    """The dense product loop exact forms used before they skipped zero terms:
+    every slot starts at Fraction(0) and takes every product."""
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = out[i + j] + x * y
+    return out
+
+
+def test_exact_scalars_are_false_exactly_when_zero():
+    lam, mu = ParamPoly.variable("lam"), ParamPoly.variable("mu")
+    zeros = [
+        0, Fraction(0), 0j, CycNum.zero(), CycNum([0] * 8), OMEGA - OMEGA,
+        ParamPoly("t", ()), ParamPoly("t", (0,)), ParamPoly("t", (0, CycNum.zero(), Fraction(0))),
+        lam - lam, ParamPoly("lam", (mu - mu, 0)), (lam * mu) - (mu * lam),
+    ]
+    nonzeros = [
+        1, Fraction(-1, 3), 1j, CycNum.one(), OMEGA, ZETA24**5 / 7, lam,
+        ParamPoly("t", (0, 0, SQRT2)), ParamPoly("lam", (0, mu)), lam * mu - 1,
+    ]
+    for v in zeros:
+        assert not v and is_zero_scalar(v) and _isinstance_is_zero(v), v
+    for v in nonzeros:
+        assert v and not is_zero_scalar(v) and not _isinstance_is_zero(v), v
+    for v in zeros + nonzeros:
+        if isinstance(v, (CycNum, ParamPoly)):
+            assert v.is_zero() is (not v)
+
+
+def test_is_zero_scalar_agrees_with_isinstance_dispatch():
+    rng = random.Random(20261018)
+    for _ in range(400):
+        u, v = _random_scalar(rng), _random_scalar(rng)
+        for w in (u, u - u, u * v, u * v - v * u, u + v):
+            assert is_zero_scalar(w) == _isinstance_is_zero(w)
+
+
+def test_zero_skipping_products_equal_the_dense_loop():
+    rng = random.Random(8)
+    for _ in range(150):
+        a = [_random_scalar(rng) for _ in range(rng.randint(1, 4))]
+        b = [_random_scalar(rng) for _ in range(rng.randint(1, 4))]
+        want = _dense_product(a, b)
+        got = BinaryForm.exact(len(a) - 1, a) * BinaryForm.exact(len(b) - 1, b)
+        assert got.degree == len(want) - 1
+        assert all(g == w for g, w in zip(got.coeffs, want, strict=True))
+        # "a" sorts before lam and mu, so it nests them as coefficients
+        poly = ParamPoly("a", tuple(a)) * ParamPoly("a", tuple(b))
+        assert all(g == w for g, w in zip(poly.coeffs, want, strict=True))

@@ -198,6 +198,19 @@ def test_sqrt_extension_form_is_zero_only_when_every_part_is():
             assert not BinaryForm.exact(2, coeffs).is_zero()
 
 
+def test_sqrt_extension_truthiness_and_reflected_subtraction():
+    ext = fam._SqrtExt
+    d = ParamPoly.variable("d")
+    x = ext(d, 1)
+    assert not ext(0) and not ext(d - d, 0) and not (x - x)
+    assert x and ext(0, d) and ext(1)
+    assert 1 - x == ext(1) - x == ext(1 - d, -1)
+    assert Fraction(1, 2) - x == ext(Fraction(1, 2) - d, -1)
+    # an exact form product leaves unreached slots at the kernel's zero,
+    # which then subtracts a _SqrtExt coefficient from the left
+    assert (BinaryForm.zero(1) - BinaryForm.exact(1, [x, 0])).coeffs[0] == -x
+
+
 # ---------------------------------------------------------------- conditional families
 
 def test_sandor_premise_violation_rejected():

@@ -19,6 +19,10 @@
 - No `math.sqrt(sum(...))`: squaring a coefficient above ~1e154 overflows
   and one below ~1e-162 underflows, so a 2-norm of such values is inf or 0.
   `forms.norm2` takes the 2-norm with `math.hypot`, which scales first.
+- Every exact scalar class (the classes of `exact.py` with an `is_zero`
+  method, and `families._SqrtExt`) defines `__bool__`: `bool(v)` is the one
+  exact zero test, and an object without `__bool__` is always true, so a
+  zero scalar would read as nonzero.
 """
 import ast
 from pathlib import Path
@@ -112,3 +116,26 @@ def test_no_sqrt_of_sum(path):
         )
     ]
     assert not lines, f"{path.name}: math.sqrt(sum(...)) at lines {lines}; use forms.norm2"
+
+
+def _defined_names(cls: ast.ClassDef) -> set:
+    names = {n.name for n in cls.body if isinstance(n, ast.FunctionDef)}
+    for n in cls.body:
+        if isinstance(n, ast.Assign):
+            names |= {t.id for t in n.targets if isinstance(t, ast.Name)}
+    return names
+
+
+def test_exact_scalars_define_bool():
+    classes = {
+        (path.name, node.name): node
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.ClassDef)
+    }
+    scalars = [key for key, node in classes.items()
+               if key[0] == "exact.py" and "is_zero" in _defined_names(node)]
+    scalars.append(("families.py", "_SqrtExt"))
+    assert len(scalars) >= 3 and all(key in classes for key in scalars)
+    missing = [f"{f}:{c}" for f, c in scalars if "__bool__" not in _defined_names(classes[(f, c)])]
+    assert not missing, f"exact scalar classes without __bool__: {missing}"
