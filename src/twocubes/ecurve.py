@@ -12,14 +12,18 @@ the parameters, `curve_third_rep` produces the extra representation
 (mu*(1 + 2aq))^3 - (mu*(2a + q^2))^3 of the flipped sum, and `curve_add`
 performs chord addition of two points on X^3 + Y^3 = A.
 
-Scalar inputs may be exact (Fraction / cyclotomic) or complex; form inputs
-use exact rational-function arithmetic (ratios of forms with gcd
-cancellation), so the advertised cancellations are verified identities, not
-floating coincidences.
+Scalar inputs may be exact (Fraction / cyclotomic) or complex.  The exact
+scalar chord runs in projective coordinates (X : Y : Z), Z the lcm of a
+rational point's denominators, and divides once per output coordinate.  Form
+inputs use exact rational-function arithmetic (ratios of forms with gcd
+cancellation), and the form chord is checked cross-multiplied, on numerators
+and denominators, so the advertised cancellations are verified identities,
+not floating coincidences.
 """
 from __future__ import annotations
 
 import dataclasses
+import math
 from fractions import Fraction
 
 from .exact import CycNum
@@ -80,12 +84,14 @@ class RationalFunction:
             num = BinaryForm.zero(0)
             den = _const_form(Fraction(1))
         else:
-            g = form_gcd(num, den)
-            if g.degree > 0:
-                num = _divide_forms(num, g)
-                den = _divide_forms(den, g)
-            lead = next(c for c in den.coeffs if not EXACT.is_zero(c))
-            if not (isinstance(lead, Fraction) and lead == 1):
+            # a constant form shares no factor of positive degree
+            if num.degree and den.degree:
+                g = form_gcd(num, den)
+                if g.degree > 0:
+                    num = _divide_forms(num, g)
+                    den = _divide_forms(den, g)
+            lead = next(c for c in den.coeffs if c)
+            if lead != 1:
                 inv = EXACT.inv(lead)
                 num = num.scale(inv)
                 den = den.scale(inv)
@@ -362,6 +368,38 @@ def _on_curve_check(x, y, a, floating: bool, tol: float):
         raise ValueError("point is not on the curve")
 
 
+def _projective(x, y):
+    """(X, Y, Z) with x = X/Z and y = Y/Z: integers over the lcm of the two
+    denominators for a rational point, (x, y, 1) for any other."""
+    if isinstance(x, Fraction) and isinstance(y, Fraction):
+        z = math.lcm(x.denominator, y.denominator)
+        return x.numerator * (z // x.denominator), y.numerator * (z // y.denominator), z
+    return x, y, 1
+
+
+def _exact_chord(x1, y1, x2, y2, a):
+    """Chord addition over exact scalars: with A = n/m, a point (X : Y : Z)
+    lies on the curve when m(X^3 + Y^3) = n Z^3."""
+    n, m = (a.numerator, a.denominator) if isinstance(a, Fraction) else (a, 1)
+
+    def on_curve(x, y):
+        X, Y, Z = _projective(x, y)
+        if m * (X ** 3 + Y ** 3) - n * Z ** 3:
+            raise ValueError("point is not on the curve")
+        return X, Y, Z
+
+    X1, Y1, Z1 = on_curve(x1, y1)
+    X2, Y2, Z2 = on_curve(x2, y2)
+    den = m * (Z2 * (X1 * X1 * X2 + Y1 * Y1 * Y2) - Z1 * (X1 * X2 * X2 + Y1 * Y2 * Y2))
+    if not den:
+        raise ValueError("chord degenerates (coincident or opposite points)")
+    nz, cross, inv = n * Z1 * Z2, X2 * Y1 - X1 * Y2, EXACT.inv(den)
+    x3 = (nz * (X1 * Z2 - X2 * Z1) + m * Y1 * Y2 * cross) * inv
+    y3 = (nz * (Y1 * Z2 - Y2 * Z1) - m * X1 * X2 * cross) * inv
+    on_curve(x3, y3)
+    return x3, y3
+
+
 def curve_add(point1, point2, a, tol: float = FLOAT_TOL):
     """Chord addition: the third intersection of the line through two points
     of X^3 + Y^3 = A, in the coordinates that make it the curve's group law.
@@ -385,9 +423,10 @@ def curve_add(point1, point2, a, tol: float = FLOAT_TOL):
         entries = [_lift_param(v) for v in entries]
         a = _lift_param(a)
         floating = any(isinstance(v, complex) for v in entries + [a])
-        if floating:
-            entries = [complex(v) for v in entries]
-            a = complex(a)
+        if not floating:
+            return _exact_chord(*entries, a)
+        entries = [complex(v) for v in entries]
+        a = complex(a)
         x1, y1, x2, y2 = entries
 
     _on_curve_check(x1, y1, a, floating, tol)
@@ -407,19 +446,19 @@ def curve_add(point1, point2, a, tol: float = FLOAT_TOL):
     if forms:
         x3 = RationalFunction(num_x, den)
         y3 = RationalFunction(num_y, den)
-        _check_identity(x3 ** 3 + y3 ** 3 - RationalFunction(a), (), "chord")
+        # x3^3 + y3^3 = a cleared of denominators; it holds exactly when the
+        # terms of each degree cancel, so forms of two degrees are never added
+        cx, cy, parts = x3.den ** 3, y3.den ** 3, {}
+        for t in (x3.num ** 3 * cy, y3.num ** 3 * cx, -(a * cx * cy)):
+            parts[t.degree] = parts[t.degree] + t if t.degree in parts else t
+        for part in parts.values():
+            _check_identity(part, (), "chord")
         if x3.den.degree == 0:
             x3 = x3.to_form()
         if y3.den.degree == 0:
             y3 = y3.to_form()
         return x3, y3
-    if floating:
-        x3 = num_x / den
-        y3 = num_y / den
-        _on_curve_check(x3, y3, a, True, tol)
-        return x3, y3
-    inv = EXACT.inv(den)
-    x3 = num_x * inv
-    y3 = num_y * inv
-    _on_curve_check(x3, y3, a, False, tol)
+    x3 = num_x / den
+    y3 = num_y / den
+    _on_curve_check(x3, y3, a, True, tol)
     return x3, y3

@@ -1,6 +1,7 @@
 """Cube-sum curve parameterization and chord addition."""
 import dataclasses
 import random
+import types
 from fractions import Fraction
 
 import pytest
@@ -177,8 +178,29 @@ def test_third_representation_check_raises_on_a_wrong_quadruple(monkeypatch):
 
 
 def test_chord_identity_check_raises_when_the_zero_test_fails(monkeypatch):
+    # the cross-multiplied check x3.num^3 y3.den^3 + y3.num^3 x3.den^3 = a x3.den^3 y3.den^3
+    # sees a chord point doubled, so its residual is 7a x3.den^3 y3.den^3, not zero
     f1, f2, f3, f4, _, _ = f_forms(Q(2))
-    monkeypatch.setattr(RationalFunction, "is_zero", lambda self: False)
+
+    class Doubled(RationalFunction):
+        def __init__(self, num, den=None):
+            super().__init__(num.scale(2), den)
+
+    monkeypatch.setattr(ecurve, "RationalFunction", Doubled)
+    with pytest.raises(ArithmeticError, match="chord identity"):
+        curve_add((f1, f2), (f3, f4), p1_sextic(Q(2)))
+
+
+def test_chord_identity_check_raises_on_terms_of_different_degrees(monkeypatch):
+    # a chord point of the wrong degree fails the identity; forms of
+    # different degrees are never added, so no degree-mismatch ValueError
+    f1, f2, f3, f4, _, _ = f_forms(Q(2))
+
+    class Squared(RationalFunction):
+        def __init__(self, num, den=None):
+            super().__init__(num * num, den)
+
+    monkeypatch.setattr(ecurve, "RationalFunction", Squared)
     with pytest.raises(ArithmeticError, match="chord identity"):
         curve_add((f1, f2), (f3, f4), p1_sextic(Q(2)))
 
@@ -243,6 +265,99 @@ def test_chord_form_result_reduces_through_rational_functions():
     assert (y3 - y_sq).is_zero()
 
 
+# The exact-scalar chord as it was computed before projective coordinates:
+# field arithmetic with every intermediate value reduced.  The oracle tests
+# below require curve_add to agree with it, value, type and exception alike.
+
+def _reference_chord(point1, point2, a):
+    x1, y1, x2, y2, a = [Q(v) if isinstance(v, int) else v for v in (*point1, *point2, a)]
+    for x, y in ((x1, y1), (x2, y2)):
+        if x ** 3 + y ** 3 - a:
+            raise ValueError("point is not on the curve")
+    den = (x1 * x1 * x2 + y1 * y1 * y2) - (x1 * x2 * x2 + y1 * y2 * y2)
+    if not den:
+        raise ValueError("chord degenerates (coincident or opposite points)")
+    num_x = a * (x1 - x2) + y1 * y2 * (x2 * y1 - x1 * y2)
+    num_y = a * (y1 - y2) + x1 * x2 * (x1 * y2 - x2 * y1)
+    inv = den.inverse() if isinstance(den, CycNum) else 1 / den
+    x3, y3 = num_x * inv, num_y * inv
+    if x3 ** 3 + y3 ** 3 - a:
+        raise ValueError("point is not on the curve")
+    return x3, y3
+
+
+def _typed(point):
+    return [(type(v), v) for v in point]
+
+
+TAXICAB_POINTS = ((1, 12), (12, 1), (9, 10), (10, 9))
+CHAIN_PAIRS = [
+    (s, p) for s in TAXICAB_POINTS for p in TAXICAB_POINTS
+    if s != p and s != (p[1], p[0])  # the chord through P and -P is degenerate
+]
+
+
+@pytest.mark.parametrize("start, base", CHAIN_PAIRS, ids=str)
+def test_chord_chain_matches_the_reference_formula(start, base):
+    # the chains S <- swap(S + P) of the benchmark's chord workload
+    point, base = tuple(map(Q, start)), tuple(map(Q, base))
+    for _ in range(48):
+        got = curve_add(point, base, Q(1729))
+        assert _typed(got) == _typed(_reference_chord(point, base, Q(1729)))
+        point = (got[1], got[0])
+    assert len(str(point[0].numerator)) > 2000
+
+
+def test_chord_matches_the_reference_on_mixed_exact_scalars():
+    s = CycNum.one() + CycNum.zeta()  # (s x, s y) lies on X^3 + Y^3 = s^3 A
+    cases = [
+        ((1, Q(12)), (OMEGA * 9, Q(10)), 1729),
+        ((Q(1), 12), (CycNum.from_rational(9), 10), CycNum.from_rational(1729)),
+        ((OMEGA, OMEGA * 12), (Q(9), Q(10)), Q(1729)),
+        ((s, s * 12), (s * 9, s * 10), s ** 3 * 1729),
+        ((Q(1, 2), Q(6)), (Q(9, 2), CycNum.from_rational(5)), Q(1729, 8)),
+    ]
+    for point1, point2, a in cases:
+        assert _typed(curve_add(point1, point2, a)) == _typed(_reference_chord(point1, point2, a))
+
+
+def test_chord_with_a_rational_right_side_and_unequal_denominators():
+    point1, point2, a = (Q(1, 2), Q(6)), (Q(9, 2), Q(5)), Q(1729, 8)
+    got = curve_add(point1, point2, a)
+    assert got == (Q(-37, 6), Q(23, 3))
+    assert got == _reference_chord(point1, point2, a)
+
+
+@pytest.mark.parametrize("point1, point2, a", [
+    ((Q(1), Q(0)), (Q(1), Q(0)), Q(1)),                 # coincident
+    ((Q(1), Q(2)), (Q(2), Q(1)), Q(9)),                 # opposite
+    ((Q(1, 2), Q(6)), (Q(6), Q(1, 2)), Q(1729, 8)),     # opposite, rational A
+    ((OMEGA, Q(2)), (Q(2), OMEGA), Q(9)),               # opposite, cyclotomic
+    ((Q(1), Q(1)), (Q(9), Q(10)), Q(1729)),             # first point off the curve
+    ((Q(1, 2), Q(6)), (Q(9), Q(5)), Q(1729, 8)),        # second point off the curve
+    ((Q(1), Q(12)), (Q(9), Q(10)), Q(1729, 8)),         # both off a rational A
+])
+def test_chord_failures_match_the_reference(point1, point2, a):
+    with pytest.raises(ValueError) as want:
+        _reference_chord(point1, point2, a)
+    with pytest.raises(ValueError) as got:
+        curve_add(point1, point2, a)
+    assert str(got.value) == str(want.value)
+
+
+def test_chord_checks_its_reduced_output(monkeypatch):
+    # a wrong final division leaves the output off the curve
+    monkeypatch.setattr(ecurve, "EXACT", types.SimpleNamespace(inv=lambda v: Q(2) / v))
+    with pytest.raises(ValueError, match="not on the curve"):
+        curve_add((Q(1), Q(12)), (Q(9), Q(10)), Q(1729))
+
+
+def test_projective_point_uses_the_lcm_of_the_denominators():
+    assert ecurve._projective(Q(-37, 6), Q(23, 4)) == (-74, 69, 12)
+    assert ecurve._projective(Q(3), Q(5, 7)) == (21, 5, 7)
+    assert ecurve._projective(OMEGA, Q(1, 2)) == (OMEGA, Q(1, 2), 1)
+
+
 def test_chord_rejects_mixed_form_and_scalar():
     x_sq = BinaryForm.exact(2, [Q(1), 0, 0])
     with pytest.raises(TypeError):
@@ -272,6 +387,17 @@ def test_rational_function_arithmetic_and_equality():
     assert (total - total).is_zero()
     assert (1 / r).equals(s)
     assert (r ** -2).equals(s * s)
+
+
+def test_rational_function_with_a_monic_cyclotomic_denominator_inverts_nothing(monkeypatch):
+    inverse, calls = CycNum.inverse, []
+    monkeypatch.setattr(CycNum, "inverse", lambda self: calls.append(self) or inverse(self))
+    num = BinaryForm.exact(2, [OMEGA, CycNum.from_rational(3), CycNum.zeta()])
+    rf = RationalFunction(num, BinaryForm.exact(0, [CycNum.one()]))
+    assert calls == []
+    assert rf.num == num and rf.to_form() == num
+    RationalFunction(num, BinaryForm.exact(0, [OMEGA]))
+    assert len(calls) == 1
 
 
 def test_rational_function_rejects_zero_denominator():

@@ -1,0 +1,34 @@
+"""The benchmark's tracer wraps package functions by name (`SPANNED` and
+`COUNTED` in perfbench/tracer.py).  A rename or deletion of one of them
+fails here, not in a traced benchmark run."""
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+def _tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _hooks():
+    tracer = _tracer()
+    return [
+        pytest.param(name, owner, attr, id=f"{owner.__name__}.{attr}")
+        for name, owner, attr in tracer.SPANNED + tracer.COUNTED
+    ]
+
+
+def test_the_tracer_tables_are_found():
+    tracer = _tracer()
+    assert tracer.SPANNED and tracer.COUNTED
+
+
+@pytest.mark.parametrize("name, owner, attr", _hooks())
+def test_every_traced_attribute_exists(name, owner, attr):
+    assert callable(getattr(owner, attr, None)), f"{name}: {owner.__name__}.{attr} is missing"
