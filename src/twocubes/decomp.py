@@ -14,6 +14,7 @@ roots of unity multiplying the summands.
 from __future__ import annotations
 
 import dataclasses
+import functools
 
 from .exact import OMEGA, SQRTM3, scalar_key
 from .forms import FLOAT, FLOAT_TOL, UNDERFLOW_FLOOR, BinaryForm, det3, form_to_json, norm2, relative_residual
@@ -131,14 +132,10 @@ class CubicSplit:
     reason: str = ""
 
 
-def _float_key(coeffs):
-    return tuple([(round(c.real, 12), round(c.imag, 12)) for c in coeffs])
-
-
 def _coeff_key(f: BinaryForm):
     if f.kernel.exact:
         return tuple([scalar_key(c) for c in f.coeffs])
-    return _float_key([complex(c) for c in f.coeffs])
+    return tuple([(round(c.real, 12), round(c.imag, 12)) for c in map(complex, f.coeffs)])
 
 
 def _fresh_pairings(pair_keys):
@@ -151,6 +148,14 @@ def _fresh_pairings(pair_keys):
         if key not in seen:
             seen.add(key)
             yield k, pairing
+
+
+@functools.lru_cache(maxsize=None)
+def _pattern_pairings(multiplicities: tuple) -> tuple:
+    """The fresh pairings of six slots whose roots repeat with these
+    multiplicities: two pairs are one quadratic when they pair the same roots."""
+    ids = [root for root, m in enumerate(multiplicities) for _ in range(m)]
+    return tuple(_fresh_pairings([(ids[i], ids[j]) for i, j in _PAIRS]))
 
 
 def pair_partitions(factors) -> list:
@@ -384,8 +389,8 @@ def rep_count(p: BinaryForm) -> DecompositionReport:
     dets = _grouping_determinants(hrows, norms)
     H = _H_product(dets)
     # the coefficients of the products of the linear factors (t, -s), summed
-    # in BinaryForm.__mul__'s order: keys, cross products and fits see the
-    # bits of the product forms.  Each H row is the same quadratic with its
+    # in BinaryForm.__mul__'s order: cross products and fits see the bits of
+    # the product forms.  Each H row is the same quadratic with its
     # middle coefficient negated, so its |det| and norms are the same bits.
     lin = [(complex(r.t), complex(-r.s)) for r in slots]
     prows = [(0j + a0 * b0, (0j + a0 * b1) + a1 * b0, 0j + a1 * b1)
@@ -395,7 +400,7 @@ def rep_count(p: BinaryForm) -> DecompositionReport:
 
     kept = []  # (Representation, projector, cube pair)
     dependent_triples = 0
-    for k, (i, j, m) in _fresh_pairings([_float_key(row) for row in prows]):
+    for k, (i, j, m) in _pattern_pairings(tuple([r.multiplicity for r in roots])):
         q1, q2, q3 = prows[i], prows[j], prows[m]
         # slots are unit vectors, so no pair quadratic is the zero form
         if not (_distinct(q1, q2, mags[i] * mags[j]) and _distinct(q1, q3, mags[i] * mags[m])

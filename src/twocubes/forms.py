@@ -52,6 +52,9 @@ class ExactKernel:
     def coerce(value):
         return value
 
+    def __repr__(self) -> str:
+        return "EXACT"
+
     def magnitude(self, value) -> float:
         if isinstance(value, CycNum):
             return abs(value.to_complex())
@@ -96,6 +99,9 @@ class FloatKernel:
     def magnitude(self, value) -> float:
         return abs(value)
 
+    def __repr__(self) -> str:
+        return "FLOAT"
+
 
 EXACT = ExactKernel()
 FLOAT = FloatKernel()
@@ -126,6 +132,8 @@ class BinaryForm:
         return BinaryForm(degree, (kernel.zero,) * (degree + 1), kernel)
 
     def to_float(self) -> BinaryForm:
+        if not self.kernel.exact:
+            return self
         return BinaryForm(self.degree, tuple([FLOAT.coerce(c) for c in self.coeffs]), FLOAT)
 
     # -- predicates -------------------------------------------------------

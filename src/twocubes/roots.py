@@ -1,11 +1,13 @@
 """Projective factorization of binary forms over the complex floating kernel.
 
-A degree-d form splits into d projective linear factors (t_j x - s_j y); the
-root (s, t) = (1, 0) is the factor y coming from a deficient leading
-coefficient.  Finite roots come from a simultaneous-iteration solve of the
-dehomogenization p(x, 1) that stops at its rounding floor, followed by
-clustering into multiplicities; when the tightest clustering fails, the roots
-are polished on exact residuals before coarser clusterings and restarts.
+A degree-d form splits into d projective linear factors (t_j x - s_j y).
+Roots at infinity (1, 0) and at zero (0, 1) come from exactly-zero end
+coefficients, and from the Newton-polygon edges past a gap of 1/eps between
+root moduli, on the side of the smaller coefficients.  The others come from
+an Aberth solve of p(x, 1), started on the circles of its Newton polygon
+(MPSolve's rule), that stops at its rounding floor, then clustering into
+multiplicities; when the tightest clustering fails, the roots are polished on
+exact residuals before coarser clusterings and restarts.
 """
 from __future__ import annotations
 
@@ -26,6 +28,12 @@ GAP_GUARD = 1e-30           # stands in for a zero gap or denominator in the Abe
 # rounding bound of a Horner evaluation, means more float sweeps cannot help
 PSEUDOZERO_REL = 4 * sys.float_info.epsilon
 POLISH_SWEEPS = 16          # cap on the exact-residual Aberth sweeps
+MAX_SWEEPS = 260            # cap on the float Aberth sweeps
+START_TURN = 0.35           # first start angle, in steps of 2*pi / (starts on its circle)
+ATTEMPT_TURN = 0.17         # every retry turns the starts by this many steps more
+ATTEMPT_STRETCH = 0.05      # and stretches their radii by this share more
+LOG_RADIUS_CAP = 700.0      # |log| of a start radius, clamped inside the float range
+LOG_ROOT_GAP = -math.log(sys.float_info.epsilon)  # root moduli apart by 1/eps are 0 and infinity
 MAX_RESTARTS = 5
 # Threshold multipliers tried tightest-first: an m-fold root scatters the solver
 # output across a radius ~eps**(1/m), so coarser groupings must be available,
@@ -71,8 +79,25 @@ def _polyval(coeffs, z):
     return acc
 
 
+def _newton_polygon(coeffs) -> tuple[list[tuple[int, float]], list[float]]:
+    """Upper convex hull of (k, log|a_k|) over the nonzero a_k of x^k (`coeffs`
+    leading first), lowest k first, and the log radius (log|a_i| - log|a_j|) /
+    (j - i) of each edge from i to j: about the modulus of its j - i roots."""
+    hull = []
+    for k, c in enumerate(reversed(coeffs)):
+        if c == 0:
+            continue
+        h = math.log(abs(c))  # in log space, so that no radius overflows
+        while len(hull) > 1 and ((hull[-1][0] - hull[-2][0]) * (h - hull[-2][1])
+                                 >= (hull[-1][1] - hull[-2][1]) * (k - hull[-2][0])):
+            hull.pop()
+        hull.append((k, h))
+    return hull, [(a[1] - b[1]) / (b[0] - a[0]) for a, b in zip(hull, hull[1:])]
+
+
 def _aberth_roots(coeffs, attempt: int) -> list[complex]:
-    """All roots of a dense complex polynomial (leading coefficient first).
+    """All roots of a dense complex polynomial with nonzero end coefficients
+    (leading coefficient first), started from its Newton polygon.
 
     The iteration ends on a small step, or after the first sweep in which
     every iterate is a pseudozero (|p(z)| within Horner's rounding bound) when
@@ -82,23 +107,26 @@ def _aberth_roots(coeffs, attempt: int) -> list[complex]:
     n = len(coeffs) - 1
     if n == 0:
         return []
-    c0 = coeffs[0]
-    radius = 1.0 + max(abs(c / c0) for c in coeffs[1:])
-    # deterministic starts, rotated a little more on every retry
-    offset = 0.35 + 0.17 * attempt
-    zs = [
-        0.5 * radius * cmath.exp(2j * math.pi * (k + offset) / n) * (1 + 0.05 * attempt)
-        for k in range(n)
-    ]
-    deriv = _derivative(coeffs, 1)
+    # j - i starts per hull edge from k = i to k = j, on the circle of its
+    # radius, each edge's angles turned by its share of the degree
+    hull, radii = _newton_polygon(coeffs)
+    turn, stretch = START_TURN + ATTEMPT_TURN * attempt, 1.0 + ATTEMPT_STRETCH * attempt
+    zs = [cmath.rect(stretch * math.exp(min(max(r, -LOG_RADIUS_CAP), LOG_RADIUS_CAP)),
+                     2.0 * math.pi * ((k + turn) / (j - i) + i / n))
+          for (i, _), (j, _), r in zip(hull, hull[1:], radii) for k in range(j - i)]
+    lead, tail = coeffs[0], coeffs[1:]
     moduli = [abs(c) for c in coeffs]
     floor_rel = PSEUDOZERO_REL * n
-    for _ in range(260):
+    for _ in range(MAX_SWEEPS):
         moved = 0.0
         at_floor = True
         for i in range(n):
             z = zs[i]
-            p = _polyval(coeffs, z)
+            # p(z) and p'(z) in one Horner pass
+            p, dp = lead, 0j
+            for c in tail:
+                dp = dp * z + p
+                p = p * z + c
             if at_floor:
                 # Horner's rounding bound: the same pass on |a_k| at |z|
                 r = abs(z)
@@ -106,7 +134,6 @@ def _aberth_roots(coeffs, attempt: int) -> list[complex]:
                 for m in moduli:
                     bound = bound * r + m
                 at_floor = abs(p) <= floor_rel * bound
-            dp = _polyval(deriv, z)
             if dp == 0:
                 zs[i] += complex(STALL_NUDGE, STALL_NUDGE)
                 moved = math.inf
@@ -249,21 +276,21 @@ def linear_factors(p: BinaryForm) -> tuple[complex, list[ProjectiveRoot]]:
     Roots are ordered deterministically: infinity first, then by (Re, Im) of
     the affine value, so partition enumeration downstream is reproducible.
     """
-    if p.kernel.exact:
-        p = p.to_float()
+    p = p.to_float()
     if p.is_zero():
         raise ValueError("cannot factor the zero form")
     coeffs = [complex(c) for c in p.coeffs]
-    scale_mag = max(abs(c) for c in coeffs)
-    inf_mult = 0
-    # the kernel's coefficient cut without its UNDERFLOW_FLOOR: p is nonzero
-    while inf_mult < p.degree and abs(coeffs[inf_mult]) <= NEGLIGIBLE_REL * scale_mag:
-        inf_mult += 1
-    body = coeffs[inf_mult:]
-    zero_mult = 0
-    while len(body) > 1 and abs(body[-1]) <= NEGLIGIBLE_REL * scale_mag:
-        body.pop()
-        zero_mult += 1
+    # roots at infinity and zero by the module's rule: a small end coefficient
+    # alone is a large or a small root, which the starts find
+    hull, radii = _newton_polygon(coeffs)
+    lo, hi = 0, len(hull) - 1
+    for v in range(1, len(hull) - 1):
+        if radii[v] - radii[v - 1] > LOG_ROOT_GAP:
+            split = p.degree - hull[v][0]
+            drop_top = max(map(abs, coeffs[:split])) < max(map(abs, coeffs[split + 1:]))
+            lo, hi = (lo, min(hi, v)) if drop_top else (v, hi)
+    inf_mult, zero_mult = p.degree - hull[hi][0], hull[lo][0]
+    body = coeffs[inf_mult:p.degree + 1 - zero_mult]
 
     finite: list[tuple[complex, int]] = [(0j, zero_mult)] if zero_mult else []
 

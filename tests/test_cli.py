@@ -79,6 +79,20 @@ def test_decompose_obstructed_sextic(capsys):
     assert payload["representations"] == []
 
 
+@pytest.mark.parametrize("coeffs, n", [
+    # A(-5) under x -> 100x: six roots of modulus ~0.01, coefficients 1 to 1e12
+    (["1000000000000", "0", "-500000000", "0", "-50000", "0", "1"], 6),
+    # x^6 - y^6 under x -> x/100: six roots of modulus 100
+    (["1e-12", "0", "0", "0", "0", "0", "-1"], None),
+], ids=["A(-5)@x100", "x6-y6@x/100"])
+def test_decompose_rescaled_sextic_keeps_simple_roots(capsys, coeffs, n):
+    code, payload = run_json(capsys, "decompose", *coeffs)
+    assert code == 0
+    assert payload["multiplicities"] == [1] * 6
+    if n is not None:
+        assert payload["N"] == n
+
+
 def test_decompose_wrong_coefficient_count_is_usage_error(capsys):
     code = main(["decompose", "1", "0", "3", "0", "3", "0"])
     capsys.readouterr()

@@ -501,6 +501,26 @@ def test_rep_count_matches_staged_pipeline_bit_for_bit():
     assert {0, 1, 2, 3, 4, 6} <= counts
 
 
+def _compositions(n):
+    if n == 0:
+        yield ()
+    for first in range(1, n + 1):
+        for rest in _compositions(n - first):
+            yield (first,) + rest
+
+
+def test_pattern_pairings_are_the_pair_partitions_of_every_multiplicity_pattern():
+    # rep_count keys pairs by root index, pair_partitions by coefficients:
+    # on distinct roots, every multiplicity pattern gives the same groupings
+    patterns = list(_compositions(6))
+    assert len(patterns) == 32
+    for pattern in patterns:
+        factors = [ex_lin(1, -(root + 1)) for root, m in enumerate(pattern) for _ in range(m)]
+        products = [factors[i] * factors[j] for i, j in decomp._PAIRS]
+        got = [tuple([products[pair] for pair in ids]) for _, ids in decomp._pattern_pairings(pattern)]
+        assert got == pair_partitions(factors), pattern
+
+
 @pytest.fixture
 def form_op_counts(monkeypatch):
     counts = dict.fromkeys(("__mul__", "__pow__", "proportional_to"), 0)

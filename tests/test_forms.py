@@ -64,6 +64,14 @@ def test_kernel_scalar_protocol():
         LinearChange(1.0, 0.0, 0.0, 1e-20, FLOAT).check_invertible()
 
 
+def test_float_form_is_its_own_float_form_and_reprs_name_the_kernel():
+    f = BinaryForm.floating(2, [1, 2j, 3])
+    assert f.to_float() is f
+    assert "0x" not in repr(f) and repr(f).endswith("kernel=FLOAT)")
+    g = BinaryForm.exact(1, [1, F(1, 2)])
+    assert repr(g).endswith("kernel=EXACT)") and g.to_float() == BinaryForm.floating(1, [1, 0.5])
+
+
 def test_add_degree_mismatch():
     with pytest.raises(ValueError):
         ex(1, 0) + ex(1, 0, 0)

@@ -204,3 +204,85 @@ def test_clustered_simple_roots_factor_in_one_solve(monkeypatch):
         assert [r.multiplicity for r in roots] == [1] * 6
         assert roots_module._reconstruction(p, roots)[1] <= RECONSTRUCT_TOL
         assert solves == [0]
+
+
+def _spy(monkeypatch, name, calls):
+    real = getattr(roots_module, name)
+
+    def spy(*args):
+        calls.append(name)
+        return real(*args)
+
+    monkeypatch.setattr(roots_module, name, spy)
+
+
+def test_wide_root_moduli_factor_in_one_solve(monkeypatch):
+    # root moduli from 1e-4 to 1e4: each Newton-polygon edge starts its roots
+    # on their own circle, so one float solve of a few sweeps factors the
+    # sextic with neither an exact polish nor a restart (starts on one circle
+    # for all six moduli take ~40 sweeps)
+    zs = [10.0 ** (-4 + 8 * k / 5) * cmath.exp(1j * (0.3 + k)) for k in range(6)]
+    p = fl(1)
+    for z in zs:
+        p = p * fl(1, -z)
+    calls, steps = [], []
+    _spy(monkeypatch, "_aberth_roots", calls)
+    _spy(monkeypatch, "_exact_polish", calls)
+    _spy(monkeypatch, "_aberth_step", steps)
+    _, roots = linear_factors(p)
+    assert [r.multiplicity for r in roots] == [1] * 6
+    assert calls == ["_aberth_roots"]
+    assert len(steps) <= 8 * 6
+    for z in zs:
+        assert min(abs(r.affine() - z) for r in roots) <= 1e-9 * abs(z)
+
+
+@pytest.mark.parametrize("coeffs", [
+    (1e-300, 0, 0, 0, 0, 0, 1e300),                          # six roots of modulus 1e100
+    (1e-150, 0, 0, 1, 0, 0, -1e150),                          # two circles near 1e50
+    (1e-300, 1e-200, 1e-100, 1, 1e100, 1e200, 1e300),         # 1e100 * roots of unity
+    (1e-300, 1, 0, 0, 0, 0, 1e300),                           # one root past the float range
+], ids=["monomials", "two-circles", "graded", "past-range"])
+def test_coefficients_spanning_the_float_range_factor(coeffs):
+    p = fl(*coeffs)
+    _, roots = linear_factors(p)
+    assert sum(r.multiplicity for r in roots) == 6
+    assert roots_module._reconstruction(p, roots)[1] <= RECONSTRUCT_TOL
+
+
+def test_random_coefficient_exponents_factor():
+    # coefficients 1e+-100 spread the roots past what one Horner pass can
+    # evaluate in floats; the hull edges past a 1/eps gap in root modulus go
+    # to zero or infinity instead
+    rng = random.Random(17)
+    for _ in range(200):
+        p = fl(*[rng.choice((-1, 1)) * rng.uniform(1, 10) * 10.0 ** rng.randint(-100, 100)
+                 for _ in range(7)])
+        _, roots = linear_factors(p)
+        assert roots_module._reconstruction(p, roots)[1] <= RECONSTRUCT_TOL
+
+
+def _simple_root_sextics(seed: int, count: int):
+    """Seeded sextics with six simple roots, `count` of each kind: A(t) and
+    B(t) at generic real t, sums of cubes of two Gaussian quadratics, and
+    Gaussian sextics."""
+    rng = random.Random(seed)
+    gauss = lambda: complex(rng.gauss(0, 1), rng.gauss(0, 1))  # noqa: E731
+    out = []
+    for _ in range(count):
+        t = rng.choice((-4.0, 4.5, 9.0)) + rng.uniform(-0.5, 0.5)  # away from A's and B's special t
+        out.append(fl(1, 0, t, 0, t, 0, 1))
+        out.append(fl(1, 0, 0, t, 0, 0, 1))
+        out.append(fl(*[gauss() for _ in range(3)]) ** 3 + fl(*[gauss() for _ in range(3)]) ** 3)
+        out.append(fl(*[gauss() for _ in range(7)]))
+    return out
+
+
+@pytest.mark.parametrize("e", [-3, -2, -1, 1, 2, 3])
+def test_simple_roots_survive_rescaling(e):
+    # x -> 10^e x multiplies the coefficient of x^(6-k) y^k by 10^(e (6-k));
+    # the roots scale by 10^-e and must stay simple
+    for p in _simple_root_sextics(23, 8):
+        moved = BinaryForm.floating(6, [c * 10.0 ** (e * (6 - k)) for k, c in enumerate(p.coeffs)])
+        assert [r.multiplicity for r in linear_factors(p)[1]] == [1] * 6
+        assert [r.multiplicity for r in linear_factors(moved)[1]] == [1] * 6
