@@ -9,7 +9,9 @@ failure, 3 verification suite failure.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
+import math
 import multiprocessing
 import re
 import sys
@@ -62,9 +64,12 @@ def parse_scalar(text: str):
         if len(parts) != 2:
             raise UsageError(f"complex literal needs exactly one comma: {text!r}")
         try:
-            return complex(float(parts[0]), float(parts[1]))
+            value = complex(float(parts[0]), float(parts[1]))
         except ValueError:
             raise UsageError(f"cannot parse complex pair {text!r}")
+        if not cmath.isfinite(value):
+            raise UsageError(f"complex pair must be finite: {text!r}")
+        return value
     try:
         return Fraction(token)
     except (ValueError, ZeroDivisionError):
@@ -156,6 +161,8 @@ def cmd_census(ns) -> int:
         if count < 2:
             raise UsageError("grid needs at least two points")
         step = (stop - start) / (count - 1)
+        if not (math.isfinite(start) and math.isfinite(stop) and math.isfinite(step)):
+            raise UsageError("grid bounds and step must be finite")
         t_values.extend(complex(start + k * step, 0.0) for k in range(count))
     if not t_values:
         raise UsageError("census needs parameter values or --grid")
@@ -301,7 +308,10 @@ def cmd_eb(ns) -> int:
 def cmd_curve_add(ns) -> int:
     values = parse_scalars(ns.values)
     x1, y1, x2, y2, a = values
-    x3, y3 = curve_add((x1, y1), (x2, y2), a, tol=FLOAT_TOL if ns.tol is None else ns.tol)
+    tol = FLOAT_TOL if ns.tol is None else ns.tol
+    if not 0.0 <= tol < math.inf:
+        raise UsageError("--tol must be finite and >= 0")
+    x3, y3 = curve_add((x1, y1), (x2, y2), a, tol=tol)
     payload = {"x3": scalar_json(x3), "y3": scalar_json(y3)}
 
     def text():

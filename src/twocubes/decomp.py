@@ -7,9 +7,11 @@ such grouping yields one representation via
 
     3*sqrt(-3)*a*b * g1*g2*g3 = (w*a*g1 - b*g2)^3 + (-a*g1 + w*b*g2)^3,
 
-w a primitive cube root of unity.  Counting runs over the 15 groupings and
-identifies representations that differ only by summand order or by cube
-roots of unity multiplying the summands.
+w a primitive cube root of unity.  Conversely, the factors f1 + w^k*f2 of a
+representation are a dependent grouping, which fixes f1, f2 up to summand
+order and cube roots of unity; a quadratic is fixed up to a scalar by its
+two roots.  So representations and dependent groupings of the six roots
+correspond one to one, and counting emits one representation per grouping.
 """
 from __future__ import annotations
 
@@ -18,16 +20,12 @@ import functools
 
 from .exact import OMEGA, SQRTM3, scalar_key
 from .forms import FLOAT, FLOAT_TOL, UNDERFLOW_FLOOR, BinaryForm, det3, form_to_json, norm2, relative_residual
-from .roots import ProjectiveRoot, expanded_root_slots, linear_factors
+from .roots import expanded_root_slots, linear_factors
 
 DISTINCT_REL = 1e-5        # quadratics closer than this count as proportional
 DEP_DET_REL = 1e-7         # |det| below this (times row-norm product) = dependent
 COEFF_SOLVE_REL = 1e-6     # accepted relative residual of the dependence solve
 MIN_COEFF_ABS = 1e-9       # dependence coefficients below this count as zero
-SUBSPACE_MATCH_TOL = 1e-5  # projector distance under which spans are identified
-PIVOT_REL = 1e-9           # echelon pivots below this share of the largest entry count as zero
-SUBSPACE_ROW_TOL = 1e-6    # entrywise distance under which two echelon bases are one span
-CUBE_PAIR_REL = 1e-6       # relative distance under which two summand cubes are one
 
 _OMEGA_F = complex(OMEGA.to_complex())
 _SQRTM3_F = complex(SQRTM3.to_complex())
@@ -66,47 +64,6 @@ class Representation:
 
 
 @dataclasses.dataclass(frozen=True)
-class Subspace:
-    """Reduced-row-echelon basis (2 x 3, unit pivots) of the span of two
-    quadratic coefficient vectors."""
-
-    rows: tuple
-
-    @staticmethod
-    def from_forms(f1: BinaryForm, f2: BinaryForm) -> "Subspace":
-        rows = [
-            [complex(c) for c in f1.to_float().coeffs],
-            [complex(c) for c in f2.to_float().coeffs],
-        ]
-        scale = max(abs(c) for row in rows for c in row) or 1.0
-        rank = 0
-        for col in range(3):
-            pivot = max(range(rank, 2), key=lambda r: abs(rows[r][col]), default=None)
-            if pivot is None or abs(rows[pivot][col]) <= PIVOT_REL * scale:
-                continue
-            rows[rank], rows[pivot] = rows[pivot], rows[rank]
-            lead = rows[rank][col]
-            rows[rank] = [c / lead for c in rows[rank]]
-            for r in range(2):
-                if r != rank:
-                    factor = rows[r][col]
-                    rows[r] = [c - factor * d for c, d in zip(rows[r], rows[rank])]
-            rank += 1
-            if rank == 2:
-                break
-        if rank < 2:
-            raise ValueError("coefficient vectors do not span a plane")
-        return Subspace(tuple([tuple(row) for row in rows]))
-
-    def matches(self, other: "Subspace") -> bool:
-        return all(
-            abs(a - b) <= SUBSPACE_ROW_TOL
-            for ra, rb in zip(self.rows, other.rows)
-            for a, b in zip(ra, rb)
-        )
-
-
-@dataclasses.dataclass(frozen=True)
 class Dependence:
     dependent: bool
     alpha: object = None
@@ -117,7 +74,6 @@ class Dependence:
 class DecompositionReport:
     N: int
     reps: tuple
-    subspaces: tuple
     roots: tuple
     multiplicities: tuple
     H: complex
@@ -318,43 +274,6 @@ def H_eval(roots) -> complex:
     return _H_product(_grouping_determinants(rows, [norm2(row) for row in rows]))
 
 
-def _orthonormal_projector(f1: BinaryForm, f2: BinaryForm):
-    """3x3 orthogonal projector onto the span of the two coefficient vectors;
-    a basis-free fingerprint of the subspace."""
-    v1 = [complex(c) for c in f1.coeffs]
-    n1 = norm2(v1)
-    v1 = [c / n1 for c in v1]
-    v2 = [complex(c) for c in f2.coeffs]
-    dot = sum(a * b.conjugate() for a, b in zip(v2, v1))
-    v2 = [a - dot * b for a, b in zip(v2, v1)]
-    n2 = norm2(v2)
-    v2 = [c / n2 for c in v2]
-    return tuple([
-        v1[i] * v1[j].conjugate() + v2[i] * v2[j].conjugate()
-        for i in range(3)
-        for j in range(3)
-    ])
-
-
-def _projector_distance(p, q) -> float:
-    return norm2([a - b for a, b in zip(p, q)])
-
-
-def _forms_close(a: BinaryForm, b: BinaryForm) -> bool:
-    na = norm2(a.coeffs)
-    nb = norm2(b.coeffs)
-    diff = norm2([x - y for x, y in zip(a.coeffs, b.coeffs)])
-    return diff <= CUBE_PAIR_REL * max(na, nb, UNDERFLOW_FLOOR)
-
-
-def _cube_pairs_match(pair_a, pair_b) -> bool:
-    a1, a2 = pair_a
-    b1, b2 = pair_b
-    return (_forms_close(a1, b1) and _forms_close(a2, b2)) or (
-        _forms_close(a1, b2) and _forms_close(a2, b1)
-    )
-
-
 def _distinct(a, b, mag_prod) -> bool:
     """Two nonzero quadratic rows are not proportional to DISTINCT_REL, as
     BinaryForm.proportional_to decides it; mag_prod is the product of their
@@ -367,9 +286,10 @@ def _distinct(a, b, mag_prod) -> bool:
 
 def rep_count(p: BinaryForm) -> DecompositionReport:
     """Count and construct all essentially distinct two-cube representations
-    of a sextic.  Repeated factors need no special casing: groupings that
-    repeat a quadratic or merge proportional ones are filtered, and the rest
-    run through the same dependence test.
+    of a sextic: one per grouping of its roots that repeated roots do not
+    make equal, whose quadratics are pairwise distinct and dependent with
+    both coefficients nonzero, and whose construction has a residual within
+    FLOAT_TOL.  Distinct groupings give distinct representations.
 
     One pass over the pairings on complex coefficient rows: per call, each
     of the 15 pair quadratics is formed once, and forms are built only for
@@ -398,7 +318,7 @@ def rep_count(p: BinaryForm) -> DecompositionReport:
     mags = [max([abs(c) for c in row]) for row in prows]
     cube_root = complex(scale) ** (1.0 / 3.0)
 
-    kept = []  # (Representation, projector, cube pair)
+    reps = []
     dependent_triples = 0
     for k, (i, j, m) in _pattern_pairings(tuple([r.multiplicity for r in roots])):
         q1, q2, q3 = prows[i], prows[j], prows[m]
@@ -419,32 +339,13 @@ def rep_count(p: BinaryForm) -> DecompositionReport:
         c1, c2 = _float_cube_pair(q1, q2, alpha, beta, 1.0)
         f1 = BinaryForm(2, tuple([cube_root * c for c in c1]), FLOAT)
         f2 = BinaryForm(2, tuple([cube_root * c for c in c2]), FLOAT)
-        cubes = (f1 ** 3, f2 ** 3)
-        residual = relative_residual(cubes[0] + cubes[1], pf)
-        if residual > FLOAT_TOL:
-            continue
-        rep = Representation(f1, f2, 1.0, residual)
-        projector = _orthonormal_projector(f1, f2)
-        duplicate = any(
-            _projector_distance(projector, proj) <= SUBSPACE_MATCH_TOL
-            and _cube_pairs_match(cubes, seen_cubes)
-            for _, proj, seen_cubes in kept
-        )
-        if not duplicate:
-            kept.append((rep, projector, cubes))
+        residual = relative_residual(f1 ** 3 + f2 ** 3, pf)
+        if residual <= FLOAT_TOL:
+            reps.append(Representation(f1, f2, 1.0, residual))
 
-    reps = tuple([rep for rep, _, _ in kept])
-    subspaces = []
-    for rep, proj, _ in kept:
-        if not any(
-            _projector_distance(proj, prev_proj) <= SUBSPACE_MATCH_TOL
-            for prev_proj, _ in subspaces
-        ):
-            subspaces.append((proj, Subspace.from_forms(rep.f1, rep.f2)))
     return DecompositionReport(
         N=len(reps),
-        reps=reps,
-        subspaces=tuple([sub for _, sub in subspaces]),
+        reps=tuple(reps),
         roots=tuple(roots),
         multiplicities=tuple(sorted((r.multiplicity for r in roots), reverse=True)),
         H=H,

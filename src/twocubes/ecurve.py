@@ -362,7 +362,7 @@ def _on_curve_check(x, y, a, floating: bool, tol: float):
     diff = lhs - a
     if floating:
         scale = max(abs(lhs), abs(a), 1.0)
-        if abs(diff) > tol * scale:
+        if not abs(diff) <= tol * scale:  # a NaN fails too
             raise ValueError("point is not on the curve")
     elif not _value_is_zero(diff):
         raise ValueError("point is not on the curve")

@@ -190,11 +190,6 @@ class CycNum:
     def is_rational(self) -> bool:
         return not any(self.num[1:])
 
-    def rational_value(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError("not a rational element")
-        return Fraction(self.num[0], self.den)
-
     # -- conversions ----------------------------------------------------
 
     def to_complex(self) -> complex:
@@ -320,12 +315,6 @@ def binary_power(base, n: int):
         if not n:
             return out
         base = base * base
-
-
-def is_zero_scalar(v) -> bool:
-    """Exact zero test across the scalar types this package mixes: every exact
-    scalar is false exactly when it is zero."""
-    return not v
 
 
 def sparse_product(a, b, zero) -> tuple:

@@ -48,6 +48,9 @@ def test_parse_scalar_rejects_garbage():
         parse_scalar("bad")
     with pytest.raises(UsageError):
         parse_scalar("1,2,3")
+    for text in ("nan,0", "0,inf", "-inf,1", "nan", "inf"):
+        with pytest.raises(UsageError):
+            parse_scalar(text)
 
 
 def test_scalar_json_rational_cyclotomic_collapses():
@@ -379,6 +382,27 @@ def test_tol_reaches_curve_add(capsys):
     assert code == 0 and again == payload
     code = main(["--tol", "1e-13", "curve-add", *point])
     assert code == 2 and "not on the curve" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["curve-add", "nan,0", "1,0", "1,0", "2,0", "9,0"],
+    ["--tol", "nan", "curve-add", "1,0", "1,0", "1,0", "2,0", "9,0"],
+    ["--tol", "inf", "curve-add", "1,0", "1,0", "1,0", "2,0", "9,0"],
+    ["--tol", "-1e-9", "curve-add", "1,0", "1,0", "1,0", "2,0", "9,0"],
+    ["decompose", "nan,0", "0", "0", "0", "0", "0", "1"],
+    ["decompose", "1e400,0", "0", "0", "0", "0", "0", "1"],
+    ["census", "A", "--grid", "nan:1:3"],
+    ["census", "A", "--grid", "-1e308:1e308:3"],
+], ids=["nan-point", "nan-tol", "inf-tol", "negative-tol", "nan-coeff", "overflowing-coeff", "nan-grid",
+        "overflowing-grid-step"])
+def test_non_finite_input_is_usage_error(capsys, argv):
+    # the off-curve point (1, 1) of x^3 + y^3 = 9 must not pass a NaN or
+    # infinite tolerance, and no NaN may reach a computation
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
 
 
 _DECOMPOSE = ["decompose", "1", "0", "-5", "0", "-5", "0", "1"]

@@ -10,8 +10,6 @@ from twocubes.decomp import (
     H_eval,
     MIN_COEFF_ABS,
     PAIRINGS,
-    SUBSPACE_MATCH_TOL,
-    Subspace,
     construct_from_triple,
     cubic_two_cubes,
     dependence_test,
@@ -20,7 +18,7 @@ from twocubes.decomp import (
     report_to_json,
 )
 from twocubes.exact import OMEGA, SQRTM3, ParamPoly, Rational
-from twocubes.forms import FLOAT, FLOAT_TOL, BinaryForm, LinearChange, form_compose, relative_residual
+from twocubes.forms import FLOAT, FLOAT_TOL, BinaryForm, LinearChange, form_compose, norm2, relative_residual
 from twocubes.roots import expanded_root_slots, linear_factors
 
 
@@ -248,7 +246,6 @@ def test_census_counts(name, p, expected):
     assert report.N <= report.dependent_triples <= 15
     for rep in report.reps:
         assert rep.residual <= 1e-9
-    assert len({id(s) for s in report.subspaces}) == len(report.subspaces)
 
 
 def test_census_b2_no_representation_despite_feasible_partition():
@@ -371,18 +368,6 @@ def test_cubed_line_coefficient_determinant_is_vandermonde_product():
         assert abs(det - product) <= 1e-8 * max(abs(det), abs(product))
 
 
-def test_subspace_canonical_and_matching():
-    f1 = BinaryForm.floating(2, [1, 2, 3])
-    f2 = BinaryForm.floating(2, [0, 1, -1])
-    s1 = Subspace.from_forms(f1, f2)
-    # a different basis of the same plane canonicalizes identically
-    s2 = Subspace.from_forms(f1 + f2.scale(3), f2.scale(-2j) + f1.scale(0.5))
-    assert s1.matches(s2)
-    assert abs(s1.rows[0][0] - 1) < 1e-12 and abs(s1.rows[0][1]) < 1e-12
-    with pytest.raises(ValueError):
-        Subspace.from_forms(f1, f1.scale(2))
-
-
 def test_report_json_schema():
     report = rep_count(A_form(-1))
     obj = report_to_json(report)
@@ -400,14 +385,14 @@ def test_report_json_schema():
 def _staged_rep_count(p):
     """rep_count rebuilt from its public stages, one BinaryForm per quadratic:
     pair_partitions -> proportional_to(rel_tol=DISTINCT_REL) ->
-    dependence_test -> construct_from_triple -> scale, residual, dedup."""
+    dependence_test -> construct_from_triple -> scale, residual."""
     pf = p.to_float()
     scale, roots = linear_factors(pf)
     slots = expanded_root_slots(roots)
     factors = [BinaryForm.floating(1, r.factor_coeffs()) for r in slots]
     H = H_eval(slots)
     cube_root = complex(scale) ** (1.0 / 3.0)
-    kept = []
+    reps = []
     dependent = 0
     for g1, g2, g3 in pair_partitions(factors):
         if (g1.proportional_to(g2, rel_tol=DISTINCT_REL) or g1.proportional_to(g3, rel_tol=DISTINCT_REL)
@@ -421,28 +406,17 @@ def _staged_rep_count(p):
             continue
         base = construct_from_triple(g1, g2, g3, dep.alpha, dep.beta)
         f1, f2 = base.f1.scale(cube_root), base.f2.scale(cube_root)
-        cubes = (f1 ** 3, f2 ** 3)
-        residual = relative_residual(cubes[0] + cubes[1], pf)
-        if residual > FLOAT_TOL:
-            continue
-        proj = decomp._orthonormal_projector(f1, f2)
-        if not any(decomp._projector_distance(proj, q) <= SUBSPACE_MATCH_TOL
-                   and decomp._cube_pairs_match(cubes, c) for _, _, _, q, c in kept):
-            kept.append((f1, f2, residual, proj, cubes))
-    subspaces = []
-    for f1, f2, _, proj, _ in kept:
-        if not any(decomp._projector_distance(proj, q) <= SUBSPACE_MATCH_TOL for q, _ in subspaces):
-            subspaces.append((proj, Subspace.from_forms(f1, f2)))
-    return _answer(len(kept), [(f1, f2, res) for f1, f2, res, _, _ in kept],
-                   [sub for _, sub in subspaces], H, dependent)
+        residual = relative_residual(f1 ** 3 + f2 ** 3, pf)
+        if residual <= FLOAT_TOL:
+            reps.append((f1, f2, residual))
+    return _answer(len(reps), reps, H, dependent)
 
 
-def _answer(n, reps, subspaces, H, dependent):
+def _answer(n, reps, H, dependent):
     # repr keeps the sign of zero parts, which == would not compare
     return (
         n,
         [(repr(f1.coeffs), repr(f2.coeffs), repr(res)) for f1, f2, res in reps],
-        [repr(s.rows) for s in subspaces],
         repr(H),
         dependent,
     )
@@ -450,7 +424,7 @@ def _answer(n, reps, subspaces, H, dependent):
 
 def _report_answer(report):
     return _answer(report.N, [(r.f1, r.f2, r.residual) for r in report.reps],
-                   report.subspaces, report.H, report.dependent_triples)
+                   report.H, report.dependent_triples)
 
 
 def _conditioned_change(rng, cond):
@@ -499,6 +473,36 @@ def test_rep_count_matches_staged_pipeline_bit_for_bit():
         counts.add(got[0])
     # the mix reaches every census count the families have, including N = 6
     assert {0, 1, 2, 3, 4, 6} <= counts
+
+
+def _relative_distance(a, b):
+    diff = norm2([x - y for x, y in zip(a.coeffs, b.coeffs)])
+    return diff / max(norm2(a.coeffs), norm2(b.coeffs))
+
+
+def _cube_pair_distance(rep_a, rep_b):
+    """How far apart two representations are up to summand order and cube
+    roots of unity: the unordered pairs {f1^3, f2^3}, which cubing makes
+    blind to the roots of unity, matched the nearer way."""
+    a1, a2 = rep_a.f1 ** 3, rep_a.f2 ** 3
+    b1, b2 = rep_b.f1 ** 3, rep_b.f2 ** 3
+    return min(max(_relative_distance(a1, b1), _relative_distance(a2, b2)),
+               max(_relative_distance(a1, b2), _relative_distance(a2, b1)))
+
+
+def test_each_grouping_gives_a_distinct_representation():
+    # rep_count emits one representation per grouping and merges none, so
+    # no two of them may be one representation up to order and omega
+    forms = [p for _, p, _ in CENSUS] + _oracle_mix()
+    total = 0
+    for p in forms:
+        report = rep_count(p)
+        assert report.N == len(report.reps)
+        for k, rep in enumerate(report.reps):
+            for other in report.reps[:k]:
+                assert _cube_pair_distance(rep, other) > 1e-6, p.coeffs
+        total += report.N
+    assert total > 0
 
 
 def _compositions(n):

@@ -352,6 +352,16 @@ def test_chord_checks_its_reduced_output(monkeypatch):
         curve_add((Q(1), Q(12)), (Q(9), Q(10)), Q(1729))
 
 
+@pytest.mark.parametrize("point1, a", [
+    ((complex("nan"), 0j), 9 + 0j),
+    ((1 + 0j, 1 + 0j), complex("nan")),
+], ids=["nan-point", "nan-A"])
+def test_floating_chord_rejects_a_nan_as_off_the_curve(point1, a):
+    # every comparison with a NaN is false, so only "not within tol" catches it
+    with pytest.raises(ValueError, match="not on the curve"):
+        curve_add(point1, (1 + 0j, 2 + 0j), a)
+
+
 def test_projective_point_uses_the_lcm_of_the_denominators():
     assert ecurve._projective(Q(-37, 6), Q(23, 4)) == (-74, 69, 12)
     assert ecurve._projective(Q(3), Q(5, 7)) == (21, 5, 7)

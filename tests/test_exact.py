@@ -20,7 +20,6 @@ from twocubes.exact import (
     ZETA24,
     CycNum,
     ParamPoly,
-    is_zero_scalar,
 )
 from twocubes.forms import BinaryForm
 
@@ -387,20 +386,20 @@ def test_exact_scalars_are_false_exactly_when_zero():
         ParamPoly("t", (0, 0, SQRT2)), ParamPoly("lam", (0, mu)), lam * mu - 1,
     ]
     for v in zeros:
-        assert not v and is_zero_scalar(v) and _isinstance_is_zero(v), v
+        assert not v and _isinstance_is_zero(v), v
     for v in nonzeros:
-        assert v and not is_zero_scalar(v) and not _isinstance_is_zero(v), v
+        assert v and not _isinstance_is_zero(v), v
     for v in zeros + nonzeros:
         if isinstance(v, (CycNum, ParamPoly)):
             assert v.is_zero() is (not v)
 
 
-def test_is_zero_scalar_agrees_with_isinstance_dispatch():
+def test_bool_agrees_with_isinstance_dispatch():
     rng = random.Random(20261018)
     for _ in range(400):
         u, v = _random_scalar(rng), _random_scalar(rng)
         for w in (u, u - u, u * v, u * v - v * u, u + v):
-            assert is_zero_scalar(w) == _isinstance_is_zero(w)
+            assert (not w) == _isinstance_is_zero(w)
 
 
 def test_zero_skipping_products_equal_the_dense_loop():
