@@ -136,6 +136,7 @@ def cmd_decompose(ns) -> int:
     return 0
 
 
+GRID_MAX_POINTS = 100_000  # the most points one --grid may ask for
 _CENSUS_GENERIC = {"A": 2, "B": 3}
 _CENSUS_BUILDERS = {"A": sextic_a, "B": sextic_b}
 
@@ -160,6 +161,8 @@ def cmd_census(ns) -> int:
             raise UsageError("grid must be start:stop:count with numeric bounds")
         if count < 2:
             raise UsageError("grid needs at least two points")
+        if count > GRID_MAX_POINTS:
+            raise UsageError(f"grid may have at most {GRID_MAX_POINTS} points")
         step = (stop - start) / (count - 1)
         if not (math.isfinite(start) and math.isfinite(stop) and math.isfinite(step)):
             raise UsageError("grid bounds and step must be finite")
@@ -196,7 +199,7 @@ def cmd_verify(ns) -> int:
     ids = None
     if ns.ids:
         ids = {token.strip() for token in ns.ids.split(",") if token.strip()}
-    entries = verify_identity_suite(ids, seed=ns.seed)
+    entries = verify_identity_suite(ids)
     if not entries:
         raise UsageError("no identity groups match the requested ids")
 
@@ -336,7 +339,6 @@ def _build_parser() -> _Parser:
                         help=f"floating on-curve tolerance of curve-add (default {FLOAT_TOL:g})")
     parser.add_argument("--format", choices=("json", "text"), default="json")
     parser.add_argument("--jobs", type=int, default=None, help="parallel workers for census sweeps (default 1)")
-    parser.add_argument("--seed", type=int, default=None, help="seed for sampled verification entries")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("decompose", help="count two-cube representations of a sextic")
@@ -376,7 +378,7 @@ def _build_parser() -> _Parser:
 
 # Each global option and the one command that reads it: any other command
 # would ignore the option, so it rejects it instead.
-_OPTION_COMMANDS = {"tol": "curve-add", "jobs": "census", "seed": "verify"}
+_OPTION_COMMANDS = {"tol": "curve-add", "jobs": "census"}
 
 
 def main(argv=None) -> int:

@@ -17,6 +17,9 @@ import math
 from fractions import Fraction
 
 Rational = Fraction
+# CycNum's +, - and * take these and CycNum, and return NotImplemented for
+# any other operand, so that a ring over CycNum values gets its reflected turn
+_RATIONALS = (int, Fraction)
 
 _DEG = 8
 _ZPOWERS = [cmath.exp(1j * math.pi / 12) ** k for k in range(_DEG)]
@@ -97,7 +100,7 @@ class CycNum:
     def __add__(self, other):
         if isinstance(other, CycNum):
             return _plus(self, other, 1)
-        if isinstance(other, ParamPoly):
+        if not isinstance(other, _RATIONALS):
             return NotImplemented
         return _plus_rational(self, *_ratio(other))
 
@@ -109,7 +112,7 @@ class CycNum:
     def __sub__(self, other):
         if isinstance(other, CycNum):
             return _plus(self, other, -1)
-        if isinstance(other, ParamPoly):
+        if not isinstance(other, _RATIONALS):
             return NotImplemented
         p, q = _ratio(other)
         return _plus_rational(self, -p, q)
@@ -122,7 +125,7 @@ class CycNum:
             if not any(other.num) or not any(self.num):
                 return _ZERO
             return _normalized(_mul_vec(self.num, other.num), self.den * other.den)
-        if isinstance(other, ParamPoly):
+        if not isinstance(other, _RATIONALS):
             return NotImplemented
         return _scaled(self, *_ratio(other))
 
@@ -169,7 +172,7 @@ class CycNum:
         if isinstance(other, CycNum):
             return self.den == other.den and self.num == other.num
         # strings parse as scalars but never compare equal: they hash apart
-        if not isinstance(other, (int, Fraction)):
+        if not isinstance(other, _RATIONALS):
             return NotImplemented
         p, q = _ratio(other)
         return self.den == q and self.num[0] == p and not any(self.num[1:])
@@ -186,9 +189,6 @@ class CycNum:
 
     def is_zero(self) -> bool:
         return not any(self.num)
-
-    def is_rational(self) -> bool:
-        return not any(self.num[1:])
 
     # -- conversions ----------------------------------------------------
 
@@ -406,6 +406,8 @@ class ParamPoly:
         return not any(self.coeffs)
 
     def __add__(self, other):
+        if not isinstance(other, _COEFFICIENTS):
+            return NotImplemented
         if self._outranks(other):
             return other + self
         return ParamPoly(self.param, _poly_sum(self.coeffs, self._coerce(other).coeffs, 1))
@@ -416,14 +418,20 @@ class ParamPoly:
         return ParamPoly(self.param, tuple([-c for c in self.coeffs]))
 
     def __sub__(self, other):
+        if not isinstance(other, _COEFFICIENTS):
+            return NotImplemented
         if self._outranks(other):
             return -(other - self)
         return ParamPoly(self.param, _poly_sum(self.coeffs, self._coerce(other).coeffs, -1))
 
     def __rsub__(self, other):
+        if not isinstance(other, _COEFFICIENTS):
+            return NotImplemented
         return ParamPoly(self.param, _poly_sum(self._coerce(other).coeffs, self.coeffs, -1))
 
     def __mul__(self, other):
+        if not isinstance(other, _COEFFICIENTS):
+            return NotImplemented
         if self._outranks(other):
             return other * self
         return ParamPoly(self.param, sparse_product(self.coeffs, self._coerce(other).coeffs, 0))
@@ -465,6 +473,10 @@ class ParamPoly:
     def __repr__(self):
         return f"ParamPoly({self.param!r}, deg={self.degree()})"
 
+
+# ParamPoly's operators take these and return NotImplemented for any other
+# operand, so that a ring over ParamPoly values gets its reflected turn
+_COEFFICIENTS = (ParamPoly, CycNum, int, Fraction)
 
 # named constants of the field
 ZETA24 = CycNum.zeta()

@@ -6,18 +6,15 @@ quadratics whose cubes form equal sums (the 1913 integer quadruple, its
 flips, the tame and wild completions, plus the Vieta / Young / Hirschhorn /
 Sandor displays), and re-verifies every identity they satisfy.
 
-`verify_identity_suite` runs 21 identity groups.  All but one are lists of
-named exact polynomial identities (label, lhs, rhs), each holding when
-lhs - rhs is exactly zero: coefficients live in Q(zeta24), formal
-parameters are ParamPoly values (nested for two-parameter identities), and
-the square root sqrt(1-d^6) needed by the wild family is handled by a tiny
-quadratic extension ring.  The final group involves a substitution whose
-coefficients leave every fixed number field, so it is sampled at 20
-parameter points with residual <= 1e-9.
+`verify_identity_suite` runs 21 identity groups.  Each is a list of named
+exact polynomial identities (label, lhs, rhs), holding when lhs - rhs is
+exactly zero: coefficients live in Q(zeta24), formal parameters are
+ParamPoly values (nested for two-parameter identities), and the square root
+sqrt(1-d^6) needed by the wild family and by the tau-substitution of the
+final group is handled by a tiny quadratic extension ring.
 """
 from __future__ import annotations
 
-import random
 from fractions import Fraction
 
 from .exact import (
@@ -34,11 +31,9 @@ from .exact import (
     ZETA8,
     ZETA12,
 )
-from .forms import EXACT, FLOAT, FLOAT_TOL, BinaryForm, LinearChange, det3, form_compose
+from .forms import EXACT, FLOAT, BinaryForm, LinearChange, det3, form_compose
 
 ONE = 1
-MIRROR_SCALE_FLOOR = 1e-30  # least scale of the sampled pair-shape comparisons
-_SAMPLE_SEED = 20240814
 EXCEPTIONAL_PARAMETER = IMAG * ETA  # smallest-argument root of t^4 + 4t^2 + 1
 
 
@@ -332,7 +327,7 @@ def exceptional_parameter_determinant(lam=None):
 
 
 # --------------------------------------------------------------------------
-# quadratic extension ring for the wild-family verification
+# quadratic extension ring for the wild family and the tau-substitution
 # --------------------------------------------------------------------------
 
 class _SqrtExt:
@@ -570,32 +565,30 @@ def _tame_mirror_sum():
 def _wild_construction():
     d = ParamPoly.variable("d")
     mod = 1 - d ** 6
-    quad = lambda a, b, c: _quad(*[_SqrtExt._coerce(v) for v in (a, b, c)])
-    mirror = lambda f: quad(f.coeffs[0], -f.coeffs[1], f.coeffs[2])
+    mirror = lambda f: _quad(f.coeffs[0], -f.coeffs[1], f.coeffs[2])
     # cleared members: (1-d^6) times each quadratic, sqrt(1-d^6) as the
     # extension generator u; b_cl and e_cl are the u-parts of the middle
     # coefficients of e1 and e2
     b_cl = -2 * SQRT3 * d ** 3
     e_cl = 2 * SQRT3 * d
-    e1 = quad(mod, _SqrtExt(0, b_cl), mod)
-    e2 = quad(d * mod, _SqrtExt(0, e_cl), -d * mod)
-    g3 = quad(-d * (2 + 3 * d ** 3 + d ** 6), 0, d * (2 - 3 * d ** 3 + d ** 6))
-    g4 = quad(1 + 3 * d ** 3 + 2 * d ** 6, 0, 1 - 3 * d ** 3 + 2 * d ** 6)
+    e1 = _quad(mod, _SqrtExt(0, b_cl), mod)
+    e2 = _quad(d * mod, _SqrtExt(0, e_cl), -d * mod)
+    g3 = _quad(-d * (2 + 3 * d ** 3 + d ** 6), 0, d * (2 - 3 * d ** 3 + d ** 6))
+    g4 = _quad(1 + 3 * d ** 3 + 2 * d ** 6, 0, 1 - 3 * d ** 3 + 2 * d ** 6)
     c1, c2, c3, c4 = e1 ** 3, e2 ** 3, g3 ** 3, g4 ** 3
     total = c1 + c2
     yield "e1^3 + e2^3 = g3^3 + g4^3", total, c3 + c4
     yield "e1^3 - g4^3 = g3^3 - e2^3", c1 - c4, c3 - c2
-    dd = _SqrtExt(d * d)
-    left_line = e1 + e2.scale(dd)
-    yield "e1 + d^2 e2 = d^2 g3 + g4", left_line, g3.scale(dd) + g4
-    yield "e1 + d^2 e2 = (1-d^6)((1+d^3)x2 + (1-d^3)y2)", left_line, quad(
+    left_line = e1 + e2.scale(d * d)
+    yield "e1 + d^2 e2 = d^2 g3 + g4", left_line, g3.scale(d * d) + g4
+    yield "e1 + d^2 e2 = (1-d^6)((1+d^3)x2 + (1-d^3)y2)", left_line, _quad(
         mod * (1 + d ** 3), 0, mod * (1 - d ** 3))
     # mirroring y -> -y gives the even sum's genuinely new third pair: it
     # differs from e1 and from g3 by a nonzero u-odd xy term
     e5, e6 = mirror(e1), mirror(e2)
     yield "e5^3 + e6^3 = e1^3 + e2^3", e5 ** 3 + e6 ** 3, total
-    yield "e5 - e1 = -2 b_cl u xy", e5 - e1, quad(0, _SqrtExt(0, -2 * b_cl), 0)
-    yield "e5 - g3 has the xy term -b_cl u", e5 - g3, quad(
+    yield "e5 - e1 = -2 b_cl u xy", e5 - e1, _quad(0, _SqrtExt(0, -2 * b_cl), 0)
+    yield "e5 - g3 has the xy term -b_cl u", e5 - g3, _quad(
         mod + d * (2 + 3 * d ** 3 + d ** 6), _SqrtExt(0, -b_cl), mod - d * (2 - 3 * d ** 3 + d ** 6))
     # evenness constraints on x^5 y, x^3 y^3, x y^5 coefficients, split into
     # u-odd parts (cleared by one power of u) and the mixed cubic part
@@ -731,109 +724,71 @@ def _chord_third_representation():
     yield "f3^3 + f4^3 = 18bq(1 - (a+b)^3 - (a-b)^3 + q^3)", c3 + c4, conv
 
 
-def _palindromic_mirror_pair(u: BinaryForm, v: BinaryForm, tol: float) -> bool:
-    scale = max(u.max_magnitude(), v.max_magnitude(), MIRROR_SCALE_FLOOR)
-    return (
-        abs(u.coeffs[0] - u.coeffs[2]) <= tol * scale
-        and abs(v.coeffs[0] - v.coeffs[2]) <= tol * scale
-        and abs(u.coeffs[0] - v.coeffs[0]) <= tol * scale
-        and abs(u.coeffs[1] + v.coeffs[1]) <= tol * scale
-    )
-
-
-def _diagonal_swap_pair(u: BinaryForm, v: BinaryForm, tol: float) -> bool:
-    scale = max(u.max_magnitude(), v.max_magnitude(), MIRROR_SCALE_FLOOR)
-    return (
-        abs(u.coeffs[1]) <= tol * scale
-        and abs(v.coeffs[1]) <= tol * scale
-        and abs(u.coeffs[0] - v.coeffs[2]) <= tol * scale
-        and abs(u.coeffs[2] - v.coeffs[0]) <= tol * scale
-    )
-
-
-def _check_tau_substitution(seed=None) -> bool:
-    import cmath
-
-    rng = random.Random(_SAMPLE_SEED if seed is None else seed)
-    accepted = 0
-    while accepted < 20:
-        lam = complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5))
-        if abs(lam) < 0.3 or abs(lam ** 6 - 1) < 0.05:
-            continue
-        accepted += 1
-        f1, f2, f3, f4, f5, f6 = f_forms(lam)
-        tau = cmath.sqrt(1 - lam ** 6) - 1j * lam ** 3
-        m = LinearChange(1.0, tau, -1j * tau, 1j)
-        image = form_compose(f4 ** 3 - f6 ** 3, m)
-        target = sextic_a(4 * lam ** 6 - 1)
-        ratio = image.coeffs[0] / target.coeffs[0]
-        scale = max(abs(c) for c in image.coeffs)
-        resid = max(
-            abs(ic - ratio * tc) for ic, tc in zip(image.coeffs, target.coeffs)
-        )
-        if resid > FLOAT_TOL * scale:
-            return False
-        pair_a = (form_compose(f4, m), form_compose(-f6, m))
-        pair_b = (form_compose(f5, m), form_compose(-f3, m))
-        shaped = (
-            _palindromic_mirror_pair(*pair_a, FLOAT_TOL)
-            and _diagonal_swap_pair(*pair_b, FLOAT_TOL)
-        ) or (
-            _diagonal_swap_pair(*pair_a, FLOAT_TOL)
-            and _palindromic_mirror_pair(*pair_b, FLOAT_TOL)
-        )
-        if not shaped:
-            return False
-    return True
+def _tau_substitution():
+    # tau = u - i d^3, with u = sqrt(1 - d^6) the generator of _SqrtExt, and
+    # M = (x + tau y, -i tau x + i y).  These images of the quadratics give
+    # (f4^3 - f6^3) o M = (a, b, a)^3 + (a, -b, a)^3 = 2 a^3 A(4d^6 - 1) by
+    # group 10, as 3(1 + (b/a)^2) = 4d^6 - 1, and the same even sextic as the
+    # diagonal-swap pair (f5^3 - f3^3) o M by group 05; checking the cubes
+    # themselves would take over twice as long.
+    d = ParamPoly.variable("d")
+    _, _, f3, f4, f5, f6 = f_forms(d)
+    tau = _SqrtExt(-IMAG * d ** 3, 1)
+    m = LinearChange(1, tau, -IMAG * tau, IMAG)
+    a, b, c = form_compose(f4, m).coeffs
+    yield "f4 o M = (a, b, a)", c, a
+    yield "-f6 o M = (a, -b, a)", form_compose(-f6, m), _quad(a, -b, a)
+    a5, b5, c5 = form_compose(f5, m).coeffs
+    yield "f5 o M = (a5, 0, c5)", b5, 0
+    yield "-f3 o M = (c5, 0, a5)", form_compose(-f3, m), _quad(c5, 0, a5)
+    yield "a = sqrt(-3) d (1-d^6) + sqrt3 d^4 u, so a != 0", a, _SqrtExt(
+        SQRTM3 * d * (1 - d ** 6), SQRT3 * d ** 4)
+    yield "3 (a^2 + b^2) = (4d^6 - 1) a^2", 3 * (a * a + b * b), (4 * d ** 6 - 1) * (a * a)
 
 
 _SUITE = (
-    ("01", "ramanujan-integer-quadruple", "exact", _integer_quadruple),
-    ("02", "integer-flips-and-factored-products", "exact", _integer_flips),
-    ("03", "narayanan-parametric-quadruple", "exact", _parametric_quadruple),
-    ("04", "threefold-product-identity", "exact", _threefold_product),
-    ("05", "omega-twisted-equal-sums", "exact", _twisted_equal_sums),
-    ("06", "clean-flips-of-the-twisted-family", "exact", _clean_flips),
-    ("07", "flip-similarity-cleared-denominators", "exact", _flip_similarity),
-    ("08", "sqrt-minus-three-rational-display", "exact", _sqrt_minus_three_change),
-    ("09", "parameter-negation-and-inversion", "exact", _parameter_symmetries),
-    ("10", "tame-mirror-pair-sum", "exact", _tame_mirror_sum),
-    ("11", "wild-family-construction", "exact", _wild_construction),
-    ("12", "simplest-integer-family-and-flip", "exact", _simplest_family),
-    ("13", "dependent-factor-triples", "exact", _dependent_factor_triples),
-    ("14", "octahedral-similarity-change", "exact", _octahedral_similarity),
-    ("15", "octahedral-six-representations", "exact", _octahedral_representations),
-    ("16", "vieta-quartic-identity", "exact", _vieta_quartic_identities),
-    ("17", "sandor-conditional-family", "exact", _sandor_instances),
-    ("18", "young-type-four-and-square", "exact", _young_families),
-    ("19", "hirschhorn-type-four-and-square", "exact", _hirschhorn_families),
-    ("20", "chord-third-representation", "exact", _chord_third_representation),
-    ("21", "tau-substitution-even-shape", "sampled", _check_tau_substitution),
+    ("01", "ramanujan-integer-quadruple", _integer_quadruple),
+    ("02", "integer-flips-and-factored-products", _integer_flips),
+    ("03", "narayanan-parametric-quadruple", _parametric_quadruple),
+    ("04", "threefold-product-identity", _threefold_product),
+    ("05", "omega-twisted-equal-sums", _twisted_equal_sums),
+    ("06", "clean-flips-of-the-twisted-family", _clean_flips),
+    ("07", "flip-similarity-cleared-denominators", _flip_similarity),
+    ("08", "sqrt-minus-three-rational-display", _sqrt_minus_three_change),
+    ("09", "parameter-negation-and-inversion", _parameter_symmetries),
+    ("10", "tame-mirror-pair-sum", _tame_mirror_sum),
+    ("11", "wild-family-construction", _wild_construction),
+    ("12", "simplest-integer-family-and-flip", _simplest_family),
+    ("13", "dependent-factor-triples", _dependent_factor_triples),
+    ("14", "octahedral-similarity-change", _octahedral_similarity),
+    ("15", "octahedral-six-representations", _octahedral_representations),
+    ("16", "vieta-quartic-identity", _vieta_quartic_identities),
+    ("17", "sandor-conditional-family", _sandor_instances),
+    ("18", "young-type-four-and-square", _young_families),
+    ("19", "hirschhorn-type-four-and-square", _hirschhorn_families),
+    ("20", "chord-third-representation", _chord_third_representation),
+    ("21", "tau-substitution-even-shape", _tau_substitution),
 )
 
 
-def verify_identity_suite(ids=None, seed=None) -> list[dict]:
+def verify_identity_suite(ids=None) -> list[dict]:
     """Run the identity suite; returns ordered report entries.
 
-    Each entry is {"id", "anchor", "method", "pass"}.  An exact group passes
-    when each of its identities holds; the check stops at the first that
-    does not.  A raised exception in a group is reported as a failure, never
-    propagated.  `seed` draws the parameter points of the sampled groups;
-    None keeps the fixed default.
+    Each entry is {"id", "anchor", "method", "pass"}, and "method" is always
+    "exact".  A group passes when each of its identities holds; the check
+    stops at the first that does not.  A raised exception in a group is
+    reported as a failure, never propagated.
     """
     wanted = None if ids is None else set(ids)
     report = []
-    for entry_id, anchor, method, group in _SUITE:
+    for entry_id, anchor, group in _SUITE:
         if wanted is not None and entry_id not in wanted:
             continue
         try:
-            if method == "sampled":
-                passed = bool(group(seed))
-            else:
-                passed = all(_holds(lhs, rhs) for _, lhs, rhs in group())
+            passed = all(_holds(lhs, rhs) for _, lhs, rhs in group())
         except Exception:
             passed = False
         report.append(
-            {"id": entry_id, "anchor": anchor, "method": method, "pass": passed}
+            {"id": entry_id, "anchor": anchor, "method": "exact", "pass": passed}
         )
     return report

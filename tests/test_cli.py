@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from twocubes import families
+from twocubes import cli, families
 from twocubes.cli import main, parse_scalar, scalar_json
 from twocubes.exact import SQRT2
 from twocubes.forms import BinaryForm
@@ -148,6 +148,17 @@ def test_census_grid_appends_real_parameters(capsys):
     assert [cell["N"] for cell in payload["cells"]] == [2, 2, 2]
 
 
+def test_census_grid_count_above_the_cap_is_usage_error(capsys, monkeypatch):
+    # the count is checked before any grid value is built, so even 1e11
+    # points return at once
+    assert main(["census", "A", "--grid", "0:1:100000000000"]) == 1
+    assert "at most" in capsys.readouterr().err
+    monkeypatch.setattr(cli, "GRID_MAX_POINTS", 3)
+    assert main(["census", "A", "--grid", "6:8:4"]) == 1
+    code, payload = run_json(capsys, "census", "A", "--grid", "6:8:3")
+    assert code == 0 and len(payload["cells"]) == 3
+
+
 def test_census_without_values_is_usage_error(capsys):
     code = main(["census", "A"])
     capsys.readouterr()
@@ -215,24 +226,6 @@ def test_verify_failure_exits_three(capsys, monkeypatch):
     code, payload = run_json(capsys, "verify", "--ids", "01")
     assert code == 3
     assert payload[0]["pass"] is False
-
-
-def test_verify_seed_flag_reseeds_sampled_entry(capsys, monkeypatch):
-    # record the seed each generator is drawn from while group 21 runs
-    seeds = []
-    real_random = families.random.Random
-
-    def recording_random(seed=None):
-        seeds.append(seed)
-        return real_random(seed)
-
-    monkeypatch.setattr(families.random, "Random", recording_random)
-    default = families._SAMPLE_SEED
-    code, payload = run_json(capsys, "--seed", "7", "verify", "--ids", "21")
-    assert code == 0
-    assert payload[0]["pass"] is True
-    assert seeds == [7]
-    assert families._SAMPLE_SEED == default
 
 
 def test_verify_text_format_lines(capsys):
@@ -418,13 +411,10 @@ _CURVE_ADD = ["curve-add", "1", "12", "9", "10", "1729"]
     ["--jobs", "1", *_DECOMPOSE],
     ["--jobs", "3", "verify", "--ids", "01"],
     ["--jobs", "2", *_CURVE_ADD],
-    ["--seed", "7", *_DECOMPOSE],
-    ["--seed", "7", "census", "A", "7"],
-    ["--seed", "7", *_CURVE_ADD],
 ])
 def test_tol_on_other_commands_is_usage_error(capsys, argv):
     # each global option is read by one command; the others reject it
-    owner = {"--tol": "curve-add", "--jobs": "census", "--seed": "verify"}[argv[0]]
+    owner = {"--tol": "curve-add", "--jobs": "census"}[argv[0]]
     code = main(argv)
     captured = capsys.readouterr()
     assert code == 1

@@ -23,6 +23,9 @@
   method, and `families._SqrtExt`) defines `__bool__`: `bool(v)` is the one
   exact zero test, and an object without `__bool__` is always true, so a
   zero scalar would read as nonzero.
+- `families.py` imports neither `random` nor `FLOAT_TOL`: every identity
+  group is a list of exact identities, so no group may return to sampling
+  float parameter points.
 """
 import ast
 from pathlib import Path
@@ -139,3 +142,15 @@ def test_exact_scalars_define_bool():
     assert len(scalars) >= 3 and all(key in classes for key in scalars)
     missing = [f"{f}:{c}" for f, c in scalars if "__bool__" not in _defined_names(classes[(f, c)])]
     assert not missing, f"exact scalar classes without __bool__: {missing}"
+
+
+def test_identity_suite_draws_no_samples():
+    path = next(p for p in SOURCES if p.name == "families.py")
+    imported = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            imported |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            imported |= {node.module or ""} | {alias.name for alias in node.names}
+    banned = imported & {"random", "FLOAT_TOL"}
+    assert not banned, f"families.py imports {sorted(banned)}"
