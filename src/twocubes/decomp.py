@@ -25,7 +25,6 @@ from .roots import expanded_root_slots, linear_factors
 DISTINCT_REL = 1e-5        # quadratics closer than this count as proportional
 DEP_DET_REL = 1e-7         # |det| below this (times row-norm product) = dependent
 COEFF_SOLVE_REL = 1e-6     # accepted relative residual of the dependence solve
-MIN_COEFF_ABS = 1e-9       # dependence coefficients below this count as zero
 
 _OMEGA_F = complex(OMEGA.to_complex())
 _SQRTM3_F = complex(SQRTM3.to_complex())
@@ -193,9 +192,9 @@ def _float_cube_pair(r1, r2, alpha, beta, scale):
 def construct_from_triple(g1: BinaryForm, g2: BinaryForm, g3: BinaryForm,
                           alpha, beta) -> Representation:
     """Representation of g1*g2*g3 from the dependence g3 = alpha*g1 + beta*g2."""
+    if not alpha or not beta:
+        raise ValueError("dependence coefficients must both be nonzero")
     if g1.kernel.exact:
-        if g1.kernel.is_zero(alpha) or g1.kernel.is_zero(beta):
-            raise ValueError("dependence coefficients must both be nonzero")
         h1 = g1.scale(OMEGA * alpha) - g2.scale(beta)
         h2 = g2.scale(OMEGA * beta) - g1.scale(alpha)
         s = SQRTM3 * 3 * alpha * beta
@@ -203,8 +202,6 @@ def construct_from_triple(g1: BinaryForm, g2: BinaryForm, g3: BinaryForm,
             raise ArithmeticError("construction identity failed")
         return Representation(h1, h2, s, 0.0)
     alpha, beta = complex(alpha), complex(beta)
-    if abs(alpha) <= MIN_COEFF_ABS or abs(beta) <= MIN_COEFF_ABS:
-        raise ValueError("dependence coefficients must both be nonzero")
     c1, c2 = _float_cube_pair(g1.coeffs, g2.coeffs, alpha, beta, 1.0)
     f1 = BinaryForm(g1.degree, tuple(c1), g1.kernel)
     f2 = BinaryForm(g2.degree, tuple(c2), g2.kernel)
@@ -287,9 +284,9 @@ def _distinct(a, b, mag_prod) -> bool:
 def rep_count(p: BinaryForm) -> DecompositionReport:
     """Count and construct all essentially distinct two-cube representations
     of a sextic: one per grouping of its roots that repeated roots do not
-    make equal, whose quadratics are pairwise distinct and dependent with
-    both coefficients nonzero, and whose construction has a residual within
-    FLOAT_TOL.  Distinct groupings give distinct representations.
+    make equal, whose quadratics are pairwise distinct and dependent, and
+    whose construction has a residual within FLOAT_TOL.  Distinct groupings
+    give distinct representations.
 
     One pass over the pairings on complex coefficient rows: per call, each
     of the 15 pair quadratics is formed once, and forms are built only for
@@ -334,8 +331,6 @@ def rep_count(p: BinaryForm) -> DecompositionReport:
             continue
         dependent_triples += 1
         alpha, beta = fit
-        if abs(alpha) <= MIN_COEFF_ABS or abs(beta) <= MIN_COEFF_ABS:
-            continue
         c1, c2 = _float_cube_pair(q1, q2, alpha, beta, 1.0)
         f1 = BinaryForm(2, tuple([cube_root * c for c in c1]), FLOAT)
         f2 = BinaryForm(2, tuple([cube_root * c for c in c2]), FLOAT)

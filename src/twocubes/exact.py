@@ -378,10 +378,6 @@ class ParamPoly:
     def variable(name: str) -> ParamPoly:
         return ParamPoly(name, (0, 1))
 
-    @staticmethod
-    def constant(name: str, value) -> ParamPoly:
-        return ParamPoly(name, (value,))
-
     def _coerce(self, v) -> ParamPoly:
         if isinstance(v, ParamPoly) and v.param == self.param:
             return v

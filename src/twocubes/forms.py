@@ -32,7 +32,6 @@ class ExactKernel:
     """Scalars in Q, Q(zeta24) or a ParamPoly ring; zero means exactly zero
     (`bool(value)` is false), so every scale argument is ignored."""
 
-    name = "exact"
     exact = True
     zero = Fraction(0)
     one = Fraction(1)
@@ -66,14 +65,12 @@ class ExactKernel:
 class FloatKernel:
     """Complex floats; zero means small against a scale."""
 
-    name = "float"
     exact = False
     zero = 0j
     one = 1.0 + 0j
-    tolerance = FLOAT_TOL
 
     def is_zero(self, value, scale=1.0) -> bool:
-        return abs(value) <= self.tolerance * max(scale, UNDERFLOW_FLOOR)
+        return abs(value) <= FLOAT_TOL * max(scale, UNDERFLOW_FLOOR)
 
     def negligible(self, value, scale) -> bool:
         """The coefficient cut used to trim and dehomogenize forms."""

@@ -7,7 +7,7 @@ root moduli, on the side of the smaller coefficients.  The others come from
 an Aberth solve of p(x, 1), started on the circles of its Newton polygon
 (MPSolve's rule), that stops at its rounding floor, then clustering into
 multiplicities; when the tightest clustering fails, the roots are polished on
-exact residuals before coarser clusterings and restarts.
+exact residuals before coarser clusterings.
 """
 from __future__ import annotations
 
@@ -29,12 +29,9 @@ GAP_GUARD = 1e-30           # stands in for a zero gap or denominator in the Abe
 PSEUDOZERO_REL = 4 * sys.float_info.epsilon
 POLISH_SWEEPS = 16          # cap on the exact-residual Aberth sweeps
 MAX_SWEEPS = 260            # cap on the float Aberth sweeps
-START_TURN = 0.35           # first start angle, in steps of 2*pi / (starts on its circle)
-ATTEMPT_TURN = 0.17         # every retry turns the starts by this many steps more
-ATTEMPT_STRETCH = 0.05      # and stretches their radii by this share more
+START_TURN = 0.35           # start angle, in steps of 2*pi / (starts on its circle)
 LOG_RADIUS_CAP = 700.0      # |log| of a start radius, clamped inside the float range
 LOG_ROOT_GAP = -math.log(sys.float_info.epsilon)  # root moduli apart by 1/eps are 0 and infinity
-MAX_RESTARTS = 5
 # Threshold multipliers tried tightest-first: an m-fold root scatters the solver
 # output across a radius ~eps**(1/m), so coarser groupings must be available,
 # but each proposed grouping has to pass the global reconstruction gate.
@@ -95,7 +92,7 @@ def _newton_polygon(coeffs) -> tuple[list[tuple[int, float]], list[float]]:
     return hull, [(a[1] - b[1]) / (b[0] - a[0]) for a, b in zip(hull, hull[1:])]
 
 
-def _aberth_roots(coeffs, attempt: int) -> list[complex]:
+def _aberth_roots(coeffs) -> list[complex]:
     """All roots of a dense complex polynomial with nonzero end coefficients
     (leading coefficient first), started from its Newton polygon.
 
@@ -110,9 +107,8 @@ def _aberth_roots(coeffs, attempt: int) -> list[complex]:
     # j - i starts per hull edge from k = i to k = j, on the circle of its
     # radius, each edge's angles turned by its share of the degree
     hull, radii = _newton_polygon(coeffs)
-    turn, stretch = START_TURN + ATTEMPT_TURN * attempt, 1.0 + ATTEMPT_STRETCH * attempt
-    zs = [cmath.rect(stretch * math.exp(min(max(r, -LOG_RADIUS_CAP), LOG_RADIUS_CAP)),
-                     2.0 * math.pi * ((k + turn) / (j - i) + i / n))
+    zs = [cmath.rect(math.exp(min(max(r, -LOG_RADIUS_CAP), LOG_RADIUS_CAP)),
+                     2.0 * math.pi * ((k + START_TURN) / (j - i) + i / n))
           for (i, _), (j, _), r in zip(hull, hull[1:], radii) for k in range(j - i)]
     lead, tail = coeffs[0], coeffs[1:]
     moduli = [abs(c) for c in coeffs]
@@ -309,16 +305,15 @@ def linear_factors(p: BinaryForm) -> tuple[complex, list[ProjectiveRoot]]:
         scale, residual = _reconstruction(p, roots)
         return scale, roots, residual
 
-    for attempt in range(MAX_RESTARTS + 1):
-        solved = _aberth_roots(body, attempt) if len(body) > 1 else []
-        scale, roots, residual = factored(solved, _CLUSTER_LADDER[0])
+    solved = _aberth_roots(body) if len(body) > 1 else []
+    scale, roots, residual = factored(solved, _CLUSTER_LADDER[0])
+    if residual <= RECONSTRUCT_TOL:
+        return scale, roots
+    polished = _exact_polish(body, solved)
+    for tol_scale in _CLUSTER_LADDER:
+        scale, roots, residual = factored(polished, tol_scale)
         if residual <= RECONSTRUCT_TOL:
             return scale, roots
-        polished = _exact_polish(body, solved)
-        for tol_scale in _CLUSTER_LADDER:
-            scale, roots, residual = factored(polished, tol_scale)
-            if residual <= RECONSTRUCT_TOL:
-                return scale, roots
     raise ArithmeticError(f"reconstruction residual {residual:.2e} too large")
 
 

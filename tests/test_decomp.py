@@ -8,7 +8,6 @@ from twocubes import decomp
 from twocubes.decomp import (
     DISTINCT_REL,
     H_eval,
-    MIN_COEFF_ABS,
     PAIRINGS,
     construct_from_triple,
     cubic_two_cubes,
@@ -162,6 +161,9 @@ def test_construction_zero_coefficient_rejected():
     g3 = BinaryForm.exact(2, [1, 0, 1])
     with pytest.raises(ValueError):
         construct_from_triple(g1, g2, g3, 0, 1)
+    # the same exact zero test serves the float kernel
+    with pytest.raises(ValueError):
+        construct_from_triple(g1.to_float(), g2.to_float(), g3.to_float(), 1.0, 0j)
 
 
 def test_construction_lands_in_span():
@@ -402,8 +404,6 @@ def _staged_rep_count(p):
         if not dep.dependent:
             continue
         dependent += 1
-        if abs(dep.alpha) <= MIN_COEFF_ABS or abs(dep.beta) <= MIN_COEFF_ABS:
-            continue
         base = construct_from_triple(g1, g2, g3, dep.alpha, dep.beta)
         f1, f2 = base.f1.scale(cube_root), base.f2.scale(cube_root)
         residual = relative_residual(f1 ** 3 + f2 ** 3, pf)
@@ -453,6 +453,9 @@ def _oracle_mix():
               fl6([0, 1, 0, -1, 0, 0, 0])]
     for base in (A_form(-5), B_form(7), Q2_FORM, A_form(-1), sums[0]):
         forms.append(form_compose(base, _conditioned_change(rng, 1e3)))
+    # (x^2 + y^2)^3 under x -> x/100 and x/1000: six simple roots in two tight
+    # clusters, with groupings whose quadratics are nearly proportional
+    forms += [_rescaled([1, 0, 3, 0, 3, 0, 1], e) for e in (-2, -3)]
     return forms
 
 
@@ -563,3 +566,36 @@ def test_rep_count_at_extreme_coefficient_scales(coeffs, n, scale):
     report = rep_count(fl6([scale * c for c in coeffs]))
     assert report.N == n
     assert report.multiplicities == (1, 1, 1, 1, 1, 1)
+
+
+def _rescaled(coeffs, e):
+    """The sextic with these coefficients under x -> 10^e x, each coefficient
+    multiplied by 10^e one factor at a time."""
+    out = []
+    for k, c in enumerate(coeffs):
+        for _ in range(6 - k):
+            c *= 10.0 ** e
+        out.append(c)
+    return fl6(out)
+
+
+@pytest.mark.parametrize("e", [-3, -2, -1, 1, 2, 3])
+def test_rep_count_rescaled_cube_has_no_representation(e):
+    # (x^2 + y^2)^3 under x -> 10^e x: for e < 0 its two triple roots come
+    # back as six simple roots in two tight clusters, and the groupings that
+    # pair one root of each cluster give three near-equal quadratics whose
+    # degenerate construction meets FLOAT_TOL; the distinctness gate must
+    # reject them
+    assert rep_count(_rescaled([1, 0, 3, 0, 3, 0, 1], e)).N == 0
+
+
+@pytest.mark.xfail(strict=True, reason="DISTINCT_REL compares coefficients, so the gate is not GL2-invariant: "
+                                       "it rejects distinct quadratics whose coefficients differ in scale by ~1e6")
+@pytest.mark.parametrize("coeffs, n", [
+    ((1, 0, 2, 0, 2, 0, 1), 2),  # A(2)
+    ((1, 0, 0, 0, 0, 0, 1), 4),  # x^6 + y^6
+], ids=["A(2)", "x6+y6"])
+def test_rep_count_keeps_distinct_quadratics_of_unequal_scale(coeffs, n):
+    # under x -> x/1000 the representations come from quadratics a x^2 + b y^2
+    # with |a| ~ 1e-6 |b|, distinct by their roots
+    assert rep_count(_rescaled(coeffs, -3)).N == n

@@ -188,22 +188,16 @@ def _clustered_sextics(seed: int, count: int):
 
 def test_clustered_simple_roots_factor_in_one_solve(monkeypatch):
     # changes of condition ~30-300 leave the float solver wandering inside the
-    # pseudozero set; the exact-residual polish must separate the six roots
-    # without a restarted solve
+    # pseudozero set; the exact-residual polish of the one float solve must
+    # separate the six roots
     solves = []
-    real_solver = roots_module._aberth_roots
-
-    def spy(coeffs, attempt):
-        solves.append(attempt)
-        return real_solver(coeffs, attempt)
-
-    monkeypatch.setattr(roots_module, "_aberth_roots", spy)
+    _spy(monkeypatch, "_aberth_roots", solves)
     for p in _clustered_sextics(7, 24):
         solves.clear()
         _, roots = linear_factors(p)
         assert [r.multiplicity for r in roots] == [1] * 6
         assert roots_module._reconstruction(p, roots)[1] <= RECONSTRUCT_TOL
-        assert solves == [0]
+        assert solves == ["_aberth_roots"]
 
 
 def _spy(monkeypatch, name, calls):
@@ -219,8 +213,8 @@ def _spy(monkeypatch, name, calls):
 def test_wide_root_moduli_factor_in_one_solve(monkeypatch):
     # root moduli from 1e-4 to 1e4: each Newton-polygon edge starts its roots
     # on their own circle, so one float solve of a few sweeps factors the
-    # sextic with neither an exact polish nor a restart (starts on one circle
-    # for all six moduli take ~40 sweeps)
+    # sextic without an exact polish (starts on one circle for all six
+    # moduli take ~40 sweeps)
     zs = [10.0 ** (-4 + 8 * k / 5) * cmath.exp(1j * (0.3 + k)) for k in range(6)]
     p = fl(1)
     for z in zs:

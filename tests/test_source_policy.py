@@ -26,8 +26,13 @@
 - `families.py` imports neither `random` nor `FLOAT_TOL`: every identity
   group is a list of exact identities, so no group may return to sampling
   float parameter points.
+- Every module-level UPPER_CASE name bound to a number is read by package
+  code outside its own definition: a threshold whose gate was deleted must
+  go with it, not linger as a tunable that tunes nothing.
 """
 import ast
+import importlib
+import re
 from pathlib import Path
 
 import pytest
@@ -154,3 +159,28 @@ def test_identity_suite_draws_no_samples():
             imported |= {node.module or ""} | {alias.name for alias in node.names}
     banned = imported & {"random", "FLOAT_TOL"}
     assert not banned, f"families.py imports {sorted(banned)}"
+
+
+def test_numeric_constants_are_read():
+    trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES}
+    # a bare name or an attribute (forms.FLOAT_TOL) loaded anywhere in the package
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    constants = []
+    for path, tree in trees.items():
+        module = importlib.import_module("twocubes" if path.stem == "__init__" else f"twocubes.{path.stem}")
+        for node in tree.body:
+            for target in node.targets if isinstance(node, ast.Assign) else []:
+                if not (isinstance(target, ast.Name) and re.fullmatch(r"_?[A-Z][A-Z0-9_]*", target.id)):
+                    continue
+                value = getattr(module, target.id)
+                if isinstance(value, (int, float, complex)) and not isinstance(value, bool):
+                    constants.append(f"{path.stem}.{target.id}")
+    assert len(constants) >= 20
+    unread = [name for name in constants if name.split(".")[1] not in read]
+    assert not unread, f"numeric constants no package code reads: {unread}"
