@@ -14,7 +14,7 @@ import dataclasses
 import math
 
 from .exact import OMEGA
-from .forms import (FLOAT, FLOAT_TOL, NEGLIGIBLE_REL, UNDERFLOW_FLOOR, BinaryForm, LinearChange,
+from .forms import (EXACT, FLOAT, FLOAT_TOL, NEGLIGIBLE_REL, UNDERFLOW_FLOOR, BinaryForm, LinearChange,
                     form_compose, form_gcd, relative_residual)
 
 TYPE_PROP_TOL = 1e-8       # proportionality tolerance in arrangement search
@@ -36,6 +36,15 @@ _SPLITS = (
     ((3, 1, -1), (0, 2, -1)),
 )
 _OMEGA_ORDER = ((0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2), (2, 0), (2, 1), (2, 2))
+
+
+def _twists(kernel) -> dict:
+    """The six twists sign * w^k, k = 0, 1, 2, as scalars of one kernel."""
+    omega = kernel.coerce(OMEGA)
+    return {sign: tuple([omega ** k * sign for k in range(3)]) for sign in (1, -1)}
+
+
+_TWISTS = {kernel: _twists(kernel) for kernel in (EXACT, FLOAT)}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -78,10 +87,12 @@ def type_detect(f1: BinaryForm, f2: BinaryForm, f3: BinaryForm,
         for b in forms[i + 1:]:
             if a.proportional_to(b, rel_tol=DEGENERATE_REL):
                 raise ValueError("dishonest family: proportional members")
-    omega = kernel.coerce(OMEGA)
+    twists = _TWISTS[kernel]
     for split_index, ((a, b, sb), (c, d, sd)) in enumerate(_SPLITS):
-        lefts = [forms[a] + forms[b].scale(omega ** k * sb) for k in range(3)]
-        rights = [forms[c] + forms[d].scale(omega ** k * sd) for k in range(3)]
+        # the twisted (CycNum) member first: Fraction + CycNum would reach
+        # CycNum.__add__ only after Fraction.__add__ returns NotImplemented
+        lefts = [forms[b].scale(w) + forms[a] for w in twists[sb]]
+        rights = [forms[d].scale(w) + forms[c] for w in twists[sd]]
         for i, j in _OMEGA_ORDER:
             left, right = lefts[i], rights[j]
             if right.is_zero() or left.is_zero():

@@ -15,10 +15,14 @@ performs chord addition of two points on X^3 + Y^3 = A.
 Scalar inputs may be exact (Fraction / cyclotomic) or complex.  The exact
 scalar chord runs in projective coordinates (X : Y : Z), Z the lcm of a
 rational point's denominators, and divides once per output coordinate.  Form
-inputs use exact rational-function arithmetic (ratios of forms with gcd
-cancellation), and the form chord is checked cross-multiplied, on numerators
-and denominators, so the advertised cancellations are verified identities,
-not floating coincidences.
+inputs use exact rational-function arithmetic: the form chord shares the
+products x1x2 and y1y2 and the cross term x2y1 - x1y2 between its
+denominator and both numerators (ten form products), and a ratio of forms
+is reduced by one exact division when the denominator divides the
+numerator, as on every family chord, or by gcd cancellation otherwise.  The
+form chord is checked cross-multiplied, on numerators and denominators, so
+the advertised cancellations are verified identities, not floating
+coincidences.
 """
 from __future__ import annotations
 
@@ -65,7 +69,10 @@ def _divide_forms(num: BinaryForm, den: BinaryForm) -> BinaryForm:
 
 
 class RationalFunction:
-    """Reduced ratio of exact homogeneous forms, denominator made monic."""
+    """Reduced ratio of exact homogeneous forms, denominator made monic.
+
+    A denominator of positive degree that divides the numerator reduces by
+    that one division; any other ratio is divided by the gcd of its terms."""
 
     __slots__ = ("num", "den")
 
@@ -84,17 +91,33 @@ class RationalFunction:
             num = BinaryForm.zero(0)
             den = _const_form(Fraction(1))
         else:
-            # a constant form shares no factor of positive degree
-            if num.degree and den.degree:
-                g = form_gcd(num, den)
-                if g.degree > 0:
-                    num = _divide_forms(num, g)
-                    den = _divide_forms(den, g)
-            lead = next(c for c in den.coeffs if c)
-            if lead != 1:
-                inv = EXACT.inv(lead)
-                num = num.scale(inv)
-                den = den.scale(inv)
+            quot = None
+            if den.degree and num.degree >= den.degree:
+                # division first: when den divides num, as on every family
+                # chord, one division replaces the gcd, a second division
+                # and the lead inverse
+                try:
+                    quot = _divide_forms(num, den)
+                except ValueError:
+                    pass
+            if quot is not None:
+                # the gcd path would leave den/den = lead * lead^-1: the 1 of
+                # the ring of den's leading coefficient
+                lead = next(c for c in reversed(den.coeffs) if c)
+                num = quot
+                den = _const_form(CycNum.one() if isinstance(lead, CycNum) else Fraction(1))
+            else:
+                # a constant form shares no factor of positive degree
+                if num.degree and den.degree:
+                    g = form_gcd(num, den)
+                    if g.degree > 0:
+                        num = _divide_forms(num, g)
+                        den = _divide_forms(den, g)
+                lead = next(c for c in den.coeffs if c)
+                if lead != 1:
+                    inv = EXACT.inv(lead)
+                    num = num.scale(inv)
+                    den = den.scale(inv)
         self.num = num
         self.den = den
 
@@ -412,53 +435,58 @@ def curve_add(point1, point2, a, tol: float = FLOAT_TOL):
     x1, y1 = point1
     x2, y2 = point2
     entries = [x1, y1, x2, y2]
-    forms = any(isinstance(v, BinaryForm) for v in entries)
-    if forms:
+    if any(isinstance(v, BinaryForm) for v in entries):
         if not (all(isinstance(v, BinaryForm) for v in entries) and isinstance(a, BinaryForm)):
             raise TypeError("form points need form coordinates and a form right side")
         if not all(v.kernel.exact for v in entries + [a]):
             raise TypeError("chord addition on forms requires the exact kernel")
-        floating = False
-    else:
-        entries = [_lift_param(v) for v in entries]
-        a = _lift_param(a)
-        floating = any(isinstance(v, complex) for v in entries + [a])
-        if not floating:
-            return _exact_chord(*entries, a)
-        entries = [complex(v) for v in entries]
-        a = complex(a)
-        x1, y1, x2, y2 = entries
+        return _form_chord(x1, y1, x2, y2, a)
+    entries = [_lift_param(v) for v in entries]
+    a = _lift_param(a)
+    if not any(isinstance(v, complex) for v in entries + [a]):
+        return _exact_chord(*entries, a)
+    x1, y1, x2, y2 = entries = [complex(v) for v in entries]
+    a = complex(a)
 
-    _on_curve_check(x1, y1, a, floating, tol)
-    _on_curve_check(x2, y2, a, floating, tol)
-
+    _on_curve_check(x1, y1, a, True, tol)
+    _on_curve_check(x2, y2, a, True, tol)
     den = (x1 * x1 * x2 + y1 * y1 * y2) - (x1 * x2 * x2 + y1 * y2 * y2)
-    if floating:
-        scale = max(abs(v) for v in entries) ** 3 or 1.0
-        degenerate = abs(den) <= NEGLIGIBLE_REL * scale
-    else:
-        degenerate = _value_is_zero(den)
-    if degenerate:
+    scale = max(abs(v) for v in entries) ** 3 or 1.0
+    if abs(den) <= NEGLIGIBLE_REL * scale:
         raise ValueError("chord degenerates (coincident or opposite points)")
-
-    num_x = a * (x1 - x2) + y1 * y2 * (x2 * y1 - x1 * y2)
-    num_y = a * (y1 - y2) + x1 * x2 * (x1 * y2 - x2 * y1)
-    if forms:
-        x3 = RationalFunction(num_x, den)
-        y3 = RationalFunction(num_y, den)
-        # x3^3 + y3^3 = a cleared of denominators; it holds exactly when the
-        # terms of each degree cancel, so forms of two degrees are never added
-        cx, cy, parts = x3.den ** 3, y3.den ** 3, {}
-        for t in (x3.num ** 3 * cy, y3.num ** 3 * cx, -(a * cx * cy)):
-            parts[t.degree] = parts[t.degree] + t if t.degree in parts else t
-        for part in parts.values():
-            _check_identity(part, (), "chord")
-        if x3.den.degree == 0:
-            x3 = x3.to_form()
-        if y3.den.degree == 0:
-            y3 = y3.to_form()
-        return x3, y3
-    x3 = num_x / den
-    y3 = num_y / den
+    x3 = (a * (x1 - x2) + y1 * y2 * (x2 * y1 - x1 * y2)) / den
+    y3 = (a * (y1 - y2) + x1 * x2 * (x1 * y2 - x2 * y1)) / den
     _on_curve_check(x3, y3, a, True, tol)
     return x3, y3
+
+
+def _form_chord(x1, y1, x2, y2, a):
+    """Chord addition over exact forms, in ten form products: with the
+    shared products x1x2 and y1y2 and the cross term x2y1 - x1y2,
+
+        den   = x1x2 (x1 - x2) + y1y2 (y1 - y2),
+        num_x = a (x1 - x2) + y1y2 (x2y1 - x1y2),
+        num_y = a (y1 - y2) - x1x2 (x2y1 - x1y2).
+
+    The result is checked cross-multiplied, on numerators and denominators."""
+    _on_curve_check(x1, y1, a, False, FLOAT_TOL)
+    _on_curve_check(x2, y2, a, False, FLOAT_TOL)
+    xx, yy = x1 * x2, y1 * y2
+    dx, dy = x1 - x2, y1 - y2
+    den = xx * dx + yy * dy
+    if den.is_zero():
+        raise ValueError("chord degenerates (coincident or opposite points)")
+    cross = x2 * y1 - x1 * y2
+    x3 = RationalFunction(a * dx + yy * cross, den)
+    y3 = RationalFunction(a * dy - xx * cross, den)
+    # x3^3 + y3^3 = a cleared of denominators; it holds exactly when the
+    # terms of each degree cancel, so forms of two degrees are never added
+    cx, cy, parts = x3.den ** 3, y3.den ** 3, {}
+    for t in (x3.num ** 3 * cy, y3.num ** 3 * cx, -(a * cx * cy)):
+        parts[t.degree] = parts[t.degree] + t if t.degree in parts else t
+    for part in parts.values():
+        _check_identity(part, (), "chord")
+    return (
+        x3.to_form() if x3.den.degree == 0 else x3,
+        y3.to_form() if y3.den.degree == 0 else y3,
+    )

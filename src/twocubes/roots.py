@@ -299,7 +299,10 @@ def linear_factors(p: BinaryForm) -> tuple[complex, list[ProjectiveRoot]]:
         if inf_mult:
             roots.append(ProjectiveRoot(1.0 + 0j, 0j, inf_mult))
         for z, m in finite + clusters:
-            nrm = math.sqrt(1.0 + abs(z) ** 2)
+            try:
+                nrm = math.sqrt(1.0 + abs(z) ** 2)
+            except OverflowError:  # |z| past ~1.3e154, where 1 + |z|^2 rounds to |z|^2
+                nrm = abs(z)
             roots.append(ProjectiveRoot.normalized(z / nrm, 1.0 / nrm, m))
         roots = _ordered(roots)
         scale, residual = _reconstruction(p, roots)

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from twocubes import classify
 from twocubes.classify import (
     canonicalize_type,
     diagonalize,
@@ -15,6 +16,8 @@ from twocubes.classify import (
     wild_family,
 )
 from twocubes.decomp import rep_count
+from twocubes.exact import OMEGA, ParamPoly
+from twocubes.families import hirschhorn_family, young_family
 from twocubes.forms import FLOAT, BinaryForm, LinearChange, form_compose
 
 
@@ -65,6 +68,66 @@ def test_type_detect_ramanujan_exact():
     assert tag.split == 0 and tag.omega_left == 0 and tag.omega_right == 0
     assert (tag.T - 4).coeffs == (0,) * 8 if hasattr(tag.T, "coeffs") else tag.T == 4
     assert "f1" in tag.describe()
+
+
+def _reference_arrangement(forms):
+    """The arrangement search as it was before the twists were hoisted:
+    each w^k * sign recomputed, the untwisted member added first."""
+    kernel = forms[0].kernel
+    omega = kernel.coerce(OMEGA)
+    for split_index, ((a, b, sb), (c, d, sd)) in enumerate(classify._SPLITS):
+        lefts = [forms[a] + forms[b].scale(omega ** k * sb) for k in range(3)]
+        rights = [forms[c] + forms[d].scale(omega ** k * sd) for k in range(3)]
+        for i, j in classify._OMEGA_ORDER:
+            left, right = lefts[i], rights[j]
+            if right.is_zero() or left.is_zero():
+                continue
+            if left.proportional_to(right, rel_tol=classify.TYPE_PROP_TOL):
+                return classify._coefficient_ratio(left, right, kernel), split_index, i, j
+    raise ArithmeticError("no type arrangement found")
+
+
+def _type_detect_inputs():
+    """Young and Hirschhorn families, exact, float and formal (ParamPoly
+    coefficients), each also as (f1, w f2, f3, w^2 f4): the same cube sums,
+    met at other powers of w."""
+    rng = random.Random(41)
+    params = [None]
+    while len(params) < 7:
+        n = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+        if abs(n) not in (0, 1):
+            params += [n, complex(rng.uniform(-2, 2), rng.uniform(-2, 2))]
+    for family in (young_family, hirschhorn_family):
+        for n in params:
+            f1, f2, f3, f4 = family(n)
+            w = f1.kernel.coerce(OMEGA)
+            yield f1, f2, f3, f4
+            yield f1, f2.scale(w), f3, f4.scale(w * w)
+
+
+def _typed(v):
+    if isinstance(v, tuple):  # the (left, right) pair of the patched ratio
+        return [[(type(c), c) for c in f.coeffs] for f in v]
+    return type(v), v
+
+
+def test_type_detect_matches_the_unhoisted_search(monkeypatch):
+    inputs = list(_type_detect_inputs())
+    for forms in inputs:
+        if not any(isinstance(c, ParamPoly) for f in forms for c in f.coeffs):
+            tag = type_detect(*forms)
+            T, split, i, j = _reference_arrangement(forms)
+            assert (_typed(tag.T), tag.split, tag.omega_left, tag.omega_right) == (_typed(T), split, i, j)
+        else:
+            # a ParamPoly T has no quotient in the exact kernel
+            with pytest.raises(TypeError):
+                type_detect(*forms)
+    # the proportional pair itself, formal parameters included
+    monkeypatch.setattr(classify, "_coefficient_ratio", lambda left, right, kernel: (left, right))
+    for forms in inputs:
+        tag = type_detect(*forms)
+        T, split, i, j = _reference_arrangement(forms)
+        assert (_typed(tag.T), tag.split, tag.omega_left, tag.omega_right) == (_typed(T), split, i, j)
 
 
 def test_type_detect_rejects_unequal_sums():

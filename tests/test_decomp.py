@@ -568,6 +568,13 @@ def test_rep_count_at_extreme_coefficient_scales(coeffs, n, scale):
     assert report.multiplicities == (1, 1, 1, 1, 1, 1)
 
 
+def test_rep_count_with_roots_past_the_square_root_of_the_float_range():
+    # roots of modulus past ~1.3e154, whose squares overflow: the projective
+    # normalization uses |z| there, since 1 + |z|^2 rounds to |z|^2
+    coeffs = [10.0 ** e for e in (-39, 217, -76, -239, -262, -232, -213)]
+    assert rep_count(fl6(coeffs)).N == 0
+
+
 def _rescaled(coeffs, e):
     """The sextic with these coefficients under x -> 10^e x, each coefficient
     multiplied by 10^e one factor at a time."""

@@ -17,7 +17,7 @@ from twocubes.ecurve import (
 )
 from twocubes.exact import CycNum, IMAG, OMEGA, SQRT3, SQRTM3
 from twocubes.families import f_forms, p1_sextic, q1_sextic
-from twocubes.forms import BinaryForm
+from twocubes.forms import BinaryForm, form_gcd
 
 Q = Fraction
 
@@ -368,6 +368,112 @@ def test_projective_point_uses_the_lcm_of_the_denominators():
     assert ecurve._projective(OMEGA, Q(1, 2)) == (OMEGA, Q(1, 2), 1)
 
 
+# The form chord as it was computed before the shared products: eighteen
+# form products, and each ratio reduced by its gcd, then made monic.  The
+# oracle test below requires curve_add to agree with it, value, coefficient
+# type and exception alike.
+
+def _gcd_reduced(num, den):
+    """(num, den) divided by their gcd, den divided by its lead."""
+    if num.is_zero():
+        return BinaryForm.zero(0), BinaryForm.exact(0, [Q(1)])
+    if num.degree and den.degree:
+        g = form_gcd(num, den)
+        if g.degree > 0:
+            num, den = ecurve._divide_forms(num, g), ecurve._divide_forms(den, g)
+    lead = next(c for c in den.coeffs if c)
+    if lead != 1:
+        inv = lead.inverse() if isinstance(lead, CycNum) else 1 / Q(lead)
+        num, den = num.scale(inv), den.scale(inv)
+    return num, den
+
+
+def _reference_form_chord(point1, point2, a):
+    (x1, y1), (x2, y2) = point1, point2
+    for x, y in (point1, point2):
+        if not (x ** 3 + y ** 3 - a).is_zero():
+            raise ValueError("point is not on the curve")
+    den = (x1 * x1 * x2 + y1 * y1 * y2) - (x1 * x2 * x2 + y1 * y2 * y2)
+    if den.is_zero():
+        raise ValueError("chord degenerates (coincident or opposite points)")
+    num_x = a * (x1 - x2) + y1 * y2 * (x2 * y1 - x1 * y2)
+    num_y = a * (y1 - y2) + x1 * x2 * (x1 * y2 - x2 * y1)
+    (nx, dx), (ny, dy) = _gcd_reduced(num_x, den), _gcd_reduced(num_y, den)
+    if not (nx ** 3 * dy ** 3 + ny ** 3 * dx ** 3 - a * dx ** 3 * dy ** 3).is_zero():
+        raise ArithmeticError("chord identity failed")
+    return [nx if dx.degree == 0 else (nx, dx), ny if dy.degree == 0 else (ny, dy)]
+
+
+def _typed_forms(point):
+    """Each coordinate as degrees and typed coefficients: a form, or the
+    numerator and denominator of a RationalFunction or a (num, den) pair."""
+    def typed(v):
+        if isinstance(v, BinaryForm):
+            return v.degree, [(type(c), c) for c in v.coeffs]
+        if isinstance(v, RationalFunction):
+            v = (v.num, v.den)
+        return [typed(f) for f in v]
+    return [typed(v) for v in point]
+
+
+def _form_chord_cases():
+    rng = random.Random(31)
+    lams = []
+    while len(lams) < 6:
+        lam = Q(rng.randint(-9, 9), rng.randint(1, 9))
+        if lam and abs(lam) != 1:
+            lams.append(lam)
+    for lam in lams:
+        f1, f2, f3, f4, f5, f6 = f_forms(lam)
+        p1, p2, p3, a = (f1, f2), (f3, f4), (f5, f6), p1_sextic(lam)
+        pairs = {"P1+P2": (p1, p2), "P2+P1": (p2, p1), "P1+P3": (p1, p3), "P2+P3": (p2, p3)}
+        for name, pair in pairs.items():
+            yield f"lambda={lam} {name}", (*pair, a)
+    f1, f2, f3, f4, _, _ = f_forms(Q(2))
+    a = p1_sextic(Q(2))
+    yield "coincident", ((f1, f2), (f1, f2), a)
+    yield "opposite", ((f1, f2), (f2, f1), a)
+    yield "first off the curve", ((f1, f3), (f3, f4), a)
+    yield "second off the curve", ((f1, f2), (f3, f1), a)
+    # x = x(x^3 + 2y^3) / (w(x^3 - y^3)): the denominator does not divide
+    x, y = BinaryForm.exact(1, [Q(1), 0]), BinaryForm.exact(1, [0, Q(1)])
+    yield "rational result", ((x, y), (x.scale(OMEGA), y.scale(OMEGA ** 2)), x ** 3 + y ** 3)
+
+
+@pytest.mark.parametrize("point1, point2, a", [case for _, case in _form_chord_cases()],
+                         ids=[key for key, _ in _form_chord_cases()])
+def test_form_chord_matches_the_gcd_reduced_reference(point1, point2, a):
+    try:
+        want = _typed_forms(_reference_form_chord(point1, point2, a))
+    except (ArithmeticError, ValueError) as exc:
+        with pytest.raises(type(exc)) as got:
+            curve_add(point1, point2, a)
+        assert type(got.value) is type(exc) and str(got.value) == str(exc)
+        return
+    assert _typed_forms(curve_add(point1, point2, a)) == want
+
+
+def test_family_form_chord_takes_ten_products_and_no_gcd(monkeypatch):
+    f1, f2, f3, f4, _, _ = f_forms(Q(5, 3))
+    a = p1_sextic(Q(5, 3))
+    mul, calls, gcds, products = BinaryForm.__mul__, [], [], []
+
+    class Counted(RationalFunction):
+        # both ratios are built once every product of the chord is formed
+        def __init__(self, num, den=None):
+            products.append(len(calls))
+            super().__init__(num, den)
+
+    monkeypatch.setattr(ecurve, "RationalFunction", Counted)
+    monkeypatch.setattr(ecurve, "form_gcd", lambda f, g: gcds.append(f) or form_gcd(f, g))
+    monkeypatch.setattr(BinaryForm, "__mul__", lambda self, other: calls.append(1) or mul(self, other))
+    monkeypatch.setattr(ecurve, "_on_curve_check", lambda *args: None)
+    x3, y3 = curve_add((f1, f2), (f3, f4), a)
+    assert gcds == []
+    assert len(products) == 2 and products[-1] <= 10
+    assert isinstance(x3, BinaryForm) and isinstance(y3, BinaryForm)
+
+
 def test_chord_rejects_mixed_form_and_scalar():
     x_sq = BinaryForm.exact(2, [Q(1), 0, 0])
     with pytest.raises(TypeError):
@@ -407,6 +513,32 @@ def test_rational_function_with_a_monic_cyclotomic_denominator_inverts_nothing(m
     assert calls == []
     assert rf.num == num and rf.to_form() == num
     RationalFunction(num, BinaryForm.exact(0, [OMEGA]))
+    assert len(calls) == 1
+
+
+_LIN = BinaryForm.exact(1, [Q(1), OMEGA])                   # x + w y
+_QUAD = BinaryForm.exact(2, [Q(1), CycNum.zeta(), Q(-2)])   # x^2 + z xy - 2y^2
+
+
+@pytest.mark.parametrize("num, den", [
+    # den divides num: one division, no gcd
+    (_LIN * _QUAD, _LIN.scale(Q(3))),
+    (BinaryForm.exact(3, [Q(2), Q(-2), Q(-4), 0]), BinaryForm.exact(1, [Q(3), Q(3)])),
+    # coprime forms
+    (_QUAD, BinaryForm.exact(2, [Q(3), Q(1), 0])),
+    # a partial common factor: (x + y)(x - 2y) over 2(x + y)(x + 3y)
+    (BinaryForm.exact(2, [Q(1), Q(-1), Q(-2)]), BinaryForm.exact(2, [Q(2), Q(8), Q(6)])),
+], ids=["divides", "divides-rational", "coprime", "partial-factor"])
+def test_rational_function_division_first_matches_the_gcd_path(num, den):
+    assert _typed_forms([RationalFunction(num, den)]) == _typed_forms([_gcd_reduced(num, den)])
+
+
+def test_rational_function_runs_the_gcd_only_when_the_division_fails(monkeypatch):
+    calls = []
+    monkeypatch.setattr(ecurve, "form_gcd", lambda f, g: calls.append(f) or form_gcd(f, g))
+    assert RationalFunction(_LIN * _QUAD, _LIN).to_form() == _QUAD
+    assert calls == []
+    RationalFunction(_LIN * _QUAD, BinaryForm.exact(1, [Q(1), Q(3)]))
     assert len(calls) == 1
 
 
