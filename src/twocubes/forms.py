@@ -198,6 +198,9 @@ class BinaryForm:
             raise ValueError("forms have no negative powers")
         if n == 0:
             return BinaryForm(0, (self.kernel.one,), self.kernel)
+        if n == 3 and self.degree == 2 and self.kernel.exact:
+            return BinaryForm(6, _quadratic_cube(*self.coeffs, self.kernel.zero), self.kernel)
+        # float cubes stay f * f**2: decomp.rep_count reproduces those bits
         return binary_power(self, n)
 
     def evaluate(self, x, y):
@@ -208,19 +211,56 @@ class BinaryForm:
         return acc
 
     def substituted(self, fx: BinaryForm, fy: BinaryForm) -> BinaryForm:
-        """f(fx, fy) for two degree-1 forms; the workhorse behind compose."""
+        """f(fx, fy) for two degree-1 forms, by homogeneous Horner:
+        acc <- acc * fx + c_k * fy**k.  The workhorse behind compose."""
         if fx.degree != 1 or fy.degree != 1:
             raise ValueError("substitution needs two linear forms")
-        d, unit = self.degree, BinaryForm(0, (self.kernel.one,), self.kernel)
-        xs, ys = [unit], [unit]  # fx**k and fy**k by running products
-        for _ in range(d):
-            xs.append(xs[-1] * fx)
-            ys.append(ys[-1] * fy)
-        out = BinaryForm.zero(d, self.kernel)
-        for k, c in enumerate(self.coeffs):
+        acc = BinaryForm(0, self.coeffs[:1], self.kernel)
+        power = None  # fy**k by running products
+        for c in self.coeffs[1:]:
+            power = fy if power is None else power * fy
+            acc = acc * fx
             if c:
-                out = out + (xs[d - k] * ys[k]).scale(c)
-        return out
+                acc = acc + power.scale(c)
+        return acc
+
+
+def _quadratic_cube(a, b, c, zero) -> tuple:
+    """Coefficients of (a x^2 + b xy + c y^2)^3 from its ten cubic monomials:
+    a^3, 3a^2b, 3(a^2c + ab^2), b^3 + 6abc, 3(ac^2 + b^2c), 3bc^2, c^3, from
+    a^2, b^2, c^2 and ab.  That is 14 ring products, against 24 for
+    f * f**2.  Zero coefficients are skipped, so a slot that no nonzero
+    monomial reaches holds `zero`, as in `sparse_product`."""
+    out = [zero] * 7
+    if a:
+        a2 = a * a
+        out[0] = a2 * a
+    if c:
+        c2 = c * c
+        out[6] = c2 * c
+    if not b:
+        if a and c:
+            out[2] = 3 * (a2 * c)
+            out[4] = 3 * (a * c2)
+        return tuple(out)
+    b2 = b * b
+    out[3] = b2 * b
+    if a:
+        ab = a * b
+        out[1] = 3 * (a2 * b)
+        out[2] = ab * b
+    if c:
+        out[4] = b2 * c
+        out[5] = 3 * (b * c2)
+    if a and c:
+        out[2] = a2 * c + out[2]
+        out[3] = out[3] + 6 * (ab * c)
+        out[4] = a * c2 + out[4]
+    if a:
+        out[2] = 3 * out[2]
+    if c:
+        out[4] = 3 * out[4]
+    return tuple(out)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -135,8 +135,14 @@ def _aberth_roots(coeffs) -> list[complex]:
                 moved = math.inf
                 continue
             step = _aberth_step(zs, i, p / dp)
+            size = abs(step)
+            if not size < math.inf:
+                # a NaN or infinite step, from an overflowed p or p': keep the
+                # iterate, and the sweep unconverged
+                moved, at_floor = math.inf, False
+                continue
             zs[i] -= step
-            moved = max(moved, abs(step) / (1.0 + abs(zs[i])))
+            moved = max(moved, size / (1.0 + abs(zs[i])))
         if moved <= ABERTH_STEP_TOL or at_floor:
             break
     return zs

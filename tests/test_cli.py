@@ -436,18 +436,24 @@ def test_unknown_command_is_usage_error(capsys):
     assert code == 1
 
 
-def test_console_entry_point_runs():
+def _run_module(module, *argv):
+    """`python -m module argv...` in a fresh interpreter with src/ on the path."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     inherited = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=src + (os.pathsep + inherited if inherited else ""))
-    proc = subprocess.run(
-        [sys.executable, "-m", "twocubes.cli", "curve-add", "1", "12", "9", "10", "1729"],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
+    return subprocess.run([sys.executable, "-m", module, *argv], capture_output=True, text=True, env=env)
+
+
+def test_console_entry_point_runs():
+    proc = _run_module("twocubes.cli", "curve-add", "1", "12", "9", "10", "1729")
     assert proc.returncode == 0
     assert json.loads(proc.stdout) == {"x3": "-37/3", "y3": "46/3"}
+
+
+def test_package_runs_as_a_module():
+    proc = _run_module("twocubes", "decompose", "0", "1", "0", "0", "0", "-1", "0")
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["N"] == 6
 
 
 def test_text_format_census(capsys):

@@ -1,9 +1,11 @@
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from twocubes.exact import IMAG, OMEGA, ZETA8, ETA, CycNum
+from twocubes.exact import IMAG, OMEGA, ZETA8, ETA, CycNum, ParamPoly
+from twocubes.families import _SqrtExt
 from twocubes.forms import (
     EXACT,
     FLOAT,
@@ -17,6 +19,7 @@ from twocubes.forms import (
     form_to_json,
     multiplicity_structure,
     norm2,
+    relative_residual,
 )
 
 F = Fraction
@@ -46,7 +49,7 @@ def test_pow_matches_repeated_products():
         for n in range(1, 8):
             assert (base ** n).equals(prod)
             prod = prod * base
-        # a cube is the one product base * base**2, bit for bit
+        # a cube equals base * base**2: bit for bit in floats, in value exactly
         assert (base ** 3).coeffs == (base * (base * base)).coeffs
 
 
@@ -231,3 +234,190 @@ def test_gcd_divides_both(fc, gc):
     for h in (f, g):
         q = form_divexact(h, d)
         assert (q * d).proportional_to(h)
+
+
+# -- the cube of an exact quadratic -------------------------------------------
+
+def _rational(rng):
+    return F(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9))
+
+
+def _cycnum(rng):
+    return CycNum([F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(8)])
+
+
+def _param(rng, name, coefficient):
+    return ParamPoly(name, tuple([coefficient(rng) for _ in range(rng.randint(1, 3))]))
+
+
+_RINGS = {
+    "int": lambda rng: rng.choice([-1, 1]) * rng.randint(1, 9),
+    "Fraction": _rational,
+    "CycNum": _cycnum,
+    "mixed": lambda rng: rng.choice([_rational, _cycnum])(rng),
+    "ParamPoly": lambda rng: _param(rng, "t", lambda r: r.choice([_rational, _cycnum])(r)),
+    # the root parameter is the lexicographically smaller one
+    "nested ParamPoly": lambda rng: _param(rng, "s", lambda r: _param(r, "t", _rational)),
+    "_SqrtExt": lambda rng: _SqrtExt(_param(rng, "d", _rational), _param(rng, "d", _cycnum)),
+}
+
+
+def _nonzero(rng, draw):
+    while True:
+        v = draw(rng)
+        if v:
+            return v
+
+
+def _reached_slots(coeffs):
+    """The slots of (a, b, c)**3 that a monomial a^i b^j c^l with nonzero
+    factors reaches: slot j + 2l."""
+    return {j + 2 * (3 - i - j) for i in range(4) for j in range(4 - i)
+            if (coeffs[0] or not i) and (coeffs[1] or not j) and (coeffs[2] or i + j == 3)}
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(sorted(_RINGS)), st.lists(st.booleans(), min_size=3, max_size=3),
+       st.integers(min_value=0, max_value=2 ** 32))
+def test_exact_quadratic_cube_matches_product(ring, zeros, seed):
+    rng = random.Random(seed)
+    coeffs = [EXACT.zero if zero else _nonzero(rng, _RINGS[ring]) for zero in zeros]
+    f = BinaryForm.exact(2, coeffs)
+    cube = f ** 3
+    assert cube.degree == 6 and cube.kernel is EXACT
+    assert all(got == want for got, want in zip(cube.coeffs, (f * (f * f)).coeffs))
+    reached = _reached_slots(coeffs)
+    for k, c in enumerate(cube.coeffs):
+        if k not in reached:
+            assert c is EXACT.zero
+
+
+class _Counted:
+    """An int that counts the ring products (both factors counted) and the
+    small-integer scalings it takes part in."""
+
+    def __init__(self, value, tally):
+        self.value, self.tally = value, tally
+
+    def __mul__(self, other):
+        if isinstance(other, _Counted):
+            self.tally["products"] += 1
+            return _Counted(self.value * other.value, self.tally)
+        self.tally["scalings"] += 1
+        return _Counted(self.value * other, self.tally)
+
+    __rmul__ = __mul__
+
+    def __add__(self, other):
+        return _Counted(self.value + (other.value if isinstance(other, _Counted) else other), self.tally)
+
+    __radd__ = __add__
+
+    def __bool__(self):
+        return bool(self.value)
+
+
+def _tally(build):
+    tally = {"products": 0, "scalings": 0}
+    build(lambda v: _Counted(v, tally))
+    return tally
+
+
+def test_exact_quadratic_cube_takes_fourteen_products():
+    def cube(n):
+        f = BinaryForm.exact(2, [n(2), n(-3), n(5)])
+        assert [c.value for c in (f ** 3).coeffs] == [8, -36, 114, -207, 285, -225, 125]
+
+    assert _tally(cube) == {"products": 14, "scalings": 5}
+    assert _tally(lambda n: (lambda f: f * (f * f))(BinaryForm.exact(2, [n(2), n(-3), n(5)]))) == {
+        "products": 24, "scalings": 0}
+
+
+# -- composition: Horner against the running-powers expansion -------------------
+
+def _expanded_substitution(f, fx, fy):
+    """f(fx, fy) by the running powers fx**k and fy**k: each term
+    c_k fx**(d-k) fy**k is expanded and summed, as forms did before Horner."""
+    d, unit = f.degree, BinaryForm(0, (f.kernel.one,), f.kernel)
+    xs, ys = [unit], [unit]
+    for _ in range(d):
+        xs.append(xs[-1] * fx)
+        ys.append(ys[-1] * fy)
+    out = BinaryForm.zero(d, f.kernel)
+    for k, c in enumerate(f.coeffs):
+        if c:
+            out = out + (xs[d - k] * ys[k]).scale(c)
+    return out
+
+
+def _linear(change):
+    return (BinaryForm(1, (change.alpha, change.beta), change.kernel),
+            BinaryForm(1, (change.gamma, change.delta), change.kernel))
+
+
+def _exact_scalar(rng):
+    return rng.choice([lambda r: F(0), _rational, _rational, _cycnum])(rng)
+
+
+def _exact_change(rng):
+    while True:
+        m = LinearChange(*[_exact_scalar(rng) for _ in range(4)])
+        if m.det():
+            return m
+
+
+@pytest.mark.parametrize("degree", range(7))
+def test_horner_composition_matches_expansion_exactly(degree):
+    rng = random.Random(1500 + degree)
+    for _ in range(12):
+        f = BinaryForm.exact(degree, [_exact_scalar(rng) for _ in range(degree + 1)])
+        m = _exact_change(rng)
+        got = form_compose(f, m)
+        want = _expanded_substitution(f, *_linear(m))
+        assert got.degree == degree and got.coeffs == want.coeffs
+    # formal parameters in the form and in the change
+    t = ParamPoly.variable("t")
+    f = BinaryForm.exact(degree, [t ** k + k for k in range(degree + 1)])
+    m = LinearChange(t, F(1), OMEGA, 1 - t)
+    assert form_compose(f, m).coeffs == _expanded_substitution(f, *_linear(m)).coeffs
+
+
+@pytest.mark.parametrize("degree", range(7))
+def test_horner_composition_matches_expansion_in_floats(degree):
+    rng = random.Random(2500 + degree)
+    for _ in range(12):
+        f = BinaryForm.floating(degree, [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(degree + 1)])
+        m = LinearChange(*[complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(4)], FLOAT)
+        got = form_compose(f, m)
+        want = _expanded_substitution(f, *_linear(m))
+        assert got.kernel is FLOAT and relative_residual(got, want) <= 1e-12
+
+
+def test_horner_composition_takes_fewer_products():
+    # positive scalars, so that no slot cancels and every product is made
+    def compose(degree):
+        def build(n):
+            f = BinaryForm.exact(degree, [n(k + 1) for k in range(degree + 1)])
+            return f.substituted(BinaryForm.exact(1, [n(2), n(3)]), BinaryForm.exact(1, [n(5), n(7)]))
+        return build
+
+    def expand(degree):
+        def build(n):
+            f = BinaryForm.exact(degree, [n(k + 1) for k in range(degree + 1)])
+            return _expanded_substitution(f, BinaryForm.exact(1, [n(2), n(3)]), BinaryForm.exact(1, [n(5), n(7)]))
+        return build
+
+    # the expansion's products by the kernel's unit count as scalings
+    for degree, horner, expansion in ((2, 15, 31), (6, 109, 217)):
+        assert _tally(compose(degree)) == {"products": horner, "scalings": 0}
+        assert sum(_tally(expand(degree)).values()) == expansion
+
+
+@pytest.mark.parametrize("degree", range(7))
+def test_compose_then_is_composition_exactly(degree):
+    rng = random.Random(3500 + degree)
+    for _ in range(6):
+        f = BinaryForm.exact(degree, [_exact_scalar(rng) for _ in range(degree + 1)])
+        m, n = _exact_change(rng), _exact_change(rng)
+        once = form_compose(f, m.then(n))
+        assert once.coeffs == form_compose(form_compose(f, m), n).coeffs

@@ -280,3 +280,22 @@ def test_simple_roots_survive_rescaling(e):
         moved = BinaryForm.floating(6, [c * 10.0 ** (e * (6 - k)) for k, c in enumerate(p.coeffs)])
         assert [r.multiplicity for r in linear_factors(p)[1]] == [1] * 6
         assert [r.multiplicity for r in linear_factors(moved)[1]] == [1] * 6
+
+
+@pytest.mark.parametrize("coeffs", [
+    (-5.14795823487262e+183, -61.05126658314379, 3.595990831969495e+252, 9.699778174728762e+181,
+     -2.8438915240469985e+293, 4.5183144573632975e+229, 26664.507730732123),
+    (-5.236570534092924e+25, -1.239764214367405e+81, 3.75026248777989e-50, -5.030693509456162e+95,
+     8.237473600376446e+206, 4.512203748948965e-73, 2.2937161639743699e+288),
+], ids=["e293", "e288"])
+def test_overflowing_aberth_steps_are_not_applied(coeffs):
+    # sextics of a seeded fuzz with coefficient exponents in +-300, on which p
+    # or p' overflows in the float sweep: a NaN step reached the exact polish,
+    # which raised ValueError on converting NaN to an integer ratio
+    p = fl(*coeffs)
+    try:
+        scale, roots = linear_factors(p)
+    except ArithmeticError:
+        return
+    assert all(cmath.isfinite(r.s) and cmath.isfinite(r.t) for r in roots)
+    assert roots_module._reconstruction(p, roots)[1] <= RECONSTRUCT_TOL
