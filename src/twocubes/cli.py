@@ -212,6 +212,7 @@ def cmd_verify(ns) -> int:
 
 
 _PARAMETRIC_FAMILIES = {"F", "N"}
+_FIXED_FAMILIES = {"R", "VIETA"}  # these would ignore --lambda, so they reject it
 
 
 def cmd_family(ns) -> int:
@@ -219,6 +220,8 @@ def cmd_family(ns) -> int:
     lam = parse_scalar(ns.lam) if ns.lam is not None else None
     if fid in _PARAMETRIC_FAMILIES and lam is None:
         raise UsageError(f"family {fid} needs --lambda")
+    if fid in _FIXED_FAMILIES and lam is not None:
+        raise UsageError(f"family {fid} takes no --lambda")
     if fid == "F":
         members = f_forms(lam)
     elif fid == "N":

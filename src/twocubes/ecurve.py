@@ -31,41 +31,15 @@ import math
 from fractions import Fraction
 
 from .exact import CycNum
-from .forms import EXACT, FLOAT_TOL, NEGLIGIBLE_REL, BinaryForm, form_gcd
+from .forms import EXACT, FLOAT_TOL, NEGLIGIBLE_REL, BinaryForm, form_divexact, form_gcd
 
 
 def _const_form(v) -> BinaryForm:
     return BinaryForm.exact(0, [v])
 
 
-def _divide_forms(num: BinaryForm, den: BinaryForm) -> BinaryForm:
-    """Exact quotient of homogeneous forms; raises if den does not divide."""
-    if den.is_zero():
-        raise ZeroDivisionError("division by the zero form")
-    if num.is_zero():
-        return BinaryForm.zero(0) if num.degree < den.degree else BinaryForm.zero(num.degree - den.degree)
-    qdeg = num.degree - den.degree
-    if qdeg < 0:
-        raise ValueError("form quotient is not polynomial")
-    # dense division of the dehomogenized polynomials in t = y/x
-    n = list(num.coeffs)
-    d = list(den.coeffs)
-    dtop = max(i for i, c in enumerate(d) if not EXACT.is_zero(c))
-    lead_inv = EXACT.inv(d[dtop])
-    quot = [EXACT.zero] * (qdeg + 1)
-    for i in range(len(n) - 1, dtop - 1, -1):
-        if EXACT.is_zero(n[i]):
-            continue
-        k = i - dtop
-        if k > qdeg:
-            raise ValueError("form quotient is not polynomial")
-        c = n[i] * lead_inv
-        quot[k] = c
-        for j, dj in enumerate(d):
-            n[k + j] = n[k + j] - c * dj
-    if not all(EXACT.is_zero(c) for c in n):
-        raise ValueError("form quotient is not polynomial")
-    return BinaryForm.exact(qdeg, quot)
+# the benchmark's tracer times `forms.form_divexact` under this name too
+_divide_forms = form_divexact
 
 
 class RationalFunction:
@@ -97,13 +71,13 @@ class RationalFunction:
                 # chord, one division replaces the gcd, a second division
                 # and the lead inverse
                 try:
-                    quot = _divide_forms(num, den)
+                    quot = form_divexact(num, den)
                 except ValueError:
                     pass
             if quot is not None:
                 # the gcd path would leave den/den = lead * lead^-1: the 1 of
-                # the ring of den's leading coefficient
-                lead = next(c for c in reversed(den.coeffs) if c)
+                # the ring of den's lead, the pivot of the division
+                lead = next(c for c in den.coeffs if c)
                 num = quot
                 den = _const_form(CycNum.one() if isinstance(lead, CycNum) else Fraction(1))
             else:
@@ -111,8 +85,8 @@ class RationalFunction:
                 if num.degree and den.degree:
                     g = form_gcd(num, den)
                     if g.degree > 0:
-                        num = _divide_forms(num, g)
-                        den = _divide_forms(den, g)
+                        num = form_divexact(num, g)
+                        den = form_divexact(den, g)
                 lead = next(c for c in den.coeffs if c)
                 if lead != 1:
                     inv = EXACT.inv(lead)
@@ -286,43 +260,31 @@ def eb_forward(params: EBParams) -> EBQuadruple:
     return EBQuadruple(f1, f2, f3, f4, left, _value_is_zero(left, scale))
 
 
-def _halves(f1, f2, f3, f4, forms: bool):
-    half = Fraction(1, 2)
-    if forms:
-        return (
-            (f1 + f2).scale(half),
-            (f2 - f1).scale(half),
-            (f3 + f4).scale(half),
-            (f4 - f3).scale(half),
-        )
-    return ((f1 + f2) * half, (f2 - f1) * half, (f3 + f4) * half, (f4 - f3) * half)
-
-
 def eb_inverse(f1, f2, f3, f4) -> EBParams:
     """Recover (a, b, mu) from an honest equal sum f1^3 + f2^3 = f3^3 + f4^3.
 
-    Form inputs yield RationalFunction parameters (a common denominator for
-    a and b; mu restores the cleared scale).  A quadruple whose two pairs
-    share their cubes has no honest parameterization and raises ValueError,
-    as does one with vanishing parameter denominator.
+    Form inputs are lifted to RationalFunction values, so they yield
+    RationalFunction parameters (a common denominator for a and b; mu
+    restores the cleared scale).  A quadruple whose two pairs share their
+    cubes has no honest parameterization and raises ValueError, as does one
+    with vanishing parameter denominator.
     """
     values = [f1, f2, f3, f4]
-    forms = any(isinstance(v, BinaryForm) for v in values)
-    if forms:
+    if any(isinstance(v, BinaryForm) for v in values):
         if not all(isinstance(v, BinaryForm) for v in values):
             raise TypeError("mixed form and scalar quadruple")
         if not all(v.kernel.exact for v in values):
             raise TypeError("inverse parameterization requires exact forms")
-    else:
-        values = [_lift_param(v) for v in values]
-    floating = (not forms) and any(isinstance(v, complex) for v in values)
+    values = [_lift_param(v) for v in values]
+    floating = any(isinstance(v, complex) for v in values)
     if floating:
         values = [complex(v) for v in values]
     f1, f2, f3, f4 = values
 
-    g1, g2, g3, g4 = _halves(f1, f2, f3, f4, forms)
-    den = g1 * g1 + 3 * (g2 * g2) if not forms else g1 * g1 + (g2 * g2).scale(3)
-    num_a = g1 * g3 + 3 * (g2 * g4) if not forms else g1 * g3 + (g2 * g4).scale(3)
+    half = Fraction(1, 2)
+    g1, g2, g3, g4 = (f1 + f2) * half, (f2 - f1) * half, (f3 + f4) * half, (f4 - f3) * half
+    den = g1 * g1 + 3 * (g2 * g2)
+    num_a = g1 * g3 + 3 * (g2 * g4)
     num_b = g1 * g4 - g3 * g2
 
     scale = None
@@ -330,19 +292,7 @@ def eb_inverse(f1, f2, f3, f4) -> EBParams:
         scale = max(abs(v) for v in (g1, g2, g3, g4)) ** 2 or 1.0
     if _value_is_zero(den, scale):
         raise ValueError("parameter denominator g1^2 + 3*g2^2 vanishes")
-
-    if forms:
-        a = RationalFunction(num_a, den)
-        b = RationalFunction(num_b, den)
-        g1 = RationalFunction(g1)
-        g2 = RationalFunction(g2)
-    elif floating:
-        a = num_a / den
-        b = num_b / den
-    else:
-        inv = EXACT.inv(den)
-        a = num_a * inv
-        b = num_b * inv
+    a, b = num_a / den, num_b / den
 
     q = a * a + 3 * (b * b)
     c = a * q - 1

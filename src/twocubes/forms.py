@@ -330,16 +330,21 @@ def _poly_trim(c, kernel, scale):
     return c
 
 
-def _poly_mod(a, b, kernel, scale):
-    # univariate remainder, coefficients highest power first
-    a = _poly_trim(list(a), kernel, scale)
-    b = _poly_trim(list(b), kernel, scale)
-    while len(a) >= len(b) and not _is_poly_zero(a, kernel, scale):
-        q = kernel.div(a[0], b[0])
-        for i in range(len(b)):
-            a[i] = a[i] - q * b[i]
-        a = _poly_trim(a[1:], kernel, scale)
-    return a
+def _long_division(a, b, kernel, scale):
+    """Quotient and remainder of univariate polynomials, coefficients highest
+    power first, b's lead not negligible.  A negligible running coefficient
+    adds no quotient term, so such a slot holds `kernel.zero`."""
+    n = max(len(a) - len(b) + 1, 0)
+    quot, rem, lead = [kernel.zero] * n, list(a), b[0]
+    inv = kernel.inv(lead) if kernel.exact else None
+    for i in range(n):
+        if kernel.negligible(rem[i], scale):
+            continue
+        # floats divide at each step, which keeps the bits of the float gcd
+        c = quot[i] = rem[i] * inv if kernel.exact else kernel.div(rem[i], lead)
+        for j in range(1, len(b)):
+            rem[i + j] = rem[i + j] - c * b[j]
+    return quot, rem[n:]
 
 
 def _is_poly_zero(a, kernel, scale):
@@ -366,11 +371,7 @@ def form_gcd(f: BinaryForm, g: BinaryForm) -> BinaryForm:
     a = _poly_trim(a, kernel, scale)
     b = _poly_trim(b, kernel, scale)
     while not _is_poly_zero(b, kernel, scale):
-        a, b = b, _poly_mod(a, b, kernel, scale)
-        b = _poly_trim(b, kernel, scale)
-        if _is_poly_zero(b, kernel, scale):
-            break
-    a = _poly_trim(a, kernel, scale)
+        a, b = b, _poly_trim(_long_division(a, b, kernel, scale)[1], kernel, scale)
     # re-homogenize: y^ycommon shifts the x-polynomial toward higher k indices
     deg = len(a) - 1 + ycommon
     return BinaryForm(deg, tuple([kernel.zero] * ycommon + a), kernel)
@@ -386,30 +387,26 @@ def form_derivative_x(f: BinaryForm) -> BinaryForm:
 
 
 def form_divexact(f: BinaryForm, g: BinaryForm) -> BinaryForm:
-    """Exact division f / g for forms known to divide; exact kernel only."""
+    """The exact quotient f / g; exact kernel only.  A zero g raises
+    ZeroDivisionError, a g that leaves a remainder raises ValueError, and a
+    zero f gives the zero form of degree max(deg f - deg g, 0)."""
     kernel = f.kernel
     if not kernel.exact:
         raise TypeError("exact division requires the exact kernel")
+    if g.is_zero():
+        raise ZeroDivisionError("division by the zero form")
+    if f.is_zero():
+        return BinaryForm.zero(max(f.degree - g.degree, 0))
     my, a = _dehomogenize(f)
     ny, b = _dehomogenize(g)
     if ny > my:
         raise ValueError("does not divide (y-multiplicity)")
-    a = _poly_trim(a, kernel, 1.0)
-    b = _poly_trim(b, kernel, 1.0)
-    da, db = len(a) - 1, len(b) - 1
-    if db > da:
+    if len(b) > len(a):
         raise ValueError("does not divide (degree)")
-    q = [kernel.zero] * (da - db + 1)
-    rem = list(a)
-    binv = kernel.inv(b[0])
-    for i in range(da - db + 1):
-        c = rem[i] * binv
-        q[i] = c
-        for j in range(db + 1):
-            rem[i + j] = rem[i + j] - c * b[j]
-    if not all(kernel.is_zero(r) for r in rem):
+    quot, rem = _long_division(a, b, kernel, None)
+    if any(rem):
         raise ValueError("does not divide (remainder)")
-    return BinaryForm(f.degree - g.degree, tuple([kernel.zero] * (my - ny) + q), kernel)
+    return BinaryForm(f.degree - g.degree, tuple([kernel.zero] * (my - ny) + quot), kernel)
 
 
 def multiplicity_structure(p: BinaryForm) -> list[int]:

@@ -277,6 +277,15 @@ def test_family_parametric_quartets_accept_lambda(capsys):
     assert payload["degree"] == 4
 
 
+@pytest.mark.parametrize("family", ["R", "vieta"])
+def test_family_without_a_parameter_rejects_lambda(capsys, family):
+    code = main(["family", family, "--lambda", "5"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert f"error: family {family.upper()} takes no --lambda" in captured.err
+
+
 def test_family_unknown_is_usage_error(capsys):
     code = main(["family", "Z"])
     capsys.readouterr()

@@ -17,7 +17,7 @@ from twocubes.ecurve import (
 )
 from twocubes.exact import CycNum, IMAG, OMEGA, SQRT3, SQRTM3
 from twocubes.families import f_forms, p1_sextic, q1_sextic
-from twocubes.forms import BinaryForm, form_gcd
+from twocubes.forms import BinaryForm, form_divexact, form_gcd
 
 Q = Fraction
 
@@ -91,6 +91,26 @@ def test_inverse_roundtrip_exact_random():
         assert {again.f3 ** 3, again.f4 ** 3} == {quad.f3 ** 3, quad.f4 ** 3}
 
 
+def test_inverse_roundtrip_cyclotomic_random():
+    # parameters in Q(zeta24): eb_inverse runs the scalar formulas on CycNum values
+    rng = random.Random(20261018)
+    units = (CycNum.one(), OMEGA, IMAG, SQRT3, SQRTM3, CycNum.zeta())
+
+    def draw():
+        return sum((u * Q(rng.randint(-6, 6), rng.randint(1, 5)) for u in rng.sample(units, 2)), CycNum.zero())
+
+    done = 0
+    while done < 40:
+        a, b, mu = draw(), draw(), draw()
+        if b.is_zero() or mu.is_zero():
+            continue
+        quad = eb_forward(EBParams(a, b, mu))
+        recovered = eb_inverse(quad.f1, quad.f2, quad.f3, quad.f4)
+        assert (recovered.a, recovered.b, recovered.mu) == (a, b, mu)
+        assert all(isinstance(v, CycNum) for v in (recovered.a, recovered.b, recovered.mu))
+        done += 1
+
+
 def test_inverse_roundtrip_complex():
     rng = random.Random(5)
     for _ in range(10):
@@ -105,8 +125,8 @@ def test_inverse_roundtrip_complex():
         assert abs(rec.mu - mu) <= 1e-9 * scale
 
 
-def test_inverse_form_quadruple_display():
-    lam = Q(5, 7)
+@pytest.mark.parametrize("lam", [Q(5, 7), Q(2), Q(-3, 4), Q(7, 2)], ids=str)
+def test_inverse_form_quadruple_display(lam):
     f1, f2, f3, f4, f5, f6 = f_forms(lam)
     params = eb_inverse(f6, -f4, f3, -f5)
     xy = BinaryForm.exact(2, [0, Q(1), 0])
@@ -380,7 +400,7 @@ def _gcd_reduced(num, den):
     if num.degree and den.degree:
         g = form_gcd(num, den)
         if g.degree > 0:
-            num, den = ecurve._divide_forms(num, g), ecurve._divide_forms(den, g)
+            num, den = form_divexact(num, g), form_divexact(den, g)
     lead = next(c for c in den.coeffs if c)
     if lead != 1:
         inv = lead.inverse() if isinstance(lead, CycNum) else 1 / Q(lead)

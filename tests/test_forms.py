@@ -166,6 +166,86 @@ def test_divexact():
         form_divexact(ex(1, 0, 1), ex(1, 1))
 
 
+def test_divexact_of_a_zero_numerator_is_the_zero_form():
+    # 0 = 0 * (x + y): the quotient has degree deg f - deg g
+    for f, degree in ((ex(0, 0, 0), 1), (ex(0, 0, 0, 0), 2), (ex(0, 0), 0)):
+        q = form_divexact(f, ex(1, 1))
+        assert q.degree == degree and q.is_zero()
+    # as in RationalFunction, a zero numerator of lower degree gives degree 0
+    assert form_divexact(ex(0), ex(1, 1)) == BinaryForm.zero(0)
+
+
+@pytest.mark.parametrize("f", [ex(1, 2, 1), ex(0, 0, 0), ex(0)], ids=["nonzero", "zero", "zero-constant"])
+def test_divexact_by_the_zero_form_raises_zero_division(f):
+    for g in (ex(0, 0), ex(0), ex(0, 0, 0)):
+        with pytest.raises(ZeroDivisionError):
+            form_divexact(f, g)
+
+
+def _reference_divide(num, den):
+    """The second exact form division this package once had, kept as an
+    oracle: dense division of the dehomogenized polynomials in t = y/x,
+    pivoting on den's last nonzero coefficient."""
+    if den.is_zero():
+        raise ZeroDivisionError("division by the zero form")
+    if num.is_zero():
+        return BinaryForm.zero(0) if num.degree < den.degree else BinaryForm.zero(num.degree - den.degree)
+    qdeg = num.degree - den.degree
+    if qdeg < 0:
+        raise ValueError("form quotient is not polynomial")
+    n = list(num.coeffs)
+    d = list(den.coeffs)
+    dtop = max(i for i, c in enumerate(d) if not EXACT.is_zero(c))
+    lead_inv = EXACT.inv(d[dtop])
+    quot = [EXACT.zero] * (qdeg + 1)
+    for i in range(len(n) - 1, dtop - 1, -1):
+        if EXACT.is_zero(n[i]):
+            continue
+        k = i - dtop
+        if k > qdeg:
+            raise ValueError("form quotient is not polynomial")
+        c = n[i] * lead_inv
+        quot[k] = c
+        for j, dj in enumerate(d):
+            n[k + j] = n[k + j] - c * dj
+    if not all(EXACT.is_zero(c) for c in n):
+        raise ValueError("form quotient is not polynomial")
+    return BinaryForm.exact(qdeg, quot)
+
+
+def _division_pairs(count, seed):
+    """Nonzero (num, den) pairs of small exact forms: half are den times a
+    cofactor, half are drawn freely, so both outcomes are common."""
+    rng = random.Random(seed)
+    pool = [F(0), F(0), F(1), F(-2), F(3, 2), OMEGA, IMAG + F(1), CycNum.from_rational(F(-1, 3))]
+
+    def form(degree):
+        return BinaryForm.exact(degree, [rng.choice(pool) for _ in range(degree + 1)])
+
+    while count:
+        den = form(rng.randint(0, 3))
+        num = den * form(rng.randint(0, 3)) if rng.random() < 0.5 else form(rng.randint(0, 5))
+        if not (num.is_zero() or den.is_zero()):
+            count -= 1
+            yield num, den
+
+
+def test_divexact_matches_the_reference_division():
+    outcomes = {"quotient": 0, "raises": 0}
+    for num, den in _division_pairs(5000, 1):
+        try:
+            want = _reference_divide(num, den)
+        except ValueError:
+            with pytest.raises(ValueError):
+                form_divexact(num, den)
+            outcomes["raises"] += 1
+            continue
+        got = form_divexact(num, den)
+        assert got.degree == want.degree and got.coeffs == want.coeffs
+        outcomes["quotient"] += 1
+    assert min(outcomes.values()) >= 1000, outcomes
+
+
 def test_multiplicity_structure_exact():
     assert multiplicity_structure(ex(1, 0, 1) ** 3) == [3, 3]
     assert multiplicity_structure(ex(0, 1, 0, 0, 0, -1, 0)) == [1, 1, 1, 1, 1, 1]

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import pytest
 
+from twocubes import ecurve, forms
+
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 
@@ -32,3 +34,8 @@ def test_the_tracer_tables_are_found():
 @pytest.mark.parametrize("name, owner, attr", _hooks())
 def test_every_traced_attribute_exists(name, owner, attr):
     assert callable(getattr(owner, attr, None)), f"{name}: {owner.__name__}.{attr} is missing"
+
+
+def test_both_division_rows_time_one_function():
+    # the tracer's two `forms.form_divexact` rows span the same division
+    assert ecurve._divide_forms is forms.form_divexact
