@@ -34,6 +34,10 @@ _SPLITS = (
     ((0, 1, 1), (2, 3, 1)),
     ((2, 1, -1), (0, 3, -1)),
     ((3, 1, -1), (0, 2, -1)),
+    # the same three reversed: a formal T may be a polynomial one way only
+    ((2, 3, 1), (0, 1, 1)),
+    ((0, 3, -1), (2, 1, -1)),
+    ((0, 2, -1), (3, 1, -1)),
 )
 _OMEGA_ORDER = ((0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2), (2, 0), (2, 1), (2, 2))
 
@@ -99,7 +103,10 @@ def type_detect(f1: BinaryForm, f2: BinaryForm, f3: BinaryForm,
                 continue
             if not left.proportional_to(right, rel_tol=TYPE_PROP_TOL):
                 continue
-            T = _coefficient_ratio(left, right, kernel)
+            try:
+                T = _coefficient_ratio(left, right, kernel)
+            except ArithmeticError:  # a formal parameter's ratio that does not divide
+                continue
             return TypeTag(T, split_index, i, j)
     raise ArithmeticError(
         "no type arrangement found; honest equal sums always admit one"
@@ -339,14 +346,8 @@ def canonicalize_type(f1: BinaryForm, f2: BinaryForm, f3: BinaryForm,
     h11, h12 = (complex(v) for v in ref_ells[0].coeffs)
     h21, h22 = (complex(v) for v in ref_ells[1].coeffs)
     # M = L^{-1} * Lhat so that ell_j composed with M equals the reference line
-    inv = ((l22 / det, -l12 / det), (-l21 / det, l11 / det))
-    m = LinearChange(
-        inv[0][0] * h11 + inv[0][1] * h21,
-        inv[0][0] * h12 + inv[0][1] * h22,
-        inv[1][0] * h11 + inv[1][1] * h21,
-        inv[1][0] * h12 + inv[1][1] * h22,
-        FLOAT,
-    )
+    inverse = LinearChange(l22 / det, -l12 / det, -l21 / det, l11 / det, FLOAT)
+    m = inverse.then(LinearChange(h11, h12, h21, h22, FLOAT))
     m.check_invertible()
     images = tuple([form_compose(f, m) for f in forms])
     for image, target in ((images[2], ref[2]), (images[3], ref[3])):

@@ -12,7 +12,6 @@ import argparse
 import cmath
 import json
 import math
-import multiprocessing
 import re
 import sys
 from fractions import Fraction
@@ -20,7 +19,6 @@ from fractions import Fraction
 from .classify import type_detect
 from .decomp import rep_count, report_to_json
 from .ecurve import EBParams, curve_add, curve_third_rep, eb_forward, eb_inverse
-from .exact import CycNum
 from .families import (
     f_forms,
     hirschhorn_family,
@@ -34,7 +32,7 @@ from .families import (
     young_family,
     young_quadruple,
 )
-from .forms import FLOAT_TOL, BinaryForm
+from .forms import FLOAT_TOL, BinaryForm, scalar_json
 
 
 class UsageError(ValueError):
@@ -88,26 +86,6 @@ def build_form(degree: int, values) -> BinaryForm:
     return BinaryForm.floating(degree, [complex(v) for v in values])
 
 
-def scalar_json(v):
-    if isinstance(v, int):
-        return str(v)
-    if isinstance(v, Fraction):
-        return str(v)
-    if isinstance(v, CycNum):
-        if all(c == 0 for c in v.coeffs[1:]):
-            return str(v.coeffs[0])
-        return {"cyclotomic": [str(c) for c in v.coeffs]}
-    if isinstance(v, complex):
-        return [v.real, v.imag]
-    if isinstance(v, float):
-        return [v, 0.0]
-    raise TypeError(f"no serialization for {type(v).__name__}")
-
-
-def form_json(f: BinaryForm) -> list:
-    return [scalar_json(c) for c in f.coeffs]
-
-
 def _emit(ns, payload, text_lines) -> None:
     if ns.format == "json":
         print(json.dumps(payload, sort_keys=True, separators=(", ", ": ")))
@@ -148,6 +126,8 @@ def _census_cell(args) -> int:
 
 def cmd_census(ns) -> int:
     family = ns.family.upper()
+    if ns.jobs is not None and ns.jobs < 1:
+        raise UsageError("--jobs must be at least 1")
     if family not in _CENSUS_BUILDERS:
         raise UsageError("family must be A or B")
     t_values = parse_scalars(ns.values)
@@ -170,10 +150,11 @@ def cmd_census(ns) -> int:
     if not t_values:
         raise UsageError("census needs parameter values or --grid")
 
-    jobs = max(1, ns.jobs or 1)
     work = [(family, t) for t in t_values]
-    if jobs > 1:
-        with multiprocessing.get_context("fork").Pool(jobs) as pool:
+    workers = min(ns.jobs or 1, len(work))
+    if workers > 1:
+        import multiprocessing  # only a parallel census pays for this import
+        with multiprocessing.get_context("fork").Pool(workers) as pool:
             counts = pool.map(_census_cell, work)
     else:
         counts = [_census_cell(w) for w in work]
@@ -211,36 +192,34 @@ def cmd_verify(ns) -> int:
     return 0 if all(e["pass"] for e in entries) else 3
 
 
-_PARAMETRIC_FAMILIES = {"F", "N"}
-_FIXED_FAMILIES = {"R", "VIETA"}  # these would ignore --lambda, so they reject it
+# Each family's members at a parameter and without one; None where the family
+# has no such form, so a missing or an unread --lambda is a usage error.
+_FAMILIES = {
+    "F": (f_forms, None),
+    "N": (narayanan_quadruple, None),
+    "R": (None, ramanujan_quadruple),
+    "YOUNG": (young_family, young_quadruple),
+    "HIRSCHHORN": (hirschhorn_family, hirschhorn_quadruple),
+    "VIETA": (None, vieta_quartics),
+}
 
 
 def cmd_family(ns) -> int:
     fid = ns.family.upper()
     lam = parse_scalar(ns.lam) if ns.lam is not None else None
-    if fid in _PARAMETRIC_FAMILIES and lam is None:
+    if fid not in _FAMILIES:
+        raise UsageError(f"family must be one of {', '.join(_FAMILIES)}")
+    at_parameter, fixed = _FAMILIES[fid]
+    if lam is None and fixed is None:
         raise UsageError(f"family {fid} needs --lambda")
-    if fid in _FIXED_FAMILIES and lam is not None:
+    if lam is not None and at_parameter is None:
         raise UsageError(f"family {fid} takes no --lambda")
-    if fid == "F":
-        members = f_forms(lam)
-    elif fid == "N":
-        members = narayanan_quadruple(lam)
-    elif fid == "R":
-        members = ramanujan_quadruple()
-    elif fid == "YOUNG":
-        members = young_family(lam) if lam is not None else young_quadruple()
-    elif fid == "HIRSCHHORN":
-        members = hirschhorn_family(lam) if lam is not None else hirschhorn_quadruple()
-    elif fid == "VIETA":
-        members = vieta_quartics()
-    else:
-        raise UsageError("family must be one of F, N, R, YOUNG, HIRSCHHORN, VIETA")
+    members = fixed() if lam is None else at_parameter(lam)
     payload = {
         "family": fid,
         "parameter": scalar_json(lam) if lam is not None else None,
         "degree": members[0].degree,
-        "members": [form_json(f) for f in members],
+        "members": [[scalar_json(c) for c in f.coeffs] for f in members],
     }
 
     def text():

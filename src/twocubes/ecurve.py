@@ -105,10 +105,6 @@ class RationalFunction:
             return cls(v)
         return NotImplemented
 
-    @property
-    def degree(self) -> int:
-        return self.num.degree - self.den.degree
-
     def is_zero(self) -> bool:
         return self.num.is_zero()
 

@@ -17,7 +17,7 @@ import math
 from fractions import Fraction
 
 Rational = Fraction
-# CycNum's +, - and * take these and CycNum, and return NotImplemented for
+# CycNum's operators take these and CycNum, and return NotImplemented for
 # any other operand, so that a ring over CycNum values gets its reflected turn
 _RATIONALS = (int, Fraction)
 
@@ -118,6 +118,8 @@ class CycNum:
         return _plus_rational(self, -p, q)
 
     def __rsub__(self, other):
+        if not isinstance(other, _RATIONALS):
+            return NotImplemented
         return _plus_rational(-self, *_ratio(other))
 
     def __mul__(self, other):
@@ -153,12 +155,16 @@ class CycNum:
     def __truediv__(self, other):
         if isinstance(other, CycNum):
             return self * other.inverse()
+        if not isinstance(other, _RATIONALS):
+            return NotImplemented
         p, q = _ratio(other)
         if not p:
             raise ZeroDivisionError("inverse of zero in the cyclotomic field")
         return _scaled(self, q, p) if p > 0 else _scaled(self, -q, -p)
 
     def __rtruediv__(self, other):
+        if not isinstance(other, _RATIONALS):
+            return NotImplemented
         return _scaled(self.inverse(), *_ratio(other))
 
     def __pow__(self, n: int):
@@ -195,13 +201,6 @@ class CycNum:
     def to_complex(self) -> complex:
         d = self.den
         return sum((n / d) * zk for n, zk in zip(self.num, _ZPOWERS))
-
-    def to_strings(self) -> list[str]:
-        return [str(c) for c in self.coeffs]
-
-    @staticmethod
-    def from_strings(parts) -> CycNum:
-        return CycNum([Fraction(p) for p in parts])
 
     def __repr__(self):
         terms = []
@@ -367,8 +366,8 @@ class ParamPoly:
     """Dense univariate polynomial in a formal parameter over a duck-typed
     exact ring (Fraction, CycNum, or another ParamPoly for two-parameter work).
 
-    Coefficients are stored low degree first.  No division: identities that
-    would need it are verified in denominator-cleared form instead.
+    Coefficients are stored low degree first.  `/` divides exactly or raises
+    ArithmeticError, so identities with true denominators are cleared of them.
     """
 
     param: str
@@ -433,6 +432,37 @@ class ParamPoly:
         return ParamPoly(self.param, sparse_product(self.coeffs, self._coerce(other).coeffs, 0))
 
     __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        """The exact quotient by long division.  ArithmeticError when other
+        does not divide self (ZeroDivisionError when other is zero)."""
+        if not isinstance(other, _COEFFICIENTS):
+            return NotImplemented
+        if self._outranks(other):
+            return ParamPoly(other.param, (self,)) / other
+        divisor = self._coerce(other)
+        den = divisor.coeffs[: divisor.degree() + 1]
+        if not den:
+            raise ZeroDivisionError("division by a zero ParamPoly")
+        # an int lead would make int / int a float
+        lead = Fraction(den[-1]) if isinstance(den[-1], int) else den[-1]
+        rem = list(self.coeffs)
+        quot = [0] * max(len(rem) - len(den) + 1, 0)
+        for i in reversed(range(len(quot))):
+            c = rem[i + len(den) - 1]
+            if c:
+                q = quot[i] = c / lead
+                for j, d in enumerate(den):
+                    if d:
+                        rem[i + j] = rem[i + j] - q * d
+        if any(rem):
+            raise ArithmeticError(f"{other!r} does not divide {self!r}")
+        return ParamPoly(self.param, tuple(quot))
+
+    def __rtruediv__(self, other):
+        if not isinstance(other, _COEFFICIENTS):
+            return NotImplemented
+        return ParamPoly(self.param, (other,)) / self
 
     def __pow__(self, n: int):
         if n < 0:

@@ -4,9 +4,9 @@ A form of degree d is the coefficient tuple (c0, ..., cd) of
 sum_k c_k x^(d-k) y^k.  Two kernels are provided: an exact one whose scalars
 are Fractions, CycNums or ParamPolys, and a complex floating one with
 relative-tolerance equality.  Each kernel owns its scalar protocol (`zero`,
-`one`, `is_zero`, `negligible`, `inv`, `div`, `coerce`, `magnitude` and the
-`exact` flag), so code above this module asks the kernel instead of testing
-its type.
+`one`, `is_zero`, `negligible`, `div`, `coerce` and the `exact` flag; the exact
+kernel adds `inv`), so code above this module asks the kernel, not the type.
+`scalar_json` is the package's one encoder of a scalar as JSON.
 Forms are immutable; all operations return new values, so they are safe to
 share across threads.
 """
@@ -45,7 +45,8 @@ class ExactKernel:
         return value.inverse() if isinstance(value, CycNum) else Fraction(1) / value
 
     def div(self, num, den):
-        return num * self.inv(den)
+        # a ParamPoly divides exactly or raises ArithmeticError
+        return num / den if isinstance(den, ParamPoly) else num * self.inv(den)
 
     @staticmethod
     def coerce(value):
@@ -53,13 +54,6 @@ class ExactKernel:
 
     def __repr__(self) -> str:
         return "EXACT"
-
-    def magnitude(self, value) -> float:
-        if isinstance(value, CycNum):
-            return abs(value.to_complex())
-        if isinstance(value, ParamPoly):
-            return 1.0 if value else 0.0
-        return abs(float(value)) if not isinstance(value, complex) else abs(value)
 
 
 class FloatKernel:
@@ -76,9 +70,6 @@ class FloatKernel:
         """The coefficient cut used to trim and dehomogenize forms."""
         return abs(value) <= NEGLIGIBLE_REL * max(scale, UNDERFLOW_FLOOR)
 
-    def inv(self, value):
-        return 1 / value
-
     def div(self, num, den):
         return num / den
 
@@ -92,9 +83,6 @@ class FloatKernel:
         if isinstance(value, Fraction):
             return complex(float(value))
         return complex(value)
-
-    def magnitude(self, value) -> float:
-        return abs(value)
 
     def __repr__(self) -> str:
         return "FLOAT"
@@ -140,8 +128,8 @@ class BinaryForm:
         return not any(self.coeffs)
 
     def max_magnitude(self) -> float:
-        mags = [self.kernel.magnitude(c) for c in self.coeffs]
-        return max(mags) if mags else 0.0
+        """The largest coefficient modulus of a float form."""
+        return max([abs(c) for c in self.coeffs])
 
     def equals(self, other: BinaryForm) -> bool:
         if self.degree != other.degree:
@@ -298,9 +286,6 @@ class LinearChange:
         d = self.gamma * other.beta + self.delta * other.delta
         return LinearChange(a, b, c, d, self.kernel)
 
-    def to_float(self) -> LinearChange:
-        return LinearChange(*[FLOAT.coerce(v) for v in (self.alpha, self.beta, self.gamma, self.delta)], FLOAT)
-
 
 def form_compose(f: BinaryForm, m: LinearChange) -> BinaryForm:
     m.check_invertible()
@@ -453,42 +438,24 @@ def _exact_multiplicities(f: BinaryForm) -> list[int]:
     return counts
 
 
+def scalar_json(v):
+    """The JSON value of a scalar: an exact rational as its string, a
+    non-rational CycNum as its eight coordinates, a float as [re, im]."""
+    if isinstance(v, (int, Fraction)):
+        return str(v)
+    if isinstance(v, CycNum):
+        if not any(v.num[1:]):
+            return str(Fraction(v.num[0], v.den))
+        return {"cyclotomic": [str(c) for c in v.coeffs]}
+    if isinstance(v, complex):
+        return [v.real, v.imag]
+    if isinstance(v, float):
+        return [v, 0.0]
+    raise TypeError(f"no serialization for {type(v).__name__}")
+
+
 def form_to_json(f: BinaryForm) -> dict:
-    if not f.kernel.exact:
-        coeffs = [[c.real, c.imag] for c in (complex(c) for c in f.coeffs)]
-    else:
-        coeffs = []
-        for c in f.coeffs:
-            if isinstance(c, CycNum):
-                coeffs.append(c.to_strings())
-            else:
-                coeffs.append(str(Fraction(c)))
-    return {"degree": f.degree, "coeffs": coeffs}
-
-
-def form_from_json(obj: dict) -> BinaryForm:
-    degree = int(obj["degree"])
-    raw = obj["coeffs"]
-    parsed = []
-    exact = True
-    for item in raw:
-        if isinstance(item, str):
-            parsed.append(Fraction(item))
-        elif isinstance(item, list) and len(item) == 8 and all(isinstance(s, str) for s in item):
-            parsed.append(CycNum.from_strings(item))
-        elif isinstance(item, list) and len(item) == 2:
-            parsed.append(complex(float(item[0]), float(item[1])))
-            exact = False
-        elif isinstance(item, (int, float)):
-            if isinstance(item, int):
-                parsed.append(Fraction(item))
-            else:
-                parsed.append(complex(item))
-                exact = False
-        else:
-            raise ValueError(f"unreadable coefficient {item!r}")
-    kernel = EXACT if exact else FLOAT
-    return BinaryForm(degree, tuple([kernel.coerce(c) for c in parsed]), kernel)
+    return {"degree": f.degree, "coeffs": [scalar_json(c) for c in f.coeffs]}
 
 
 def det3(rows):

@@ -83,7 +83,10 @@ def _reference_arrangement(forms):
             if right.is_zero() or left.is_zero():
                 continue
             if left.proportional_to(right, rel_tol=classify.TYPE_PROP_TOL):
-                return classify._coefficient_ratio(left, right, kernel), split_index, i, j
+                try:
+                    return classify._coefficient_ratio(left, right, kernel), split_index, i, j
+                except ArithmeticError:  # a formal ratio that does not divide
+                    continue
     raise ArithmeticError("no type arrangement found")
 
 
@@ -114,20 +117,27 @@ def _typed(v):
 def test_type_detect_matches_the_unhoisted_search(monkeypatch):
     inputs = list(_type_detect_inputs())
     for forms in inputs:
-        if not any(isinstance(c, ParamPoly) for f in forms for c in f.coeffs):
-            tag = type_detect(*forms)
-            T, split, i, j = _reference_arrangement(forms)
-            assert (_typed(tag.T), tag.split, tag.omega_left, tag.omega_right) == (_typed(T), split, i, j)
-        else:
-            # a ParamPoly T has no quotient in the exact kernel
-            with pytest.raises(TypeError):
-                type_detect(*forms)
+        tag = type_detect(*forms)
+        T, split, i, j = _reference_arrangement(forms)
+        assert (_typed(tag.T), tag.split, tag.omega_left, tag.omega_right) == (_typed(T), split, i, j)
     # the proportional pair itself, formal parameters included
     monkeypatch.setattr(classify, "_coefficient_ratio", lambda left, right, kernel: (left, right))
     for forms in inputs:
         tag = type_detect(*forms)
         T, split, i, j = _reference_arrangement(forms)
         assert (_typed(tag.T), tag.split, tag.omega_left, tag.omega_right) == (_typed(T), split, i, j)
+
+
+@pytest.mark.parametrize("family, relation", [
+    (young_family, "f4 - f2 = T*(f1 - f3)"),
+    (hirschhorn_family, "f1 - f3 = T*(f4 - f2)"),
+])
+def test_type_detect_over_a_formal_parameter(family, relation):
+    # T = n^2 divides in one direction of each family's relation only, so
+    # the search passes the other direction and takes a reversed split
+    tag = type_detect(*family())
+    assert tag.T == ParamPoly.variable("n") ** 2
+    assert tag.describe() == relation
 
 
 def test_type_detect_rejects_unequal_sums():

@@ -8,9 +8,9 @@ from pathlib import Path
 import pytest
 
 from twocubes import cli, families
-from twocubes.cli import main, parse_scalar, scalar_json
+from twocubes.cli import main, parse_scalar
 from twocubes.exact import SQRT2
-from twocubes.forms import BinaryForm
+from twocubes.forms import BinaryForm, form_to_json, scalar_json
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -63,6 +63,10 @@ def test_scalar_json_rational_cyclotomic_collapses():
     }
     assert scalar_json(fractions.Fraction(-3, 7)) == "-3/7"
     assert scalar_json(complex(1.0, -2.0)) == [1.0, -2.0]
+    # forms.form_to_json writes each coefficient with the same encoder
+    exact = BinaryForm.exact(2, [fractions.Fraction(3, 2), SQRT2, value])
+    assert form_to_json(exact) == {"degree": 2, "coeffs": ["3/2", scalar_json(SQRT2), "2"]}
+    assert form_to_json(BinaryForm.floating(1, [1.5 + 2j, -3])) == {"degree": 1, "coeffs": [[1.5, 2.0], [-3.0, 0.0]]}
 
 
 # -- decompose --------------------------------------------------------------
@@ -141,6 +145,42 @@ def test_census_parallel_matches_serial(capsys):
     assert serial == parallel
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_census_jobs_below_one_is_usage_error(capsys, jobs):
+    code = main(["--jobs", jobs, "census", "A", "7"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert "error: --jobs must be at least 1" in captured.err
+
+
+def test_census_pool_has_no_more_workers_than_cells(capsys, monkeypatch):
+    import multiprocessing
+
+    sizes = []
+
+    class FakePool:  # records its size and maps in this process
+        def __init__(self, size):
+            sizes.append(size)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return [fn(item) for item in items]
+
+    class FakeContext:
+        Pool = FakePool
+
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method: FakeContext())
+    _, serial = run_cli(capsys, "census", "A", "7", "15", "3")
+    _, parallel = run_cli(capsys, "--jobs", "8", "census", "A", "7", "15", "3")
+    _, single = run_cli(capsys, "--jobs", "8", "census", "A", "7")
+    assert sizes == [3] and parallel == serial and json.loads(single)["cells"][0]["N"] == 2
+
+
 def test_census_grid_appends_real_parameters(capsys):
     code, payload = run_json(capsys, "census", "A", "--grid", "6:8:3")
     assert code == 0
@@ -194,6 +234,43 @@ def test_exact_command_output_is_byte_stable(capsys):
     _, third = run_cli(capsys, "eb", "inverse", "12", "1", "10", "9")
     _, fourth = run_cli(capsys, "eb", "inverse", "12", "1", "10", "9")
     assert third == fourth
+
+
+# Commands whose output is exact (no float digits that depend on libm): each
+# golden file holds the command's stdout, then its stderr, then its exit code.
+_EXACT_GOLDENS = {
+    "family_f_lambda_2": ["family", "F", "--lambda", "2"],
+    "family_f_no_lambda": ["family", "F"],
+    "family_n_lambda_3": ["family", "N", "--lambda", "3"],
+    "family_n_no_lambda": ["family", "N"],
+    "family_r": ["family", "R"],
+    "family_r_lambda_5": ["family", "R", "--lambda", "5"],
+    "family_young": ["family", "YOUNG"],
+    "family_young_lambda_2": ["family", "young", "--lambda", "2"],
+    "family_hirschhorn": ["family", "HIRSCHHORN"],
+    "family_hirschhorn_lambda_3": ["family", "hirschhorn", "--lambda", "3"],
+    "family_vieta": ["family", "VIETA"],
+    "family_vieta_lambda_1": ["family", "VIETA", "--lambda", "1"],
+    "family_unknown_lambda_2": ["family", "Z", "--lambda", "2"],
+    "family_f_text": ["--format", "text", "family", "F", "--lambda", "-1/2"],
+    "type_detect_integer": ["type-detect", "3", "5", "-5", "5", "-5", "-3", "6", "-4", "4", "-4", "4", "-6"],
+    "eb_forward": ["eb", "forward", "-3/2", "1/2", "1"],
+    "eb_inverse": ["eb", "inverse", "12", "1", "10", "9"],
+    "eb_third": ["eb", "third", "-3/2", "1/2", "1"],
+    "curve_add_rational": ["curve-add", "1", "12", "9", "10", "1729"],
+    "verify_text": ["--format", "text", "verify"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_EXACT_GOLDENS))
+def test_exact_command_golden(capsys, regen_golden, name):
+    code = main(_EXACT_GOLDENS[name])
+    captured = capsys.readouterr()
+    out = f"{captured.out}{captured.err}exit {code}\n"
+    path = GOLDEN / f"{name}.txt"
+    if regen_golden:
+        path.write_text(out)
+    assert out == path.read_text()
 
 
 # -- verify -----------------------------------------------------------------
@@ -445,12 +522,16 @@ def test_unknown_command_is_usage_error(capsys):
     assert code == 1
 
 
-def _run_module(module, *argv):
-    """`python -m module argv...` in a fresh interpreter with src/ on the path."""
+def _run_python(*args):
+    """`python args...` in a fresh interpreter with src/ on the path."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     inherited = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=src + (os.pathsep + inherited if inherited else ""))
-    return subprocess.run([sys.executable, "-m", module, *argv], capture_output=True, text=True, env=env)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+
+def _run_module(module, *argv):
+    return _run_python("-m", module, *argv)
 
 
 def test_console_entry_point_runs():
@@ -463,6 +544,12 @@ def test_package_runs_as_a_module():
     proc = _run_module("twocubes", "decompose", "0", "1", "0", "0", "0", "-1", "0")
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["N"] == 6
+
+
+def test_cli_import_leaves_multiprocessing_unloaded():
+    # only a parallel census imports multiprocessing, so no cold start pays for it
+    proc = _run_python("-c", "import sys, twocubes.cli; print('multiprocessing' in sys.modules)")
+    assert proc.stdout.strip() == "False"
 
 
 def test_text_format_census(capsys):

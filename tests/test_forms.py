@@ -10,13 +10,10 @@ from twocubes.forms import (
     EXACT,
     FLOAT,
     BinaryForm,
-    FloatKernel,
     LinearChange,
     form_compose,
     form_divexact,
-    form_from_json,
     form_gcd,
-    form_to_json,
     multiplicity_structure,
     norm2,
     relative_residual,
@@ -286,21 +283,6 @@ def test_proportionality():
 def test_singular_change_rejected():
     with pytest.raises(ValueError):
         form_compose(ex(1, 0, 1), LinearChange(F(1), F(2), F(2), F(4)))
-
-
-def test_json_roundtrip_exact():
-    f = BinaryForm.exact(2, [F(3, 2), OMEGA, F(-1)])
-    j = form_to_json(f)
-    g = form_from_json(j)
-    assert g.equals(f)
-
-
-def test_json_roundtrip_float():
-    f = BinaryForm.floating(2, [1.5 + 2j, 0, -3.25])
-    j = form_to_json(f)
-    g = form_from_json(j)
-    assert isinstance(g.kernel, FloatKernel)
-    assert g.equals(f)
 
 
 @settings(max_examples=40)
