@@ -185,12 +185,7 @@ def diagonalize(f1: BinaryForm, f2: BinaryForm) -> LinearChange:
         squares.append(f1f.scale(-C / B) + f2f)
     ell1 = _square_root_of_quadratic(squares[0])
     ell2 = _square_root_of_quadratic(squares[1])
-    l11, l12 = (complex(v) for v in ell1.coeffs)
-    l21, l22 = (complex(v) for v in ell2.coeffs)
-    det = l11 * l22 - l12 * l21
-    if abs(det) <= DEGENERATE_REL * max(abs(l11), abs(l12), abs(l21), abs(l22)) ** 2:
-        raise ValueError("pencil squares are dependent; forms are not coprime")
-    return LinearChange(l22 / det, -l12 / det, -l21 / det, l11 / det, FLOAT)
+    return LinearChange(*ell1.coeffs, *ell2.coeffs, FLOAT).inverse()
 
 
 # ------------------------------------------------------------ tame / wild
@@ -334,20 +329,13 @@ def canonicalize_type(f1: BinaryForm, f2: BinaryForm, f3: BinaryForm,
     roots = _phi_roots(T)
     try:
         ells = _square_pencil_lines(forms[2], forms[3], roots)
+        inverse = LinearChange(*ells[0].coeffs, *ells[1].coeffs, FLOAT).inverse()
     except ValueError as exc:
         raise ValueError(f"dishonest family: {exc}") from exc
     ref = reference_family(lv)
     ref_ells = _square_pencil_lines(ref[2], ref[3], roots)
-    l11, l12 = (complex(v) for v in ells[0].coeffs)
-    l21, l22 = (complex(v) for v in ells[1].coeffs)
-    det = l11 * l22 - l12 * l21
-    if abs(det) <= DEGENERATE_REL * max(abs(l11) + abs(l12), abs(l21) + abs(l22)) ** 2:
-        raise ValueError("dishonest family: dependent square pencil")
-    h11, h12 = (complex(v) for v in ref_ells[0].coeffs)
-    h21, h22 = (complex(v) for v in ref_ells[1].coeffs)
     # M = L^{-1} * Lhat so that ell_j composed with M equals the reference line
-    inverse = LinearChange(l22 / det, -l12 / det, -l21 / det, l11 / det, FLOAT)
-    m = inverse.then(LinearChange(h11, h12, h21, h22, FLOAT))
+    m = inverse.then(LinearChange(*ref_ells[0].coeffs, *ref_ells[1].coeffs, FLOAT))
     m.check_invertible()
     images = tuple([form_compose(f, m) for f in forms])
     for image, target in ((images[2], ref[2]), (images[3], ref[3])):

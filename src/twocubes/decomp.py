@@ -305,12 +305,11 @@ def rep_count(p: BinaryForm) -> DecompositionReport:
     norms = [norm2(row) for row in hrows]
     dets = _grouping_determinants(hrows, norms)
     H = _H_product(dets)
-    # the coefficients of the products of the linear factors (t, -s), summed
-    # in BinaryForm.__mul__'s order: cross products and fits see the bits of
-    # the product forms.  Each H row is the same quadratic with its
-    # middle coefficient negated, so its |det| and norms are the same bits.
+    # the coefficients of the products of the linear factors (t, -s).  Each
+    # H row is the same quadratic with its middle coefficient negated, so its
+    # |det| and norms are the same bits.
     lin = [(complex(r.t), complex(-r.s)) for r in slots]
-    prows = [(0j + a0 * b0, (0j + a0 * b1) + a1 * b0, 0j + a1 * b1)
+    prows = [(a0 * b0, a0 * b1 + a1 * b0, a1 * b1)
              for (a0, a1), (b0, b1) in [(lin[i], lin[j]) for i, j in _PAIRS]]
     mags = [max([abs(c) for c in row]) for row in prows]
     cube_root = complex(scale) ** (1.0 / 3.0)

@@ -28,12 +28,10 @@ _set_slot = object.__setattr__  # CycNum's own __setattr__ refuses every write
 
 
 def _ratio(v) -> tuple[int, int]:
-    """(numerator, positive denominator) in lowest terms of an int, Fraction
-    or rational string; TypeError for anything else."""
+    """(numerator, positive denominator) in lowest terms of an int or
+    Fraction; TypeError for anything else."""
     if isinstance(v, int):
         return v, 1
-    if isinstance(v, str):
-        v = Fraction(v)
     if isinstance(v, Fraction):
         return v.numerator, v.denominator
     raise TypeError(f"cannot interpret {v!r} as a rational")
@@ -177,7 +175,7 @@ class CycNum:
     def __eq__(self, other):
         if isinstance(other, CycNum):
             return self.den == other.den and self.num == other.num
-        # strings parse as scalars but never compare equal: they hash apart
+        # any other operand, a rational string included, gets its reflected turn
         if not isinstance(other, _RATIONALS):
             return NotImplemented
         p, q = _ratio(other)

@@ -169,14 +169,7 @@ class BinaryForm:
 
     def __mul__(self, other: BinaryForm) -> BinaryForm:
         d = self.degree + other.degree
-        if self.kernel.exact:
-            return BinaryForm(d, sparse_product(self.coeffs, other.coeffs, self.kernel.zero), self.kernel)
-        # the float product stays dense: decomp.rep_count reproduces these bits
-        out = [self.kernel.zero] * (d + 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return BinaryForm(d, tuple(out), self.kernel)
+        return BinaryForm(d, sparse_product(self.coeffs, other.coeffs, self.kernel.zero), self.kernel)
 
     def scale(self, s) -> BinaryForm:
         return BinaryForm(self.degree, tuple([s * a for a in self.coeffs]), self.kernel)
@@ -186,9 +179,8 @@ class BinaryForm:
             raise ValueError("forms have no negative powers")
         if n == 0:
             return BinaryForm(0, (self.kernel.one,), self.kernel)
-        if n == 3 and self.degree == 2 and self.kernel.exact:
+        if n == 3 and self.degree == 2:
             return BinaryForm(6, _quadratic_cube(*self.coeffs, self.kernel.zero), self.kernel)
-        # float cubes stay f * f**2: decomp.rep_count reproduces those bits
         return binary_power(self, n)
 
     def evaluate(self, x, y):
@@ -321,12 +313,11 @@ def _long_division(a, b, kernel, scale):
     adds no quotient term, so such a slot holds `kernel.zero`."""
     n = max(len(a) - len(b) + 1, 0)
     quot, rem, lead = [kernel.zero] * n, list(a), b[0]
-    inv = kernel.inv(lead) if kernel.exact else None
+    inv = kernel.div(kernel.one, lead)
     for i in range(n):
         if kernel.negligible(rem[i], scale):
             continue
-        # floats divide at each step, which keeps the bits of the float gcd
-        c = quot[i] = rem[i] * inv if kernel.exact else kernel.div(rem[i], lead)
+        c = quot[i] = rem[i] * inv
         for j in range(1, len(b)):
             rem[i + j] = rem[i + j] - c * b[j]
     return quot, rem[n:]

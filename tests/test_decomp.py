@@ -552,8 +552,8 @@ def test_rep_count_builds_no_forms_for_rejected_groupings(form_op_counts):
 def test_rep_count_builds_only_the_emitted_cubes(form_op_counts):
     report = rep_count(Q2_FORM)
     assert report.N == 6
-    # two cubes per representation, two products (q * q, then q * q**2) per cube
-    assert form_op_counts == {"__mul__": 4 * report.N, "__pow__": 2 * report.N, "proportional_to": 0}
+    # two cubes per representation, each from its ten cubic monomials, with no form product
+    assert form_op_counts == {"__mul__": 0, "__pow__": 2 * report.N, "proportional_to": 0}
 
 
 @pytest.mark.parametrize("scale", [1e160, 1e-170, 1e300, 1e-300])

@@ -214,13 +214,20 @@ def test_equal_scalars_hash_alike_across_types():
 
 
 def test_cycnum_never_equals_a_string():
-    # a rational string parses as a scalar but hashes apart, so it must not
-    # compare equal either
+    # a rational string is not a scalar, so it neither compares equal nor
+    # hashes alike
     for x, text in ((CycNum.one(), "1"), (CycNum.from_rational(1), "1/1"),
                     (CycNum.from_rational(Fraction(-3, 4)), "-3/4"), (CycNum.zero(), "0")):
         assert x != text and not (x == text) and text != x
         assert len({x, text}) == 2
     assert CycNum.one() != "not a number"
+
+
+def test_cycnum_refuses_string_scalars():
+    with pytest.raises(TypeError):
+        CycNum.from_rational("3/2")
+    with pytest.raises(TypeError):
+        CycNum(["1/2", 0, 0, 0, 0, 0, 0, 0])
 
 
 def test_cycnum_equality_with_numbers_and_polynomials_unchanged():

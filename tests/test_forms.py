@@ -1,4 +1,6 @@
+import itertools
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -393,6 +395,66 @@ def test_exact_quadratic_cube_takes_fourteen_products():
     assert _tally(cube) == {"products": 14, "scalings": 5}
     assert _tally(lambda n: (lambda f: f * (f * f))(BinaryForm.exact(2, [n(2), n(-3), n(5)]))) == {
         "products": 24, "scalings": 0}
+
+
+# -- float products and cubes against the dense loop ---------------------------
+
+EPS = sys.float_info.epsilon
+
+
+def _dense_product(f, g):
+    """f * g by the dense double loop over all coefficient pairs, as float
+    forms were multiplied before they shared the exact kernel's product."""
+    out = [f.kernel.zero] * (f.degree + g.degree + 1)
+    for i, a in enumerate(f.coeffs):
+        for j, b in enumerate(g.coeffs):
+            out[i + j] = out[i + j] + a * b
+    return BinaryForm(f.degree + g.degree, tuple(out), f.kernel)
+
+
+def _absolute(f):
+    return BinaryForm(f.degree, tuple([complex(abs(c)) for c in f.coeffs]), f.kernel)
+
+
+def _float_form(rng, zeros):
+    return BinaryForm.floating(len(zeros) - 1, [
+        0j if zero else complex(rng.gauss(0, 1), rng.gauss(0, 1)) * 10.0 ** rng.randint(-3, 3)
+        for zero in zeros])
+
+
+def _assert_close_to_oracle(got, want, scale, reached):
+    """got agrees with want to 8 eps of each slot's scale, the same slot of
+    the oracle on absolute values, and a slot that no nonzero product
+    reaches holds FLOAT.zero."""
+    assert got.kernel is FLOAT and got.degree == want.degree
+    for k, (c, w, s) in enumerate(zip(got.coeffs, want.coeffs, scale.coeffs)):
+        assert abs(c - w) <= 8 * EPS * s.real, (k, c, w)
+        if k not in reached:
+            assert c is FLOAT.zero
+
+
+_ZERO_PATTERNS = list(itertools.product((False, True), repeat=3))
+
+
+@pytest.mark.parametrize("zeros", _ZERO_PATTERNS)
+def test_float_product_matches_the_dense_loop(zeros):
+    rng = random.Random(3100 + _ZERO_PATTERNS.index(zeros))
+    for _ in range(20):
+        f = _float_form(rng, zeros)
+        g = _float_form(rng, [rng.random() < 0.3 for _ in range(rng.randint(1, 5))])
+        reached = {i + j for i, a in enumerate(f.coeffs) if a for j, b in enumerate(g.coeffs) if b}
+        _assert_close_to_oracle(f * g, _dense_product(f, g), _dense_product(_absolute(f), _absolute(g)),
+                                reached)
+
+
+@pytest.mark.parametrize("zeros", _ZERO_PATTERNS)
+def test_float_quadratic_cube_matches_the_dense_loop(zeros):
+    rng = random.Random(3200 + _ZERO_PATTERNS.index(zeros))
+    for _ in range(20):
+        f = _float_form(rng, zeros)
+        a = _absolute(f)
+        _assert_close_to_oracle(f ** 3, _dense_product(f, _dense_product(f, f)),
+                                _dense_product(a, _dense_product(a, a)), _reached_slots(f.coeffs))
 
 
 # -- composition: Horner against the running-powers expansion -------------------
