@@ -255,7 +255,9 @@ def _H_product(dets) -> complex:
     total = 1.0 + 0j
     for det, norm in dets:
         total *= det / norm
-    return total
+    # a zero part is stored as +0.0, whatever sign the rounding of the
+    # factors left: decompose prints H
+    return total + 0j
 
 
 def H_eval(roots) -> complex:

@@ -12,7 +12,10 @@ the parameters, `curve_third_rep` produces the extra representation
 (mu*(1 + 2aq))^3 - (mu*(2a + q^2))^3 of the flipped sum, and `curve_add`
 performs chord addition of two points on X^3 + Y^3 = A.
 
-Scalar inputs may be exact (Fraction / cyclotomic) or complex.  The exact
+Scalar inputs may be exact (Fraction / cyclotomic) or complex.  Each public
+call lifts its inputs once; one complex input makes the call's kernel
+`forms.FLOAT`, and otherwise it is `forms.EXACT`.  Every zero test asks that
+kernel: `negligible` for a degeneracy, `is_zero` for an identity.  The exact
 scalar chord runs in projective coordinates (X : Y : Z), Z the lcm of a
 rational point's denominators, and divides once per output coordinate.  Form
 inputs use exact rational-function arithmetic: the form chord shares the
@@ -31,7 +34,7 @@ import math
 from fractions import Fraction
 
 from .exact import CycNum
-from .forms import EXACT, FLOAT_TOL, NEGLIGIBLE_REL, BinaryForm, form_divexact, form_gcd
+from .forms import EXACT, FLOAT, FLOAT_TOL, BinaryForm, form_divexact, form_gcd
 
 
 def _const_form(v) -> BinaryForm:
@@ -107,6 +110,9 @@ class RationalFunction:
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
+
+    def __bool__(self) -> bool:
+        return not self.num.is_zero()
 
     def equals(self, other) -> bool:
         other = self._coerce(other)
@@ -211,49 +217,37 @@ class EBQuadruple:
     degenerate: bool
 
 
-def _lift_param(v):
-    if isinstance(v, BinaryForm):
-        return RationalFunction(v)
-    if isinstance(v, int):
-        return Fraction(v)
-    if isinstance(v, float):
-        return complex(v)
-    return v
+def _lifted(values):
+    """The values of one call lifted to one arithmetic, and the kernel that
+    decides its zeros: a form becomes a RationalFunction, an int a Fraction
+    and a float a complex.  One complex value makes the kernel FLOAT."""
+    out = [RationalFunction(v) if isinstance(v, BinaryForm)
+           else Fraction(v) if isinstance(v, int)
+           else complex(v) if isinstance(v, float) else v
+           for v in values]
+    return out, FLOAT if any(isinstance(v, complex) for v in out) else EXACT
 
 
-def _value_is_zero(v, scale=None) -> bool:
-    if isinstance(v, (RationalFunction, BinaryForm)):
-        return v.is_zero()
-    if isinstance(v, complex):
-        return abs(v) <= NEGLIGIBLE_REL * (scale if scale else 1.0)
-    return EXACT.is_zero(v)
-
-
-def _check_identity(diff, terms, name: str):
+def _check_identity(kernel, diff, terms, name: str):
     """Raise ArithmeticError unless diff vanishes: exactly, or for complex
     values to FLOAT_TOL against the cube of the largest of `terms` (and 1)."""
-    if isinstance(diff, complex):
-        holds = abs(diff) <= FLOAT_TOL * max([abs(t) for t in terms] + [1.0]) ** 3
-    else:
-        holds = _value_is_zero(diff)
-    if not holds:
+    scale = None if kernel.exact else max([abs(t) for t in terms] + [1.0]) ** 3
+    if not kernel.is_zero(diff, scale):
         raise ArithmeticError(f"{name} identity failed")
 
 
 def eb_forward(params: EBParams) -> EBQuadruple:
     """Quadruple (f1..f4) with f1^3 + f2^3 = f3^3 + f4^3, and their sum p."""
-    a, b, mu = (_lift_param(v) for v in (params.a, params.b, params.mu))
+    (a, b, mu), kernel = _lifted([params.a, params.b, params.mu])
     q = a * a + 3 * (b * b)
     f1 = mu * (1 - (a - 3 * b) * q)
     f2 = mu * ((a + 3 * b) * q - 1)
     f3 = mu * ((a + 3 * b) - q * q)
     f4 = mu * (q * q - (a - 3 * b))
     left = f1 ** 3 + f2 ** 3
-    _check_identity(left - (f3 ** 3 + f4 ** 3), (f1, f2, f3, f4), "equal-sum")
-    scale = None
-    if isinstance(left, complex):
-        scale = max(abs(f1), abs(f2), 1.0) ** 3
-    return EBQuadruple(f1, f2, f3, f4, left, _value_is_zero(left, scale))
+    _check_identity(kernel, left - (f3 ** 3 + f4 ** 3), (f1, f2, f3, f4), "equal-sum")
+    scale = None if kernel.exact else max(abs(f1), abs(f2), 1.0) ** 3
+    return EBQuadruple(f1, f2, f3, f4, left, kernel.negligible(left, scale))
 
 
 def eb_inverse(f1, f2, f3, f4) -> EBParams:
@@ -271,11 +265,8 @@ def eb_inverse(f1, f2, f3, f4) -> EBParams:
             raise TypeError("mixed form and scalar quadruple")
         if not all(v.kernel.exact for v in values):
             raise TypeError("inverse parameterization requires exact forms")
-    values = [_lift_param(v) for v in values]
-    floating = any(isinstance(v, complex) for v in values)
-    if floating:
-        values = [complex(v) for v in values]
-    f1, f2, f3, f4 = values
+    values, kernel = _lifted(values)
+    f1, f2, f3, f4 = values if kernel.exact else [complex(v) for v in values]
 
     half = Fraction(1, 2)
     g1, g2, g3, g4 = (f1 + f2) * half, (f2 - f1) * half, (f3 + f4) * half, (f4 - f3) * half
@@ -283,22 +274,17 @@ def eb_inverse(f1, f2, f3, f4) -> EBParams:
     num_a = g1 * g3 + 3 * (g2 * g4)
     num_b = g1 * g4 - g3 * g2
 
-    scale = None
-    if floating:
-        scale = max(abs(v) for v in (g1, g2, g3, g4)) ** 2 or 1.0
-    if _value_is_zero(den, scale):
+    scale = None if kernel.exact else max(abs(v) for v in (g1, g2, g3, g4)) ** 2 or 1.0
+    if kernel.negligible(den, scale):
         raise ValueError("parameter denominator g1^2 + 3*g2^2 vanishes")
     a, b = num_a / den, num_b / den
 
     q = a * a + 3 * (b * b)
     c = a * q - 1
     d = 3 * (b * q)
-    cscale = dscale = None
-    if floating:
-        cscale = max(abs(a), abs(b), 1.0) ** 3
-        dscale = cscale
-    c_zero = _value_is_zero(c, cscale)
-    d_zero = _value_is_zero(d, dscale)
+    scale = None if kernel.exact else max(abs(a), abs(b), 1.0) ** 3
+    c_zero = kernel.negligible(c, scale)
+    d_zero = kernel.negligible(d, scale)
     if c_zero and d_zero:
         raise ValueError("quadruple is not honest: both pairs share their cubes")
     mu = g1 / d if not d_zero else g2 / c
@@ -312,13 +298,13 @@ def curve_third_rep(params: EBParams):
     representation; the identity is checked exactly (or to 1e-9 relative
     in the complex case).
     """
-    a, b, mu = (_lift_param(v) for v in (params.a, params.b, params.mu))
+    (a, b, mu), kernel = _lifted([params.a, params.b, params.mu])
     q = a * a + 3 * (b * b)
     h1 = mu * (1 + 2 * (a * q))
     h2 = mu * (2 * a + q * q)
     quad = eb_forward(params)
     diff = (h1 ** 3 - h2 ** 3) - (quad.f1 ** 3 - quad.f4 ** 3)
-    _check_identity(diff, (h1, h2, quad.f1, quad.f4), "third-representation")
+    _check_identity(kernel, diff, (h1, h2, quad.f1, quad.f4), "third-representation")
     return h1, h2
 
 
@@ -326,14 +312,10 @@ def curve_third_rep(params: EBParams):
 # chord addition on X^3 + Y^3 = A
 # --------------------------------------------------------------------------
 
-def _on_curve_check(x, y, a, floating: bool, tol: float):
+def _on_curve_check(x, y, a, tol: float):
+    """A complex point lies on the curve to `tol` against the larger side."""
     lhs = x ** 3 + y ** 3
-    diff = lhs - a
-    if floating:
-        scale = max(abs(lhs), abs(a), 1.0)
-        if not abs(diff) <= tol * scale:  # a NaN fails too
-            raise ValueError("point is not on the curve")
-    elif not _value_is_zero(diff):
+    if not abs(lhs - a) <= tol * max(abs(lhs), abs(a), 1.0):  # a NaN fails too
         raise ValueError("point is not on the curve")
 
 
@@ -387,22 +369,19 @@ def curve_add(point1, point2, a, tol: float = FLOAT_TOL):
         if not all(v.kernel.exact for v in entries + [a]):
             raise TypeError("chord addition on forms requires the exact kernel")
         return _form_chord(x1, y1, x2, y2, a)
-    entries = [_lift_param(v) for v in entries]
-    a = _lift_param(a)
-    if not any(isinstance(v, complex) for v in entries + [a]):
-        return _exact_chord(*entries, a)
-    x1, y1, x2, y2 = entries = [complex(v) for v in entries]
-    a = complex(a)
+    values, kernel = _lifted(entries + [a])
+    if kernel.exact:
+        return _exact_chord(*values)
+    x1, y1, x2, y2, a = [complex(v) for v in values]
 
-    _on_curve_check(x1, y1, a, True, tol)
-    _on_curve_check(x2, y2, a, True, tol)
+    _on_curve_check(x1, y1, a, tol)
+    _on_curve_check(x2, y2, a, tol)
     den = (x1 * x1 * x2 + y1 * y1 * y2) - (x1 * x2 * x2 + y1 * y2 * y2)
-    scale = max(abs(v) for v in entries) ** 3 or 1.0
-    if abs(den) <= NEGLIGIBLE_REL * scale:
+    if kernel.negligible(den, max(abs(v) for v in (x1, y1, x2, y2)) ** 3 or 1.0):
         raise ValueError("chord degenerates (coincident or opposite points)")
     x3 = (a * (x1 - x2) + y1 * y2 * (x2 * y1 - x1 * y2)) / den
     y3 = (a * (y1 - y2) + x1 * x2 * (x1 * y2 - x2 * y1)) / den
-    _on_curve_check(x3, y3, a, True, tol)
+    _on_curve_check(x3, y3, a, tol)
     return x3, y3
 
 
@@ -415,8 +394,9 @@ def _form_chord(x1, y1, x2, y2, a):
         num_y = a (y1 - y2) - x1x2 (x2y1 - x1y2).
 
     The result is checked cross-multiplied, on numerators and denominators."""
-    _on_curve_check(x1, y1, a, False, FLOAT_TOL)
-    _on_curve_check(x2, y2, a, False, FLOAT_TOL)
+    for x, y in ((x1, y1), (x2, y2)):
+        if not (x ** 3 + y ** 3 - a).is_zero():
+            raise ValueError("point is not on the curve")
     xx, yy = x1 * x2, y1 * y2
     dx, dy = x1 - x2, y1 - y2
     den = xx * dx + yy * dy
@@ -430,8 +410,8 @@ def _form_chord(x1, y1, x2, y2, a):
     cx, cy, parts = x3.den ** 3, y3.den ** 3, {}
     for t in (x3.num ** 3 * cy, y3.num ** 3 * cx, -(a * cx * cy)):
         parts[t.degree] = parts[t.degree] + t if t.degree in parts else t
-    for part in parts.values():
-        _check_identity(part, (), "chord")
+    if not all(part.is_zero() for part in parts.values()):
+        raise ArithmeticError("chord identity failed")
     return (
         x3.to_form() if x3.den.degree == 0 else x3,
         y3.to_form() if y3.den.degree == 0 else y3,

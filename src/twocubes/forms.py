@@ -5,7 +5,8 @@ sum_k c_k x^(d-k) y^k.  Two kernels are provided: an exact one whose scalars
 are Fractions, CycNums or ParamPolys, and a complex floating one with
 relative-tolerance equality.  Each kernel owns its scalar protocol (`zero`,
 `one`, `is_zero`, `negligible`, `div`, `coerce` and the `exact` flag; the exact
-kernel adds `inv`), so code above this module asks the kernel, not the type.
+kernel adds `inv`), so code above this module (`roots`, `decomp`, `classify`
+and `ecurve`) asks the kernel, not the type.
 `scalar_json` is the package's one encoder of a scalar as JSON.
 Forms are immutable; all operations return new values, so they are safe to
 share across threads.

@@ -363,24 +363,3 @@ def expanded_root_slots(roots: list[ProjectiveRoot]) -> list[ProjectiveRoot]:
         slots.extend([ProjectiveRoot(r.s, r.t, 1)] * r.multiplicity)
     return slots
 
-
-def cross_ratio_multiset(roots: list[ProjectiveRoot]) -> list[complex]:
-    """Cross-ratios of all ordered 4-tuples of distinct slots; a projective
-    invariant used by the property tests."""
-    slots = expanded_root_slots(roots)
-    n = len(slots)
-    out = []
-
-    def d(a: ProjectiveRoot, b: ProjectiveRoot) -> complex:
-        return a.s * b.t - b.s * a.t
-
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                for l in range(n):
-                    if len({i, j, k, l}) == 4:
-                        den = d(slots[j], slots[k]) * d(slots[i], slots[l])
-                        if abs(den) < NEGLIGIBLE_REL:
-                            continue
-                        out.append(d(slots[i], slots[k]) * d(slots[j], slots[l]) / den)
-    return out

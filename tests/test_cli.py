@@ -79,6 +79,13 @@ def test_decompose_octahedral_sextic(capsys):
     assert all(rep["residual"] < 1e-9 for rep in payload["representations"])
 
 
+def test_decompose_prints_a_zero_H_unsigned(capsys):
+    # json.loads would read -0.0 as equal to 0.0, so the printed text is pinned
+    code, out = run_cli(capsys, "decompose", "0", "1", "0", "0", "0", "-1", "0")
+    assert code == 0
+    assert '"H": [0.0, 0.0]' in out
+
+
 def test_decompose_obstructed_sextic(capsys):
     code, payload = run_json(capsys, "decompose", "1", "0", "3", "0", "3", "0", "1")
     assert code == 0

@@ -1,12 +1,11 @@
 """Cube-sum curve parameterization and chord addition."""
 import dataclasses
 import random
-import types
 from fractions import Fraction
 
 import pytest
 
-from twocubes import ecurve
+from twocubes import ecurve, forms
 from twocubes.ecurve import (
     EBParams,
     RationalFunction,
@@ -17,7 +16,7 @@ from twocubes.ecurve import (
 )
 from twocubes.exact import CycNum, IMAG, OMEGA, SQRT3, SQRTM3
 from twocubes.families import f_forms, p1_sextic, q1_sextic
-from twocubes.forms import BinaryForm, form_divexact, form_gcd
+from twocubes.forms import BinaryForm, ExactKernel, form_divexact, form_gcd
 
 Q = Fraction
 
@@ -39,10 +38,12 @@ def test_forward_second_instance_and_scale_sign():
 
 
 def test_forward_degenerate_when_b_vanishes():
-    quad = eb_forward(EBParams(Q(2), Q(0), Q(1)))
-    assert quad.degenerate
-    assert quad.p == 0
-    assert quad.f2 == -quad.f1
+    # a complex b makes the degeneracy test FLOAT.negligible
+    for a, b, mu in ((Q(2), Q(0), Q(1)), (2, 0j, 1)):
+        quad = eb_forward(EBParams(a, b, mu))
+        assert quad.degenerate
+        assert quad.p == 0
+        assert quad.f2 == -quad.f1
 
 
 def test_forward_complex_parameters():
@@ -66,15 +67,18 @@ def test_inverse_second_instance():
 
 
 def test_inverse_rejects_shared_cubes():
-    with pytest.raises(ValueError, match="honest"):
-        eb_inverse(1, 2, 1, 2)
+    for quadruple in ((1, 2, 1, 2), (1 + 0j, 2 + 0j, 1 + 0j, 2 + 0j)):
+        with pytest.raises(ValueError, match="honest"):
+            eb_inverse(*quadruple)
 
 
 def test_inverse_rejects_vanishing_denominator():
     f1 = SQRTM3 - CycNum.one()
     f2 = SQRTM3 + CycNum.one()
-    with pytest.raises(ValueError, match="denominator"):
-        eb_inverse(f1, f2, CycNum.one(), CycNum.from_rational(2))
+    quadruple = (f1, f2, CycNum.one(), CycNum.from_rational(2))
+    for values in (quadruple, [v.to_complex() for v in quadruple]):
+        with pytest.raises(ValueError, match="denominator"):
+            eb_inverse(*values)
 
 
 def test_inverse_roundtrip_exact_random():
@@ -179,13 +183,16 @@ def test_third_representation_random_exact():
 # The identities are checked with a raise, not an assert, so python -O keeps them.
 
 def test_forward_identity_check_raises_when_the_zero_test_fails(monkeypatch):
-    monkeypatch.setattr(ecurve, "_value_is_zero", lambda v, scale=None: False)
+    # the identity asks the exact kernel's is_zero; the degeneracy test asks
+    # its negligible, which keeps the real zero test
+    monkeypatch.setattr(ExactKernel, "is_zero", lambda self, value, scale=None: False)
     with pytest.raises(ArithmeticError, match="equal-sum identity"):
         eb_forward(EBParams(Q(-3, 2), Q(1, 2), Q(1)))
 
 
 def test_forward_complex_identity_check_raises_beyond_tolerance(monkeypatch):
-    monkeypatch.setattr(ecurve, "FLOAT_TOL", -1.0)
+    # FLOAT.is_zero reads the tolerance at call time
+    monkeypatch.setattr(forms, "FLOAT_TOL", -1.0)
     with pytest.raises(ArithmeticError, match="equal-sum identity"):
         eb_forward(EBParams(0.3 + 0.1j, 0.7 - 0.2j, 1.1 + 0j))
 
@@ -240,12 +247,13 @@ def test_chord_is_symmetric():
 
 
 def test_chord_rejects_degenerate_pairs():
-    with pytest.raises(ValueError, match="chord"):
-        curve_add((Q(1), Q(0)), (Q(1), Q(0)), Q(1))
-    # the swapped point is the group inverse; the chord through P and -P
-    # has no third affine intersection
-    with pytest.raises(ValueError, match="chord"):
-        curve_add((Q(1), Q(2)), (Q(2), Q(1)), Q(9))
+    for lift in (Q, complex):
+        with pytest.raises(ValueError, match="chord"):
+            curve_add((lift(1), lift(0)), (lift(1), lift(0)), lift(1))
+        # the swapped point is the group inverse; the chord through P and -P
+        # has no third affine intersection
+        with pytest.raises(ValueError, match="chord"):
+            curve_add((lift(1), lift(2)), (lift(2), lift(1)), lift(9))
 
 
 def test_chord_rejects_off_curve_points():
@@ -367,7 +375,7 @@ def test_chord_failures_match_the_reference(point1, point2, a):
 
 def test_chord_checks_its_reduced_output(monkeypatch):
     # a wrong final division leaves the output off the curve
-    monkeypatch.setattr(ecurve, "EXACT", types.SimpleNamespace(inv=lambda v: Q(2) / v))
+    monkeypatch.setattr(ExactKernel, "inv", lambda self, v: Q(2) / v)
     with pytest.raises(ValueError, match="not on the curve"):
         curve_add((Q(1), Q(12)), (Q(9), Q(10)), Q(1729))
 
@@ -487,7 +495,6 @@ def test_family_form_chord_takes_ten_products_and_no_gcd(monkeypatch):
     monkeypatch.setattr(ecurve, "RationalFunction", Counted)
     monkeypatch.setattr(ecurve, "form_gcd", lambda f, g: gcds.append(f) or form_gcd(f, g))
     monkeypatch.setattr(BinaryForm, "__mul__", lambda self, other: calls.append(1) or mul(self, other))
-    monkeypatch.setattr(ecurve, "_on_curve_check", lambda *args: None)
     x3, y3 = curve_add((f1, f2), (f3, f4), a)
     assert gcds == []
     assert len(products) == 2 and products[-1] <= 10
@@ -508,6 +515,14 @@ def test_rational_function_reduces_common_factors():
     rf = RationalFunction(num, den)
     assert rf.den.degree == 0
     assert rf.to_form().coeffs == (1, -1)
+
+
+def test_rational_function_truth_is_its_zero_test():
+    # the exact kernel's zero test is `not v`
+    x_sq = BinaryForm.exact(2, [Q(1), 0, 0])
+    assert not RationalFunction(Q(0)) and not RationalFunction(x_sq) - x_sq
+    assert RationalFunction(x_sq, BinaryForm.exact(1, [Q(1), Q(1)]))
+    assert forms.EXACT.is_zero(RationalFunction(BinaryForm.zero(2)))
 
 
 def test_rational_function_arithmetic_and_equality():

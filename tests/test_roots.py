@@ -6,13 +6,13 @@ from fractions import Fraction
 import pytest
 
 from twocubes import roots as roots_module
-from twocubes.forms import FLOAT, BinaryForm, LinearChange, form_compose
+from twocubes.forms import FLOAT, NEGLIGIBLE_REL, BinaryForm, LinearChange, form_compose
 from twocubes.roots import (
     RECONSTRUCT_TOL,
     ProjectiveRoot,
     _dyadic_poly,
     _exact_eval,
-    cross_ratio_multiset,
+    expanded_root_slots,
     linear_factors,
 )
 
@@ -95,6 +95,28 @@ def test_normalization_contract():
         lead = r.s if abs(r.s) > 1e-12 else r.t
         assert lead.imag == pytest.approx(0.0, abs=1e-12)
         assert lead.real > 0
+
+
+def cross_ratio_multiset(roots: list[ProjectiveRoot]) -> list[complex]:
+    """Cross-ratios of all ordered 4-tuples of distinct slots: a projective
+    invariant of the roots."""
+    slots = expanded_root_slots(roots)
+    n = len(slots)
+    out = []
+
+    def d(a: ProjectiveRoot, b: ProjectiveRoot) -> complex:
+        return a.s * b.t - b.s * a.t
+
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                for l in range(n):
+                    if len({i, j, k, l}) == 4:
+                        den = d(slots[j], slots[k]) * d(slots[i], slots[l])
+                        if abs(den) < NEGLIGIBLE_REL:
+                            continue
+                        out.append(d(slots[i], slots[k]) * d(slots[j], slots[l]) / den)
+    return out
 
 
 def test_cross_ratios_projectively_invariant():

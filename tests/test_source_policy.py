@@ -20,9 +20,12 @@
   and one below ~1e-162 underflows, so a 2-norm of such values is inf or 0.
   `forms.norm2` takes the 2-norm with `math.hypot`, which scales first.
 - Every exact scalar class (the classes of `exact.py` with an `is_zero`
-  method, and `families._SqrtExt`) defines `__bool__`: `bool(v)` is the one
-  exact zero test, and an object without `__bool__` is always true, so a
-  zero scalar would read as nonzero.
+  method, `families._SqrtExt` and `ecurve.RationalFunction`) defines
+  `__bool__`: `bool(v)` is the one exact zero test, and an object without
+  `__bool__` is always true, so a zero scalar would read as nonzero.
+- `ecurve.py` tests `isinstance(..., complex)` only in `_lifted`, its one
+  lifting helper: each call picks its kernel once, and every later zero
+  decision asks that kernel.
 - `families.py` imports neither `random` nor `FLOAT_TOL`: every identity
   group is a list of exact identities, so no group may return to sampling
   float parameter points.
@@ -143,10 +146,31 @@ def test_exact_scalars_define_bool():
     }
     scalars = [key for key, node in classes.items()
                if key[0] == "exact.py" and "is_zero" in _defined_names(node)]
-    scalars.append(("families.py", "_SqrtExt"))
-    assert len(scalars) >= 3 and all(key in classes for key in scalars)
+    scalars += [("families.py", "_SqrtExt"), ("ecurve.py", "RationalFunction")]
+    assert len(scalars) >= 4 and all(key in classes for key in scalars)
     missing = [f"{f}:{c}" for f, c in scalars if "__bool__" not in _defined_names(classes[(f, c)])]
     assert not missing, f"exact scalar classes without __bool__: {missing}"
+
+
+def test_ecurve_tests_for_complex_only_when_lifting():
+    path = next(p for p in SOURCES if p.name == "ecurve.py")
+    tree = ast.parse(path.read_text(), filename=str(path))
+    helpers = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "_lifted"]
+    assert len(helpers) == 1
+
+    def complex_tests(node):
+        return [
+            n.lineno
+            for n in ast.walk(node)
+            if isinstance(n, ast.Call)
+            and isinstance(n.func, ast.Name)
+            and n.func.id == "isinstance"
+            and "complex" in _names(n)
+        ]
+
+    inside = set(complex_tests(helpers[0]))
+    outside = [line for line in complex_tests(tree) if line not in inside]
+    assert inside and not outside, f"ecurve.py: isinstance(..., complex) outside _lifted at lines {outside}"
 
 
 def test_identity_suite_draws_no_samples():
