@@ -14,6 +14,7 @@ import dataclasses
 import math
 
 from .exact import OMEGA
+from .families import f_forms
 from .forms import (EXACT, FLOAT, FLOAT_TOL, NEGLIGIBLE_REL, UNDERFLOW_FLOOR, BinaryForm, LinearChange,
                     form_compose, form_gcd, relative_residual)
 
@@ -24,8 +25,6 @@ DEGENERATE_REL = 1e-10     # relative cut under which a pencil, pair or type deg
 ARRANGEMENT_TOL = 1e-6     # relative residual accepted for f1 + f2 = T (f3 + f4)
 COINCIDENT_REL = 1e-9      # relative distance under which the two pencil roots coincide
 SIGN_CUT = 1e-15           # real parts within this of zero count as zero when fixing a sign
-
-_W = complex(OMEGA.to_complex())
 
 # Arrangements compatible with f1^3 + f2^3 = f3^3 + f4^3, searched in order:
 # each entry is ((a, b, sign_b), (c, d, sign_d)) encoding the candidate
@@ -275,14 +274,8 @@ def reference_family(lam):
     """The type-lambda^2 reference family (floating kernel): the arrangement
     (g1, g2, g3, g4) with g1^3 + g2^3 = g3^3 + g4^3 and g1 + g2 =
     lam^2 (g3 + g4)."""
-    lv = complex(lam)
-    w, w2 = _W, _W * _W
-    l3, l4 = lv ** 3, lv ** 4
-    F3 = BinaryForm.floating(2, [l3 * w2, -1, l3 * w])
-    F5 = BinaryForm.floating(2, [l3 * w, -1, l3 * w2])
-    F4 = BinaryForm.floating(2, [-lv * w2, l4, -lv * w])
-    F6 = BinaryForm.floating(2, [-lv * w, l4, -lv * w2])
-    return F3, -F5, -F4, F6
+    _, _, f3, f4, f5, f6 = f_forms(complex(lam))
+    return f3, -f5, -f4, f6
 
 
 def _phi_roots(T: complex):

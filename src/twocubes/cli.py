@@ -32,7 +32,7 @@ from .families import (
     young_family,
     young_quadruple,
 )
-from .forms import FLOAT_TOL, BinaryForm, scalar_json
+from .forms import BinaryForm, scalar_json
 
 
 class UsageError(ValueError):
@@ -293,10 +293,7 @@ def cmd_eb(ns) -> int:
 def cmd_curve_add(ns) -> int:
     values = parse_scalars(ns.values)
     x1, y1, x2, y2, a = values
-    tol = FLOAT_TOL if ns.tol is None else ns.tol
-    if not 0.0 <= tol < math.inf:
-        raise UsageError("--tol must be finite and >= 0")
-    x3, y3 = curve_add((x1, y1), (x2, y2), a, tol=tol)
+    x3, y3 = curve_add((x1, y1), (x2, y2), a)
     payload = {"x3": scalar_json(x3), "y3": scalar_json(y3)}
 
     def text():
@@ -317,8 +314,6 @@ def _build_parser() -> _Parser:
         description="Decide, count, construct and classify representations of "
         "binary sextics as sums of two cubes of quadratic forms.",
     )
-    parser.add_argument("--tol", type=float, default=None,
-                        help=f"floating on-curve tolerance of curve-add (default {FLOAT_TOL:g})")
     parser.add_argument("--format", choices=("json", "text"), default="json")
     parser.add_argument("--jobs", type=int, default=None, help="parallel workers for census sweeps (default 1)")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -360,7 +355,7 @@ def _build_parser() -> _Parser:
 
 # Each global option and the one command that reads it: any other command
 # would ignore the option, so it rejects it instead.
-_OPTION_COMMANDS = {"tol": "curve-add", "jobs": "census"}
+_OPTION_COMMANDS = {"jobs": "census"}
 
 
 def main(argv=None) -> int:

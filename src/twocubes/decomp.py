@@ -235,13 +235,15 @@ def cubic_two_cubes(q: BinaryForm) -> CubicSplit:
     return CubicSplit(True, ell1, ell2)
 
 
-def _h_rows(slots) -> list:
-    """The coefficient row (t_i t_j, s_i t_j + s_j t_i, s_i s_j) of the
-    quadratic from each pair of the six root slots, in _PAIRS order."""
+def _pair_rows(slots) -> list:
+    """The complex coefficient row (a0 b0, a0 b1 + a1 b0, a1 b1) of the
+    product of the linear factors (t, -s) of each pair of the six root
+    slots, in _PAIRS order."""
     if len(slots) != 6:
         raise ValueError("exactly six projective roots required")
-    return [(a.t * b.t, a.s * b.t + b.s * a.t, a.s * b.s)
-            for a, b in [(slots[i], slots[j]) for i, j in _PAIRS]]
+    lin = [(complex(r.t), complex(-r.s)) for r in slots]
+    return [(a0 * b0, a0 * b1 + a1 * b0, a1 * b1)
+            for (a0, a1), (b0, b1) in [(lin[i], lin[j]) for i, j in _PAIRS]]
 
 
 def _grouping_determinants(rows, norms) -> list:
@@ -252,12 +254,15 @@ def _grouping_determinants(rows, norms) -> list:
 
 
 def _H_product(dets) -> complex:
+    """H from the determinants of the pair rows: each row is the H row
+    (t_i t_j, s_i t_j + s_j t_i, s_i s_j) with its middle entry negated, so
+    each of the 15 determinants, and so their product, changes sign."""
     total = 1.0 + 0j
     for det, norm in dets:
         total *= det / norm
     # a zero part is stored as +0.0, whatever sign the rounding of the
     # factors left: decompose prints H
-    return total + 0j
+    return -total + 0j
 
 
 def H_eval(roots) -> complex:
@@ -269,7 +274,7 @@ def H_eval(roots) -> complex:
     divided by the product of the row 2-norms, so the value is invariant
     under root rescaling.
     """
-    rows = _h_rows(expanded_root_slots(list(roots)))
+    rows = _pair_rows(expanded_root_slots(list(roots)))
     return _H_product(_grouping_determinants(rows, [norm2(row) for row in rows]))
 
 
@@ -303,23 +308,17 @@ def rep_count(p: BinaryForm) -> DecompositionReport:
     pf = p.to_float()
     scale, roots = linear_factors(pf)
     slots = expanded_root_slots(roots)
-    hrows = _h_rows(slots)
-    norms = [norm2(row) for row in hrows]
-    dets = _grouping_determinants(hrows, norms)
+    rows = _pair_rows(slots)
+    norms = [norm2(row) for row in rows]
+    dets = _grouping_determinants(rows, norms)
     H = _H_product(dets)
-    # the coefficients of the products of the linear factors (t, -s).  Each
-    # H row is the same quadratic with its middle coefficient negated, so its
-    # |det| and norms are the same bits.
-    lin = [(complex(r.t), complex(-r.s)) for r in slots]
-    prows = [(a0 * b0, a0 * b1 + a1 * b0, a1 * b1)
-             for (a0, a1), (b0, b1) in [(lin[i], lin[j]) for i, j in _PAIRS]]
-    mags = [max([abs(c) for c in row]) for row in prows]
+    mags = [max([abs(c) for c in row]) for row in rows]
     cube_root = complex(scale) ** (1.0 / 3.0)
 
     reps = []
     dependent_triples = 0
     for k, (i, j, m) in _pattern_pairings(tuple([r.multiplicity for r in roots])):
-        q1, q2, q3 = prows[i], prows[j], prows[m]
+        q1, q2, q3 = rows[i], rows[j], rows[m]
         # slots are unit vectors, so no pair quadratic is the zero form
         if not (_distinct(q1, q2, mags[i] * mags[j]) and _distinct(q1, q3, mags[i] * mags[m])
                 and _distinct(q2, q3, mags[j] * mags[m])):

@@ -15,17 +15,18 @@ performs chord addition of two points on X^3 + Y^3 = A.
 Scalar inputs may be exact (Fraction / cyclotomic) or complex.  Each public
 call lifts its inputs once; one complex input makes the call's kernel
 `forms.FLOAT`, and otherwise it is `forms.EXACT`.  Every zero test asks that
-kernel: `negligible` for a degeneracy, `is_zero` for an identity.  The exact
-scalar chord runs in projective coordinates (X : Y : Z), Z the lcm of a
-rational point's denominators, and divides once per output coordinate.  Form
-inputs use exact rational-function arithmetic: the form chord shares the
-products x1x2 and y1y2 and the cross term x2y1 - x1y2 between its
-denominator and both numerators (ten form products), and a ratio of forms
-is reduced by one exact division when the denominator divides the
-numerator, as on every family chord, or by gcd cancellation otherwise.  The
-form chord is checked cross-multiplied, on numerators and denominators, so
-the advertised cancellations are verified identities, not floating
-coincidences.
+kernel: `negligible` for a degeneracy, `is_zero` for an identity.  One
+scalar chord serves both kernels.  It runs in projective coordinates
+(X : Y : Z), Z the lcm of a rational point's denominators (else 1), asks
+`is_zero` whether m(X^3 + Y^3) = n Z^3 for A = n/m, and divides with the
+kernel's `div` once per output coordinate.  Form inputs use exact
+rational-function arithmetic: the form chord shares the products x1x2 and
+y1y2 and the cross term x2y1 - x1y2 between its denominator and both
+numerators (ten form products), and a ratio of forms is reduced by one
+exact division when the denominator divides the numerator, as on every
+family chord, or by gcd cancellation otherwise.  The form chord is checked
+cross-multiplied, on numerators and denominators, so the advertised
+cancellations are verified identities, not floating coincidences.
 """
 from __future__ import annotations
 
@@ -34,7 +35,7 @@ import math
 from fractions import Fraction
 
 from .exact import CycNum
-from .forms import EXACT, FLOAT, FLOAT_TOL, BinaryForm, form_divexact, form_gcd
+from .forms import EXACT, FLOAT, BinaryForm, form_divexact, form_gcd
 
 
 def _const_form(v) -> BinaryForm:
@@ -312,13 +313,6 @@ def curve_third_rep(params: EBParams):
 # chord addition on X^3 + Y^3 = A
 # --------------------------------------------------------------------------
 
-def _on_curve_check(x, y, a, tol: float):
-    """A complex point lies on the curve to `tol` against the larger side."""
-    lhs = x ** 3 + y ** 3
-    if not abs(lhs - a) <= tol * max(abs(lhs), abs(a), 1.0):  # a NaN fails too
-        raise ValueError("point is not on the curve")
-
-
 def _projective(x, y):
     """(X, Y, Z) with x = X/Z and y = Y/Z: integers over the lcm of the two
     denominators for a rational point, (x, y, 1) for any other."""
@@ -328,60 +322,48 @@ def _projective(x, y):
     return x, y, 1
 
 
-def _exact_chord(x1, y1, x2, y2, a):
-    """Chord addition over exact scalars: with A = n/m, a point (X : Y : Z)
-    lies on the curve when m(X^3 + Y^3) = n Z^3."""
+def curve_add(point1, point2, a):
+    """Chord addition: the third intersection of the line through two points
+    of X^3 + Y^3 = A, in the coordinates that make it the curve's group law.
+
+    Scalar points run one projective chord: with A = n/m, a point (X : Y : Z)
+    lies on the curve when m(X^3 + Y^3) = n Z^3, as the call's kernel decides.
+    Form points use exact rational-function arithmetic and return plain
+    forms whenever the denominators cancel.  A vanishing chord denominator
+    (equal or opposite points; no tangent rule is provided) raises
+    ValueError; a form among the five entries needs all five to be forms.
+    """
+    x1, y1 = point1
+    x2, y2 = point2
+    entries = [x1, y1, x2, y2, a]
+    if any(isinstance(v, BinaryForm) for v in entries):
+        if not all(isinstance(v, BinaryForm) for v in entries):
+            raise TypeError("form points need form coordinates and a form right side")
+        if not all(v.kernel.exact for v in entries):
+            raise TypeError("chord addition on forms requires the exact kernel")
+        return _form_chord(*entries)
+    values, kernel = _lifted(entries)
+    x1, y1, x2, y2, a = values if kernel.exact else [complex(v) for v in values]
     n, m = (a.numerator, a.denominator) if isinstance(a, Fraction) else (a, 1)
 
     def on_curve(x, y):
         X, Y, Z = _projective(x, y)
-        if m * (X ** 3 + Y ** 3) - n * Z ** 3:
+        lhs, rhs = m * (X ** 3 + Y ** 3), n * Z ** 3
+        scale = None if kernel.exact else max(abs(lhs), abs(rhs), 1.0)
+        if not kernel.is_zero(lhs - rhs, scale):  # a NaN is never zero
             raise ValueError("point is not on the curve")
         return X, Y, Z
 
     X1, Y1, Z1 = on_curve(x1, y1)
     X2, Y2, Z2 = on_curve(x2, y2)
     den = m * (Z2 * (X1 * X1 * X2 + Y1 * Y1 * Y2) - Z1 * (X1 * X2 * X2 + Y1 * Y2 * Y2))
-    if not den:
+    scale = None if kernel.exact else max(abs(v) for v in (x1, y1, x2, y2)) ** 3 or 1.0
+    if kernel.negligible(den, scale):
         raise ValueError("chord degenerates (coincident or opposite points)")
-    nz, cross, inv = n * Z1 * Z2, X2 * Y1 - X1 * Y2, EXACT.inv(den)
-    x3 = (nz * (X1 * Z2 - X2 * Z1) + m * Y1 * Y2 * cross) * inv
-    y3 = (nz * (Y1 * Z2 - Y2 * Z1) - m * X1 * X2 * cross) * inv
+    nz, p, q = n * Z1 * Z2, X2 * Y1, X1 * Y2
+    x3 = kernel.div(nz * (X1 * Z2 - X2 * Z1) + m * Y1 * Y2 * (p - q), den)
+    y3 = kernel.div(nz * (Y1 * Z2 - Y2 * Z1) + m * X1 * X2 * (q - p), den)
     on_curve(x3, y3)
-    return x3, y3
-
-
-def curve_add(point1, point2, a, tol: float = FLOAT_TOL):
-    """Chord addition: the third intersection of the line through two points
-    of X^3 + Y^3 = A, in the coordinates that make it the curve's group law.
-
-    Scalar points use field arithmetic; form points use exact
-    rational-function arithmetic and return plain forms whenever the
-    denominators cancel.  A vanishing chord denominator (equal or opposite
-    points; no tangent rule is provided) raises ValueError.
-    """
-    x1, y1 = point1
-    x2, y2 = point2
-    entries = [x1, y1, x2, y2]
-    if any(isinstance(v, BinaryForm) for v in entries):
-        if not (all(isinstance(v, BinaryForm) for v in entries) and isinstance(a, BinaryForm)):
-            raise TypeError("form points need form coordinates and a form right side")
-        if not all(v.kernel.exact for v in entries + [a]):
-            raise TypeError("chord addition on forms requires the exact kernel")
-        return _form_chord(x1, y1, x2, y2, a)
-    values, kernel = _lifted(entries + [a])
-    if kernel.exact:
-        return _exact_chord(*values)
-    x1, y1, x2, y2, a = [complex(v) for v in values]
-
-    _on_curve_check(x1, y1, a, tol)
-    _on_curve_check(x2, y2, a, tol)
-    den = (x1 * x1 * x2 + y1 * y1 * y2) - (x1 * x2 * x2 + y1 * y2 * y2)
-    if kernel.negligible(den, max(abs(v) for v in (x1, y1, x2, y2)) ** 3 or 1.0):
-        raise ValueError("chord degenerates (coincident or opposite points)")
-    x3 = (a * (x1 - x2) + y1 * y2 * (x2 * y1 - x1 * y2)) / den
-    y3 = (a * (y1 - y2) + x1 * x2 * (x1 * y2 - x2 * y1)) / den
-    _on_curve_check(x3, y3, a, tol)
     return x3, y3
 
 

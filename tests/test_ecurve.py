@@ -269,6 +269,17 @@ def test_chord_complex_points():
     assert abs(x3 ** 3 + y3 ** 3 - a) <= 1e-9 * max(abs(a), 1.0)
 
 
+def test_complex_chord_on_curve_test_follows_FLOAT_TOL(monkeypatch):
+    # FLOAT.is_zero reads the tolerance at call time: x1 = 1 + 1e-9 misses
+    # x^3 + y^3 = 1729 by ~2e-12 relative, inside FLOAT_TOL and outside 1e-13
+    point1, point2, a = (1.000000001 + 0j, 12 + 0j), (9 + 0j, 10 + 0j), 1729 + 0j
+    x3, _ = curve_add(point1, point2, a)
+    assert abs(x3 + 37 / 3) < 1e-6
+    monkeypatch.setattr(forms, "FLOAT_TOL", 1e-13)
+    with pytest.raises(ValueError, match="not on the curve"):
+        curve_add(point1, point2, a)
+
+
 def test_chord_on_family_forms_cancels_denominators():
     rng = random.Random(7)
     seen = 0
@@ -385,7 +396,7 @@ def test_chord_checks_its_reduced_output(monkeypatch):
     ((1 + 0j, 1 + 0j), complex("nan")),
 ], ids=["nan-point", "nan-A"])
 def test_floating_chord_rejects_a_nan_as_off_the_curve(point1, a):
-    # every comparison with a NaN is false, so only "not within tol" catches it
+    # every comparison with a NaN is false, so FLOAT.is_zero never passes it
     with pytest.raises(ValueError, match="not on the curve"):
         curve_add(point1, (1 + 0j, 2 + 0j), a)
 
@@ -505,6 +516,11 @@ def test_chord_rejects_mixed_form_and_scalar():
     x_sq = BinaryForm.exact(2, [Q(1), 0, 0])
     with pytest.raises(TypeError):
         curve_add((x_sq, Q(1)), (Q(1), Q(2)), Q(9))
+    # scalar points with a form right side, constant or not
+    with pytest.raises(TypeError):
+        curve_add((Q(1), Q(12)), (Q(9), Q(10)), BinaryForm.exact(0, [Q(1729)]))
+    with pytest.raises(TypeError):
+        curve_add((Q(1), Q(12)), (Q(9), Q(10)), BinaryForm.exact(1, [Q(1729), Q(1)]))
 
 
 # ---------------------------------------------------------------- rational functions
