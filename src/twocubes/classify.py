@@ -16,7 +16,7 @@ import math
 from .exact import OMEGA
 from .families import f_forms
 from .forms import (EXACT, FLOAT, FLOAT_TOL, NEGLIGIBLE_REL, UNDERFLOW_FLOOR, BinaryForm, LinearChange,
-                    form_compose, form_gcd, relative_residual)
+                    form_compose, form_gcd, lift, relative_residual)
 
 TYPE_PROP_TOL = 1e-8       # proportionality tolerance in arrangement search
 SQUARE_DISC_TOL = 1e-8     # relative discriminant bound for square extraction
@@ -81,11 +81,12 @@ def _check_equal_cube_sums(f1, f2, f3, f4):
 def type_detect(f1: BinaryForm, f2: BinaryForm, f3: BinaryForm,
                 f4: BinaryForm) -> TypeTag:
     """Scalar T and arrangement with f_a + w^i f_b = T(f_c + w^j f_d)."""
-    forms = (f1, f2, f3, f4)
-    if any(f.degree != 2 for f in forms):
+    if any(f.degree != 2 for f in (f1, f2, f3, f4)):
         raise ValueError("four quadratic forms required")
-    kernel = f1.kernel
-    _check_equal_cube_sums(f1, f2, f3, f4)
+    # one kernel for all four: every form is float when any of them is
+    coeffs, kernel = lift([c for f in (f1, f2, f3, f4) for c in f.coeffs])
+    forms = tuple([BinaryForm(2, tuple(coeffs[k:k + 3]), kernel) for k in range(0, 12, 3)])
+    _check_equal_cube_sums(*forms)
     for i, a in enumerate(forms):
         for b in forms[i + 1:]:
             if a.proportional_to(b, rel_tol=DEGENERATE_REL):

@@ -2,9 +2,9 @@
 
 Commands: decompose, census, verify, family, type-detect, eb, curve-add.
 Scalar literals are exact rationals ("3/2", "-4", "0.25" -- parsed exactly)
-or complex pairs "re,im"; a command switches to the exact kernel when every
-input is exact.  Exit codes: 0 success, 1 usage error, 2 computation
-failure, 3 verification suite failure.
+or complex pairs "re,im"; `forms.lift` picks each command's kernel, the
+exact one when every input is exact.  Exit codes: 0 success, 1 usage
+error, 2 computation failure, 3 verification suite failure.
 """
 from __future__ import annotations
 
@@ -32,7 +32,7 @@ from .families import (
     young_family,
     young_quadruple,
 )
-from .forms import BinaryForm, scalar_json
+from .forms import BinaryForm, lift, scalar_json
 
 
 class UsageError(ValueError):
@@ -81,9 +81,8 @@ def parse_scalars(texts) -> list:
 
 
 def build_form(degree: int, values) -> BinaryForm:
-    if all(isinstance(v, Fraction) for v in values):
-        return BinaryForm.exact(degree, values)
-    return BinaryForm.floating(degree, [complex(v) for v in values])
+    values, kernel = lift(values)
+    return BinaryForm(degree, tuple(values), kernel)
 
 
 def _emit(ns, payload, text_lines) -> None:
@@ -100,8 +99,7 @@ def _emit(ns, payload, text_lines) -> None:
 
 def cmd_decompose(ns) -> int:
     coeffs = parse_scalars(ns.coeffs)
-    sextic = build_form(6, coeffs)
-    report = rep_count(sextic.to_float())
+    report = rep_count(build_form(6, coeffs))
     payload = report_to_json(report)
 
     def text():
@@ -233,8 +231,6 @@ def cmd_family(ns) -> int:
 
 def cmd_type_detect(ns) -> int:
     coeffs = parse_scalars(ns.coeffs)
-    if not all(isinstance(v, Fraction) for v in coeffs):
-        coeffs = [complex(v) for v in coeffs]
     forms = [build_form(2, coeffs[3 * k : 3 * k + 3]) for k in range(4)]
     tag = type_detect(*forms)
     payload = {

@@ -79,14 +79,6 @@ class DecompositionReport:
     dependent_triples: int
 
 
-@dataclasses.dataclass(frozen=True)
-class CubicSplit:
-    ok: bool
-    ell1: BinaryForm = None
-    ell2: BinaryForm = None
-    reason: str = ""
-
-
 def _coeff_key(f: BinaryForm):
     if f.kernel.exact:
         return tuple([scalar_key(c) for c in f.coeffs])
@@ -209,32 +201,6 @@ def construct_from_triple(g1: BinaryForm, g2: BinaryForm, g3: BinaryForm,
     return Representation(f1, f2, 1.0, residual)
 
 
-def cubic_two_cubes(q: BinaryForm) -> CubicSplit:
-    """The unique (up to summand order and cube roots of unity) pair of
-    linear forms with ell1^3 + ell2^3 = q, which exists exactly when the
-    cubic q is square-free."""
-    if q.degree != 3:
-        raise ValueError("cubic form required")
-    if q.is_zero():
-        raise ValueError("cannot split the zero form")
-    scale, roots = linear_factors(q.to_float())
-    if any(r.multiplicity > 1 for r in roots):
-        return CubicSplit(False, reason="square factor")
-    ells = [BinaryForm.floating(1, r.factor_coeffs()) for r in roots]
-    g1, g2, g3 = ells
-    # three linear forms are always dependent; distinct factors force both
-    # coefficients nonzero
-    d11 = g1.coeffs[0] * g2.coeffs[1] - g1.coeffs[1] * g2.coeffs[0]
-    alpha = (g3.coeffs[0] * g2.coeffs[1] - g3.coeffs[1] * g2.coeffs[0]) / d11
-    beta = (g1.coeffs[0] * g3.coeffs[1] - g1.coeffs[1] * g3.coeffs[0]) / d11
-    c1, c2 = _float_cube_pair(g1.coeffs, g2.coeffs, alpha, beta, scale)
-    ell1, ell2 = BinaryForm(1, tuple(c1), g1.kernel), BinaryForm(1, tuple(c2), g2.kernel)
-    residual = relative_residual(ell1 ** 3 + ell2 ** 3, q.to_float())
-    if residual > FLOAT_TOL:
-        raise ArithmeticError(f"cubic split residual {residual:.2e} too large")
-    return CubicSplit(True, ell1, ell2)
-
-
 def _pair_rows(slots) -> list:
     """The complex coefficient row (a0 b0, a0 b1 + a1 b0, a1 b1) of the
     product of the linear factors (t, -s) of each pair of the six root
@@ -324,10 +290,12 @@ def rep_count(p: BinaryForm) -> DecompositionReport:
                 and _distinct(q2, q3, mags[j] * mags[m])):
             continue
         det, norm_prod = dets[k]
-        if abs(det) > DEP_DET_REL * norm_prod:
+        # two prefilters, for speed only: the FLOAT_TOL residual below decides,
+        # and the benchmark's census sextics get the same answers without them
+        if abs(det) > DEP_DET_REL * norm_prod:  # skips the span fit
             continue
         fit = _span_fit(q1, q2, q3, norms[m])
-        if fit is None:
+        if fit is None:  # skips building forms for the residual
             continue
         dependent_triples += 1
         alpha, beta = fit

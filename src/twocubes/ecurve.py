@@ -13,20 +13,21 @@ the parameters, `curve_third_rep` produces the extra representation
 performs chord addition of two points on X^3 + Y^3 = A.
 
 Scalar inputs may be exact (Fraction / cyclotomic) or complex.  Each public
-call lifts its inputs once; one complex input makes the call's kernel
-`forms.FLOAT`, and otherwise it is `forms.EXACT`.  Every zero test asks that
-kernel: `negligible` for a degeneracy, `is_zero` for an identity.  One
-scalar chord serves both kernels.  It runs in projective coordinates
-(X : Y : Z), Z the lcm of a rational point's denominators (else 1), asks
-`is_zero` whether m(X^3 + Y^3) = n Z^3 for A = n/m, and divides with the
-kernel's `div` once per output coordinate.  Form inputs use exact
-rational-function arithmetic: the form chord shares the products x1x2 and
-y1y2 and the cross term x2y1 - x1y2 between its denominator and both
-numerators (ten form products), and a ratio of forms is reduced by one
-exact division when the denominator divides the numerator, as on every
-family chord, or by gcd cancellation otherwise.  The form chord is checked
-cross-multiplied, on numerators and denominators, so the advertised
-cancellations are verified identities, not floating coincidences.
+call lifts its inputs once, through `forms.lift`: one float or complex input
+makes the call's kernel `forms.FLOAT` and every input complex, and otherwise
+the kernel is `forms.EXACT`.  Every zero test asks that kernel: `negligible`
+for a degeneracy, `is_zero` for an identity.  One scalar chord serves both
+kernels.  It runs in projective coordinates (X : Y : Z), Z the lcm of a
+rational point's denominators (else 1), asks `is_zero` whether m(X^3 + Y^3)
+= n Z^3 for A = n/m, and divides with the kernel's `div` once per output
+coordinate.  Form inputs use exact rational-function arithmetic: the form
+chord shares the products x1x2 and y1y2 and the cross term x2y1 - x1y2
+between its denominator and both numerators (ten form products), and a ratio
+of forms is reduced by one exact division when the denominator divides the
+numerator, as on every family chord, or by gcd cancellation otherwise.  The
+form chord is checked cross-multiplied, on numerators and denominators, so
+the advertised cancellations are verified identities, not floating
+coincidences.
 """
 from __future__ import annotations
 
@@ -35,7 +36,7 @@ import math
 from fractions import Fraction
 
 from .exact import CycNum
-from .forms import EXACT, FLOAT, BinaryForm, form_divexact, form_gcd
+from .forms import EXACT, BinaryForm, form_divexact, form_gcd, lift
 
 
 def _const_form(v) -> BinaryForm:
@@ -220,13 +221,11 @@ class EBQuadruple:
 
 def _lifted(values):
     """The values of one call lifted to one arithmetic, and the kernel that
-    decides its zeros: a form becomes a RationalFunction, an int a Fraction
-    and a float a complex.  One complex value makes the kernel FLOAT."""
-    out = [RationalFunction(v) if isinstance(v, BinaryForm)
-           else Fraction(v) if isinstance(v, int)
-           else complex(v) if isinstance(v, float) else v
-           for v in values]
-    return out, FLOAT if any(isinstance(v, complex) for v in out) else EXACT
+    decides its zeros: a form becomes a RationalFunction and an int a
+    Fraction, and then `forms.lift` picks the kernel and coerces."""
+    return lift([RationalFunction(v) if isinstance(v, BinaryForm)
+                 else Fraction(v) if isinstance(v, int) else v
+                 for v in values])
 
 
 def _check_identity(kernel, diff, terms, name: str):
@@ -266,8 +265,7 @@ def eb_inverse(f1, f2, f3, f4) -> EBParams:
             raise TypeError("mixed form and scalar quadruple")
         if not all(v.kernel.exact for v in values):
             raise TypeError("inverse parameterization requires exact forms")
-    values, kernel = _lifted(values)
-    f1, f2, f3, f4 = values if kernel.exact else [complex(v) for v in values]
+    (f1, f2, f3, f4), kernel = _lifted(values)
 
     half = Fraction(1, 2)
     g1, g2, g3, g4 = (f1 + f2) * half, (f2 - f1) * half, (f3 + f4) * half, (f4 - f3) * half
@@ -342,8 +340,7 @@ def curve_add(point1, point2, a):
         if not all(v.kernel.exact for v in entries):
             raise TypeError("chord addition on forms requires the exact kernel")
         return _form_chord(*entries)
-    values, kernel = _lifted(entries)
-    x1, y1, x2, y2, a = values if kernel.exact else [complex(v) for v in values]
+    (x1, y1, x2, y2, a), kernel = _lifted(entries)
     n, m = (a.numerator, a.denominator) if isinstance(a, Fraction) else (a, 1)
 
     def on_curve(x, y):

@@ -31,7 +31,7 @@ from .exact import (
     ZETA8,
     ZETA12,
 )
-from .forms import EXACT, FLOAT, BinaryForm, LinearChange, det3, form_compose
+from .forms import EXACT, BinaryForm, LinearChange, det3, form_compose, lift
 
 ONE = 1
 EXCEPTIONAL_PARAMETER = IMAG * ETA  # smallest-argument root of t^4 + 4t^2 + 1
@@ -41,9 +41,8 @@ def _parameter(value, name: str):
     """Normalize a family parameter to (value, kernel); None means formal."""
     if value is None:
         return ParamPoly.variable(name), EXACT
-    if isinstance(value, (int, Fraction, CycNum, ParamPoly)):
-        return value, EXACT
-    return complex(value), FLOAT
+    (value,), kernel = lift([value])
+    return value, kernel
 
 
 def _form(degree: int, coeffs, kernel) -> BinaryForm:

@@ -7,7 +7,9 @@ relative-tolerance equality.  Each kernel owns its scalar protocol (`zero`,
 `one`, `is_zero`, `negligible`, `div`, `coerce` and the `exact` flag; the exact
 kernel adds `inv`), so code above this module (`roots`, `decomp`, `classify`
 and `ecurve`) asks the kernel, not the type.
-`scalar_json` is the package's one encoder of a scalar as JSON.
+`lift` is the one place a call's kernel is chosen from its inputs: one float
+or complex value makes it FLOAT, else it is EXACT.  `scalar_json` is the
+package's one encoder of a scalar as JSON.
 Forms are immutable; all operations return new values, so they are safe to
 share across threads.
 """
@@ -91,6 +93,16 @@ class FloatKernel:
 
 EXACT = ExactKernel()
 FLOAT = FloatKernel()
+
+
+def lift(values) -> tuple[list, object]:
+    """The values of one call on one kernel, and that kernel.  One float or
+    complex value makes it FLOAT, and every value is coerced to its complex
+    value; otherwise it is EXACT and the values stay as they are."""
+    values = list(values)
+    if any(isinstance(v, (float, complex)) for v in values):
+        return [FLOAT.coerce(v) for v in values], FLOAT
+    return values, EXACT
 
 
 @dataclasses.dataclass(frozen=True)
@@ -387,18 +399,17 @@ def form_divexact(f: BinaryForm, g: BinaryForm) -> BinaryForm:
 
 
 def multiplicity_structure(p: BinaryForm) -> list[int]:
-    """Sorted multiset of projective root multiplicities (root at infinity included)."""
+    """Sorted multiset of projective root multiplicities (root at infinity
+    included); exact kernel only.  A float form's multiplicities are those
+    of `roots.linear_factors`."""
+    if not p.kernel.exact:
+        raise TypeError("exact multiplicities require the exact kernel")
     if p.is_zero():
         raise ValueError("zero form has no multiplicity structure")
-    if not p.kernel.exact:
-        from .roots import linear_factors
-
-        _, roots = linear_factors(p)
-        return sorted((r.multiplicity for r in roots), reverse=True)
     # exact square-free chain on f(x,1), y-multiplicity tracked separately
     ym, a = _dehomogenize(p)
     mults = [ym] if ym else []
-    a = _poly_trim(a, p.kernel, 1.0)
+    a = _poly_trim(a, p.kernel, None)
     if len(a) > 1:
         fx = BinaryForm(len(a) - 1, tuple(a), p.kernel)
         mults += _exact_multiplicities(fx)

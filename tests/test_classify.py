@@ -140,6 +140,13 @@ def test_type_detect_over_a_formal_parameter(family, relation):
     assert tag.describe() == relation
 
 
+@pytest.mark.parametrize("floated", [(1, 2, 3), (0,)], ids=["exact-first", "float-first"])
+def test_type_detect_lifts_exact_and_float_forms_to_float(floated):
+    forms = young_family(Fraction(2))
+    mixed = [f.to_float() if k in floated else f for k, f in enumerate(forms)]
+    assert type_detect(*mixed) == type_detect(*[f.to_float() for f in forms])
+
+
 def test_type_detect_rejects_unequal_sums():
     with pytest.raises(ValueError):
         type_detect(RAM1, RAM3, RAM4, RAM2)

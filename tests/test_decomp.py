@@ -10,7 +10,6 @@ from twocubes.decomp import (
     H_eval,
     PAIRINGS,
     construct_from_triple,
-    cubic_two_cubes,
     dependence_test,
     pair_partitions,
     rep_count,
@@ -184,42 +183,6 @@ def test_construction_lands_in_span():
             + rows[0][2] * (rows[1][0] * rows[2][1] - rows[1][1] * rows[2][0])
         )
         assert abs(det) <= 1e-9 * max(1.0, f.max_magnitude())
-
-
-# ---------------------------------------------------------------- cubics
-
-def test_cubic_split_basic():
-    q = BinaryForm.floating(3, [1, 0, 0, 1])
-    res = cubic_two_cubes(q)
-    assert res.ok
-    assert (res.ell1 ** 3 + res.ell2 ** 3).equals(q)
-    axes = sorted(
-        (abs(complex(ell.coeffs[0])), abs(complex(ell.coeffs[1])))
-        for ell in (res.ell1, res.ell2)
-    )
-    # one summand is a multiple of x, the other of y
-    assert axes[0][0] < 1e-9 and axes[1][1] < 1e-9
-
-
-def test_cubic_split_square_factor_fails():
-    res = cubic_two_cubes(BinaryForm.floating(3, [0, 1, 0, 0]))  # x^2 y
-    assert not res.ok
-    assert "square" in res.reason
-
-
-def test_cubic_split_three_distinct_lines():
-    x, y = fl_lin(1, 0), fl_lin(0, 1)
-    q = x * y * (x + y)
-    res = cubic_two_cubes(q)
-    assert res.ok
-    assert (res.ell1 ** 3 + res.ell2 ** 3).equals(q)
-
-
-def test_cubic_split_rejects_zero_and_wrong_degree():
-    with pytest.raises(ValueError):
-        cubic_two_cubes(BinaryForm.zero(3))
-    with pytest.raises(ValueError):
-        cubic_two_cubes(BinaryForm.floating(2, [1, 0, 1]))
 
 
 # ---------------------------------------------------------------- census

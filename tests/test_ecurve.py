@@ -54,6 +54,19 @@ def test_forward_complex_parameters():
     assert not quad.degenerate
 
 
+_W = OMEGA.to_complex()
+
+
+@pytest.mark.parametrize("call, mixed, floated", [
+    (eb_forward, (EBParams(OMEGA, 0.5 + 0j, 1),), (EBParams(_W, 0.5 + 0j, 1),)),
+    (curve_third_rep, (EBParams(OMEGA, 0.5 + 0j, 1),), (EBParams(_W, 0.5 + 0j, 1),)),
+    (eb_inverse, (OMEGA, 1 + 0j, 10, 9), (_W, 1 + 0j, 10, 9)),
+    (curve_add, ((OMEGA, 12), (9 + 0j, 10 + 0j), 1729 + 0j), ((_W, 12), (9 + 0j, 10 + 0j), 1729 + 0j)),
+], ids=["eb_forward", "curve_third_rep", "eb_inverse", "curve_add"])
+def test_a_cyclotomic_input_among_complex_ones_lifts_to_its_complex_value(call, mixed, floated):
+    assert call(*mixed) == call(*floated)
+
+
 # ---------------------------------------------------------------- inverse
 
 def test_inverse_integer_instance():

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from twocubes.ecurve import RationalFunction
 from twocubes.exact import IMAG, OMEGA, ZETA8, ETA, CycNum, ParamPoly
 from twocubes.families import _SqrtExt
 from twocubes.forms import (
@@ -16,10 +17,12 @@ from twocubes.forms import (
     form_compose,
     form_divexact,
     form_gcd,
+    lift,
     multiplicity_structure,
     norm2,
     relative_residual,
 )
+from twocubes.roots import linear_factors
 
 F = Fraction
 
@@ -259,7 +262,35 @@ def test_multiplicity_structure_pure_y_power():
 def test_multiplicity_structure_float_agrees():
     for coeffs in [(1, 0, 1), (1, 0, -1, 0, -1, 0, 1), (0, 1, 0, 0, 0, -1, 0)]:
         f = ex(*coeffs)
-        assert multiplicity_structure(f.to_float()) == multiplicity_structure(f)
+        _, roots = linear_factors(f.to_float())
+        assert sorted([r.multiplicity for r in roots], reverse=True) == multiplicity_structure(f)
+
+
+def test_multiplicity_structure_rejects_a_float_form():
+    with pytest.raises(TypeError):
+        multiplicity_structure(ex(1, 0, 1).to_float())
+
+
+@pytest.mark.parametrize("value, kernel", [
+    (3, EXACT), (F(1, 2), EXACT), (OMEGA, EXACT), (ParamPoly.variable("t"), EXACT),
+    (RationalFunction(ex(1, 0)), EXACT), (0.5, FLOAT), (1 - 2j, FLOAT),
+], ids=["int", "Fraction", "CycNum", "ParamPoly", "RationalFunction", "float", "complex"])
+def test_lift_picks_the_kernel_of_one_input(value, kernel):
+    values, got = lift([value])
+    assert got is kernel
+    if kernel.exact:
+        assert values[0] is value
+    else:
+        assert values == [complex(value)] and type(values[0]) is complex
+
+
+def test_lift_coerces_every_value_when_one_is_float():
+    values, kernel = lift([F(1, 2), OMEGA, 2, 1j])
+    assert kernel is FLOAT
+    assert values == [0.5 + 0j, OMEGA.to_complex(), 2 + 0j, 1j]
+    assert all(type(v) is complex for v in values)
+    with pytest.raises(TypeError):
+        lift([ParamPoly.variable("t"), 1.0])
 
 
 def test_float_equality_relative():

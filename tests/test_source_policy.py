@@ -23,9 +23,10 @@
   method, `families._SqrtExt` and `ecurve.RationalFunction`) defines
   `__bool__`: `bool(v)` is the one exact zero test, and an object without
   `__bool__` is always true, so a zero scalar would read as nonzero.
-- `ecurve.py` tests `isinstance(..., complex)` only in `_lifted`, its one
-  lifting helper: each call picks its kernel once, and every later zero
-  decision asks that kernel.
+- Only `forms.lift` and `forms.scalar_json` test `isinstance(..., float)` or
+  `isinstance(..., complex)`: `lift` is the one place a call's kernel is
+  chosen from its inputs, and every later decision asks that kernel, so no
+  module keeps its own exact-versus-float rule.
 - `families.py` imports neither `random` nor `FLOAT_TOL`: every identity
   group is a list of exact identities, so no group may return to sampling
   float parameter points.
@@ -152,25 +153,32 @@ def test_exact_scalars_define_bool():
     assert not missing, f"exact scalar classes without __bool__: {missing}"
 
 
-def test_ecurve_tests_for_complex_only_when_lifting():
-    path = next(p for p in SOURCES if p.name == "ecurve.py")
-    tree = ast.parse(path.read_text(), filename=str(path))
-    helpers = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "_lifted"]
-    assert len(helpers) == 1
+def _float_type_tests(node) -> set:
+    """Lines of the isinstance calls under node that name float or complex."""
+    return {
+        n.lineno
+        for n in ast.walk(node)
+        if isinstance(n, ast.Call)
+        and isinstance(n.func, ast.Name)
+        and n.func.id == "isinstance"
+        and _names(n) & {"float", "complex"}
+    }
 
-    def complex_tests(node):
-        return [
-            n.lineno
-            for n in ast.walk(node)
-            if isinstance(n, ast.Call)
-            and isinstance(n.func, ast.Name)
-            and n.func.id == "isinstance"
-            and "complex" in _names(n)
-        ]
 
-    inside = set(complex_tests(helpers[0]))
-    outside = [line for line in complex_tests(tree) if line not in inside]
-    assert inside and not outside, f"ecurve.py: isinstance(..., complex) outside _lifted at lines {outside}"
+def test_only_lift_and_scalar_json_test_for_float_types():
+    found = {}
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        lines = _float_type_tests(tree)
+        if path.name == "forms.py":
+            helpers = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+            allowed = [_float_type_tests(helpers[name]) if name in helpers else set()
+                       for name in ("lift", "scalar_json")]
+            assert allowed[0], "forms.lift must exist and test for float and complex inputs"
+            lines -= allowed[0] | allowed[1]
+        if lines:
+            found[path.name] = sorted(lines)
+    assert not found, f"isinstance(..., float or complex) outside forms.lift and forms.scalar_json: {found}"
 
 
 def test_identity_suite_draws_no_samples():
