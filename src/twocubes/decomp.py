@@ -76,7 +76,6 @@ class DecompositionReport:
     roots: tuple
     multiplicities: tuple
     H: complex
-    dependent_triples: int
 
 
 def _coeff_key(f: BinaryForm):
@@ -282,7 +281,6 @@ def rep_count(p: BinaryForm) -> DecompositionReport:
     cube_root = complex(scale) ** (1.0 / 3.0)
 
     reps = []
-    dependent_triples = 0
     for k, (i, j, m) in _pattern_pairings(tuple([r.multiplicity for r in roots])):
         q1, q2, q3 = rows[i], rows[j], rows[m]
         # slots are unit vectors, so no pair quadratic is the zero form
@@ -297,7 +295,6 @@ def rep_count(p: BinaryForm) -> DecompositionReport:
         fit = _span_fit(q1, q2, q3, norms[m])
         if fit is None:  # skips building forms for the residual
             continue
-        dependent_triples += 1
         alpha, beta = fit
         c1, c2 = _float_cube_pair(q1, q2, alpha, beta, 1.0)
         f1 = BinaryForm(2, tuple([cube_root * c for c in c1]), FLOAT)
@@ -312,7 +309,6 @@ def rep_count(p: BinaryForm) -> DecompositionReport:
         roots=tuple(roots),
         multiplicities=tuple(sorted((r.multiplicity for r in roots), reverse=True)),
         H=H,
-        dependent_triples=dependent_triples,
     )
 
 

@@ -263,8 +263,6 @@ def eb_inverse(f1, f2, f3, f4) -> EBParams:
     if any(isinstance(v, BinaryForm) for v in values):
         if not all(isinstance(v, BinaryForm) for v in values):
             raise TypeError("mixed form and scalar quadruple")
-        if not all(v.kernel.exact for v in values):
-            raise TypeError("inverse parameterization requires exact forms")
     (f1, f2, f3, f4), kernel = _lifted(values)
 
     half = Fraction(1, 2)

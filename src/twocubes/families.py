@@ -10,8 +10,9 @@ Sandor displays), and re-verifies every identity they satisfy.
 exact polynomial identities (label, lhs, rhs), holding when lhs - rhs is
 exactly zero: coefficients live in Q(zeta24), formal parameters are
 ParamPoly values (nested for two-parameter identities), and the square root
-sqrt(1-d^6) needed by the wild family and by the tau-substitution of the
-final group is handled by a tiny quadratic extension ring.
+u = sqrt(1-d^6) needed by the wild family and by the tau-substitution of the
+final group is one more formal parameter, reduced by u^2 = 1 - d^6 when an
+identity is tested.
 """
 from __future__ import annotations
 
@@ -326,67 +327,36 @@ def exceptional_parameter_determinant(lam=None):
 
 
 # --------------------------------------------------------------------------
-# quadratic extension ring for the wild family and the tau-substitution
-# --------------------------------------------------------------------------
-
-class _SqrtExt:
-    """p + q*u over ParamPoly in d, with the reduction u^2 = 1 - d^6."""
-
-    _zero = ParamPoly("d", (0,))
-    _mod = 1 - ParamPoly.variable("d") ** 6
-
-    def __init__(self, p, q=None):
-        self.p = p if isinstance(p, ParamPoly) else self._zero + p
-        q = q if q is not None else self._zero
-        self.q = q if isinstance(q, ParamPoly) else self._zero + q
-
-    @classmethod
-    def _coerce(cls, v):
-        return v if isinstance(v, cls) else cls(v)
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        return _SqrtExt(self.p + o.p, self.q + o.q)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return _SqrtExt(-self.p, -self.q)
-
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other):
-        return self._coerce(other) - self
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        return _SqrtExt(
-            self.p * o.p + self.q * o.q * self._mod,
-            self.p * o.q + self.q * o.p,
-        )
-
-    __rmul__ = __mul__
-
-    def __bool__(self):
-        return bool(self.p) or bool(self.q)
-
-    def __eq__(self, other):
-        # defining __eq__ without __hash__ leaves the class unhashable
-        return not (self - other)
-
-
-# --------------------------------------------------------------------------
 # identity suite
 # --------------------------------------------------------------------------
 #
 # Each exact group is a generator of named identities (label, lhs, rhs) over
 # exact scalars; `_holds` is the one test of whether an identity holds.
 
+# The wild family and the tau-substitution need u = sqrt(1 - d^6).  It is the
+# formal parameter "U", which sorts before "d" and so is the outer variable
+# over Q(zeta24)[d]; `_holds` applies u^2 = 1 - d^6 to a difference that is
+# not already zero.
+_U = ParamPoly.variable("U")
+_U_SQUARE = 1 - ParamPoly.variable("d") ** 6
+
+
+def _reduced(c):
+    """(even, odd) with c = even + odd * u once u^2 = 1 - d^6 is applied.
+
+    As 1 - d^6 is no square, c is zero exactly when both parts are."""
+    if not (isinstance(c, ParamPoly) and c.param == _U.param):
+        return c, 0
+    return tuple([ParamPoly(_U.param, c.coeffs[k::2]).evaluate(_U_SQUARE) for k in (0, 1)])
+
+
 def _holds(lhs, rhs) -> bool:
-    """An identity holds when lhs - rhs is exactly zero."""
+    """An identity holds when lhs - rhs is exactly zero; a difference that
+    is not plainly zero is tested again with u^2 = 1 - d^6 applied."""
     diff = lhs - rhs
-    return diff.is_zero() if isinstance(diff, BinaryForm) else not diff
+    if isinstance(diff, BinaryForm):
+        return diff.is_zero() or not any(any(_reduced(c)) for c in diff.coeffs)
+    return not diff or not any(_reduced(diff))
 
 
 def _lin(u, v) -> BinaryForm:
@@ -523,15 +493,6 @@ def _sqrt_minus_three_change():
     yield "h1^3 + h2^3 = h5^3 + h6^3", total, h[4] ** 3 + h[5] ** 3
 
 
-def _negated_parameter(poly):
-    if not isinstance(poly, ParamPoly):
-        return poly
-    return ParamPoly(
-        poly.param,
-        tuple([c if i % 2 == 0 else -c for i, c in enumerate(poly.coeffs)]),
-    )
-
-
 def _reversed_parameter(f: BinaryForm) -> BinaryForm:
     """t^4 * f(1/t), coefficientwise in the formal parameter."""
     out = []
@@ -543,10 +504,10 @@ def _reversed_parameter(f: BinaryForm) -> BinaryForm:
 
 def _parameter_symmetries():
     f1, f2 = f_forms()[:2]
-    for name, f in (("f1", f1), ("f2", f2)):
+    negated = f_forms(-ParamPoly.variable("lam"))[:2]
+    for name, f, f_neg in zip(("f1", "f2"), (f1, f2), negated):
         a, b, c = f.coeffs
-        negated = BinaryForm.exact(2, [_negated_parameter(v) for v in f.coeffs])
-        yield f"{name}(-lam) = -{name}(x, -y)", negated, -_quad(a, -b, c)
+        yield f"{name}(-lam) = -{name}(x, -y)", f_neg, -_quad(a, -b, c)
     # t^4 * f(1/t) swaps the base pair up to sign
     yield "lam^4 f1(1/lam) = -f2", _reversed_parameter(f1), -f2
     yield "lam^4 f2(1/lam) = -f1", _reversed_parameter(f2), -f1
@@ -565,13 +526,13 @@ def _wild_construction():
     d = ParamPoly.variable("d")
     mod = 1 - d ** 6
     mirror = lambda f: _quad(f.coeffs[0], -f.coeffs[1], f.coeffs[2])
-    # cleared members: (1-d^6) times each quadratic, sqrt(1-d^6) as the
-    # extension generator u; b_cl and e_cl are the u-parts of the middle
+    # cleared members: (1-d^6) times each quadratic, u = sqrt(1-d^6) as the
+    # formal parameter _U; b_cl and e_cl are the u-parts of the middle
     # coefficients of e1 and e2
     b_cl = -2 * SQRT3 * d ** 3
     e_cl = 2 * SQRT3 * d
-    e1 = _quad(mod, _SqrtExt(0, b_cl), mod)
-    e2 = _quad(d * mod, _SqrtExt(0, e_cl), -d * mod)
+    e1 = _quad(mod, b_cl * _U, mod)
+    e2 = _quad(d * mod, e_cl * _U, -d * mod)
     g3 = _quad(-d * (2 + 3 * d ** 3 + d ** 6), 0, d * (2 - 3 * d ** 3 + d ** 6))
     g4 = _quad(1 + 3 * d ** 3 + 2 * d ** 6, 0, 1 - 3 * d ** 3 + 2 * d ** 6)
     c1, c2, c3, c4 = e1 ** 3, e2 ** 3, g3 ** 3, g4 ** 3
@@ -586,9 +547,9 @@ def _wild_construction():
     # differs from e1 and from g3 by a nonzero u-odd xy term
     e5, e6 = mirror(e1), mirror(e2)
     yield "e5^3 + e6^3 = e1^3 + e2^3", e5 ** 3 + e6 ** 3, total
-    yield "e5 - e1 = -2 b_cl u xy", e5 - e1, _quad(0, _SqrtExt(0, -2 * b_cl), 0)
+    yield "e5 - e1 = -2 b_cl u xy", e5 - e1, _quad(0, -2 * b_cl * _U, 0)
     yield "e5 - g3 has the xy term -b_cl u", e5 - g3, _quad(
-        mod + d * (2 + 3 * d ** 3 + d ** 6), _SqrtExt(0, -b_cl), mod - d * (2 - 3 * d ** 3 + d ** 6))
+        mod + d * (2 + 3 * d ** 3 + d ** 6), -b_cl * _U, mod - d * (2 - 3 * d ** 3 + d ** 6))
     # evenness constraints on x^5 y, x^3 y^3, x y^5 coefficients, split into
     # u-odd parts (cleared by one power of u) and the mixed cubic part
     ca, cc, cd, cf = 1, 1, d, -d
@@ -724,7 +685,7 @@ def _chord_third_representation():
 
 
 def _tau_substitution():
-    # tau = u - i d^3, with u = sqrt(1 - d^6) the generator of _SqrtExt, and
+    # tau = u - i d^3, with u = sqrt(1 - d^6) the formal parameter _U, and
     # M = (x + tau y, -i tau x + i y).  These images of the quadratics give
     # (f4^3 - f6^3) o M = (a, b, a)^3 + (a, -b, a)^3 = 2 a^3 A(4d^6 - 1) by
     # group 10, as 3(1 + (b/a)^2) = 4d^6 - 1, and the same even sextic as the
@@ -732,7 +693,7 @@ def _tau_substitution():
     # themselves would take over twice as long.
     d = ParamPoly.variable("d")
     _, _, f3, f4, f5, f6 = f_forms(d)
-    tau = _SqrtExt(-IMAG * d ** 3, 1)
+    tau = _U - IMAG * d ** 3
     m = LinearChange(1, tau, -IMAG * tau, IMAG)
     a, b, c = form_compose(f4, m).coeffs
     yield "f4 o M = (a, b, a)", c, a
@@ -740,8 +701,8 @@ def _tau_substitution():
     a5, b5, c5 = form_compose(f5, m).coeffs
     yield "f5 o M = (a5, 0, c5)", b5, 0
     yield "-f3 o M = (c5, 0, a5)", form_compose(-f3, m), _quad(c5, 0, a5)
-    yield "a = sqrt(-3) d (1-d^6) + sqrt3 d^4 u, so a != 0", a, _SqrtExt(
-        SQRTM3 * d * (1 - d ** 6), SQRT3 * d ** 4)
+    yield "a = sqrt(-3) d (1-d^6) + sqrt3 d^4 u, so a != 0", a, (
+        SQRTM3 * d * (1 - d ** 6) + SQRT3 * d ** 4 * _U)
     yield "3 (a^2 + b^2) = (4d^6 - 1) a^2", 3 * (a * a + b * b), (4 * d ** 6 - 1) * (a * a)
 
 

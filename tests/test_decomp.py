@@ -208,7 +208,6 @@ def test_census_counts(name, p, expected):
     report = rep_count(p)
     assert report.N == expected
     assert report.N == len(report.reps)
-    assert report.N <= report.dependent_triples <= 15
     for rep in report.reps:
         assert rep.residual <= 1e-9
 
@@ -358,7 +357,6 @@ def _staged_rep_count(p):
     H = H_eval(slots)
     cube_root = complex(scale) ** (1.0 / 3.0)
     reps = []
-    dependent = 0
     for g1, g2, g3 in pair_partitions(factors):
         if (g1.proportional_to(g2, rel_tol=DISTINCT_REL) or g1.proportional_to(g3, rel_tol=DISTINCT_REL)
                 or g2.proportional_to(g3, rel_tol=DISTINCT_REL)):
@@ -366,28 +364,25 @@ def _staged_rep_count(p):
         dep = dependence_test(g1, g2, g3)
         if not dep.dependent:
             continue
-        dependent += 1
         base = construct_from_triple(g1, g2, g3, dep.alpha, dep.beta)
         f1, f2 = base.f1.scale(cube_root), base.f2.scale(cube_root)
         residual = relative_residual(f1 ** 3 + f2 ** 3, pf)
         if residual <= FLOAT_TOL:
             reps.append((f1, f2, residual))
-    return _answer(len(reps), reps, H, dependent)
+    return _answer(len(reps), reps, H)
 
 
-def _answer(n, reps, H, dependent):
+def _answer(n, reps, H):
     # repr keeps the sign of zero parts, which == would not compare
     return (
         n,
         [(repr(f1.coeffs), repr(f2.coeffs), repr(res)) for f1, f2, res in reps],
         repr(H),
-        dependent,
     )
 
 
 def _report_answer(report):
-    return _answer(report.N, [(r.f1, r.f2, r.residual) for r in report.reps],
-                   report.H, report.dependent_triples)
+    return _answer(report.N, [(r.f1, r.f2, r.residual) for r in report.reps], report.H)
 
 
 def _conditioned_change(rng, cond):

@@ -166,6 +166,13 @@ def test_inverse_rejects_mixed_input():
         eb_inverse(xy, Q(1), Q(2), Q(3))
 
 
+def test_inverse_rejects_float_forms():
+    # forms are lifted to RationalFunction values, whose arithmetic is exact only
+    quadruple = [BinaryForm.floating(2, [1.0, 0.5 * k, -1.0]) for k in range(4)]
+    with pytest.raises(TypeError, match="exact forms"):
+        eb_inverse(*quadruple)
+
+
 # ---------------------------------------------------------------- third representation
 
 def test_third_representation_integer_instance():

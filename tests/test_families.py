@@ -182,44 +182,39 @@ def test_cube_sum_difference_helper():
     assert not cube_sum_difference([r2, r3], [r1]).is_zero()
 
 
-def test_sqrt_extension_form_is_zero_only_when_every_part_is():
-    # group 11 runs BinaryForm arithmetic over p + q*u with u^2 = 1 - d^6
-    ext = fam._SqrtExt
-    d = ParamPoly.variable("d")
-    u = ext(0, 1)
-    assert BinaryForm.exact(2, [ext(0), ext(0, 0), ext(d - d)]).is_zero()
-    assert (BinaryForm.exact(1, [u, 0]) ** 2 - BinaryForm.exact(2, [1 - d ** 6, 0, 0])).is_zero()
-    for k in range(3):
-        for part in (ext(d), ext(0, d), ext(1, -1)):
-            coeffs = [ext(0)] * 3
-            coeffs[k] = part
-            assert not BinaryForm.exact(2, coeffs).is_zero()
+# ---------------------------------------------------------------- u = sqrt(1 - d^6)
+
+_D = ParamPoly.variable("d")
+_U_IDENTITIES = [
+    ("u^2 = 1 - d^6", fam._U ** 2, 1 - _D ** 6, True),
+    ("u^3 = (1 - d^6) u", fam._U ** 3, (1 - _D ** 6) * fam._U, True),
+    ("u = 0", fam._U, 0, False),
+    ("1 + u = 0", 1 + fam._U, 0, False),
+    ("u^2 = 1 - d^5", fam._U ** 2, 1 - _D ** 5, False),
+]
 
 
-def test_sqrt_extension_truthiness_and_reflected_subtraction():
-    ext = fam._SqrtExt
-    d = ParamPoly.variable("d")
-    x = ext(d, 1)
-    assert not ext(0) and not ext(d - d, 0) and not (x - x)
-    assert x and ext(0, d) and ext(1)
-    assert 1 - x == ext(1) - x == ext(1 - d, -1)
-    assert Fraction(1, 2) - x == ext(Fraction(1, 2) - d, -1)
-    # an exact form product leaves unreached slots at the kernel's zero,
-    # which then subtracts a _SqrtExt coefficient from the left
-    assert (BinaryForm.zero(1) - BinaryForm.exact(1, [x, 0])).coeffs[0] == -x
+@pytest.mark.parametrize("lhs, rhs, holds", [case[1:] for case in _U_IDENTITIES],
+                         ids=[case[0] for case in _U_IDENTITIES])
+def test_holds_reduces_by_u_squared(lhs, rhs, holds):
+    assert fam._holds(lhs, rhs) is holds
+    # the same identity as the middle coefficient of a quadratic
+    assert fam._holds(BinaryForm.exact(2, [1, lhs, _D]), BinaryForm.exact(2, [1, rhs, _D])) is holds
 
 
-def test_sqrt_extension_mixed_operands_commute():
-    # ParamPoly and CycNum return NotImplemented for a _SqrtExt operand, so
-    # its reflected operator runs and either order gives the same value
-    ext = fam._SqrtExt
-    d = ParamPoly.variable("d")
-    x = ext(d, 1)
-    assert d ** 2 * x == ext(d ** 3, d ** 2) and IMAG * x == ext(IMAG * d, IMAG)
-    for s in (d ** 2, 1 - d ** 6, IMAG, ETA * d, 2, Fraction(1, 3)):
-        assert type(s * x) is type(x * s) is ext and s * x == x * s
-        assert type(s + x) is type(x + s) is ext and s + x == x + s
-        assert type(s - x) is ext and s - x == -(x - s)
+def test_only_the_groups_with_u_reduce(monkeypatch):
+    # a plain exact zero decides every identity outside groups 11 and 21
+    reduced = set()
+    real = fam._reduced
+
+    def spy(c):
+        reduced.add(gid)
+        return real(c)
+
+    monkeypatch.setattr(fam, "_reduced", spy)
+    for gid, _, group in fam._SUITE:
+        assert all(fam._holds(lhs, rhs) for _, lhs, rhs in group())
+    assert reduced == {"11", "21"}
 
 
 # ---------------------------------------------------------------- conditional families

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from twocubes.ecurve import RationalFunction
 from twocubes.exact import IMAG, OMEGA, ZETA8, ETA, CycNum, ParamPoly
-from twocubes.families import _SqrtExt
 from twocubes.forms import (
     EXACT,
     FLOAT,
@@ -341,6 +340,10 @@ def _cycnum(rng):
     return CycNum([F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(8)])
 
 
+def _scalar(rng):
+    return rng.choice([_rational, _cycnum])(rng)
+
+
 def _param(rng, name, coefficient):
     return ParamPoly(name, tuple([coefficient(rng) for _ in range(rng.randint(1, 3))]))
 
@@ -349,11 +352,12 @@ _RINGS = {
     "int": lambda rng: rng.choice([-1, 1]) * rng.randint(1, 9),
     "Fraction": _rational,
     "CycNum": _cycnum,
-    "mixed": lambda rng: rng.choice([_rational, _cycnum])(rng),
-    "ParamPoly": lambda rng: _param(rng, "t", lambda r: r.choice([_rational, _cycnum])(r)),
+    "mixed": _scalar,
+    "ParamPoly": lambda rng: _param(rng, "t", _scalar),
     # the root parameter is the lexicographically smaller one
     "nested ParamPoly": lambda rng: _param(rng, "s", lambda r: _param(r, "t", _rational)),
-    "_SqrtExt": lambda rng: _SqrtExt(_param(rng, "d", _rational), _param(rng, "d", _cycnum)),
+    # the identity suite's u = sqrt(1 - d^6): "U" over Q(zeta24)[d]
+    "U over d": lambda rng: _param(rng, "U", lambda r: _param(r, "d", _scalar)),
 }
 
 

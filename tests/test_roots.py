@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from twocubes import roots as roots_module
+from twocubes.decomp import rep_count
 from twocubes.forms import FLOAT, NEGLIGIBLE_REL, BinaryForm, LinearChange, form_compose
 from twocubes.roots import (
     RECONSTRUCT_TOL,
@@ -230,6 +231,24 @@ def _spy(monkeypatch, name, calls):
         return real(*args)
 
     monkeypatch.setattr(roots_module, name, spy)
+
+
+@pytest.mark.parametrize("line", [(1, 1), (1, 2), (2, 1), (1, -3), (3, -5)],
+                         ids=["x+y", "x+2y", "2x+y", "x-3y", "3x-5y"])
+def test_sixth_power_of_a_line_climbs_the_cluster_ladder(monkeypatch, line):
+    # a sixfold root scatters the solver output across a radius ~eps**(1/6),
+    # which the tightest rung splits: only a coarser rung groups all six
+    rungs = []
+    real = roots_module._cluster
+
+    def spy(solved, tol_scale):
+        rungs.append(tol_scale)
+        return real(solved, tol_scale)
+
+    monkeypatch.setattr(roots_module, "_cluster", spy)
+    report = rep_count(BinaryForm.exact(1, list(line)) ** 6)
+    assert report.multiplicities == (6,) and report.N == 0
+    assert rungs[-1] > roots_module._CLUSTER_LADDER[0]
 
 
 def test_wide_root_moduli_factor_in_one_solve(monkeypatch):

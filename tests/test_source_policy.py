@@ -20,9 +20,9 @@
   and one below ~1e-162 underflows, so a 2-norm of such values is inf or 0.
   `forms.norm2` takes the 2-norm with `math.hypot`, which scales first.
 - Every exact scalar class (the classes of `exact.py` with an `is_zero`
-  method, `families._SqrtExt` and `ecurve.RationalFunction`) defines
-  `__bool__`: `bool(v)` is the one exact zero test, and an object without
-  `__bool__` is always true, so a zero scalar would read as nonzero.
+  method and `ecurve.RationalFunction`) defines `__bool__`: `bool(v)` is
+  the one exact zero test, and an object without `__bool__` is always
+  true, so a zero scalar would read as nonzero.
 - Only `forms.lift` and `forms.scalar_json` test `isinstance(..., float)` or
   `isinstance(..., complex)`: `lift` is the one place a call's kernel is
   chosen from its inputs, and every later decision asks that kernel, so no
@@ -147,8 +147,8 @@ def test_exact_scalars_define_bool():
     }
     scalars = [key for key, node in classes.items()
                if key[0] == "exact.py" and "is_zero" in _defined_names(node)]
-    scalars += [("families.py", "_SqrtExt"), ("ecurve.py", "RationalFunction")]
-    assert len(scalars) >= 4 and all(key in classes for key in scalars)
+    scalars += [("ecurve.py", "RationalFunction")]
+    assert len(scalars) >= 3 and all(key in classes for key in scalars)
     missing = [f"{f}:{c}" for f, c in scalars if "__bool__" not in _defined_names(classes[(f, c)])]
     assert not missing, f"exact scalar classes without __bool__: {missing}"
 
