@@ -16,7 +16,7 @@ import math
 from .exact import OMEGA
 from .families import f_forms
 from .forms import (EXACT, FLOAT, FLOAT_TOL, NEGLIGIBLE_REL, UNDERFLOW_FLOOR, BinaryForm, LinearChange,
-                    form_compose, form_gcd, lift, relative_residual)
+                    form_compose, lift, relative_residual)
 
 TYPE_PROP_TOL = 1e-8       # proportionality tolerance in arrangement search
 SQUARE_DISC_TOL = 1e-8     # relative discriminant bound for square extraction
@@ -160,8 +160,6 @@ def diagonalize(f1: BinaryForm, f2: BinaryForm) -> LinearChange:
     f1 is already a square); M sends ell_1, ell_2 to the coordinates."""
     if f1.degree != 2 or f2.degree != 2:
         raise ValueError("quadratic forms required")
-    if form_gcd(f1, f2).degree > 0:
-        raise ValueError("forms share a factor; diagonalization needs coprime inputs")
     a1, b1, c1 = _quadratic_coeffs(f1)
     a2, b2, c2 = _quadratic_coeffs(f2)
     # Disc(u*f1 + f2) = A u^2 + B u + C
@@ -169,11 +167,15 @@ def diagonalize(f1: BinaryForm, f2: BinaryForm) -> LinearChange:
     B = 2 * b1 * b2 - 4 * (a1 * c2 + a2 * c1)
     C = b2 * b2 - 4 * a2 * c2
     scale = max(abs(v) for v in (a1, b1, c1, a2, b2, c2)) ** 2
+    # B^2 - 4AC = 16 Res(f1, f2), which vanishes when the forms share a factor
+    disc = B * B - 4 * A * C
+    if abs(disc) <= NEGLIGIBLE_REL * max(scale * scale, UNDERFLOW_FLOOR):
+        raise ValueError("forms share a factor; diagonalization needs coprime inputs")
     f1f = f1.to_float()
     f2f = f2.to_float()
     squares = []
     if abs(A) > DEGENERATE_REL * max(scale, UNDERFLOW_FLOOR):
-        root = cmath.sqrt(B * B - 4 * A * C)
+        root = cmath.sqrt(disc)
         for sign in (1, -1):
             u = (-B + sign * root) / (2 * A)
             squares.append(f1f.scale(u) + f2f)

@@ -119,7 +119,7 @@ _CENSUS_BUILDERS = {"A": sextic_a, "B": sextic_b}
 
 def _census_cell(args) -> int:
     family, t = args
-    return rep_count(_CENSUS_BUILDERS[family](t).to_float()).N
+    return rep_count(_CENSUS_BUILDERS[family](t)).N
 
 
 def cmd_census(ns) -> int:

@@ -15,8 +15,10 @@ performs chord addition of two points on X^3 + Y^3 = A.
 Scalar inputs may be exact (Fraction / cyclotomic) or complex.  Each public
 call lifts its inputs once, through `forms.lift`: one float or complex input
 makes the call's kernel `forms.FLOAT` and every input complex, and otherwise
-the kernel is `forms.EXACT`.  Every zero test asks that kernel: `negligible`
-for a degeneracy, `is_zero` for an identity.  One scalar chord serves both
+the kernel is `forms.EXACT`.  Every zero test, of an identity or of a
+degeneracy, asks that kernel's one `is_zero`, whose float scale is the
+largest of the terms a value is built from to the value's degree in them, so
+no test changes when every input is scaled.  One scalar chord serves both
 kernels.  It runs in projective coordinates (X : Y : Z), Z the lcm of a
 rational point's denominators (else 1), asks `is_zero` whether m(X^3 + Y^3)
 = n Z^3 for A = n/m, and divides with the kernel's `div` once per output
@@ -229,10 +231,8 @@ def _lifted(values):
 
 
 def _check_identity(kernel, diff, terms, name: str):
-    """Raise ArithmeticError unless diff vanishes: exactly, or for complex
-    values to FLOAT_TOL against the cube of the largest of `terms` (and 1)."""
-    scale = None if kernel.exact else max([abs(t) for t in terms] + [1.0]) ** 3
-    if not kernel.is_zero(diff, scale):
+    """Raise ArithmeticError unless diff, a cubic in `terms`, vanishes."""
+    if not kernel.is_zero(diff, terms, 3):
         raise ArithmeticError(f"{name} identity failed")
 
 
@@ -246,8 +246,7 @@ def eb_forward(params: EBParams) -> EBQuadruple:
     f4 = mu * (q * q - (a - 3 * b))
     left = f1 ** 3 + f2 ** 3
     _check_identity(kernel, left - (f3 ** 3 + f4 ** 3), (f1, f2, f3, f4), "equal-sum")
-    scale = None if kernel.exact else max(abs(f1), abs(f2), 1.0) ** 3
-    return EBQuadruple(f1, f2, f3, f4, left, kernel.negligible(left, scale))
+    return EBQuadruple(f1, f2, f3, f4, left, kernel.is_zero(left, (f1, f2), 3))
 
 
 def eb_inverse(f1, f2, f3, f4) -> EBParams:
@@ -271,17 +270,15 @@ def eb_inverse(f1, f2, f3, f4) -> EBParams:
     num_a = g1 * g3 + 3 * (g2 * g4)
     num_b = g1 * g4 - g3 * g2
 
-    scale = None if kernel.exact else max(abs(v) for v in (g1, g2, g3, g4)) ** 2 or 1.0
-    if kernel.negligible(den, scale):
+    if kernel.is_zero(den, (g1, g2, g3, g4), 2):
         raise ValueError("parameter denominator g1^2 + 3*g2^2 vanishes")
     a, b = num_a / den, num_b / den
 
     q = a * a + 3 * (b * b)
     c = a * q - 1
     d = 3 * (b * q)
-    scale = None if kernel.exact else max(abs(a), abs(b), 1.0) ** 3
-    c_zero = kernel.negligible(c, scale)
-    d_zero = kernel.negligible(d, scale)
+    c_zero = kernel.is_zero(c, (a, b, 1.0), 3)  # c has the constant term -1
+    d_zero = kernel.is_zero(d, (a, b), 3)
     if c_zero and d_zero:
         raise ValueError("quadruple is not honest: both pairs share their cubes")
     mu = g1 / d if not d_zero else g2 / c
@@ -343,17 +340,17 @@ def curve_add(point1, point2, a):
 
     def on_curve(x, y):
         X, Y, Z = _projective(x, y)
-        lhs, rhs = m * (X ** 3 + Y ** 3), n * Z ** 3
-        scale = None if kernel.exact else max(abs(lhs), abs(rhs), 1.0)
-        if not kernel.is_zero(lhs - rhs, scale):  # a NaN is never zero
+        # measured against the cubes, not their sum: X^3 + Y^3 cancels near
+        # the asymptote X = -Y, where |X^3| carries the rounding error
+        cubes = (m * X ** 3, m * Y ** 3, n * Z ** 3)
+        if not kernel.is_zero(cubes[0] + cubes[1] - cubes[2], cubes, 1):  # a NaN is never zero
             raise ValueError("point is not on the curve")
         return X, Y, Z
 
     X1, Y1, Z1 = on_curve(x1, y1)
     X2, Y2, Z2 = on_curve(x2, y2)
     den = m * (Z2 * (X1 * X1 * X2 + Y1 * Y1 * Y2) - Z1 * (X1 * X2 * X2 + Y1 * Y2 * Y2))
-    scale = None if kernel.exact else max(abs(v) for v in (x1, y1, x2, y2)) ** 3 or 1.0
-    if kernel.negligible(den, scale):
+    if kernel.is_zero(den, (x1, y1, x2, y2), 3):
         raise ValueError("chord degenerates (coincident or opposite points)")
     nz, p, q = n * Z1 * Z2, X2 * Y1, X1 * Y2
     x3 = kernel.div(nz * (X1 * Z2 - X2 * Z1) + m * Y1 * Y2 * (p - q), den)

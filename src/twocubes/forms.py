@@ -4,9 +4,12 @@ A form of degree d is the coefficient tuple (c0, ..., cd) of
 sum_k c_k x^(d-k) y^k.  Two kernels are provided: an exact one whose scalars
 are Fractions, CycNums or ParamPolys, and a complex floating one with
 relative-tolerance equality.  Each kernel owns its scalar protocol (`zero`,
-`one`, `is_zero`, `negligible`, `div`, `coerce` and the `exact` flag; the exact
-kernel adds `inv`), so code above this module (`roots`, `decomp`, `classify`
-and `ecurve`) asks the kernel, not the type.
+`one`, `is_zero`, `div`, `coerce` and the `exact` flag; the exact kernel adds
+`inv`), so code above this module (`roots`, `decomp`, `classify` and
+`ecurve`) asks the kernel, not the type.  `is_zero(value, terms, degree)` is
+each kernel's one zero test: exactly zero, or for floats at most `FLOAT_TOL`
+of the scale, the largest of the `terms` the value is built from to the
+value's `degree` in them, so the test is unchanged when every term is scaled.
 `lift` is the one place a call's kernel is chosen from its inputs: one float
 or complex value makes it FLOAT, else it is EXACT.  `scalar_json` is the
 package's one encoder of a scalar as JSON.
@@ -25,7 +28,7 @@ from .exact import CycNum, ParamPoly, binary_power, sparse_product
 # is defined here, next to the float kernel; a threshold that one module
 # alone applies is named at the top of that module.
 FLOAT_TOL = 1e-9          # a floating result agrees to this relative residual
-NEGLIGIBLE_REL = 1e-12    # floating values below this share of their scale count as zero
+NEGLIGIBLE_REL = 1e-12    # the near-zero cut of classify and roots, far below FLOAT_TOL
 UNDERFLOW_FLOOR = 1e-300  # scales are floored here, so a zero scale never zeroes a cut or a divisor
 
 PROPORTIONAL_REL = 1e-7   # default cut on the cross products of proportional forms
@@ -33,16 +36,14 @@ PROPORTIONAL_REL = 1e-7   # default cut on the cross products of proportional fo
 
 class ExactKernel:
     """Scalars in Q, Q(zeta24) or a ParamPoly ring; zero means exactly zero
-    (`bool(value)` is false), so every scale argument is ignored."""
+    (`bool(value)` is false), so `terms` and `degree` are ignored."""
 
     exact = True
     zero = Fraction(0)
     one = Fraction(1)
 
-    def is_zero(self, value, scale=None) -> bool:
+    def is_zero(self, value, terms=(), degree=1) -> bool:
         return not value
-
-    negligible = is_zero
 
     def inv(self, value):
         return value.inverse() if isinstance(value, CycNum) else Fraction(1) / value
@@ -60,18 +61,16 @@ class ExactKernel:
 
 
 class FloatKernel:
-    """Complex floats; zero means small against a scale."""
+    """Complex floats; zero means small against the terms a value is built from."""
 
     exact = False
     zero = 0j
     one = 1.0 + 0j
 
-    def is_zero(self, value, scale=1.0) -> bool:
+    def is_zero(self, value, terms, degree) -> bool:
+        """|value| <= FLOAT_TOL * max|terms| ** degree; a NaN is never zero."""
+        scale = max([abs(t) for t in terms]) ** degree
         return abs(value) <= FLOAT_TOL * max(scale, UNDERFLOW_FLOOR)
-
-    def negligible(self, value, scale) -> bool:
-        """The coefficient cut used to trim and dehomogenize forms."""
-        return abs(value) <= NEGLIGIBLE_REL * max(scale, UNDERFLOW_FLOOR)
 
     def div(self, num, den):
         return num / den
@@ -147,8 +146,8 @@ class BinaryForm:
     def equals(self, other: BinaryForm) -> bool:
         if self.degree != other.degree:
             return False
-        scale = None if self.kernel.exact else max(self.max_magnitude(), other.max_magnitude())
-        return all(self.kernel.is_zero(a - b, scale) for a, b in zip(self.coeffs, other.coeffs))
+        terms = self.coeffs + other.coeffs
+        return all(self.kernel.is_zero(a - b, terms, 1) for a, b in zip(self.coeffs, other.coeffs))
 
     def proportional_to(self, other: BinaryForm, rel_tol: float = PROPORTIONAL_REL) -> bool:
         """True when self and other span the same line of forms."""
@@ -270,9 +269,7 @@ class LinearChange:
         return self.alpha * self.delta - self.beta * self.gamma
 
     def check_invertible(self):
-        k = self.kernel
-        scale = None if k.exact else max(abs(self.alpha), abs(self.beta), abs(self.gamma), abs(self.delta)) ** 2
-        if k.is_zero(self.det(), scale):
+        if self.kernel.is_zero(self.det(), (self.alpha, self.beta, self.gamma, self.delta), 2):
             raise ValueError("singular linear change")
 
     def inverse(self) -> LinearChange:
@@ -299,36 +296,29 @@ def form_compose(f: BinaryForm, m: LinearChange) -> BinaryForm:
     return f.substituted(fx, fy)
 
 
-def _y_multiplicity(f: BinaryForm) -> int:
-    scale = None if f.kernel.exact else f.max_magnitude()
-    m = 0
-    while m < len(f.coeffs) and f.kernel.negligible(f.coeffs[m], scale):
-        m += 1
-    return m
-
-
 def _dehomogenize(f: BinaryForm):
-    """Strip the y^m factor; return (m, coefficients of f(x,1) highest power first)."""
-    m = _y_multiplicity(f)
+    """Strip the y^m factor of a nonzero exact form; return (m, coefficients
+    of f(x,1) highest power first, led by a nonzero one)."""
+    m = next(k for k, c in enumerate(f.coeffs) if c)
     return m, list(f.coeffs[m:])
 
 
-def _poly_trim(c, kernel, scale):
+def _poly_trim(c):
     c = list(c)
-    while len(c) > 1 and kernel.negligible(c[0], scale):
+    while len(c) > 1 and not c[0]:
         c.pop(0)
     return c
 
 
-def _long_division(a, b, kernel, scale):
-    """Quotient and remainder of univariate polynomials, coefficients highest
-    power first, b's lead not negligible.  A negligible running coefficient
-    adds no quotient term, so such a slot holds `kernel.zero`."""
+def _long_division(a, b):
+    """Quotient and remainder of exact univariate polynomials, coefficients
+    highest power first, b's lead nonzero.  A zero running coefficient adds
+    no quotient term, so such a slot holds `EXACT.zero`."""
     n = max(len(a) - len(b) + 1, 0)
-    quot, rem, lead = [kernel.zero] * n, list(a), b[0]
-    inv = kernel.div(kernel.one, lead)
+    quot, rem, lead = [EXACT.zero] * n, list(a), b[0]
+    inv = EXACT.div(EXACT.one, lead)
     for i in range(n):
-        if kernel.negligible(rem[i], scale):
+        if not rem[i]:
             continue
         c = quot[i] = rem[i] * inv
         for j in range(1, len(b)):
@@ -336,34 +326,25 @@ def _long_division(a, b, kernel, scale):
     return quot, rem[n:]
 
 
-def _is_poly_zero(a, kernel, scale):
-    return all(kernel.negligible(c, scale) for c in a)
-
-
 def form_gcd(f: BinaryForm, g: BinaryForm) -> BinaryForm:
-    """A gcd up to scalar; the constant form 1 means relatively prime.
-
-    The floating kernel truncates remainders below NEGLIGIBLE_REL of the
-    operand scale, which is the documented meaning of 'common factor' there.
-    """
+    """A gcd up to scalar; the constant form 1 means relatively prime.  Exact
+    kernel only: a float form's common factors are those of
+    `roots.linear_factors`."""
+    if not (f.kernel.exact and g.kernel.exact):
+        raise TypeError("form gcd requires the exact kernel")
     if f.is_zero() and g.is_zero():
         raise ValueError("gcd of two zero forms")
     if f.is_zero():
         return g
     if g.is_zero():
         return f
-    kernel = f.kernel
-    scale = None if kernel.exact else max(f.max_magnitude(), g.max_magnitude())
     my, a = _dehomogenize(f)
     ny, b = _dehomogenize(g)
-    ycommon = min(my, ny)
-    a = _poly_trim(a, kernel, scale)
-    b = _poly_trim(b, kernel, scale)
-    while not _is_poly_zero(b, kernel, scale):
-        a, b = b, _poly_trim(_long_division(a, b, kernel, scale)[1], kernel, scale)
+    while any(b):
+        a, b = b, _poly_trim(_long_division(a, b)[1])
     # re-homogenize: y^ycommon shifts the x-polynomial toward higher k indices
-    deg = len(a) - 1 + ycommon
-    return BinaryForm(deg, tuple([kernel.zero] * ycommon + a), kernel)
+    ycommon = min(my, ny)
+    return BinaryForm(len(a) - 1 + ycommon, tuple([EXACT.zero] * ycommon + a), EXACT)
 
 
 def form_derivative_x(f: BinaryForm) -> BinaryForm:
@@ -392,7 +373,7 @@ def form_divexact(f: BinaryForm, g: BinaryForm) -> BinaryForm:
         raise ValueError("does not divide (y-multiplicity)")
     if len(b) > len(a):
         raise ValueError("does not divide (degree)")
-    quot, rem = _long_division(a, b, kernel, None)
+    quot, rem = _long_division(a, b)
     if any(rem):
         raise ValueError("does not divide (remainder)")
     return BinaryForm(f.degree - g.degree, tuple([kernel.zero] * (my - ny) + quot), kernel)
@@ -409,7 +390,6 @@ def multiplicity_structure(p: BinaryForm) -> list[int]:
     # exact square-free chain on f(x,1), y-multiplicity tracked separately
     ym, a = _dehomogenize(p)
     mults = [ym] if ym else []
-    a = _poly_trim(a, p.kernel, None)
     if len(a) > 1:
         fx = BinaryForm(len(a) - 1, tuple(a), p.kernel)
         mults += _exact_multiplicities(fx)

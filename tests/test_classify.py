@@ -183,8 +183,13 @@ def test_diagonalize_change_inverts_back_to_the_input():
 
 
 def test_diagonalize_common_factor_rejected():
-    with pytest.raises(ValueError):
-        diagonalize(fl2(1, 0, 0), fl2(1, 1, 0))  # x^2 and x(x+y)
+    for f1, f2 in (
+        (fl2(1, 0, 0), fl2(1, 1, 0)),    # x^2 and x(x+y)
+        (fl2(1, 1, 0), fl2(1, -1, 0)),   # x(x+y) and x(x-y)
+        (fl2(1, 3, 2), fl2(3, 2, -1)),   # (x+y)(x+2y) and (x+y)(3x-y)
+    ):
+        with pytest.raises(ValueError, match="share a factor"):
+            diagonalize(f1, f2)
 
 
 def test_diagonalize_random_coprime_pairs():

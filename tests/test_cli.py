@@ -462,12 +462,21 @@ def test_curve_add_off_curve_point_is_computation_failure(capsys):
 @pytest.mark.parametrize("point, code", [
     (["1,0", "12,0", "9,0", "10,0", "1729"], 0),
     (["1,0", "1,0", "2,0", "0,0", "9,0"], 2),
-], ids=["on-curve", "off-curve"])
+    (["0.00001,0", "0.00012,0", "0.00009,0", "0.0001,0", "1.729e-12,0"], 0),
+    (["0.00001,0", "0.00012,0", "0.00009,0", "0.00011,0", "1.729e-12,0"], 2),
+], ids=["on-curve", "off-curve", "on-curve-at-1e-5", "off-curve-at-1e-5"])
 def test_curve_add_complex_chord_exit_code(capsys, point, code):
     # the complex on-curve test is the float kernel's is_zero, which raises
     # rather than asserts, so it still decides under python -O
     assert main(["curve-add", *point]) == code
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("mu", ["0.00001,0", "2,0"])
+def test_eb_forward_complex_degenerate_flag_is_scale_free(capsys, mu):
+    # p is about |f1|^3: not degenerate at any scale of mu
+    code, payload = run_json(capsys, "eb", "forward", "0.25,0.5", "0,-0.75", mu)
+    assert code == 0 and payload["degenerate"] is False
 
 
 def test_curve_add_accepts_a_point_within_FLOAT_TOL(capsys):

@@ -38,12 +38,20 @@ def test_forward_second_instance_and_scale_sign():
 
 
 def test_forward_degenerate_when_b_vanishes():
-    # a complex b makes the degeneracy test FLOAT.negligible
+    # a complex b makes the degeneracy test FLOAT.is_zero
     for a, b, mu in ((Q(2), Q(0), Q(1)), (2, 0j, 1)):
         quad = eb_forward(EBParams(a, b, mu))
         assert quad.degenerate
         assert quad.p == 0
         assert quad.f2 == -quad.f1
+
+
+@pytest.mark.parametrize("mu", [1e-6, 1e-5, 2, 1e3])
+def test_forward_complex_degenerate_flag_is_scale_free(mu):
+    # p = f1^3 + f2^3 is about |f1|^3 at every scale, so it is never zero;
+    # with b = 0 it is zero at every scale
+    assert eb_forward(EBParams(0.25 + 0.5j, -0.75j, mu)).degenerate is False
+    assert eb_forward(EBParams(0.25 + 0.5j, 0j, mu)).degenerate is True
 
 
 def test_forward_complex_parameters():
@@ -203,9 +211,8 @@ def test_third_representation_random_exact():
 # The identities are checked with a raise, not an assert, so python -O keeps them.
 
 def test_forward_identity_check_raises_when_the_zero_test_fails(monkeypatch):
-    # the identity asks the exact kernel's is_zero; the degeneracy test asks
-    # its negligible, which keeps the real zero test
-    monkeypatch.setattr(ExactKernel, "is_zero", lambda self, value, scale=None: False)
+    # the identity is the first zero test the exact kernel is asked
+    monkeypatch.setattr(ExactKernel, "is_zero", lambda self, value, terms=(), degree=1: False)
     with pytest.raises(ArithmeticError, match="equal-sum identity"):
         eb_forward(EBParams(Q(-3, 2), Q(1, 2), Q(1)))
 
@@ -281,12 +288,78 @@ def test_chord_rejects_off_curve_points():
         curve_add((Q(1), Q(1)), (Q(9), Q(10)), Q(1729))
 
 
+@pytest.mark.parametrize("s", [1.0, 1e-5], ids=["unit", "1e-5"])
+def test_complex_chord_on_curve_test_is_scale_free(s):
+    # (9, 11) is off X^3 + Y^3 = 1729 at every scale; (9, 10) is on it
+    a = 1729 * s ** 3 + 0j
+    with pytest.raises(ValueError, match="not on the curve"):
+        curve_add((s + 0j, 12 * s + 0j), (9 * s + 0j, 11 * s + 0j), a)
+    x3, y3 = curve_add((s + 0j, 12 * s + 0j), (9 * s + 0j, 10 * s + 0j), a)
+    assert abs(x3 / s + 37 / 3) < 1e-9 and abs(y3 / s - 46 / 3) < 1e-9
+
+
+def _outcome(call):
+    try:
+        got = call()
+    except ValueError as exc:
+        return str(exc)
+    return getattr(got, "degenerate", "ok")
+
+
+def test_complex_zero_tests_do_not_change_under_scaling():
+    # eb_forward's flag under mu -> 10^e mu, and whether curve_add and
+    # eb_inverse raise under x -> 10^e x (A -> 10^(3e) A), for e = -6..6
+    rng = random.Random(2023)
+
+    def gauss():
+        return complex(rng.gauss(0, 1), rng.gauss(0, 1))
+
+    forward = [(gauss(), gauss(), gauss()) for _ in range(8)] + [(gauss(), 0j, gauss()) for _ in range(3)]
+    chords = []
+    for _ in range(8):
+        x1, y1, x2 = gauss(), gauss(), gauss()
+        a = x1 ** 3 + y1 ** 3
+        p1, p2 = (x1, y1), (x2, (a - x2 ** 3) ** (1 / 3))
+        chords += [(p1, p2, a), (p1, (p2[0], p2[1] * (1 + 1e-6)), a), (p1, p1, a), (p1, p1[::-1], a)]
+    quads = []
+    for a, b, mu in forward[:6]:
+        quad = eb_forward(EBParams(a, b, mu))
+        f1, f2 = quad.f1, quad.f2
+        quads += [(f1, f2, quad.f3, quad.f4), (f1, f2, f1, f2)]
+        # g1^2 + 3 g2^2 = 0 for g1 = (f1 + f2)/2 = i sqrt3 (f2 - f1)/2
+        quads.append((f1, -f1 * (1 + 1j * 3 ** 0.5) / (1 - 1j * 3 ** 0.5), quad.f3, quad.f4))
+
+    def outcomes(s):
+        return ([_outcome(lambda: eb_forward(EBParams(a, b, s * mu))) for a, b, mu in forward]
+                + [_outcome(lambda: curve_add((s * p1[0], s * p1[1]), (s * p2[0], s * p2[1]), s ** 3 * a))
+                   for p1, p2, a in chords]
+                + [_outcome(lambda: eb_inverse(*[s * f for f in quad])) for quad in quads])
+
+    unit = outcomes(1.0)
+    assert {True, False, "ok", "point is not on the curve",
+            "chord degenerates (coincident or opposite points)",
+            "quadruple is not honest: both pairs share their cubes",
+            "parameter denominator g1^2 + 3*g2^2 vanishes"} <= set(unit)
+    for e in range(-6, 7):
+        assert outcomes(10.0 ** e) == unit, e
+
+
 def test_chord_complex_points():
     a = 2.0 + 1.0j
     p1 = (1.0 + 0j, (a - 1) ** (1 / 3.0))
     p2 = (2.0 + 0j, (a - 8) ** (1 / 3.0))
     x3, y3 = curve_add(p1, p2, a)
     assert abs(x3 ** 3 + y3 ** 3 - a) <= 1e-9 * max(abs(a), 1.0)
+
+
+@pytest.mark.parametrize("x", [100 + 0j, 100 + 30j])
+def test_chord_complex_points_near_the_asymptote(x):
+    # x^3 + y^3 cancels to |a| << |x|^3, so the rounding of y^3 is measured
+    # against the cubes, not against their sum
+    a = 2.0 + 1.0j
+    p1, p2 = (x, (a - x ** 3) ** (1 / 3)), (2 * x, (a - 8 * x ** 3) ** (1 / 3))
+    x3, y3 = curve_add(p1, p2, a)
+    assert abs(x3 ** 3 + y3 ** 3 - a) <= 1e-9 * max(abs(x3) ** 3, abs(y3) ** 3)
 
 
 def test_complex_chord_on_curve_test_follows_FLOAT_TOL(monkeypatch):

@@ -59,9 +59,13 @@ def test_kernel_scalar_protocol():
     assert EXACT.inv(3) == F(1, 3) and isinstance(EXACT.inv(3), F)
     assert EXACT.inv(OMEGA) * OMEGA == CycNum.one()
     assert EXACT.div(F(1), F(4)) == F(1, 4) and FLOAT.div(1.0, 4.0) == 0.25
-    assert EXACT.is_zero(OMEGA - OMEGA, 1.0) and not EXACT.is_zero(F(1, 10 ** 30))
-    assert FLOAT.is_zero(1e-10) and not FLOAT.is_zero(1e-8)
-    assert FLOAT.negligible(1e-13, 1.0) and not FLOAT.negligible(1e-11, 1.0)
+    assert EXACT.is_zero(OMEGA - OMEGA, [1.0], 1) and not EXACT.is_zero(F(1, 10 ** 30), [F(1)], 9)
+    assert FLOAT.is_zero(1e-10, [1.0], 1) and not FLOAT.is_zero(1e-8, [1.0], 1)
+    # the scale is the largest term to the value's degree, with no floor at 1
+    assert FLOAT.is_zero(1e-19, [1e-5], 2) and not FLOAT.is_zero(1e-18, [1e-5], 2)
+    assert FLOAT.is_zero(1e-19, [1e-5, -3e-6j], 2) and not FLOAT.is_zero(1e-18, [3e-6j, 1e-5], 2)
+    assert FLOAT.is_zero(1e5, [1e5], 3) and not FLOAT.is_zero(1e7, [1e5], 3)
+    assert not FLOAT.is_zero(float("nan"), [1.0], 1) and FLOAT.is_zero(0j, [0j], 2)
     assert FLOAT.coerce(F(1, 2)) == 0.5 + 0j and FLOAT.coerce(OMEGA) == OMEGA.to_complex()
     assert LinearChange(1.0, 0.0, 0.0, 1e-20, FLOAT).det() == 1e-20
     with pytest.raises(ValueError, match="singular"):
@@ -149,6 +153,14 @@ def test_gcd_shared_linear_factor():
 
 def test_gcd_coprime():
     assert form_gcd(ex(1, 0, 0), ex(0, 0, 1)).degree == 0
+
+
+def test_form_gcd_rejects_a_float_form():
+    # a float form's common factors are those of roots.linear_factors
+    f, g = BinaryForm.floating(2, [1, 0, -1]), BinaryForm.floating(2, [1, 2, 1])
+    for pair in ((f, g), (f, ex(1, 2, 1)), (ex(1, 0, -1), g)):
+        with pytest.raises(TypeError, match="exact kernel"):
+            form_gcd(*pair)
 
 
 def test_gcd_with_y_factors():

@@ -4,7 +4,11 @@
   assert silently stops checking.  Failed checks raise instead.
 - No `isinstance` tests against `FloatKernel` or `ExactKernel`: the kernels
   own the exact-versus-float decision through their scalar protocol (`zero`,
-  `one`, `is_zero`, `negligible`, `inv`, `div`, `coerce`, `exact`).
+  `one`, `is_zero`, `inv`, `div`, `coerce`, `exact`).
+- No conditional expression that reads `.exact` picks a scale
+  (`None if kernel.exact else max(...)`): the float kernel's `is_zero` takes
+  the terms a value is built from and its degree, and measures the scale
+  itself, so no caller keeps its own scale rule.
 - No `tuple(<generator expression>)`: a generator has no length hint, so
   CPython 3.11 allocates the tuple at 10 slots and shrinks it by realloc.  On
   free the tuple joins the free list of its final size, which then grows every
@@ -74,6 +78,19 @@ def test_no_kernel_type_tests(path):
         and _names(node) & KERNEL_CLASSES
     ]
     assert not lines, f"{path.name}: isinstance on a kernel class at lines {lines}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_scale_picked_by_the_exact_flag(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.IfExp)
+        and "exact" in _names(node.test)
+        and any(isinstance(side, ast.Constant) and side.value is None for side in (node.body, node.orelse))
+    ]
+    assert not lines, f"{path.name}: a scale picked by the exact flag at lines {lines}; pass terms to is_zero"
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
