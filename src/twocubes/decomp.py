@@ -17,10 +17,11 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import math
 
 from .exact import OMEGA, SQRTM3, scalar_key
 from .forms import FLOAT, FLOAT_TOL, UNDERFLOW_FLOOR, BinaryForm, det3, form_to_json, norm2, relative_residual
-from .roots import expanded_root_slots, linear_factors
+from .roots import linear_factors
 
 DISTINCT_REL = 1e-5        # quadratics closer than this count as proportional
 DEP_DET_REL = 1e-7         # |det| below this (times row-norm product) = dependent
@@ -200,15 +201,17 @@ def construct_from_triple(g1: BinaryForm, g2: BinaryForm, g3: BinaryForm,
     return Representation(f1, f2, 1.0, residual)
 
 
-def _pair_rows(slots) -> list:
+def _pair_rows(roots) -> tuple[list, list]:
     """The complex coefficient row (a0 b0, a0 b1 + a1 b0, a1 b1) of the
-    product of the linear factors (t, -s) of each pair of the six root
-    slots, in _PAIRS order."""
-    if len(slots) != 6:
+    product of the linear factors (t, -s) of each pair of the six roots,
+    each root repeated by its multiplicity, in _PAIRS order; and the 2-norm
+    of each row."""
+    lin = [(complex(r.t), complex(-r.s)) for r in roots for _ in range(r.multiplicity)]
+    if len(lin) != 6:
         raise ValueError("exactly six projective roots required")
-    lin = [(complex(r.t), complex(-r.s)) for r in slots]
-    return [(a0 * b0, a0 * b1 + a1 * b0, a1 * b1)
+    rows = [(a0 * b0, a0 * b1 + a1 * b0, a1 * b1)
             for (a0, a1), (b0, b1) in [(lin[i], lin[j]) for i, j in _PAIRS]]
+    return rows, [math.hypot(abs(a), abs(b), abs(c)) for a, b, c in rows]
 
 
 def _grouping_determinants(rows, norms) -> list:
@@ -239,8 +242,7 @@ def H_eval(roots) -> complex:
     divided by the product of the row 2-norms, so the value is invariant
     under root rescaling.
     """
-    rows = _pair_rows(expanded_root_slots(list(roots)))
-    return _H_product(_grouping_determinants(rows, [norm2(row) for row in rows]))
+    return _H_product(_grouping_determinants(*_pair_rows(roots)))
 
 
 def _distinct(a, b, mag_prod) -> bool:
@@ -262,9 +264,13 @@ def rep_count(p: BinaryForm) -> DecompositionReport:
 
     One pass over the pairings on complex coefficient rows: per call, each
     of the 15 pair quadratics is formed once, and forms are built only for
-    candidate representations.  The answers are those of the staged
-    pipeline pair_partitions -> proportional_to(rel_tol=DISTINCT_REL) ->
-    dependence_test -> construct_from_triple, bit for bit.
+    candidate representations.  A pairing's gates run in the order
+    determinant prefilter (DEP_DET_REL), distinctness (DISTINCT_REL),
+    span-fit prefilter (COEFF_SOLVE_REL), residual (FLOAT_TOL), so a sextic
+    with no dependent grouping makes no distinctness test.  The answers are
+    those of the staged pipeline pair_partitions ->
+    proportional_to(rel_tol=DISTINCT_REL) -> dependence_test ->
+    construct_from_triple, bit for bit.
     """
     if p.degree != 6:
         raise ValueError("sextic form required")
@@ -272,25 +278,29 @@ def rep_count(p: BinaryForm) -> DecompositionReport:
         raise ValueError("cannot decompose the zero form")
     pf = p.to_float()
     scale, roots = linear_factors(pf)
-    slots = expanded_root_slots(roots)
-    rows = _pair_rows(slots)
-    norms = [norm2(row) for row in rows]
+    rows, norms = _pair_rows(roots)
     dets = _grouping_determinants(rows, norms)
     H = _H_product(dets)
-    mags = [max([abs(c) for c in row]) for row in rows]
+    mags = None
     cube_root = complex(scale) ** (1.0 / 3.0)
 
     reps = []
     for k, (i, j, m) in _pattern_pairings(tuple([r.multiplicity for r in roots])):
+        # the gates are ANDed, so their order changes no answer: the
+        # determinant prefilter first, since it is precomputed and rejects
+        # most pairings, then distinctness, then the span-fit prefilter.  Both
+        # prefilters are there for speed only: the FLOAT_TOL residual below
+        # decides, and the benchmark's census sextics get the same answers
+        # without them
+        det, norm_prod = dets[k]
+        if abs(det) > DEP_DET_REL * norm_prod:  # skips distinctness and the span fit
+            continue
+        if mags is None:
+            mags = [max([abs(c) for c in row]) for row in rows]
         q1, q2, q3 = rows[i], rows[j], rows[m]
-        # slots are unit vectors, so no pair quadratic is the zero form
+        # roots are unit vectors, so no pair quadratic is the zero form
         if not (_distinct(q1, q2, mags[i] * mags[j]) and _distinct(q1, q3, mags[i] * mags[m])
                 and _distinct(q2, q3, mags[j] * mags[m])):
-            continue
-        det, norm_prod = dets[k]
-        # two prefilters, for speed only: the FLOAT_TOL residual below decides,
-        # and the benchmark's census sextics get the same answers without them
-        if abs(det) > DEP_DET_REL * norm_prod:  # skips the span fit
             continue
         fit = _span_fit(q1, q2, q3, norms[m])
         if fit is None:  # skips building forms for the residual

@@ -7,7 +7,11 @@ root moduli, on the side of the smaller coefficients.  The others come from
 an Aberth solve of p(x, 1), started on the circles of its Newton polygon
 (MPSolve's rule), that stops at its rounding floor, then clustering into
 multiplicities; when the tightest clustering fails, the roots are polished on
-exact residuals before coarser clusterings.
+exact residuals before coarser clusterings.  One Newton polygon per form
+serves both the split at 0 and infinity and, when nothing is split off, the
+starts.  The float solve and the exact polish share one sweep loop,
+`_sweeps`, with the Aberth step written inline there, once; they differ
+only in how p and p' are evaluated and in the float rules.
 """
 from __future__ import annotations
 
@@ -92,9 +96,10 @@ def _newton_polygon(coeffs) -> tuple[list[tuple[int, float]], list[float]]:
     return hull, [(a[1] - b[1]) / (b[0] - a[0]) for a, b in zip(hull, hull[1:])]
 
 
-def _aberth_roots(coeffs) -> list[complex]:
+def _aberth_roots(coeffs, polygon=None) -> list[complex]:
     """All roots of a dense complex polynomial with nonzero end coefficients
-    (leading coefficient first), started from its Newton polygon.
+    (leading coefficient first), started from its Newton polygon, which the
+    caller passes as `polygon` when it has `_newton_polygon(coeffs)` already.
 
     The iteration ends on a small step, or after the first sweep in which
     every iterate is a pseudozero (|p(z)| within Horner's rounding bound) when
@@ -106,63 +111,84 @@ def _aberth_roots(coeffs) -> list[complex]:
         return []
     # j - i starts per hull edge from k = i to k = j, on the circle of its
     # radius, each edge's angles turned by its share of the degree
-    hull, radii = _newton_polygon(coeffs)
+    hull, radii = polygon or _newton_polygon(coeffs)
     zs = [cmath.rect(math.exp(min(max(r, -LOG_RADIUS_CAP), LOG_RADIUS_CAP)),
                      2.0 * math.pi * ((k + START_TURN) / (j - i) + i / n))
           for (i, _), (j, _), r in zip(hull, hull[1:], radii) for k in range(j - i)]
+    return _sweeps(coeffs, zs, None, MAX_SWEEPS)
+
+
+def _sweeps(coeffs, zs: list[complex], exact, limit: int) -> list[complex]:
+    """Aberth sweeps on zs in place, at most `limit` of them, until no
+    iterate moves by more than ABERTH_STEP_TOL relative.
+
+    With `exact` None, p(z) and p'(z) come from one float Horner pass, and
+    the float rules apply: a stall where p' vanishes nudges the iterate, a
+    NaN or infinite step is not applied, and a sweep that starts every
+    update at a pseudozero ends the iteration.  With `exact` the
+    `_dyadic_poly` of the coefficients, they come from `_exact_eval`, and a
+    stalled iterate stays where it is.  The step, its repulsion sum and its
+    guards are the same for both, written inline: a call per iterate and
+    sweep cost a float solve about a sixth of its time."""
+    n = len(zs)
     lead, tail = coeffs[0], coeffs[1:]
     moduli = [abs(c) for c in coeffs]
     floor_rel = PSEUDOZERO_REL * n
-    for _ in range(MAX_SWEEPS):
+    for _ in range(limit):
         moved = 0.0
-        at_floor = True
+        at_floor = exact is None
         for i in range(n):
             z = zs[i]
-            # p(z) and p'(z) in one Horner pass
-            p, dp = lead, 0j
-            for c in tail:
-                dp = dp * z + p
-                p = p * z + c
-            if at_floor:
-                # Horner's rounding bound: the same pass on |a_k| at |z|
-                r = abs(z)
-                bound = 0.0
-                for m in moduli:
-                    bound = bound * r + m
-                at_floor = abs(p) <= floor_rel * bound
-            if dp == 0:
-                zs[i] += complex(STALL_NUDGE, STALL_NUDGE)
-                moved = math.inf
-                continue
-            step = _aberth_step(zs, i, p / dp)
+            if exact is None:
+                # p(z) and p'(z) in one Horner pass
+                p, dp = lead, 0j
+                for c in tail:
+                    dp = dp * z + p
+                    p = p * z + c
+                if at_floor:
+                    # Horner's rounding bound: the same pass on |a_k| at |z|
+                    r = abs(z)
+                    bound = 0.0
+                    for m in moduli:
+                        bound = bound * r + m
+                    at_floor = abs(p) <= floor_rel * bound
+                if dp == 0:
+                    zs[i] = z + complex(STALL_NUDGE, STALL_NUDGE)
+                    moved = math.inf
+                    continue
+            else:
+                p, dp = _exact_eval(exact, z)
+                if dp == 0:
+                    continue
+            # the Aberth correction of z from its Newton step p/p', with the
+            # repulsion of the other iterates summed in index order
+            newton = p / dp
+            repulsion = 0j
+            j = 0
+            for zj in zs:
+                if j != i:
+                    try:
+                        repulsion += 1.0 / (z - zj)
+                    except ZeroDivisionError:  # a zero gap
+                        repulsion += 1.0 / complex(GAP_GUARD)
+                j += 1
+            try:
+                step = newton / (1.0 - newton * repulsion)
+            except ZeroDivisionError:  # a zero denominator
+                step = newton / complex(GAP_GUARD)
             size = abs(step)
-            if not size < math.inf:
+            if exact is None and not size < math.inf:
                 # a NaN or infinite step, from an overflowed p or p': keep the
                 # iterate, and the sweep unconverged
                 moved, at_floor = math.inf, False
                 continue
-            zs[i] -= step
-            moved = max(moved, size / (1.0 + abs(zs[i])))
+            zs[i] = z = z - step
+            size /= 1.0 + abs(z)
+            if size > moved:
+                moved = size
         if moved <= ABERTH_STEP_TOL or at_floor:
             break
     return zs
-
-
-def _aberth_step(zs: list[complex], i: int, newton: complex) -> complex:
-    """The Aberth correction of zs[i] from its Newton step p/p'."""
-    zi = zs[i]
-    repulsion = 0j
-    for j, zj in enumerate(zs):
-        if j == i:
-            continue
-        gap = zi - zj
-        if gap == 0:
-            gap = complex(GAP_GUARD)
-        repulsion += 1.0 / gap
-    denom = 1.0 - newton * repulsion
-    if denom == 0:
-        denom = complex(GAP_GUARD)
-    return newton / denom
 
 
 def _dyadic(values: list[float]) -> tuple[list[int], int]:
@@ -206,20 +232,7 @@ def _exact_polish(body: list[complex], zs: list[complex]) -> list[complex]:
     relative accuracy inside the pseudozero set, where float Horner returns
     rounding noise; gaps and repulsion stay in floats.  Ends on the float
     solver's step test, or after POLISH_SWEEPS sweeps."""
-    poly = _dyadic_poly(body)
-    zs = list(zs)
-    for _ in range(POLISH_SWEEPS):
-        moved = 0.0
-        for i in range(len(zs)):
-            p, dp = _exact_eval(poly, zs[i])
-            if dp == 0:
-                continue
-            step = _aberth_step(zs, i, p / dp)
-            zs[i] -= step
-            moved = max(moved, abs(step) / (1.0 + abs(zs[i])))
-        if moved <= ABERTH_STEP_TOL:
-            break
-    return zs
+    return _sweeps(body, list(zs), _dyadic_poly(body), POLISH_SWEEPS)
 
 
 def _cluster(points: list[complex], tol_scale: float = 1.0) -> list[tuple[complex, int]]:
@@ -314,7 +327,10 @@ def linear_factors(p: BinaryForm) -> tuple[complex, list[ProjectiveRoot]]:
         scale, residual = _reconstruction(p, roots)
         return scale, roots, residual
 
-    solved = _aberth_roots(body) if len(body) > 1 else []
+    # the body is the whole form when no root is at 0 or infinity, and its
+    # Newton polygon is the one above
+    whole = (hull, radii) if len(body) == len(coeffs) else None
+    solved = _aberth_roots(body, whole) if len(body) > 1 else []
     scale, roots, residual = factored(solved, _CLUSTER_LADDER[0])
     if residual <= RECONSTRUCT_TOL:
         return scale, roots
@@ -354,12 +370,3 @@ def _reconstruction(p: BinaryForm, roots: list[ProjectiveRoot]) -> tuple[complex
     num = norm2([scale * a - b for a, b in zip(prod, coeffs)])
     den = norm2(coeffs)
     return scale, num / den
-
-
-def expanded_root_slots(roots: list[ProjectiveRoot]) -> list[ProjectiveRoot]:
-    """Multiplicities unrolled into repeated slots (six slots for a sextic)."""
-    slots = []
-    for r in roots:
-        slots.extend([ProjectiveRoot(r.s, r.t, 1)] * r.multiplicity)
-    return slots
-

@@ -17,7 +17,7 @@ from twocubes.decomp import (
 )
 from twocubes.exact import OMEGA, SQRTM3, ParamPoly, Rational
 from twocubes.forms import FLOAT, FLOAT_TOL, BinaryForm, LinearChange, form_compose, norm2, relative_residual
-from twocubes.roots import expanded_root_slots, linear_factors
+from twocubes.roots import linear_factors
 
 
 def ex_lin(a, b):
@@ -352,9 +352,8 @@ def _staged_rep_count(p):
     dependence_test -> construct_from_triple -> scale, residual."""
     pf = p.to_float()
     scale, roots = linear_factors(pf)
-    slots = expanded_root_slots(roots)
-    factors = [BinaryForm.floating(1, r.factor_coeffs()) for r in slots]
-    H = H_eval(slots)
+    factors = [BinaryForm.floating(1, r.factor_coeffs()) for r in roots for _ in range(r.multiplicity)]
+    H = H_eval(roots)
     cube_root = complex(scale) ** (1.0 / 3.0)
     reps = []
     for g1, g2, g3 in pair_partitions(factors):
@@ -505,6 +504,26 @@ def test_rep_count_builds_no_forms_for_rejected_groupings(form_op_counts):
     p = fl6([complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(7)])
     assert rep_count(p).N == 0
     assert form_op_counts == {"__mul__": 0, "__pow__": 0, "proportional_to": 0}
+
+
+def test_rep_count_tests_distinctness_only_past_the_determinant_gate(monkeypatch):
+    # the precomputed determinant prefilter runs first: a Gaussian sextic has
+    # no dependent grouping, so none of its 15 pairings reaches the three
+    # distinctness tests; the dependent groupings of xy(x^4 - y^4) do
+    calls = []
+    real = decomp._distinct
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(decomp, "_distinct", spy)
+    rng = random.Random(43)
+    for _ in range(4):
+        assert rep_count(fl6([complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(7)])).N == 0
+    assert calls == []
+    assert rep_count(Q2_FORM).N == 6
+    assert len(calls) >= 3 * 6
 
 
 def test_rep_count_builds_only_the_emitted_cubes(form_op_counts):

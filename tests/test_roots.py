@@ -13,7 +13,6 @@ from twocubes.roots import (
     ProjectiveRoot,
     _dyadic_poly,
     _exact_eval,
-    expanded_root_slots,
     linear_factors,
 )
 
@@ -99,9 +98,9 @@ def test_normalization_contract():
 
 
 def cross_ratio_multiset(roots: list[ProjectiveRoot]) -> list[complex]:
-    """Cross-ratios of all ordered 4-tuples of distinct slots: a projective
-    invariant of the roots."""
-    slots = expanded_root_slots(roots)
+    """Cross-ratios of all ordered 4-tuples of distinct slots, each root in
+    as many slots as its multiplicity: a projective invariant of the roots."""
+    slots = [r for r in roots for _ in range(r.multiplicity)]
     n = len(slots)
     out = []
 
@@ -251,23 +250,39 @@ def test_sixth_power_of_a_line_climbs_the_cluster_ladder(monkeypatch, line):
     assert rungs[-1] > roots_module._CLUSTER_LADDER[0]
 
 
+def _wide_moduli_roots():
+    """Six roots of moduli 1e-4 to 1e4, at scattered angles."""
+    return [10.0 ** (-4 + 8 * k / 5) * cmath.exp(1j * (0.3 + k)) for k in range(6)]
+
+
+def _monic_with_roots(zs):
+    p = fl(1)
+    for z in zs:
+        p = p * fl(1, -z)
+    return p
+
+
 def test_wide_root_moduli_factor_in_one_solve(monkeypatch):
     # root moduli from 1e-4 to 1e4: each Newton-polygon edge starts its roots
     # on their own circle, so one float solve of a few sweeps factors the
     # sextic without an exact polish (starts on one circle for all six
-    # moduli take ~40 sweeps)
-    zs = [10.0 ** (-4 + 8 * k / 5) * cmath.exp(1j * (0.3 + k)) for k in range(6)]
-    p = fl(1)
-    for z in zs:
-        p = p * fl(1, -z)
-    calls, steps = [], []
+    # moduli take ~40 sweeps).  The sweeps are counted by capping them: the
+    # solve takes at most 8 when a cap of 8 changes none of its roots, and a
+    # cap of 1 must change some, or the cap is not what ends the loop
+    zs = _wide_moduli_roots()
+    p = _monic_with_roots(zs)
+    body = [complex(c) for c in p.coeffs]
+    free = repr(roots_module._aberth_roots(body))
+    monkeypatch.setattr(roots_module, "MAX_SWEEPS", 1)
+    assert repr(roots_module._aberth_roots(body)) != free
+    monkeypatch.setattr(roots_module, "MAX_SWEEPS", 8)
+    assert repr(roots_module._aberth_roots(body)) == free
+    calls = []
     _spy(monkeypatch, "_aberth_roots", calls)
     _spy(monkeypatch, "_exact_polish", calls)
-    _spy(monkeypatch, "_aberth_step", steps)
     _, roots = linear_factors(p)
     assert [r.multiplicity for r in roots] == [1] * 6
     assert calls == ["_aberth_roots"]
-    assert len(steps) <= 8 * 6
     for z in zs:
         assert min(abs(r.affine() - z) for r in roots) <= 1e-9 * abs(z)
 
@@ -323,16 +338,20 @@ def test_simple_roots_survive_rescaling(e):
         assert [r.multiplicity for r in linear_factors(moved)[1]] == [1] * 6
 
 
-@pytest.mark.parametrize("coeffs", [
-    (-5.14795823487262e+183, -61.05126658314379, 3.595990831969495e+252, 9.699778174728762e+181,
-     -2.8438915240469985e+293, 4.5183144573632975e+229, 26664.507730732123),
-    (-5.236570534092924e+25, -1.239764214367405e+81, 3.75026248777989e-50, -5.030693509456162e+95,
-     8.237473600376446e+206, 4.512203748948965e-73, 2.2937161639743699e+288),
-], ids=["e293", "e288"])
+# sextics of a seeded fuzz with coefficient exponents in +-300, on which p or
+# p' overflows in the float sweep
+OVERFLOW_SEXTICS = {
+    "e293": (-5.14795823487262e+183, -61.05126658314379, 3.595990831969495e+252, 9.699778174728762e+181,
+             -2.8438915240469985e+293, 4.5183144573632975e+229, 26664.507730732123),
+    "e288": (-5.236570534092924e+25, -1.239764214367405e+81, 3.75026248777989e-50, -5.030693509456162e+95,
+             8.237473600376446e+206, 4.512203748948965e-73, 2.2937161639743699e+288),
+}
+
+
+@pytest.mark.parametrize("coeffs", OVERFLOW_SEXTICS.values(), ids=OVERFLOW_SEXTICS.keys())
 def test_overflowing_aberth_steps_are_not_applied(coeffs):
-    # sextics of a seeded fuzz with coefficient exponents in +-300, on which p
-    # or p' overflows in the float sweep: a NaN step reached the exact polish,
-    # which raised ValueError on converting NaN to an integer ratio
+    # a NaN step reached the exact polish, which raised ValueError on
+    # converting NaN to an integer ratio
     p = fl(*coeffs)
     try:
         scale, roots = linear_factors(p)
@@ -340,3 +359,173 @@ def test_overflowing_aberth_steps_are_not_applied(coeffs):
         return
     assert all(cmath.isfinite(r.s) and cmath.isfinite(r.t) for r in roots)
     assert roots_module._reconstruction(p, roots)[1] <= RECONSTRUCT_TOL
+
+
+# -- the Aberth sweeps against a reference loop ----------------------------
+
+def _reference_step(zs, i, newton, events):
+    """The Aberth correction of zs[i] from its Newton step, written as one
+    call per iterate: the reference for the sweeps' inline step.  Appends
+    "gap" and "denom" to `events` where a guard replaces a zero."""
+    zi = zs[i]
+    repulsion = 0j
+    for j, zj in enumerate(zs):
+        if j == i:
+            continue
+        gap = zi - zj
+        if gap == 0:
+            events.append("gap")
+            gap = complex(roots_module.GAP_GUARD)
+        repulsion += 1.0 / gap
+    denom = 1.0 - newton * repulsion
+    if denom == 0:
+        events.append("denom")
+        denom = complex(roots_module.GAP_GUARD)
+    return newton / denom
+
+
+def _reference_aberth(coeffs, events):
+    """The float Aberth solve with a call per step, as roots.py wrote it before
+    the sweep was inlined: its starts, stop rules and guards.  Appends
+    "stall" to `events` where p' vanishes and "overflow" where a step is not
+    finite."""
+    rm = roots_module
+    n = len(coeffs) - 1
+    hull, radii = rm._newton_polygon(coeffs)
+    zs = [cmath.rect(math.exp(min(max(r, -rm.LOG_RADIUS_CAP), rm.LOG_RADIUS_CAP)),
+                     2.0 * math.pi * ((k + rm.START_TURN) / (j - i) + i / n))
+          for (i, _), (j, _), r in zip(hull, hull[1:], radii) for k in range(j - i)]
+    return _reference_sweeps(coeffs, zs, events, rm.MAX_SWEEPS)
+
+
+def _reference_sweeps(coeffs, zs, events, limit):
+    rm = roots_module
+    n = len(coeffs) - 1
+    lead, tail = coeffs[0], coeffs[1:]
+    moduli = [abs(c) for c in coeffs]
+    floor_rel = rm.PSEUDOZERO_REL * n
+    for _ in range(limit):
+        moved = 0.0
+        at_floor = True
+        for i in range(n):
+            z = zs[i]
+            p, dp = lead, 0j
+            for c in tail:
+                dp = dp * z + p
+                p = p * z + c
+            if at_floor:
+                r = abs(z)
+                bound = 0.0
+                for m in moduli:
+                    bound = bound * r + m
+                at_floor = abs(p) <= floor_rel * bound
+            if dp == 0:
+                events.append("stall")
+                zs[i] += complex(rm.STALL_NUDGE, rm.STALL_NUDGE)
+                moved = math.inf
+                continue
+            step = _reference_step(zs, i, p / dp, events)
+            size = abs(step)
+            if not size < math.inf:
+                events.append("overflow")
+                moved, at_floor = math.inf, False
+                continue
+            zs[i] -= step
+            moved = max(moved, size / (1.0 + abs(zs[i])))
+        if moved <= rm.ABERTH_STEP_TOL or at_floor:
+            break
+    return zs
+
+
+def _reference_polish(body, zs, events, limit):
+    """The exact-residual sweeps with a call per step."""
+    poly = _dyadic_poly(body)
+    zs = list(zs)
+    for _ in range(limit):
+        moved = 0.0
+        for i in range(len(zs)):
+            p, dp = _exact_eval(poly, zs[i])
+            if dp == 0:
+                continue
+            step = _reference_step(zs, i, p / dp, events)
+            zs[i] -= step
+            moved = max(moved, abs(step) / (1.0 + abs(zs[i])))
+        if moved <= roots_module.ABERTH_STEP_TOL:
+            break
+    return zs
+
+
+def _solved_bodies(monkeypatch, forms):
+    """The polynomial `linear_factors` hands its float solve for each form."""
+    bodies = []
+    real = roots_module._aberth_roots
+
+    def spy(coeffs, *rest):
+        bodies.append(list(coeffs))
+        return real(coeffs, *rest)
+
+    monkeypatch.setattr(roots_module, "_aberth_roots", spy)
+    for p in forms:
+        try:
+            linear_factors(p)
+        except ArithmeticError:
+            pass
+    monkeypatch.undo()
+    return bodies
+
+
+def _census_style_sextics():
+    """Seeded census sextics (A, B, sums of cubes, Gaussian), the same under
+    rescaling and under changes of condition 30-300, the overflowing fuzz
+    sextics, x^6 + y^6 at the smallest subnormal scale (p' underflows to 0,
+    a stall) and the wide-moduli sextic."""
+    forms = _simple_root_sextics(31, 6) + _clustered_sextics(37, 12)
+    forms += [BinaryForm.floating(6, [c * 10.0 ** (e * (6 - k)) for k, c in enumerate(p.coeffs)])
+              for e in (-3, 2) for p in _simple_root_sextics(41, 2)]
+    forms += [fl(*coeffs) for coeffs in OVERFLOW_SEXTICS.values()]
+    forms += [fl(5e-324, 0, 0, 0, 0, 0, 5e-324), _monic_with_roots(_wide_moduli_roots())]
+    return forms
+
+
+def test_aberth_sweeps_match_the_reference_loop(monkeypatch):
+    # the inline sweep computes every float of the reference's, in its order:
+    # the same iterates bit for bit (repr keeps signed zeros and NaNs), with
+    # or without the caller's Newton polygon
+    forms = _census_style_sextics()
+    bodies = _solved_bodies(monkeypatch, forms)
+    assert len(bodies) == len(forms)
+    events = []
+    for body in bodies:
+        want = repr(_reference_aberth(list(body), events))
+        assert repr(roots_module._aberth_roots(list(body))) == want
+        polygon = roots_module._newton_polygon(body)
+        assert repr(roots_module._aberth_roots(list(body), polygon)) == want
+    # the stall and overflow branches were taken
+    assert "stall" in events and "overflow" in events
+
+
+def test_exact_polish_matches_the_reference_loop(monkeypatch):
+    bodies = _solved_bodies(monkeypatch, _clustered_sextics(43, 6) + _simple_root_sextics(47, 2))
+    for body in bodies:
+        solved = roots_module._aberth_roots(body)
+        assert repr(roots_module._exact_polish(body, solved)) == repr(_reference_polish(body, solved, [], roots_module.POLISH_SWEEPS))
+
+
+@pytest.mark.parametrize("limit", [1, 16])
+@pytest.mark.parametrize("coeffs, zs, event", [
+    ((1, 0, 1), (1, 0), "denom"),                 # p/p' at 1 is the gap 1, so 1 - newton * repulsion == 0
+    ((1, 0, 0, -1), (1e-30, 1e-30, 2), "gap"),    # two equal iterates, near 0 so that the guarded step shows
+], ids=["zero-denominator", "zero-gap"])
+def test_aberth_guards_match_the_reference_loop(coeffs, zs, event, limit):
+    # the guards that stand GAP_GUARD in for a zero, in the float sweeps and
+    # the exact-residual ones, from iterates chosen to need them
+    body = [complex(c) for c in coeffs]
+    start = [complex(z) for z in zs]
+    events = []
+    want = repr(_reference_sweeps(body, list(start), events, limit))
+    assert event in events
+    assert repr(roots_module._sweeps(body, list(start), None, limit)) == want
+    events.clear()
+    want = repr(_reference_polish(body, start, events, limit))
+    assert event in events
+    assert repr(roots_module._sweeps(body, list(start), _dyadic_poly(body), limit)) == want
