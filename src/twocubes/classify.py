@@ -1,11 +1,12 @@
 """Structure theory of equal two-cube sums.
 
 An honest family f1^3 + f2^3 = f3^3 + f4^3 always admits an arrangement in
-which one signed pair sum is a scalar multiple T of the other; this module
-detects that scalar (the family's type), diagonalizes coprime quadratic
-pairs, completes the tame and wild one-parameter families, and produces the
-linear change of variables carrying any honest type-T family onto the
-reference family with the same T.
+which one signed pair sum is a scalar multiple T of the other, and that
+arrangement is the one linear relation of the four quadratics.  This module
+detects that scalar (the family's type) from the relation's coefficients,
+diagonalizes coprime quadratic pairs, completes the tame and wild
+one-parameter families, and produces the linear change of variables
+carrying any honest type-T family onto the reference family with the same T.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ import math
 from .exact import OMEGA
 from .families import f_forms
 from .forms import (EXACT, FLOAT, FLOAT_TOL, NEGLIGIBLE_REL, UNDERFLOW_FLOOR, BinaryForm, LinearChange,
-                    form_compose, lift, relative_residual)
+                    det3, form_compose, lift, relative_residual)
 
 TYPE_PROP_TOL = 1e-8       # proportionality tolerance in arrangement search
 SQUARE_DISC_TOL = 1e-8     # relative discriminant bound for square extraction
@@ -38,7 +39,6 @@ _SPLITS = (
     ((0, 3, -1), (2, 1, -1)),
     ((0, 2, -1), (3, 1, -1)),
 )
-_OMEGA_ORDER = ((0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2), (2, 0), (2, 1), (2, 2))
 
 
 def _twists(kernel) -> dict:
@@ -80,7 +80,16 @@ def _check_equal_cube_sums(f1, f2, f3, f4):
 
 def type_detect(f1: BinaryForm, f2: BinaryForm, f3: BinaryForm,
                 f4: BinaryForm) -> TypeTag:
-    """Scalar T and arrangement with f_a + w^i f_b = T(f_c + w^j f_d)."""
+    """Scalar T and arrangement with f_a + w^i f_b = T(f_c + w^j f_d).
+
+    The four quadratics satisfy sum alpha_k f_k = 0, and an arrangement is
+    such a relation with coefficients (1, s_b w^i, -T, -T s_d w^j) on
+    (f_a, f_b, f_c, f_d).  Equal cube sums of pairwise non-proportional
+    quadratics span all three dimensions, so the relation is unique and a
+    split names one candidate at most: alpha_b = s_b w^i alpha_a and
+    alpha_d = s_d w^j alpha_c.  An exact kernel takes the twists that hold
+    exactly, and the relation proves the sides proportional; a float kernel
+    takes the nearest twists and tests the sides' proportionality."""
     if any(f.degree != 2 for f in (f1, f2, f3, f4)):
         raise ValueError("four quadratic forms required")
     # one kernel for all four: every form is float when any of them is
@@ -91,26 +100,50 @@ def type_detect(f1: BinaryForm, f2: BinaryForm, f3: BinaryForm,
         for b in forms[i + 1:]:
             if a.proportional_to(b, rel_tol=DEGENERATE_REL):
                 raise ValueError("dishonest family: proportional members")
+    alpha = _relation(forms, kernel)
     twists = _TWISTS[kernel]
     for split_index, ((a, b, sb), (c, d, sd)) in enumerate(_SPLITS):
+        i = _twist(alpha[a], alpha[b], twists[sb], kernel)
+        j = _twist(alpha[c], alpha[d], twists[sd], kernel)
+        if i is None or j is None:
+            continue
         # the twisted (CycNum) member first: Fraction + CycNum would reach
         # CycNum.__add__ only after Fraction.__add__ returns NotImplemented
-        lefts = [forms[b].scale(w) + forms[a] for w in twists[sb]]
-        rights = [forms[d].scale(w) + forms[c] for w in twists[sd]]
-        for i, j in _OMEGA_ORDER:
-            left, right = lefts[i], rights[j]
-            if right.is_zero() or left.is_zero():
-                continue
-            if not left.proportional_to(right, rel_tol=TYPE_PROP_TOL):
-                continue
-            try:
-                T = _coefficient_ratio(left, right, kernel)
-            except ArithmeticError:  # a formal parameter's ratio that does not divide
-                continue
-            return TypeTag(T, split_index, i, j)
+        left = forms[b].scale(twists[sb][i]) + forms[a]
+        right = forms[d].scale(twists[sd][j]) + forms[c]
+        if not kernel.exact and not left.proportional_to(right, rel_tol=TYPE_PROP_TOL):
+            continue
+        try:
+            T = _coefficient_ratio(left, right, kernel)
+        except ArithmeticError:  # a formal parameter's ratio that does not divide
+            continue
+        return TypeTag(T, split_index, i, j)
     raise ArithmeticError(
         "no type arrangement found; honest equal sums always admit one"
     )
+
+
+def _relation(forms, kernel) -> list:
+    """alpha with sum alpha_k f_k = 0 for four quadratics: alpha_k is the
+    signed 3x3 minor of the other three coefficient rows."""
+    rows = [f.coeffs for f in forms]
+    if not kernel.exact:
+        # one power of two for every row keeps the minors' ratios bit for
+        # bit and their triple products inside the float range
+        unit = math.ldexp(1.0, -math.frexp(max([abs(c) for row in rows for c in row]))[1])
+        rows = [[unit * c for c in row] for row in rows]
+    minors = [det3(rows[:k] + rows[k + 1:]) for k in range(4)]
+    return [m if k % 2 == 0 else -m for k, m in enumerate(minors)]
+
+
+def _twist(alpha_from, alpha_to, twists, kernel):
+    """k with alpha_to = twists[k] * alpha_from: exactly on an exact kernel,
+    the nearest on a float one; None when alpha_from is zero or no twist fits."""
+    if not alpha_from:
+        return None
+    if kernel.exact:
+        return next((k for k, w in enumerate(twists) if not w * alpha_from - alpha_to), None)
+    return min(range(3), key=lambda k: abs(twists[k] * alpha_from - alpha_to))
 
 
 def _coefficient_ratio(left: BinaryForm, right: BinaryForm, kernel):

@@ -380,9 +380,18 @@ def _form_chord(x1, y1, x2, y2, a):
     x3 = RationalFunction(a * dx + yy * cross, den)
     y3 = RationalFunction(a * dy - xx * cross, den)
     # x3^3 + y3^3 = a cleared of denominators; it holds exactly when the
-    # terms of each degree cancel, so forms of two degrees are never added
-    cx, cy, parts = x3.den ** 3, y3.den ** 3, {}
-    for t in (x3.num ** 3 * cy, y3.num ** 3 * cx, -(a * cx * cy)):
+    # terms of each degree cancel, so forms of two degrees are never added.
+    # A denominator of degree 0 is the constant 1 (RationalFunction makes
+    # denominators monic), so it multiplies nothing through.
+    tx, ty, ta = x3.num ** 3, y3.num ** 3, -a
+    if y3.den.degree:
+        cy = y3.den ** 3
+        tx, ta = tx * cy, ta * cy
+    if x3.den.degree:
+        cx = x3.den ** 3
+        ty, ta = ty * cx, ta * cx
+    parts = {}
+    for t in (tx, ty, ta):
         parts[t.degree] = parts[t.degree] + t if t.degree in parts else t
     if not all(part.is_zero() for part in parts.values()):
         raise ArithmeticError("chord identity failed")

@@ -35,7 +35,6 @@ from .exact import (
 from .forms import EXACT, BinaryForm, LinearChange, det3, form_compose, lift
 
 ONE = 1
-EXCEPTIONAL_PARAMETER = IMAG * ETA  # smallest-argument root of t^4 + 4t^2 + 1
 
 
 def _parameter(value, name: str):
@@ -48,16 +47,6 @@ def _parameter(value, name: str):
 
 def _form(degree: int, coeffs, kernel) -> BinaryForm:
     return BinaryForm(degree, tuple([kernel.coerce(c) for c in coeffs]), kernel)
-
-
-def cube_sum_difference(left, right) -> BinaryForm:
-    """Sum of cubes of the left forms minus sum of cubes of the right forms."""
-    acc = None
-    for f in left:
-        acc = f ** 3 if acc is None else acc + f ** 3
-    for f in right:
-        acc = acc - f ** 3
-    return acc
 
 
 # --------------------------------------------------------------------------
@@ -205,26 +194,9 @@ def sextic_b(t) -> BinaryForm:
     return _form(6, [ONE, 0, 0, t, 0, 0, ONE], kernel)
 
 
-def q1_sextic() -> BinaryForm:
-    """x^6 + y^6."""
-    return BinaryForm.exact(6, [1, 0, 0, 0, 0, 0, 1])
-
-
 def q2_sextic() -> BinaryForm:
     """xy(x^4 - y^4), the sextic with the octahedral root set."""
     return BinaryForm.exact(6, [0, 1, 0, 0, 0, -1, 0])
-
-
-def flip_sums() -> tuple[BinaryForm, BinaryForm, BinaryForm]:
-    """The sums of the three rearrangements of the integer quadruple.
-
-    With (r1, r2, r3, r4) = ramanujan_quadruple():
-    first  = r3^3 + r4^3 = r1^3 - r2^3   (has a third representation),
-    second = r1^3 - r4^3 = r3^3 + r2^3   (has a third representation),
-    third  = r1^3 - r3^3 = r2^3 + r4^3   (has exactly two).
-    """
-    r1, r2, r3, r4 = ramanujan_quadruple()
-    return (r3 ** 3 + r4 ** 3, r1 ** 3 - r4 ** 3, r1 ** 3 - r3 ** 3)
 
 
 def young_quadruple() -> tuple[BinaryForm, ...]:
@@ -307,22 +279,6 @@ def vieta_quartics() -> tuple[BinaryForm, ...]:
         y * diff,
         x * BinaryForm.exact(3, [1, 0, 0, 2]),
         -(y * BinaryForm.exact(3, [2, 0, 0, 1])),
-    )
-
-
-def exceptional_parameter_determinant(lam=None):
-    """Dependence determinant of the extra factor triple of p1_sextic.
-
-    Equals (t^2 - 1)(t^4 + 4t^2 + 1); its nonreal roots mark the parameters
-    where the product sextic gains representations beyond the generic three.
-    """
-    lam, _ = _parameter(lam, "lam")
-    return det3(
-        [
-            [lam, lam ** 2 + 1, lam],
-            [ONE, -lam, lam ** 2],
-            [lam ** 2, -lam, ONE],
-        ]
     )
 
 

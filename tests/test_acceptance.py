@@ -13,9 +13,7 @@ from twocubes.decomp import dependence_test, rep_count
 from twocubes.ecurve import EBParams, curve_add, curve_third_rep, eb_forward, eb_inverse
 from twocubes.families import (
     f_forms,
-    flip_sums,
     p1_sextic,
-    q1_sextic,
     q2_sextic,
     sextic_a,
     sextic_b,
@@ -24,6 +22,8 @@ from twocubes.families import (
 from twocubes import families
 from twocubes.forms import BinaryForm, LinearChange, form_compose
 from twocubes.roots import linear_factors
+
+from family_helpers import flip_sums, q1_sextic
 
 Q = Fraction
 

@@ -1,5 +1,6 @@
 """Type detection, diagonalization, tame/wild completion, canonicalization."""
 import cmath
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -70,15 +71,20 @@ def test_type_detect_ramanujan_exact():
     assert "f1" in tag.describe()
 
 
+# the order in which the reference search tries the twists (i, j) of a split
+_OMEGA_ORDER = ((0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2), (2, 0), (2, 1), (2, 2))
+
+
 def _reference_arrangement(forms):
-    """The arrangement search as it was before the twists were hoisted:
-    each w^k * sign recomputed, the untwisted member added first."""
+    """The arrangement search as it was before the twists were hoisted and
+    read off the linear relation: each w^k * sign recomputed, the untwisted
+    member added first, all nine twists of a split tested in turn."""
     kernel = forms[0].kernel
     omega = kernel.coerce(OMEGA)
     for split_index, ((a, b, sb), (c, d, sd)) in enumerate(classify._SPLITS):
         lefts = [forms[a] + forms[b].scale(omega ** k * sb) for k in range(3)]
         rights = [forms[c] + forms[d].scale(omega ** k * sd) for k in range(3)]
-        for i, j in classify._OMEGA_ORDER:
+        for i, j in _OMEGA_ORDER:
             left, right = lefts[i], rights[j]
             if right.is_zero() or left.is_zero():
                 continue
@@ -126,6 +132,113 @@ def test_type_detect_matches_the_unhoisted_search(monkeypatch):
         tag = type_detect(*forms)
         T, split, i, j = _reference_arrangement(forms)
         assert (_typed(tag.T), tag.split, tag.omega_left, tag.omega_right) == (_typed(T), split, i, j)
+
+
+def test_linear_relation_of_exact_and_formal_members():
+    # sum alpha_k f_k = 0 coefficient by coefficient, with alpha nonzero
+    checked = 0
+    for forms in _type_detect_inputs():
+        if not forms[0].kernel.exact:
+            continue
+        alpha = classify._relation(forms, forms[0].kernel)
+        assert any(alpha)
+        for k in range(3):
+            total = alpha[0] * forms[0].coeffs[k]
+            for a, f in zip(alpha[1:], forms[1:]):
+                total = total + a * f.coeffs[k]
+            assert not total
+        checked += 1
+    assert checked == 16  # 2 families x (formal + 3 rational n) x (plain, twisted)
+
+
+@pytest.mark.parametrize("family", [young_family, hirschhorn_family])
+@pytest.mark.parametrize("n", [Fraction(3, 2), Fraction(-7, 5), Fraction(9, 4), None],
+                         ids=["3/2", "-7/5", "9/4", "formal"])
+def test_exact_arrangement_search_tests_no_proportionality(monkeypatch, family, n):
+    # the linear relation names the arrangement: the only proportional_to
+    # calls are the six checks for proportional members, and the forms built
+    # are the two sides of each candidate, the returned arrangement's last
+    props, scales = [], []
+    prop, scale = BinaryForm.proportional_to, BinaryForm.scale
+
+    def spy_prop(self, other, rel_tol):
+        props.append(rel_tol)
+        return prop(self, other, rel_tol)
+
+    monkeypatch.setattr(BinaryForm, "proportional_to", spy_prop)
+    monkeypatch.setattr(BinaryForm, "scale", lambda self, s: scales.append((self, s)) or scale(self, s))
+    forms = family(n)
+    tag = type_detect(*forms)
+    assert props == [classify.DEGENERATE_REL] * 6
+    (a, b, sb), (c, d, sd) = classify._SPLITS[tag.split]
+    assert scales[-2:] == [(forms[b], OMEGA ** tag.omega_left * sb), (forms[d], OMEGA ** tag.omega_right * sd)]
+    # a rational T always divides; a formal one may fail to, at one split here
+    assert (len(scales) == 2) if n is not None else (len(scales) in (2, 4))
+
+
+@pytest.mark.parametrize("scale", [1e-120, 1e120])
+def test_type_detect_float_relation_far_from_unit_scale(scale):
+    # the relation's minors are triple products of coefficients: at 1e-120
+    # they would underflow to zero and at 1e120 overflow, unless scaled first
+    forms = [f.to_float() for f in young_family(Fraction(3, 2))]
+    tag = type_detect(*forms)
+    scaled = type_detect(*[f.scale(scale) for f in forms])
+    assert (scaled.split, scaled.omega_left, scaled.omega_right) == (tag.split, tag.omega_left, tag.omega_right)
+    assert abs(scaled.T - tag.T) <= 1e-12 * abs(tag.T)
+
+
+def _moved_pairs(seed, count):
+    """The pairs of representations of rep_count's reports of `count` A and B
+    sextics at rational t, moved by seeded real changes of condition up to
+    10^3 and scale 10^-1 to 10."""
+    rng = random.Random(seed)
+    out = []
+    for k in range(count):
+        t = Fraction(rng.randint(-72, 72), rng.randint(1, 9))
+        coeffs = [1, 0, t, 0, t, 0, 1] if k % 2 == 0 else [1, 0, 0, t, 0, 0, 1]
+        cond, s = 10 ** rng.uniform(0, 3), 10 ** rng.uniform(-1, 1)
+        u, v = rng.uniform(0, math.pi), rng.uniform(0, math.pi)
+        cu, su, cv, sv = math.cos(u), math.sin(u), math.cos(v), math.sin(v)
+        s1, s2 = cond * s, s
+        m = LinearChange(s1 * cu * cv - s2 * su * sv, -s1 * cu * sv - s2 * su * cv,
+                         s1 * su * cv + s2 * cu * sv, -s1 * su * sv + s2 * cu * cv, FLOAT)
+        report = rep_count(form_compose(BinaryForm.floating(6, coeffs), m))
+        for r1, r2 in itertools.combinations(report.reps, 2):
+            out.append((r1.f1, r1.f2, r2.f1, r2.f2))
+    return out
+
+
+def _reference_outcome(forms):
+    """type_detect's checks, then the nine-way reference search: the
+    (T, split, i, j) found, or the type of the exception raised."""
+    try:
+        classify._check_equal_cube_sums(*forms)
+        for i, f in enumerate(forms):
+            for g in forms[i + 1:]:
+                if f.proportional_to(g, rel_tol=classify.DEGENERATE_REL):
+                    raise ValueError("dishonest family: proportional members")
+        return _reference_arrangement(forms)
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc)
+
+
+def test_type_detect_float_outcomes_match_the_nine_way_search():
+    # the nearest twists name the one candidate of a split that the nine-way
+    # search could accept, refusals included
+    pairs = _moved_pairs(1, 160)
+    outcomes = []
+    for forms in pairs:
+        want = _reference_outcome(forms)
+        try:
+            tag = type_detect(*forms)
+        except (ArithmeticError, ValueError) as exc:
+            got = type(exc)
+        else:
+            got = (tag.T, tag.split, tag.omega_left, tag.omega_right)
+        assert got == want
+        outcomes.append(want)
+    refused = [o for o in outcomes if isinstance(o, type)]
+    assert len(pairs) >= 200 and ValueError in refused and ArithmeticError in refused
 
 
 @pytest.mark.parametrize("family, relation", [

@@ -15,8 +15,10 @@ from twocubes.ecurve import (
     eb_inverse,
 )
 from twocubes.exact import CycNum, IMAG, OMEGA, SQRT3, SQRTM3
-from twocubes.families import f_forms, p1_sextic, q1_sextic
+from twocubes.families import f_forms, p1_sextic
 from twocubes.forms import BinaryForm, ExactKernel, form_divexact, form_gcd
+
+from family_helpers import q1_sextic
 
 Q = Fraction
 
@@ -603,6 +605,41 @@ def test_family_form_chord_takes_ten_products_and_no_gcd(monkeypatch):
     assert gcds == []
     assert len(products) == 2 and products[-1] <= 10
     assert isinstance(x3, BinaryForm) and isinstance(y3, BinaryForm)
+
+
+def test_family_form_chord_check_multiplies_by_no_unit_denominator(monkeypatch):
+    # both coordinates reduce to forms, over the denominator 1, so the
+    # identity check cubes the two quadratics and forms no product
+    f1, f2, f3, f4, _, _ = f_forms(Q(5, 3))
+    a = p1_sextic(Q(5, 3))
+    mul, calls, built = BinaryForm.__mul__, [], []
+
+    class Counted(RationalFunction):
+        def __init__(self, num, den=None):
+            built.append(len(calls))
+            super().__init__(num, den)
+
+    monkeypatch.setattr(ecurve, "RationalFunction", Counted)
+    monkeypatch.setattr(BinaryForm, "__mul__", lambda self, other: calls.append(1) or mul(self, other))
+    curve_add((f1, f2), (f3, f4), a)
+    assert len(built) == 2 and len(calls) == built[-1]
+
+
+def test_chord_identity_check_covers_denominators_of_positive_degree(monkeypatch):
+    # x = x(x^3 + 2y^3) / (w(x^3 - y^3)): a doubled numerator over a
+    # denominator that does not cancel fails the cross-multiplied check
+    x, y = BinaryForm.exact(1, [Q(1), 0]), BinaryForm.exact(1, [0, Q(1)])
+    point1, point2, a = (x, y), (x.scale(OMEGA), y.scale(OMEGA ** 2)), x ** 3 + y ** 3
+    x3, y3 = curve_add(point1, point2, a)
+    assert x3.den.degree > 0 and y3.den.degree > 0
+
+    class Doubled(RationalFunction):
+        def __init__(self, num, den=None):
+            super().__init__(num.scale(2), den)
+
+    monkeypatch.setattr(ecurve, "RationalFunction", Doubled)
+    with pytest.raises(ArithmeticError, match="chord identity"):
+        curve_add(point1, point2, a)
 
 
 def test_chord_rejects_mixed_form_and_scalar():

@@ -7,19 +7,14 @@ import twocubes.families as fam
 from twocubes.decomp import rep_count
 from twocubes.exact import CycNum, ParamPoly, ETA, IMAG
 from twocubes.families import (
-    EXCEPTIONAL_PARAMETER,
-    cube_sum_difference,
-    exceptional_parameter_determinant,
     f78_cleared,
     f_forms,
-    flip_sums,
     hirschhorn_family,
     hirschhorn_quadruple,
     narayanan_quadruple,
     p1_sextic,
     p2_sextic,
     p3_sextic,
-    q1_sextic,
     q2_sextic,
     ramanujan_quadruple,
     sandor_family,
@@ -30,7 +25,9 @@ from twocubes.families import (
     young_family,
     young_quadruple,
 )
-from twocubes.forms import BinaryForm
+from twocubes.forms import BinaryForm, det3
+
+from family_helpers import cube_sum_difference, flip_sums, q1_sextic
 
 
 # ---------------------------------------------------------------- suite
@@ -261,6 +258,19 @@ def test_vieta_quartics_equal_sums():
 
 
 # ---------------------------------------------------------------- exceptional parameters
+
+EXCEPTIONAL_PARAMETER = IMAG * ETA  # smallest-argument root of t^4 + 4t^2 + 1
+
+
+def exceptional_parameter_determinant(lam=None):
+    """Dependence determinant of the extra factor triple of p1_sextic.
+
+    Equals (t^2 - 1)(t^4 + 4t^2 + 1); its nonreal roots mark the parameters
+    where the product sextic gains representations beyond the generic three.
+    """
+    lam = ParamPoly.variable("lam") if lam is None else lam
+    return det3([[lam, lam ** 2 + 1, lam], [1, -lam, lam ** 2], [lam ** 2, -lam, 1]])
+
 
 def test_exceptional_determinant_factored_form():
     lam = ParamPoly.variable("lam")
