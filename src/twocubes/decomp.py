@@ -12,6 +12,12 @@ representation are a dependent grouping, which fixes f1, f2 up to summand
 order and cube roots of unity; a quadratic is fixed up to a scalar by its
 two roots.  So representations and dependent groupings of the six roots
 correspond one to one, and counting emits one representation per grouping.
+
+rep_count counts on complex coefficient rows in four stages, each a module
+function: pair_partitions picks the groupings of six roots with given
+multiplicities, H_eval makes the obstruction H from the 15 grouping
+determinants, dependence_test fits g3 = a*g1 + b*g2 for one grouping, and
+construct_from_triple builds the representation and its residual.
 """
 from __future__ import annotations
 
@@ -19,7 +25,7 @@ import dataclasses
 import functools
 import math
 
-from .exact import OMEGA, SQRTM3, scalar_key
+from .exact import OMEGA, SQRTM3
 from .forms import FLOAT, FLOAT_TOL, UNDERFLOW_FLOOR, BinaryForm, det3, form_to_json, norm2, relative_residual
 from .roots import linear_factors
 
@@ -79,126 +85,22 @@ class DecompositionReport:
     H: complex
 
 
-def _coeff_key(f: BinaryForm):
-    if f.kernel.exact:
-        return tuple([scalar_key(c) for c in f.coeffs])
-    return tuple([(round(c.real, 12), round(c.imag, 12)) for c in map(complex, f.coeffs)])
-
-
-def _fresh_pairings(pair_keys):
-    """(index, pairing) of each pairing whose sorted pair keys were not seen
-    at an earlier index: groupings made identical by repeated factors
+@functools.lru_cache(maxsize=None)
+def pair_partitions(multiplicities: tuple) -> tuple:
+    """(index into PAIRINGS, three indices into _PAIRS) of each pairing of
+    six slots whose roots repeat with these multiplicities, unless an
+    earlier pairing groups the same roots: two pairs are one quadratic when
+    they pair the same roots, so groupings made identical by repeated roots
     collapse to their first pairing."""
-    seen = set()
+    ids = [root for root, m in enumerate(multiplicities) for _ in range(m)]
+    pair_keys = [(ids[i], ids[j]) for i, j in _PAIRS]
+    seen, fresh = set(), []
     for k, pairing in enumerate(_PAIRING_IDS):
         key = tuple(sorted([pair_keys[pair] for pair in pairing]))
         if key not in seen:
             seen.add(key)
-            yield k, pairing
-
-
-@functools.lru_cache(maxsize=None)
-def _pattern_pairings(multiplicities: tuple) -> tuple:
-    """The fresh pairings of six slots whose roots repeat with these
-    multiplicities: two pairs are one quadratic when they pair the same roots."""
-    ids = [root for root, m in enumerate(multiplicities) for _ in range(m)]
-    return tuple(_fresh_pairings([(ids[i], ids[j]) for i, j in _PAIRS]))
-
-
-def pair_partitions(factors) -> list:
-    """All distinct ways to multiply six linear forms pairwise into a triple
-    of quadratics; groupings made identical by repeated factors collapse."""
-    factors = list(factors)
-    if len(factors) != 6:
-        raise ValueError("exactly six linear factors required")
-    if any(f.degree != 1 for f in factors):
-        raise ValueError("factors must be linear forms")
-    products = [factors[i] * factors[j] for i, j in _PAIRS]
-    keys = [_coeff_key(q) for q in products]
-    return [tuple([products[pair] for pair in pairing]) for _, pairing in _fresh_pairings(keys)]
-
-
-def _span_fit(r1, r2, r3, n3):
-    """Least-squares (alpha, beta) with r3 = alpha*r1 + beta*r2 over complex
-    rows, via the 2x2 normal equations; None when the fit misses r3 by more
-    than COEFF_SOLVE_REL of its 2-norm n3."""
-    g11 = sum(a * b.conjugate() for a, b in zip(r1, r1))
-    g12 = sum(a * b.conjugate() for a, b in zip(r2, r1))
-    g21 = g12.conjugate()
-    g22 = sum(a * b.conjugate() for a, b in zip(r2, r2))
-    b1 = sum(a * b.conjugate() for a, b in zip(r3, r1))
-    b2 = sum(a * b.conjugate() for a, b in zip(r3, r2))
-    disc = g11 * g22 - g12 * g21
-    if abs(disc) == 0:
-        raise ValueError("first two quadratics are proportional")
-    alpha = (b1 * g22 - b2 * g12) / disc
-    beta = (g11 * b2 - g21 * b1) / disc
-    fit = [alpha * a + beta * b for a, b in zip(r1, r2)]
-    err = norm2([f - c for f, c in zip(fit, r3)])
-    if err > COEFF_SOLVE_REL * max(n3, UNDERFLOW_FLOOR):
-        return None
-    return alpha, beta
-
-
-def dependence_test(q1: BinaryForm, q2: BinaryForm, q3: BinaryForm) -> Dependence:
-    """Whether q3 lies in the span of q1 and q2, with the span coefficients."""
-    if any(q.degree != 2 for q in (q1, q2, q3)):
-        raise ValueError("quadratic forms required")
-    if q1.proportional_to(q2):
-        raise ValueError("first two quadratics are proportional")
-    kernel = q1.kernel
-    rows = [q1.coeffs, q2.coeffs, q3.coeffs]
-    if kernel.exact:
-        if not kernel.is_zero(det3(rows)):
-            return Dependence(False)
-        for c1, c2 in ((0, 1), (0, 2), (1, 2)):
-            pivot = q1.coeffs[c1] * q2.coeffs[c2] - q1.coeffs[c2] * q2.coeffs[c1]
-            if not kernel.is_zero(pivot):
-                inv = kernel.inv(pivot)
-                alpha = (q3.coeffs[c1] * q2.coeffs[c2] - q3.coeffs[c2] * q2.coeffs[c1]) * inv
-                beta = (q1.coeffs[c1] * q3.coeffs[c2] - q1.coeffs[c2] * q3.coeffs[c1]) * inv
-                return Dependence(True, alpha, beta)
-        raise ValueError("first two quadratics are proportional")
-    crows = [[complex(c) for c in row] for row in rows]
-    norms = [norm2(row) for row in crows]
-    if abs(det3(crows)) > DEP_DET_REL * (norms[0] * norms[1] * norms[2]):
-        return Dependence(False)
-    fit = _span_fit(crows[0], crows[1], crows[2], norms[2])
-    if fit is None:
-        return Dependence(False)
-    return Dependence(True, *fit)
-
-
-def _float_cube_pair(r1, r2, alpha, beta, scale):
-    """Coefficients (f1, f2) with f1^3 + f2^3 = scale * g1*g2*g3, over complex
-    floats, where r1, r2 are the coefficients of g1, g2 and g3 = alpha*g1 +
-    beta*g2."""
-    wa, wb = _OMEGA_F * alpha, _OMEGA_F * beta
-    s = 3.0 * _SQRTM3_F * alpha * beta
-    c = (scale / s) ** (1.0 / 3.0)
-    f1 = [c * (wa * a - beta * b) for a, b in zip(r1, r2)]
-    f2 = [c * (wb * b - alpha * a) for a, b in zip(r1, r2)]
-    return f1, f2
-
-
-def construct_from_triple(g1: BinaryForm, g2: BinaryForm, g3: BinaryForm,
-                          alpha, beta) -> Representation:
-    """Representation of g1*g2*g3 from the dependence g3 = alpha*g1 + beta*g2."""
-    if not alpha or not beta:
-        raise ValueError("dependence coefficients must both be nonzero")
-    if g1.kernel.exact:
-        h1 = g1.scale(OMEGA * alpha) - g2.scale(beta)
-        h2 = g2.scale(OMEGA * beta) - g1.scale(alpha)
-        s = SQRTM3 * 3 * alpha * beta
-        if not (h1 ** 3 + h2 ** 3).equals((g1 * g2 * g3).scale(s)):
-            raise ArithmeticError("construction identity failed")
-        return Representation(h1, h2, s, 0.0)
-    alpha, beta = complex(alpha), complex(beta)
-    c1, c2 = _float_cube_pair(g1.coeffs, g2.coeffs, alpha, beta, 1.0)
-    f1 = BinaryForm(g1.degree, tuple(c1), g1.kernel)
-    f2 = BinaryForm(g2.degree, tuple(c2), g2.kernel)
-    residual = relative_residual(f1 ** 3 + f2 ** 3, g1 * g2 * g3)
-    return Representation(f1, f2, 1.0, residual)
+            fresh.append((k, pairing))
+    return tuple(fresh)
 
 
 def _pair_rows(roots) -> tuple[list, list]:
@@ -221,10 +123,12 @@ def _grouping_determinants(rows, norms) -> list:
             for i, j, k in _PAIRING_IDS]
 
 
-def _H_product(dets) -> complex:
-    """H from the determinants of the pair rows: each row is the H row
-    (t_i t_j, s_i t_j + s_j t_i, s_i s_j) with its middle entry negated, so
-    each of the 15 determinants, and so their product, changes sign."""
+def H_eval(dets) -> complex:
+    """H, the product over the 15 pairings of the grouping determinants
+    normalized by their row norms: invariant under root rescaling, and zero
+    when a square-free sextic is a sum of two cubes.  Each pair row is the H
+    row (t_i t_j, s_i t_j + s_j t_i, s_i s_j) with its middle entry negated,
+    so each of the 15 determinants, and so their product, changes sign."""
     total = 1.0 + 0j
     for det, norm in dets:
         total *= det / norm
@@ -233,16 +137,37 @@ def _H_product(dets) -> complex:
     return -total + 0j
 
 
-def H_eval(roots) -> complex:
-    """Product over the 15 pairings of the normalized grouping determinants;
-    vanishing is necessary for a square-free sextic to be a sum of two cubes.
+def dependence_test(r1, r2, r3, n3) -> Dependence:
+    """Whether the complex row r3 is alpha*r1 + beta*r2: the least-squares
+    (alpha, beta) via the 2x2 normal equations, dependent unless the fit
+    misses r3 by more than COEFF_SOLVE_REL of its 2-norm n3."""
+    g11 = sum(a * b.conjugate() for a, b in zip(r1, r1))
+    g12 = sum(a * b.conjugate() for a, b in zip(r2, r1))
+    g21 = g12.conjugate()
+    g22 = sum(a * b.conjugate() for a, b in zip(r2, r2))
+    b1 = sum(a * b.conjugate() for a, b in zip(r3, r1))
+    b2 = sum(a * b.conjugate() for a, b in zip(r3, r2))
+    disc = g11 * g22 - g12 * g21
+    if abs(disc) == 0:
+        raise ValueError("first two quadratics are proportional")
+    alpha = (b1 * g22 - b2 * g12) / disc
+    beta = (g11 * b2 - g21 * b1) / disc
+    fit = [alpha * a + beta * b for a, b in zip(r1, r2)]
+    err = norm2([f - c for f, c in zip(fit, r3)])
+    if err > COEFF_SOLVE_REL * max(n3, UNDERFLOW_FLOOR):
+        return Dependence(False)
+    return Dependence(True, alpha, beta)
 
-    Each factor is the determinant with rows (t_i t_j, s_i t_j + s_j t_i,
-    s_i s_j) — the coefficient vector of the quadratic from one pair —
-    divided by the product of the row 2-norms, so the value is invariant
-    under root rescaling.
-    """
-    return _H_product(_grouping_determinants(*_pair_rows(roots)))
+
+def construct_from_triple(r1, r2, alpha, beta, cube_root, p) -> Representation:
+    """The representation f1^3 + f2^3 of p from a grouping g1*g2*g3 with
+    g3 = alpha*g1 + beta*g2, where r1, r2 are the coefficient rows of g1, g2
+    and cube_root**3 * g1*g2*g3 = p, and its relative residual against p."""
+    wa, wb = _OMEGA_F * alpha, _OMEGA_F * beta
+    c = (1.0 / (3.0 * _SQRTM3_F * alpha * beta)) ** (1.0 / 3.0)
+    f1 = BinaryForm(2, tuple([cube_root * (c * (wa * a - beta * b)) for a, b in zip(r1, r2)]), FLOAT)
+    f2 = BinaryForm(2, tuple([cube_root * (c * (wb * b - alpha * a)) for a, b in zip(r1, r2)]), FLOAT)
+    return Representation(f1, f2, 1.0, relative_residual(f1 ** 3 + f2 ** 3, p))
 
 
 def _distinct(a, b, mag_prod) -> bool:
@@ -262,15 +187,15 @@ def rep_count(p: BinaryForm) -> DecompositionReport:
     whose construction has a residual within FLOAT_TOL.  Distinct groupings
     give distinct representations.
 
-    One pass over the pairings on complex coefficient rows: per call, each
-    of the 15 pair quadratics is formed once, and forms are built only for
-    candidate representations.  A pairing's gates run in the order
-    determinant prefilter (DEP_DET_REL), distinctness (DISTINCT_REL),
-    span-fit prefilter (COEFF_SOLVE_REL), residual (FLOAT_TOL), so a sextic
-    with no dependent grouping makes no distinctness test.  The answers are
-    those of the staged pipeline pair_partitions ->
-    proportional_to(rel_tol=DISTINCT_REL) -> dependence_test ->
-    construct_from_triple, bit for bit.
+    The 15 pair quadratics of the roots are complex coefficient rows, formed
+    once per call, and the four stages run on them: pair_partitions picks
+    the groupings, H_eval makes H from their determinants, and each grouping
+    that passes the determinant prefilter (DEP_DET_REL) and distinctness
+    (DISTINCT_REL) goes to dependence_test (COEFF_SOLVE_REL) and, when
+    dependent, to construct_from_triple, whose representation is kept when
+    its residual is within FLOAT_TOL.  So a sextic with no dependent grouping
+    makes no distinctness test, and forms are built only for candidate
+    representations.
     """
     if p.degree != 6:
         raise ValueError("sextic form required")
@@ -280,18 +205,18 @@ def rep_count(p: BinaryForm) -> DecompositionReport:
     scale, roots = linear_factors(pf)
     rows, norms = _pair_rows(roots)
     dets = _grouping_determinants(rows, norms)
-    H = _H_product(dets)
+    H = H_eval(dets)
     mags = None
     cube_root = complex(scale) ** (1.0 / 3.0)
 
     reps = []
-    for k, (i, j, m) in _pattern_pairings(tuple([r.multiplicity for r in roots])):
+    for k, (i, j, m) in pair_partitions(tuple([r.multiplicity for r in roots])):
         # the gates are ANDed, so their order changes no answer: the
         # determinant prefilter first, since it is precomputed and rejects
-        # most pairings, then distinctness, then the span-fit prefilter.  Both
-        # prefilters are there for speed only: the FLOAT_TOL residual below
-        # decides, and the benchmark's census sextics get the same answers
-        # without them
+        # most pairings, then distinctness, then the span fit.  The
+        # determinant prefilter and the span fit's cut are there for speed
+        # only: the FLOAT_TOL residual below decides, and the benchmark's
+        # census sextics get the same answers without them
         det, norm_prod = dets[k]
         if abs(det) > DEP_DET_REL * norm_prod:  # skips distinctness and the span fit
             continue
@@ -302,16 +227,12 @@ def rep_count(p: BinaryForm) -> DecompositionReport:
         if not (_distinct(q1, q2, mags[i] * mags[j]) and _distinct(q1, q3, mags[i] * mags[m])
                 and _distinct(q2, q3, mags[j] * mags[m])):
             continue
-        fit = _span_fit(q1, q2, q3, norms[m])
-        if fit is None:  # skips building forms for the residual
+        dep = dependence_test(q1, q2, q3, norms[m])
+        if not dep.dependent:  # skips building forms for the residual
             continue
-        alpha, beta = fit
-        c1, c2 = _float_cube_pair(q1, q2, alpha, beta, 1.0)
-        f1 = BinaryForm(2, tuple([cube_root * c for c in c1]), FLOAT)
-        f2 = BinaryForm(2, tuple([cube_root * c for c in c2]), FLOAT)
-        residual = relative_residual(f1 ** 3 + f2 ** 3, pf)
-        if residual <= FLOAT_TOL:
-            reps.append(Representation(f1, f2, 1.0, residual))
+        rep = construct_from_triple(q1, q2, dep.alpha, dep.beta, cube_root, pf)
+        if rep.residual <= FLOAT_TOL:
+            reps.append(rep)
 
     return DecompositionReport(
         N=len(reps),

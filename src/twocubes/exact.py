@@ -135,10 +135,12 @@ class CycNum:
         """Field inverse: the product of the other seven Galois conjugates over
         the norm.  The Galois group {1, 5, 7, ..., 23} is generated by the
         commuting involutions z -> z^5, z^7, z^13, so three conjugate-and-multiply
-        steps reach the rational norm."""
+        steps reach the rational norm; a rational element needs none of them."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero in the cyclotomic field")
         n = self.num
+        if not any(n[1:]):  # den/n[0], already in lowest terms
+            return _cyc((self.den if n[0] > 0 else -self.den,) + n[1:], abs(n[0]))
         m1 = _conjugate(n, 5)
         p1 = _mul_vec(n, m1)
         m2 = _conjugate(p1, 7)

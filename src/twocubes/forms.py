@@ -77,14 +77,19 @@ class FloatKernel:
 
     @staticmethod
     def coerce(value) -> complex:
-        """The complex value of an exact or floating scalar."""
-        if isinstance(value, CycNum):
-            return value.to_complex()
+        """The complex value of an exact or floating scalar; ValueError for a
+        nonzero exact scalar whose complex value underflows to zero."""
         if isinstance(value, ParamPoly):
             raise TypeError("cannot promote a formal parameter to a complex number")
-        if isinstance(value, Fraction):
-            return complex(float(value))
-        return complex(value)
+        if isinstance(value, CycNum):
+            out = value.to_complex()
+        elif isinstance(value, Fraction):
+            out = complex(float(value))
+        else:
+            return complex(value)
+        if value and not out:
+            raise ValueError("a nonzero exact scalar underflows to zero as a float")
+        return out
 
     def __repr__(self) -> str:
         return "FLOAT"

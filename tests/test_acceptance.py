@@ -9,7 +9,7 @@ import random
 from fractions import Fraction
 
 from twocubes.classify import canonicalize_type, reference_family, type_detect
-from twocubes.decomp import dependence_test, rep_count
+from twocubes.decomp import rep_count
 from twocubes.ecurve import EBParams, curve_add, curve_third_rep, eb_forward, eb_inverse
 from twocubes.families import (
     f_forms,
@@ -24,6 +24,7 @@ from twocubes.forms import BinaryForm, LinearChange, form_compose
 from twocubes.roots import linear_factors
 
 from family_helpers import flip_sums, q1_sextic
+from staged_reference import dependence_test
 
 Q = Fraction
 

@@ -113,6 +113,15 @@ def test_decompose_wrong_coefficient_count_is_usage_error(capsys):
     assert code == 1
 
 
+def test_decompose_coefficient_that_underflows_is_computation_failure(capsys):
+    # 1e-400 is exact and nonzero but 0.0 as a float, which would read as a
+    # sextic with a sixfold root instead of one equivalent to x^6 + y^6
+    code = main(["decompose", "1e-400", "0", "0", "0", "0", "0", "1"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "underflows" in captured.err and len(captured.err) < 200
+
+
 def test_decompose_bad_literal_is_usage_error(capsys):
     code = main(["decompose", "1", "0", "0", "bad", "0", "0", "1"])
     err = capsys.readouterr().err

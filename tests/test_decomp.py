@@ -5,19 +5,13 @@ import random
 import pytest
 
 from twocubes import decomp
-from twocubes.decomp import (
-    DISTINCT_REL,
-    H_eval,
-    PAIRINGS,
-    construct_from_triple,
-    dependence_test,
-    pair_partitions,
-    rep_count,
-    report_to_json,
-)
+from twocubes.decomp import PAIRINGS, rep_count, report_to_json
 from twocubes.exact import OMEGA, SQRTM3, ParamPoly, Rational
-from twocubes.forms import FLOAT, FLOAT_TOL, BinaryForm, LinearChange, form_compose, norm2, relative_residual
+from twocubes.forms import FLOAT, BinaryForm, LinearChange, form_compose, norm2
 from twocubes.roots import linear_factors
+
+from staged_reference import H_eval, construct_from_triple, dependence_test, pair_partitions, staged_rep_count
+from test_perfbench_hooks import _tracer
 
 
 def ex_lin(a, b):
@@ -346,31 +340,6 @@ def test_report_json_schema():
 
 # ---------------------------------------------------------------- one-pass kernel
 
-def _staged_rep_count(p):
-    """rep_count rebuilt from its public stages, one BinaryForm per quadratic:
-    pair_partitions -> proportional_to(rel_tol=DISTINCT_REL) ->
-    dependence_test -> construct_from_triple -> scale, residual."""
-    pf = p.to_float()
-    scale, roots = linear_factors(pf)
-    factors = [BinaryForm.floating(1, r.factor_coeffs()) for r in roots for _ in range(r.multiplicity)]
-    H = H_eval(roots)
-    cube_root = complex(scale) ** (1.0 / 3.0)
-    reps = []
-    for g1, g2, g3 in pair_partitions(factors):
-        if (g1.proportional_to(g2, rel_tol=DISTINCT_REL) or g1.proportional_to(g3, rel_tol=DISTINCT_REL)
-                or g2.proportional_to(g3, rel_tol=DISTINCT_REL)):
-            continue
-        dep = dependence_test(g1, g2, g3)
-        if not dep.dependent:
-            continue
-        base = construct_from_triple(g1, g2, g3, dep.alpha, dep.beta)
-        f1, f2 = base.f1.scale(cube_root), base.f2.scale(cube_root)
-        residual = relative_residual(f1 ** 3 + f2 ** 3, pf)
-        if residual <= FLOAT_TOL:
-            reps.append((f1, f2, residual))
-    return _answer(len(reps), reps, H)
-
-
 def _answer(n, reps, H):
     # repr keeps the sign of zero parts, which == would not compare
     return (
@@ -382,6 +351,11 @@ def _answer(n, reps, H):
 
 def _report_answer(report):
     return _answer(report.N, [(r.f1, r.f2, r.residual) for r in report.reps], report.H)
+
+
+def _staged_answer(p):
+    n, reps, H = staged_rep_count(p)
+    return _answer(n, [(r.f1, r.f2, r.residual) for r in reps], H)
 
 
 def _conditioned_change(rng, cond):
@@ -427,7 +401,7 @@ def test_rep_count_matches_staged_pipeline_bit_for_bit():
     mix = _oracle_mix()
     counts = set()
     for p in mix:
-        want = _outcome(_staged_rep_count, p)
+        want = _outcome(_staged_answer, p)
         got = _outcome(lambda q: _report_answer(rep_count(q)), p)
         assert got == want, p.coeffs
         counts.add(got[0])
@@ -474,15 +448,33 @@ def _compositions(n):
 
 
 def test_pattern_pairings_are_the_pair_partitions_of_every_multiplicity_pattern():
-    # rep_count keys pairs by root index, pair_partitions by coefficients:
-    # on distinct roots, every multiplicity pattern gives the same groupings
+    # decomp.pair_partitions keys pairs by root index, the reference's by
+    # coefficients: on distinct roots, every multiplicity pattern gives the
+    # same groupings
     patterns = list(_compositions(6))
     assert len(patterns) == 32
     for pattern in patterns:
         factors = [ex_lin(1, -(root + 1)) for root, m in enumerate(pattern) for _ in range(m)]
         products = [factors[i] * factors[j] for i, j in decomp._PAIRS]
-        got = [tuple([products[pair] for pair in ids]) for _, ids in decomp._pattern_pairings(pattern)]
+        got = [tuple([products[pair] for pair in ids]) for _, ids in decomp.pair_partitions(pattern)]
         assert got == pair_partitions(factors), pattern
+
+
+def test_the_benchmark_tracer_sees_each_stage_of_rep_count():
+    # perfbench/tracer.py spans rep_count's four stages by name, so each
+    # call through a module global shows in a traced run
+    tracer = _tracer().Tracer(seed=1)
+    tracer.install()
+    try:
+        report = rep_count(Q2_FORM)
+    finally:
+        tracer.uninstall()
+    assert report.N == 6
+    calls = {name: totals[0] for name, totals in tracer.totals().items()}
+    assert calls.get("decomp.pair_partitions", 0) == 1
+    assert calls.get("decomp.H_eval", 0) == 1
+    assert calls.get("decomp.construct_from_triple", 0) == 6
+    assert tracer.outcomes["decomp.dependence_test"] >= 6
 
 
 @pytest.fixture

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from twocubes import exact
 from twocubes.exact import (
     ETA,
     IMAG,
@@ -85,6 +86,16 @@ def test_division_and_inverse():
     assert (v / v) == CycNum.one()
     with pytest.raises(ZeroDivisionError):
         CycNum.zero().inverse()
+
+
+@pytest.mark.parametrize("q", [Fraction(-18), Fraction(7, 3), Fraction(-5, 12), Fraction(1)], ids=str)
+def test_inverse_of_a_rational_element_takes_no_galois_step(q, monkeypatch):
+    calls = []
+    real = exact._conjugate
+    monkeypatch.setattr(exact, "_conjugate", lambda *args: calls.append(args) or real(*args))
+    inv = CycNum.from_rational(q).inverse()
+    assert inv == 1 / q and inv.coeffs == (1 / q,) + (Fraction(0),) * 7
+    assert calls == []
 
 
 @given(st.lists(st.integers(min_value=-9, max_value=9), min_size=8, max_size=8))

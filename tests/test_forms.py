@@ -67,6 +67,13 @@ def test_kernel_scalar_protocol():
     assert FLOAT.is_zero(1e5, [1e5], 3) and not FLOAT.is_zero(1e7, [1e5], 3)
     assert not FLOAT.is_zero(float("nan"), [1.0], 1) and FLOAT.is_zero(0j, [0j], 2)
     assert FLOAT.coerce(F(1, 2)) == 0.5 + 0j and FLOAT.coerce(OMEGA) == OMEGA.to_complex()
+    assert FLOAT.coerce(F(0)) == 0j and FLOAT.coerce(CycNum.zero()) == 0j
+    # a nonzero exact scalar is never promoted to 0.0, and the error does
+    # not print its digits
+    for tiny in (F(1, 10 ** 400), CycNum.from_rational(F(-3, 10 ** 400)), OMEGA * F(1, 10 ** 400)):
+        with pytest.raises(ValueError, match="underflows") as caught:
+            FLOAT.coerce(tiny)
+        assert len(str(caught.value)) < 100
     assert LinearChange(1.0, 0.0, 0.0, 1e-20, FLOAT).det() == 1e-20
     with pytest.raises(ValueError, match="singular"):
         LinearChange(1.0, 0.0, 0.0, 1e-20, FLOAT).check_invertible()
