@@ -27,6 +27,8 @@ chord shares the products x1x2 and y1y2 and the cross term x2y1 - x1y2
 between its denominator and both numerators (ten form products), and a ratio
 of forms is reduced by one exact division when the denominator divides the
 numerator, as on every family chord, or by gcd cancellation otherwise.  The
+two ratios of a form chord share one denominator form, so its lead is
+inverted once for both divisions.  The
 form chord is checked cross-multiplied, on numerators and denominators, so
 the advertised cancellations are verified identities, not floating
 coincidences.
@@ -76,7 +78,7 @@ class RationalFunction:
             if den.degree and num.degree >= den.degree:
                 # division first: when den divides num, as on every family
                 # chord, one division replaces the gcd, a second division
-                # and the lead inverse
+                # and the scaling by the inverse of den's lead
                 try:
                     quot = form_divexact(num, den)
                 except ValueError:

@@ -8,6 +8,14 @@ so equal elements have equal storage and the ring operations run on Python
 ints alone.  That one field houses omega, i, the 8th and 12th roots of unity,
 sqrt2, sqrt3, sqrt(-3), sqrt6, sqrt(-6) and eta, so every exact identity in
 the suite can be checked coefficient-wise without nested radicals.
+
+Polynomials have two products.  `sparse_product` multiplies coefficients of
+any exact ring one scalar product at a time.  `cyclotomic_product` and
+`cyclotomic_cube` multiply forms whose coefficients are ints, Fractions and
+CycNums as one integer convolution in (x, z) over one common denominator,
+reducing by z^8 = z^4 - 1 and normalizing once per output coefficient; this
+module is the only one that knows CycNum's storage, so the layout they work
+on is built here.  `ParamPoly` times a scalar maps its coefficients.
 """
 from __future__ import annotations
 
@@ -330,6 +338,110 @@ def sparse_product(a, b, zero) -> tuple:
     return tuple([zero if c is None else c for c in out])
 
 
+# -- products of forms over Q(zeta24) as one integer convolution ---------------
+#
+# A layout holds a form's coefficients as integer vectors over one common
+# denominator: (den, size, reached, terms), with den the lcm of the
+# coefficients' denominators, size their number, reached the pairs (k, rank)
+# of the nonzero coefficients, rank 0, 1 or 2 for an int, a Fraction or a
+# CycNum, and terms the pairs (_STRIDE*k + e, n) of the nonzero numerators n
+# of z^e in coefficient k, scaled to den.  Two coordinate vectors multiply
+# into z^0..z^14, so a stride of 16 keeps the x-powers of a product apart.
+
+_STRIDE = 16
+_RANKS = {int: 0, Fraction: 1}
+
+
+def cyclotomic_layout(coeffs):
+    """The layout of a form's exact coefficients, or None when one of them is
+    not an int, a Fraction or a CycNum."""
+    parts = []
+    for c in coeffs:
+        t = type(c)
+        if t is CycNum:
+            parts.append((2, c.num, c.den))
+        elif t in _RANKS:
+            p, q = _ratio(c)
+            parts.append((_RANKS[t], (p,), q))
+        else:
+            return None
+    den = math.lcm(*[q for _, _, q in parts])
+    reached, terms = [], []
+    for k, (rank, num, q) in enumerate(parts):
+        if any(num):
+            reached.append((k, rank))
+            s, base = den // q, _STRIDE * k
+            terms += [(base + e, n * s) for e, n in enumerate(num) if n]
+    return den, len(parts), tuple(reached), tuple(terms)
+
+
+def _convolve(a, b):
+    """The slot ranks and the reduced integer coordinates, over the product
+    of the two denominators, of the product of two layouts.  A slot that no
+    pair of nonzero coefficients reaches has rank -1."""
+    size = a[1] + b[1] - 1
+    ranks = [-1] * size
+    for i, r in a[2]:
+        for j, s in b[2]:
+            m = r if r > s else s
+            if m > ranks[i + j]:
+                ranks[i + j] = m
+    acc = [0] * (_STRIDE * size)
+    terms = b[3]
+    for p, x in a[3]:
+        for q, y in terms:
+            acc[p + q] += x * y
+    # z^8 = z^4 - 1 once per slot, highest power first, so that a carry into
+    # z^8..z^10 is reduced in turn
+    for base in range(0, _STRIDE * size, _STRIDE):
+        for d in range(base + 2 * _DEG - 2, base + _DEG - 1, -1):
+            c = acc[d]
+            if c:
+                acc[d - 4] += c
+                acc[d - 8] -= c
+    return ranks, acc
+
+
+def _coefficients(ranks, acc, den: int, zero) -> tuple:
+    """Each slot normalized once, in the type of its rank: a CycNum, a
+    Fraction or an int; a slot of rank -1 holds `zero`."""
+    out = []
+    for k, rank in enumerate(ranks):
+        if rank == 2:
+            base = _STRIDE * k
+            out.append(_normalized(acc[base:base + _DEG], den))
+        elif rank == 1:
+            out.append(Fraction(acc[_STRIDE * k], den))
+        elif rank == 0:  # every factor an int, so den divides exactly
+            out.append(acc[_STRIDE * k] // den)
+        else:
+            out.append(zero)
+    return tuple(out)
+
+
+def cyclotomic_product(a, b, zero) -> tuple:
+    """The coefficients of the product of two forms given by their layouts,
+    as one integer convolution over the product of their denominators.  Each
+    slot equals `sparse_product`'s in value and in type: a CycNum when a
+    CycNum coefficient reaches it, else a Fraction when a Fraction does, else
+    an int; a slot that no product reaches holds `zero`."""
+    ranks, acc = _convolve(a, b)
+    return _coefficients(ranks, acc, a[0] * b[0], zero)
+
+
+def cyclotomic_cube(a, zero) -> tuple:
+    """The coefficients of the cube of a form given by its layout: the
+    square's reduced coordinates, left over the squared denominator and
+    unnormalized, times the form.  A slot is reached, and typed, as in
+    f * (f * f) with no cancellation in the square, which is how the
+    monomial cube of a quadratic reaches and types its slots."""
+    ranks, acc = _convolve(a, a)
+    reached = tuple([(k, r) for k, r in enumerate(ranks) if r >= 0])
+    terms = tuple([(p, c) for p, c in enumerate(acc) if c and p % _STRIDE < _DEG])
+    ranks, acc = _convolve((a[0] * a[0], len(ranks), reached, terms), a)
+    return _coefficients(ranks, acc, a[0] ** 3, zero)
+
+
 def scalar_key(v) -> tuple:
     """A canonical, orderable key of an exact scalar (int, Fraction, CycNum or
     ParamPoly): scalars that compare equal get equal keys, so trailing zero
@@ -429,7 +541,13 @@ class ParamPoly:
             return NotImplemented
         if self._outranks(other):
             return other * self
-        return ParamPoly(self.param, sparse_product(self.coeffs, self._coerce(other).coeffs, 0))
+        if isinstance(other, ParamPoly) and other.param == self.param:
+            return ParamPoly(self.param, sparse_product(self.coeffs, other.coeffs, 0))
+        # a scalar, or a polynomial in a later parameter, maps the coefficients:
+        # the products and the int 0 slots of sparse_product by (other,)
+        if not other:
+            return ParamPoly(self.param, (0,) * len(self.coeffs))
+        return ParamPoly(self.param, tuple([c * other if c else 0 for c in self.coeffs]))
 
     __rmul__ = __mul__
 

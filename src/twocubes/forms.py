@@ -13,8 +13,19 @@ value's `degree` in them, so the test is unchanged when every term is scaled.
 `lift` is the one place a call's kernel is chosen from its inputs: one float
 or complex value makes it FLOAT, else it is EXACT.  `scalar_json` is the
 package's one encoder of a scalar as JSON.
+A product of forms, and the cube of a quadratic, takes one of two paths
+chosen by the coefficient ring.  When the exact factors' coefficients are
+ints, Fractions and CycNums, at least one a CycNum, it is one integer
+convolution over Q(zeta24) (`exact.cyclotomic_product` and
+`exact.cyclotomic_cube`), on a layout built at most once per form and kept
+on it.  Every other product, of float, rational or ParamPoly forms, takes
+one scalar product at a time (`exact.sparse_product`, `_quadratic_cube`).
+Both paths give equal coefficients of equal types.  `form_divexact`
+multiplies by the inverse of the divisor's lead, computed once per divisor
+form.
 Forms are immutable; all operations return new values, so they are safe to
-share across threads.
+share across threads (a cached layout or lead inverse is a pure function of
+the coefficients).
 """
 from __future__ import annotations
 
@@ -22,7 +33,15 @@ import dataclasses
 import math
 from fractions import Fraction
 
-from .exact import CycNum, ParamPoly, binary_power, sparse_product
+from .exact import (
+    CycNum,
+    ParamPoly,
+    binary_power,
+    cyclotomic_cube,
+    cyclotomic_layout,
+    cyclotomic_product,
+    sparse_product,
+)
 
 # The float tolerance policy.  A threshold that more than one module applies
 # is defined here, next to the float kernel; a threshold that one module
@@ -186,6 +205,10 @@ class BinaryForm:
 
     def __mul__(self, other: BinaryForm) -> BinaryForm:
         d = self.degree + other.degree
+        if self.kernel.exact and other.kernel.exact:
+            layouts = _cyclotomic_layouts(self, other)
+            if layouts:
+                return BinaryForm(d, cyclotomic_product(*layouts, EXACT.zero), EXACT)
         return BinaryForm(d, sparse_product(self.coeffs, other.coeffs, self.kernel.zero), self.kernel)
 
     def scale(self, s) -> BinaryForm:
@@ -197,6 +220,10 @@ class BinaryForm:
         if n == 0:
             return BinaryForm(0, (self.kernel.one,), self.kernel)
         if n == 3 and self.degree == 2:
+            if self.kernel.exact:
+                layouts = _cyclotomic_layouts(self)
+                if layouts:
+                    return BinaryForm(6, cyclotomic_cube(*layouts, EXACT.zero), EXACT)
             return BinaryForm(6, _quadratic_cube(*self.coeffs, self.kernel.zero), self.kernel)
         return binary_power(self, n)
 
@@ -220,6 +247,29 @@ class BinaryForm:
             if c:
                 acc = acc + power.scale(c)
         return acc
+
+
+def _cached(form: BinaryForm, name: str, build):
+    """build(form.coeffs), computed at most once per form and kept on it; the
+    dataclass fields, and so equality and hashing, do not see it, and two
+    threads that build it at once store equal values."""
+    try:
+        return form.__dict__[name]
+    except KeyError:
+        value = build(form.coeffs)
+        object.__setattr__(form, name, value)
+        return value
+
+
+def _cyclotomic_layouts(*forms):
+    """The `exact.cyclotomic_layout`s of exact forms whose coefficients are
+    ints, Fractions and CycNums, at least one a CycNum; else None, and the
+    forms multiply through `sparse_product` and `_quadratic_cube`.  A form
+    with no CycNum gets a layout only as the factor of one that has one."""
+    if not any(CycNum in map(type, f.coeffs) for f in forms):
+        return None
+    layouts = [_cached(f, "_layout", cyclotomic_layout) for f in forms]
+    return layouts if all(layouts) else None
 
 
 def _quadratic_cube(a, b, c, zero) -> tuple:
@@ -315,13 +365,13 @@ def _poly_trim(c):
     return c
 
 
-def _long_division(a, b):
+def _long_division(a, b, inv):
     """Quotient and remainder of exact univariate polynomials, coefficients
-    highest power first, b's lead nonzero.  A zero running coefficient adds
-    no quotient term, so such a slot holds `EXACT.zero`."""
+    highest power first, b's lead nonzero and `inv` its inverse.  A zero
+    running coefficient adds no quotient term, so such a slot holds
+    `EXACT.zero`."""
     n = max(len(a) - len(b) + 1, 0)
-    quot, rem, lead = [EXACT.zero] * n, list(a), b[0]
-    inv = EXACT.div(EXACT.one, lead)
+    quot, rem = [EXACT.zero] * n, list(a)
     for i in range(n):
         if not rem[i]:
             continue
@@ -346,7 +396,7 @@ def form_gcd(f: BinaryForm, g: BinaryForm) -> BinaryForm:
     my, a = _dehomogenize(f)
     ny, b = _dehomogenize(g)
     while any(b):
-        a, b = b, _poly_trim(_long_division(a, b)[1])
+        a, b = b, _poly_trim(_long_division(a, b, EXACT.div(EXACT.one, b[0]))[1])
     # re-homogenize: y^ycommon shifts the x-polynomial toward higher k indices
     ycommon = min(my, ny)
     return BinaryForm(len(a) - 1 + ycommon, tuple([EXACT.zero] * ycommon + a), EXACT)
@@ -361,10 +411,16 @@ def form_derivative_x(f: BinaryForm) -> BinaryForm:
     return BinaryForm(f.degree - 1, tuple(out), f.kernel)
 
 
+def _lead_inverse(coeffs):
+    return EXACT.div(EXACT.one, next(c for c in coeffs if c))
+
+
 def form_divexact(f: BinaryForm, g: BinaryForm) -> BinaryForm:
     """The exact quotient f / g; exact kernel only.  A zero g raises
     ZeroDivisionError, a g that leaves a remainder raises ValueError, and a
-    zero f gives the zero form of degree max(deg f - deg g, 0)."""
+    zero f gives the zero form of degree max(deg f - deg g, 0).  The inverse
+    of g's lead is computed once per form g, so divisions by one shared
+    denominator invert it once."""
     kernel = f.kernel
     if not kernel.exact:
         raise TypeError("exact division requires the exact kernel")
@@ -378,7 +434,7 @@ def form_divexact(f: BinaryForm, g: BinaryForm) -> BinaryForm:
         raise ValueError("does not divide (y-multiplicity)")
     if len(b) > len(a):
         raise ValueError("does not divide (degree)")
-    quot, rem = _long_division(a, b)
+    quot, rem = _long_division(a, b, _cached(g, "_lead_inverse", _lead_inverse))
     if any(rem):
         raise ValueError("does not divide (remainder)")
     return BinaryForm(f.degree - g.degree, tuple([kernel.zero] * (my - ny) + quot), kernel)

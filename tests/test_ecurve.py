@@ -390,6 +390,17 @@ def test_chord_on_family_forms_cancels_denominators():
         assert (y3 - f6).is_zero()
 
 
+def test_family_chord_inverts_its_shared_denominator_lead_once(monkeypatch):
+    # both RationalFunctions of the chord divide by one den form, whose lead
+    # inverse is computed once
+    inverse, calls = CycNum.inverse, []
+    monkeypatch.setattr(CycNum, "inverse", lambda self: calls.append(self) or inverse(self))
+    f1, f2, f3, f4, f5, f6 = f_forms(Q(5, 3))
+    x3, y3 = curve_add((f1, f2), (f3, f4), p1_sextic(Q(5, 3)))
+    assert (x3 - f5).is_zero() and (y3 - f6).is_zero()
+    assert len(calls) == 1
+
+
 def test_chord_form_result_reduces_through_rational_functions():
     x_sq = BinaryForm.exact(2, [CycNum.one(), 0, 0])
     y_sq = BinaryForm.exact(2, [0, 0, CycNum.one()])

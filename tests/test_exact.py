@@ -448,6 +448,22 @@ def test_bool_agrees_with_isinstance_dispatch():
             assert (not w) == _isinstance_is_zero(w)
 
 
+def test_parampoly_times_a_scalar_maps_its_coefficients():
+    # an int, Fraction, CycNum or later-parameter ParamPoly on either side:
+    # the products coefficient * scalar of sparse_product, with int 0 slots
+    rng = random.Random(27)
+    for _ in range(300):
+        p = ParamPoly("lam", tuple([_random_scalar(rng) for _ in range(rng.randint(0, 4))]))
+        s = _random_scalar(rng, ("mu",))
+        want = exact.sparse_product(p.coeffs, (s,), 0)
+        for got in ((p * s).coeffs, (s * p).coeffs):
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                assert type(g) is type(w) and g == w
+                if isinstance(w, CycNum):
+                    assert (g.num, g.den) == (w.num, w.den)
+
+
 def test_zero_skipping_products_equal_the_dense_loop():
     rng = random.Random(8)
     for _ in range(150):

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from twocubes.ecurve import RationalFunction
-from twocubes.exact import IMAG, OMEGA, ZETA8, ETA, CycNum, ParamPoly
+from twocubes import forms
+from twocubes.exact import IMAG, OMEGA, ZETA8, ETA, CycNum, ParamPoly, sparse_product
 from twocubes.forms import (
     EXACT,
     FLOAT,
@@ -20,6 +21,7 @@ from twocubes.forms import (
     multiplicity_structure,
     norm2,
     relative_residual,
+    _quadratic_cube,
 )
 from twocubes.roots import linear_factors
 
@@ -408,6 +410,86 @@ def test_exact_quadratic_cube_matches_product(ring, zeros, seed):
     for k, c in enumerate(cube.coeffs):
         if k not in reached:
             assert c is EXACT.zero
+
+
+# -- exact products over Q(zeta24) as one integer convolution ------------------
+
+def _same_slots(got, want):
+    """Slot by slot: the same type and value, a CycNum stored identically,
+    and a slot that no product reaches is EXACT.zero itself."""
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert type(g) is type(w) and g == w, (g, w)
+        if isinstance(w, CycNum):
+            assert (g.num, g.den) == (w.num, w.den)
+        if w is EXACT.zero:
+            assert g is EXACT.zero
+
+
+def _exact_form(rng, ring, zeros):
+    return BinaryForm.exact(len(zeros) - 1, [EXACT.zero if zero else _nonzero(rng, _RINGS[ring]) for zero in zeros])
+
+
+class _LayoutSpy:
+    """Records the coefficients of every layout that forms.cyclotomic_layout
+    builds while the spy is active."""
+
+    def __enter__(self):
+        self.built, self._build = [], forms.cyclotomic_layout
+        forms.cyclotomic_layout = lambda coeffs: self.built.append(coeffs) or self._build(coeffs)
+        return self
+
+    def __exit__(self, *exc):
+        forms.cyclotomic_layout = self._build
+
+
+def _has_cycnum(f):
+    return any(isinstance(c, CycNum) for c in f.coeffs)
+
+
+_ZEROS = st.integers(min_value=0, max_value=6).flatmap(
+    lambda degree: st.lists(st.booleans(), min_size=degree + 1, max_size=degree + 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(_RINGS)), st.sampled_from(sorted(_RINGS)), _ZEROS, _ZEROS,
+       st.integers(min_value=0, max_value=2 ** 32))
+def test_exact_product_and_cube_match_the_scalar_loops(ring_f, ring_g, zeros_f, zeros_g, seed):
+    rng = random.Random(seed)
+    f, g = _exact_form(rng, ring_f, zeros_f), _exact_form(rng, ring_g, zeros_g)
+    with _LayoutSpy() as spy:
+        product = f * g
+        cube = f ** 3 if f.degree == 2 else None
+    assert product.degree == f.degree + g.degree and product.kernel is EXACT
+    _same_slots(product.coeffs, sparse_product(f.coeffs, g.coeffs, EXACT.zero))
+    if cube is not None:
+        assert cube.degree == 6 and cube.kernel is EXACT
+        _same_slots(cube.coeffs, _quadratic_cube(*f.coeffs, EXACT.zero))
+    # a layout is built at most once per form, and only for a product that
+    # has a CycNum coefficient
+    assert len(spy.built) == len({id(c) for c in spy.built}) <= 2
+    if not (_has_cycnum(f) or _has_cycnum(g)):
+        assert spy.built == []
+
+
+def test_exact_products_with_cancelling_slots_keep_their_types():
+    # (x + wy)(x - wy) = x^2 - w^2 y^2: the middle slot is reached and cancels
+    f, g = BinaryForm.exact(1, [1, OMEGA]), BinaryForm.exact(1, [1, -OMEGA])
+    product = f * g
+    _same_slots(product.coeffs, sparse_product(f.coeffs, g.coeffs, EXACT.zero))
+    assert product.coeffs[0] == 1 and type(product.coeffs[0]) is int
+    assert product.coeffs[1] == CycNum.zero() and type(product.coeffs[1]) is CycNum
+    # (x^2 + 2i xy + 2y^2)^2 has a middle slot 2ac + b^2 = 0; the cube still
+    # reaches and types its slots from a, b and c, as the monomial cube does
+    q = BinaryForm.exact(2, [1, 2 * IMAG, F(2)])
+    _same_slots((q ** 3).coeffs, _quadratic_cube(*q.coeffs, EXACT.zero))
+    assert not (q * q).coeffs[2] and type((q * q).coeffs[2]) is CycNum
+
+
+def test_a_form_with_a_cycnum_and_a_parampoly_takes_the_scalar_loops():
+    mixed = BinaryForm.exact(2, [OMEGA, ParamPoly.variable("t"), 1])
+    _same_slots((mixed * mixed).coeffs, sparse_product(mixed.coeffs, mixed.coeffs, EXACT.zero))
+    _same_slots((mixed ** 3).coeffs, _quadratic_cube(*mixed.coeffs, EXACT.zero))
 
 
 class _Counted:
