@@ -22,16 +22,18 @@ no test changes when every input is scaled.  One scalar chord serves both
 kernels.  It runs in projective coordinates (X : Y : Z), Z the lcm of a
 rational point's denominators (else 1), asks `is_zero` whether m(X^3 + Y^3)
 = n Z^3 for A = n/m, and divides with the kernel's `div` once per output
-coordinate.  Form inputs use exact rational-function arithmetic: the form
-chord shares the products x1x2 and y1y2 and the cross term x2y1 - x1y2
-between its denominator and both numerators (ten form products), and a ratio
-of forms is reduced by one exact division when the denominator divides the
-numerator, as on every family chord, or by gcd cancellation otherwise.  The
-two ratios of a form chord share one denominator form, so its lead is
-inverted once for both divisions.  The
-form chord is checked cross-multiplied, on numerators and denominators, so
-the advertised cancellations are verified identities, not floating
-coincidences.
+coordinate.  A form chord runs on the integer layouts of `exact` (forms with
+int, Fraction and CycNum coefficients as integer vectors over one
+denominator), lifted once per input form and kept on it: it shares the
+products x1x2 and y1y2 and the cross term x2y1 - x1y2 between its
+denominator and both numerators (ten layout products), tests every value
+for zero on its integer coordinates, and normalizes only its two outputs.
+The two numerators share one denominator, whose lead is inverted once; a
+numerator that it divides, as on every family chord, reduces by one exact
+layout division, and any other becomes a RationalFunction of two forms,
+reduced by gcd cancellation.  The form chord is checked cross-multiplied,
+on numerators and denominators, so the advertised cancellations are
+verified identities, not floating coincidences.
 """
 from __future__ import annotations
 
@@ -39,8 +41,18 @@ import dataclasses
 import math
 from fractions import Fraction
 
-from .exact import CycNum
-from .forms import EXACT, BinaryForm, form_divexact, form_gcd, lift
+from .exact import (
+    CycNum,
+    layout_coefficients,
+    layout_cube,
+    layout_difference,
+    layout_divexact,
+    layout_is_zero,
+    layout_lead_inverse,
+    layout_product,
+    layout_sum,
+)
+from .forms import EXACT, BinaryForm, form_divexact, form_gcd, form_layout, lift
 
 
 def _const_form(v) -> BinaryForm:
@@ -76,9 +88,9 @@ class RationalFunction:
         else:
             quot = None
             if den.degree and num.degree >= den.degree:
-                # division first: when den divides num, as on every family
-                # chord, one division replaces the gcd, a second division
-                # and the scaling by the inverse of den's lead
+                # division first: when den divides num, one division
+                # replaces the gcd, a second division and the scaling by
+                # the inverse of den's lead
                 try:
                     quot = form_divexact(num, den)
                 except ValueError:
@@ -323,8 +335,10 @@ def curve_add(point1, point2, a):
 
     Scalar points run one projective chord: with A = n/m, a point (X : Y : Z)
     lies on the curve when m(X^3 + Y^3) = n Z^3, as the call's kernel decides.
-    Form points use exact rational-function arithmetic and return plain
-    forms whenever the denominators cancel.  A vanishing chord denominator
+    Form points run on integer layouts over Q(zeta24) and return plain forms
+    whenever the denominators cancel; their coefficients must be ints,
+    Fractions or CycNums, and any other coefficient, a ParamPoly for one,
+    raises TypeError before any arithmetic.  A vanishing chord denominator
     (equal or opposite points; no tangent rule is provided) raises
     ValueError; a form among the five entries needs all five to be forms.
     """
@@ -336,7 +350,10 @@ def curve_add(point1, point2, a):
             raise TypeError("form points need form coordinates and a form right side")
         if not all(v.kernel.exact for v in entries):
             raise TypeError("chord addition on forms requires the exact kernel")
-        return _form_chord(*entries)
+        layouts = [form_layout(v) for v in entries]
+        if any(layout is None for layout in layouts):
+            raise TypeError("chord addition on forms needs int, Fraction or CycNum coefficients")
+        return _form_chord(*layouts)
     (x1, y1, x2, y2, a), kernel = _lifted(entries)
     n, m = (a.numerator, a.denominator) if isinstance(a, Fraction) else (a, 1)
 
@@ -361,43 +378,78 @@ def curve_add(point1, point2, a):
     return x3, y3
 
 
+def _layout_form(layout) -> BinaryForm:
+    return BinaryForm.exact(len(layout[1]) - 1, layout_coefficients(layout, EXACT.zero))
+
+
+def _reduced(num, den, inverse):
+    """The chord coordinate num/den from the layouts of its numerator and
+    its denominator: when den divides num, as on every family chord, the
+    quotient form, by one exact division with `inverse`, the inverse of
+    den's lead (None for a constant den); otherwise the RationalFunction of
+    the two forms, built once each, which reduces them by gcd cancellation."""
+    if inverse is not None and not layout_is_zero(num) and len(num[1]) >= len(den[1]):
+        try:
+            quot = layout_divexact(num, den, inverse, EXACT.zero)
+        except ValueError:
+            pass
+        else:
+            return BinaryForm.exact(len(quot) - 1, quot)
+    ratio = RationalFunction(_layout_form(num), _layout_form(den))
+    return ratio.to_form() if ratio.den.degree == 0 else ratio
+
+
 def _form_chord(x1, y1, x2, y2, a):
-    """Chord addition over exact forms, in ten form products: with the
-    shared products x1x2 and y1y2 and the cross term x2y1 - x1y2,
+    """Chord addition over the layouts of exact forms, in ten layout
+    products: with the shared products x1x2 and y1y2 and the cross term
+    x2y1 - x1y2,
 
         den   = x1x2 (x1 - x2) + y1y2 (y1 - y2),
         num_x = a (x1 - x2) + y1y2 (x2y1 - x1y2),
         num_y = a (y1 - y2) - x1x2 (x2y1 - x1y2).
 
-    The result is checked cross-multiplied, on numerators and denominators."""
+    Every value up to the two coordinates is a layout, tested for zero on
+    its integer coordinates; den's lead is inverted once for both
+    divisions.  The result is checked cross-multiplied, on numerators and
+    denominators."""
     for x, y in ((x1, y1), (x2, y2)):
-        if not (x ** 3 + y ** 3 - a).is_zero():
+        if not layout_is_zero(layout_difference(layout_sum(layout_cube(x), layout_cube(y)), a)):
             raise ValueError("point is not on the curve")
-    xx, yy = x1 * x2, y1 * y2
-    dx, dy = x1 - x2, y1 - y2
-    den = xx * dx + yy * dy
-    if den.is_zero():
+    xx, yy = layout_product(x1, x2), layout_product(y1, y2)
+    dx, dy = layout_difference(x1, x2), layout_difference(y1, y2)
+    den = layout_sum(layout_product(xx, dx), layout_product(yy, dy))
+    if layout_is_zero(den):
         raise ValueError("chord degenerates (coincident or opposite points)")
-    cross = x2 * y1 - x1 * y2
-    x3 = RationalFunction(a * dx + yy * cross, den)
-    y3 = RationalFunction(a * dy - xx * cross, den)
+    cross = layout_difference(layout_product(x2, y1), layout_product(x1, y2))
+    num_x = layout_sum(layout_product(a, dx), layout_product(yy, cross))
+    num_y = layout_difference(layout_product(a, dy), layout_product(xx, cross))
+    inverse = layout_lead_inverse(den) if len(den[1]) > 1 else None
+    x3, y3 = _reduced(num_x, den, inverse), _reduced(num_y, den, inverse)
     # x3^3 + y3^3 = a cleared of denominators; it holds exactly when the
     # terms of each degree cancel, so forms of two degrees are never added.
-    # A denominator of degree 0 is the constant 1 (RationalFunction makes
-    # denominators monic), so it multiplies nothing through.
-    tx, ty, ta = x3.num ** 3, y3.num ** 3, -a
-    if y3.den.degree:
-        cy = y3.den ** 3
-        tx, ta = tx * cy, ta * cy
-    if x3.den.degree:
-        cx = x3.den ** 3
-        ty, ta = ty * cx, ta * cx
+    # A coordinate that is a form has the denominator 1, which multiplies
+    # nothing through.
+    (nx, dx), (ny, dy) = _fraction(x3), _fraction(y3)
+    tx, ty, ta = layout_cube(nx), layout_cube(ny), a
+    if dy is not None:
+        cy = layout_cube(dy)
+        tx, ta = layout_product(tx, cy), layout_product(ta, cy)
+    if dx is not None:
+        cx = layout_cube(dx)
+        ty, ta = layout_product(ty, cx), layout_product(ta, cx)
     parts = {}
-    for t in (tx, ty, ta):
-        parts[t.degree] = parts[t.degree] + t if t.degree in parts else t
-    if not all(part.is_zero() for part in parts.values()):
+    for t, combine in ((tx, layout_sum), (ty, layout_sum), (ta, layout_difference)):
+        size = len(t[1])
+        # a part alone in its degree is zero exactly when its negative is
+        parts[size] = combine(parts[size], t) if size in parts else t
+    if not all(layout_is_zero(part) for part in parts.values()):
         raise ArithmeticError("chord identity failed")
-    return (
-        x3.to_form() if x3.den.degree == 0 else x3,
-        y3.to_form() if y3.den.degree == 0 else y3,
-    )
+    return x3, y3
+
+
+def _fraction(v):
+    """The layouts of a chord coordinate's numerator and of its denominator,
+    None for the denominator of a form."""
+    if isinstance(v, BinaryForm):
+        return form_layout(v), None
+    return form_layout(v.num), form_layout(v.den)

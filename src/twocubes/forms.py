@@ -18,8 +18,9 @@ chosen by the coefficient ring.  When the exact factors' coefficients are
 ints, Fractions and CycNums, at least one a CycNum, it is one integer
 convolution over Q(zeta24) (`exact.cyclotomic_product` and
 `exact.cyclotomic_cube`), on a layout built at most once per form and kept
-on it.  Every other product, of float, rational or ParamPoly forms, takes
-one scalar product at a time (`exact.sparse_product`, `_quadratic_cube`).
+on it (`form_layout`).  Every other product, of float, rational or ParamPoly
+forms, takes one scalar product at a time (`exact.sparse_product`,
+`_quadratic_cube`).
 Both paths give equal coefficients of equal types.  `form_divexact`
 multiplies by the inverse of the divisor's lead, computed once per divisor
 form.
@@ -261,14 +262,20 @@ def _cached(form: BinaryForm, name: str, build):
         return value
 
 
+def form_layout(f: BinaryForm):
+    """The form's `exact.cyclotomic_layout`, built at most once and kept on
+    it; None when a coefficient is not an int, a Fraction or a CycNum."""
+    return _cached(f, "_layout", cyclotomic_layout)
+
+
 def _cyclotomic_layouts(*forms):
-    """The `exact.cyclotomic_layout`s of exact forms whose coefficients are
-    ints, Fractions and CycNums, at least one a CycNum; else None, and the
-    forms multiply through `sparse_product` and `_quadratic_cube`.  A form
-    with no CycNum gets a layout only as the factor of one that has one."""
+    """The layouts of exact forms whose coefficients are ints, Fractions and
+    CycNums, at least one a CycNum; else None, and the forms multiply
+    through `sparse_product` and `_quadratic_cube`.  A form with no CycNum
+    gets a layout only as the factor of one that has one."""
     if not any(CycNum in map(type, f.coeffs) for f in forms):
         return None
-    layouts = [_cached(f, "_layout", cyclotomic_layout) for f in forms]
+    layouts = [form_layout(f) for f in forms]
     return layouts if all(layouts) else None
 
 

@@ -14,7 +14,7 @@ from twocubes.ecurve import (
     eb_forward,
     eb_inverse,
 )
-from twocubes.exact import CycNum, IMAG, OMEGA, SQRT3, SQRTM3
+from twocubes.exact import CycNum, IMAG, OMEGA, SQRT3, SQRTM3, ParamPoly, layout_product, layout_sum
 from twocubes.families import f_forms, p1_sextic
 from twocubes.forms import BinaryForm, ExactKernel, form_divexact, form_gcd
 
@@ -237,12 +237,8 @@ def test_chord_identity_check_raises_when_the_zero_test_fails(monkeypatch):
     # the cross-multiplied check x3.num^3 y3.den^3 + y3.num^3 x3.den^3 = a x3.den^3 y3.den^3
     # sees a chord point doubled, so its residual is 7a x3.den^3 y3.den^3, not zero
     f1, f2, f3, f4, _, _ = f_forms(Q(2))
-
-    class Doubled(RationalFunction):
-        def __init__(self, num, den=None):
-            super().__init__(num.scale(2), den)
-
-    monkeypatch.setattr(ecurve, "RationalFunction", Doubled)
+    reduced = ecurve._reduced
+    monkeypatch.setattr(ecurve, "_reduced", lambda num, den, inverse: reduced(layout_sum(num, num), den, inverse))
     with pytest.raises(ArithmeticError, match="chord identity"):
         curve_add((f1, f2), (f3, f4), p1_sextic(Q(2)))
 
@@ -251,12 +247,8 @@ def test_chord_identity_check_raises_on_terms_of_different_degrees(monkeypatch):
     # a chord point of the wrong degree fails the identity; forms of
     # different degrees are never added, so no degree-mismatch ValueError
     f1, f2, f3, f4, _, _ = f_forms(Q(2))
-
-    class Squared(RationalFunction):
-        def __init__(self, num, den=None):
-            super().__init__(num * num, den)
-
-    monkeypatch.setattr(ecurve, "RationalFunction", Squared)
+    reduced = ecurve._reduced
+    monkeypatch.setattr(ecurve, "_reduced", lambda num, den, inverse: reduced(layout_product(num, num), den, inverse))
     with pytest.raises(ArithmeticError, match="chord identity"):
         curve_add((f1, f2), (f3, f4), p1_sextic(Q(2)))
 
@@ -598,20 +590,23 @@ def test_form_chord_matches_the_gcd_reduced_reference(point1, point2, a):
     assert _typed_forms(curve_add(point1, point2, a)) == want
 
 
+def _count_chord_products(monkeypatch):
+    """The layout products of the form chord, counted as they are formed,
+    and the count at which each coordinate is reduced."""
+    product, reduced, calls, built = ecurve.layout_product, ecurve._reduced, [], []
+    monkeypatch.setattr(ecurve, "layout_product", lambda a, b: calls.append(1) or product(a, b))
+    monkeypatch.setattr(ecurve, "_reduced",
+                        lambda num, den, inverse: built.append(len(calls)) or reduced(num, den, inverse))
+    return calls, built
+
+
 def test_family_form_chord_takes_ten_products_and_no_gcd(monkeypatch):
     f1, f2, f3, f4, _, _ = f_forms(Q(5, 3))
     a = p1_sextic(Q(5, 3))
-    mul, calls, gcds, products = BinaryForm.__mul__, [], [], []
-
-    class Counted(RationalFunction):
-        # both ratios are built once every product of the chord is formed
-        def __init__(self, num, den=None):
-            products.append(len(calls))
-            super().__init__(num, den)
-
-    monkeypatch.setattr(ecurve, "RationalFunction", Counted)
+    gcds = []
+    # both ratios are reduced once every product of the chord is formed
+    calls, products = _count_chord_products(monkeypatch)
     monkeypatch.setattr(ecurve, "form_gcd", lambda f, g: gcds.append(f) or form_gcd(f, g))
-    monkeypatch.setattr(BinaryForm, "__mul__", lambda self, other: calls.append(1) or mul(self, other))
     x3, y3 = curve_add((f1, f2), (f3, f4), a)
     assert gcds == []
     assert len(products) == 2 and products[-1] <= 10
@@ -623,17 +618,19 @@ def test_family_form_chord_check_multiplies_by_no_unit_denominator(monkeypatch):
     # identity check cubes the two quadratics and forms no product
     f1, f2, f3, f4, _, _ = f_forms(Q(5, 3))
     a = p1_sextic(Q(5, 3))
-    mul, calls, built = BinaryForm.__mul__, [], []
-
-    class Counted(RationalFunction):
-        def __init__(self, num, den=None):
-            built.append(len(calls))
-            super().__init__(num, den)
-
-    monkeypatch.setattr(ecurve, "RationalFunction", Counted)
-    monkeypatch.setattr(BinaryForm, "__mul__", lambda self, other: calls.append(1) or mul(self, other))
+    calls, built = _count_chord_products(monkeypatch)
     curve_add((f1, f2), (f3, f4), a)
     assert len(built) == 2 and len(calls) == built[-1]
+
+
+def test_formal_form_chord_is_refused_before_any_arithmetic(monkeypatch):
+    # a ParamPoly coefficient has no integer layout: the chord raises
+    # TypeError, not an ArithmeticError from inside a division
+    lam = ParamPoly.variable("lam")
+    f1, f2, f3, f4, _, _ = f_forms(lam)
+    monkeypatch.setattr(ecurve, "_form_chord", lambda *layouts: pytest.fail("the chord ran"))
+    with pytest.raises(TypeError, match="int, Fraction or CycNum"):
+        curve_add((f1, f2), (f3, f4), p1_sextic(lam))
 
 
 def test_chord_identity_check_covers_denominators_of_positive_degree(monkeypatch):

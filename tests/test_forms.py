@@ -8,7 +8,24 @@ from hypothesis import given, settings, strategies as st
 
 from twocubes.ecurve import RationalFunction
 from twocubes import forms
-from twocubes.exact import IMAG, OMEGA, ZETA8, ETA, CycNum, ParamPoly, sparse_product
+from twocubes.exact import (
+    ETA,
+    IMAG,
+    OMEGA,
+    ZETA8,
+    CycNum,
+    ParamPoly,
+    cyclotomic_layout,
+    layout_coefficients,
+    layout_cube,
+    layout_difference,
+    layout_divexact,
+    layout_is_zero,
+    layout_lead_inverse,
+    layout_product,
+    layout_sum,
+    sparse_product,
+)
 from twocubes.forms import (
     EXACT,
     FLOAT,
@@ -490,6 +507,119 @@ def test_a_form_with_a_cycnum_and_a_parampoly_takes_the_scalar_loops():
     mixed = BinaryForm.exact(2, [OMEGA, ParamPoly.variable("t"), 1])
     _same_slots((mixed * mixed).coeffs, sparse_product(mixed.coeffs, mixed.coeffs, EXACT.zero))
     _same_slots((mixed ** 3).coeffs, _quadratic_cube(*mixed.coeffs, EXACT.zero))
+
+
+# -- layout arithmetic against the scalar loops ---------------------------------
+
+def _layouts(*forms_):
+    """The layouts of the forms, or None when a coefficient is outside
+    int, Fraction and CycNum, which happens only for a ParamPoly ring."""
+    layouts = [cyclotomic_layout(f.coeffs) for f in forms_]
+    if any(layout is None for layout in layouts):
+        assert any(isinstance(c, ParamPoly) for f in forms_ for c in f.coeffs)
+        return None
+    return layouts
+
+
+def _layout_quotient(f, g):
+    lf, lg = _layouts(f, g)
+    return layout_divexact(lf, lg, layout_lead_inverse(lg), EXACT.zero)
+
+
+def _same_division(f, g):
+    """The layout division of f by g returns what form_divexact returns, or
+    raises what it raises, with the same message."""
+    try:
+        want = form_divexact(f, g)
+    except (ValueError, ZeroDivisionError) as exc:
+        with pytest.raises(type(exc)) as got:
+            _layout_quotient(f, g)
+        assert str(got.value) == str(exc)
+        return type(exc)
+    _same_slots(_layout_quotient(f, g), want.coeffs)
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(_RINGS)), st.sampled_from(sorted(_RINGS)), _ZEROS,
+       st.integers(min_value=0, max_value=2 ** 32))
+def test_layout_sum_difference_product_cube_and_zero_test_match_the_scalar_loops(ring_f, ring_g, zeros, seed):
+    rng = random.Random(seed)
+    f, g = _exact_form(rng, ring_f, zeros), _exact_form(rng, ring_g, zeros)
+    layouts = _layouts(f, g)
+    if layouts is None:
+        return
+    lf, lg = layouts
+
+    def coefficients(layout):
+        return layout_coefficients(layout, EXACT.zero)
+
+    _same_slots(coefficients(lf), f.coeffs)
+    _same_slots(coefficients(layout_sum(lf, lg)), (f + g).coeffs)
+    _same_slots(coefficients(layout_difference(lf, lg)), (f - g).coeffs)
+    # every slot cancels, and keeps the type of f - f
+    _same_slots(coefficients(layout_difference(lf, lf)), (f - f).coeffs)
+    _same_slots(coefficients(layout_product(lf, lg)), sparse_product(f.coeffs, g.coeffs, EXACT.zero))
+    if f.degree == 2:
+        _same_slots(coefficients(layout_cube(lf)), _quadratic_cube(*f.coeffs, EXACT.zero))
+    assert layout_is_zero(layout_difference(lf, lf))
+    assert layout_is_zero(lf) == f.is_zero()
+    assert layout_is_zero(layout_sum(lf, lg)) == (f + g).is_zero()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(_RINGS)), st.sampled_from(sorted(_RINGS)), _ZEROS, _ZEROS,
+       st.sampled_from(["divides", "remainder", "zero numerator"]),
+       st.integers(min_value=0, max_value=2 ** 32))
+def test_layout_division_matches_form_divexact(ring_q, ring_g, zeros_q, zeros_g, case, seed):
+    # leading zeros of g are a y-power of the divisor
+    rng = random.Random(seed)
+    q, g = _exact_form(rng, ring_q, zeros_q), _exact_form(rng, ring_g, zeros_g)
+    f = q * g
+    if case == "remainder":
+        f = f + _exact_form(rng, ring_q, [False] * (f.degree + 1))
+    elif case == "zero numerator":
+        f = BinaryForm.zero(f.degree)
+    if _layouts(f, g) is None:
+        return
+    _same_division(f, g)
+
+
+def test_layout_division_matches_form_divexact_on_the_reference_pairs():
+    outcomes = {None: 0, ValueError: 0}
+    for num, den in _division_pairs(2000, 2):
+        outcomes[_same_division(num, den)] += 1
+    assert min(outcomes.values()) >= 400, outcomes
+
+
+def test_layout_division_edge_cases_match_form_divexact():
+    x2y = ex(0, 1, 0)                      # x y
+    cases = [
+        (ex(1, 2, 1).scale(OMEGA), ex(1, 1)),   # divides, CycNum quotient
+        (ex(0, 1, OMEGA), ex(0, 1)),            # y-power divisor of a y-power numerator
+        (ex(0, 0, 1, 1), x2y),                  # divisor y-power within the numerator's
+        (ex(1, 1, 0), x2y),                     # y-multiplicity
+        (ex(1, 0, 1), ex(1, 1)),                # nonzero remainder
+        (ex(1, 1), ex(1, 0, 1)),                # degree
+        (ex(0, 0, 0), ex(1, 1)),                # zero numerator
+        (ex(0), ex(1, 1)),                      # zero numerator of lower degree
+        (ex(1, 2, 1), ex(0, 0)),                # zero divisor
+        # x(x + y) / (x + 0y) with a CycNum 0: the long division subtracts
+        # its products, so x + y takes a CycNum coefficient
+        (ex(1, 1, 0), BinaryForm.exact(1, [F(1), CycNum.zero()])),
+    ]
+    raised = {_same_division(f, g) for f, g in cases}
+    assert raised == {None, ValueError, ZeroDivisionError}
+    assert type(_layout_quotient(*cases[-1])[1]) is CycNum
+
+
+def test_layout_sums_take_the_type_of_a_cycnum_zero():
+    # a CycNum 0 plus a rational is a CycNum, as in BinaryForm's sum
+    f, g = BinaryForm.exact(1, [CycNum.zero(), F(1, 2)]), BinaryForm.exact(1, [F(3), 2])
+    lf, lg = _layouts(f, g)
+    got = layout_coefficients(layout_sum(lf, lg), EXACT.zero)
+    _same_slots(got, (f + g).coeffs)
+    assert type(got[0]) is CycNum and type(got[1]) is Fraction
 
 
 class _Counted:
