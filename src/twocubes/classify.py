@@ -17,7 +17,7 @@ import math
 from .exact import OMEGA
 from .families import f_forms
 from .forms import (EXACT, FLOAT, FLOAT_TOL, NEGLIGIBLE_REL, UNDERFLOW_FLOOR, BinaryForm, LinearChange,
-                    det3, form_compose, lift, relative_residual)
+                    det3, form_compose, lift, projective, relative_residual)
 
 TYPE_PROP_TOL = 1e-8       # proportionality tolerance in arrangement search
 SQUARE_DISC_TOL = 1e-8     # relative discriminant bound for square extraction
@@ -89,18 +89,27 @@ def type_detect(f1: BinaryForm, f2: BinaryForm, f3: BinaryForm,
     split names one candidate at most: alpha_b = s_b w^i alpha_a and
     alpha_d = s_d w^j alpha_c.  An exact kernel takes the twists that hold
     exactly, and the relation proves the sides proportional; a float kernel
-    takes the nearest twists and tests the sides' proportionality."""
+    takes the nearest twists and tests the sides' proportionality.
+
+    When every coefficient is rational, the cube-sum check, the tests for
+    proportional members and the relation's minors run on the four forms
+    times D, the lcm of the coefficients' denominators: integer forms whose
+    cube sums, proportions and relation are those of the inputs up to
+    powers of D, so every T, split and twist, and every refusal, is the
+    same.  Any other coefficient leaves D = 1.  The two sides, and T, come
+    from the forms as given."""
     if any(f.degree != 2 for f in (f1, f2, f3, f4)):
         raise ValueError("four quadratic forms required")
     # one kernel for all four: every form is float when any of them is
     coeffs, kernel = lift([c for f in (f1, f2, f3, f4) for c in f.coeffs])
-    forms = tuple([BinaryForm(2, tuple(coeffs[k:k + 3]), kernel) for k in range(0, 12, 3)])
-    _check_equal_cube_sums(*forms)
-    for i, a in enumerate(forms):
-        for b in forms[i + 1:]:
+    forms = _quadratics(coeffs, kernel)
+    cleared = _quadratics(projective(*coeffs)[:12], kernel)
+    _check_equal_cube_sums(*cleared)
+    for i, a in enumerate(cleared):
+        for b in cleared[i + 1:]:
             if a.proportional_to(b, rel_tol=DEGENERATE_REL):
                 raise ValueError("dishonest family: proportional members")
-    alpha = _relation(forms, kernel)
+    alpha = _relation(cleared, kernel)
     twists = _TWISTS[kernel]
     for split_index, ((a, b, sb), (c, d, sd)) in enumerate(_SPLITS):
         i = _twist(alpha[a], alpha[b], twists[sb], kernel)
@@ -121,6 +130,11 @@ def type_detect(f1: BinaryForm, f2: BinaryForm, f3: BinaryForm,
     raise ArithmeticError(
         "no type arrangement found; honest equal sums always admit one"
     )
+
+
+def _quadratics(coeffs, kernel) -> tuple:
+    """Four quadratic forms from their twelve coefficients."""
+    return tuple([BinaryForm(2, tuple(coeffs[k:k + 3]), kernel) for k in range(0, 12, 3)])
 
 
 def _relation(forms, kernel) -> list:

@@ -18,11 +18,18 @@ makes the call's kernel `forms.FLOAT` and every input complex, and otherwise
 the kernel is `forms.EXACT`.  Every zero test, of an identity or of a
 degeneracy, asks that kernel's one `is_zero`, whose float scale is the
 largest of the terms a value is built from to the value's degree in them, so
-no test changes when every input is scaled.  One scalar chord serves both
-kernels.  It runs in projective coordinates (X : Y : Z), Z the lcm of a
-rational point's denominators (else 1), asks `is_zero` whether m(X^3 + Y^3)
-= n Z^3 for A = n/m, and divides with the kernel's `div` once per output
-coordinate.  A form chord runs on the integer layouts of `exact` (forms with
+no test changes when every input is scaled.  The curve map and the scalar
+chord each run one path for both kernels, in projective coordinates from
+`forms.projective`: rational values become integers over the lcm of their
+denominators, carried along (a and b over d and mu over e in `eb_forward`
+and `curve_third_rep`, the four fk and the 1/2 over d in `eb_inverse`), and
+every other value stays as it is over 1.  So every zero test of a rational
+call runs on ints, each output coordinate is divided once, and a product by
+a cleared denominator of 1 is skipped, so complex, cyclotomic and form
+results are computed as before, bit for bit.  The chord works on points
+(X : Y : Z), asks `is_zero` whether m(X^3 + Y^3) = n Z^3 for A = n/m, and
+divides with the kernel's `div` once per output coordinate.
+A form chord runs on the integer layouts of `exact` (forms with
 int, Fraction and CycNum coefficients as integer vectors over one
 denominator), lifted once per input form and kept on it: it shares the
 products x1x2 and y1y2 and the cross term x2y1 - x1y2 between its
@@ -31,14 +38,14 @@ for zero on its integer coordinates, and normalizes only its two outputs.
 The two numerators share one denominator, whose lead is inverted once; a
 numerator that it divides, as on every family chord, reduces by one exact
 layout division, and any other becomes a RationalFunction of two forms,
-reduced by gcd cancellation.  The form chord is checked cross-multiplied,
+reduced by gcd cancellation alone (the division that failed is not tried
+again).  The form chord is checked cross-multiplied,
 on numerators and denominators, so the advertised cancellations are
 verified identities, not floating coincidences.
 """
 from __future__ import annotations
 
 import dataclasses
-import math
 from fractions import Fraction
 
 from .exact import (
@@ -52,7 +59,7 @@ from .exact import (
     layout_product,
     layout_sum,
 )
-from .forms import EXACT, BinaryForm, form_divexact, form_gcd, form_layout, lift
+from .forms import EXACT, BinaryForm, form_divexact, form_gcd, form_layout, lift, projective
 
 
 def _const_form(v) -> BinaryForm:
@@ -82,37 +89,23 @@ class RationalFunction:
             raise TypeError("rational-function arithmetic requires exact forms")
         if den.is_zero():
             raise ZeroDivisionError("zero denominator form")
-        if num.is_zero():
-            num = BinaryForm.zero(0)
-            den = _const_form(Fraction(1))
+        quot = None
+        if den.degree and num.degree >= den.degree and not num.is_zero():
+            # division first: when den divides num, one division replaces
+            # the gcd, a second division and the scaling by the inverse of
+            # den's lead
+            try:
+                quot = form_divexact(num, den)
+            except ValueError:
+                pass
+        if quot is not None:
+            # the gcd path would leave den/den = lead * lead^-1: the 1 of
+            # the ring of den's lead, the pivot of the division
+            lead = next(c for c in den.coeffs if c)
+            num = quot
+            den = _const_form(CycNum.one() if isinstance(lead, CycNum) else Fraction(1))
         else:
-            quot = None
-            if den.degree and num.degree >= den.degree:
-                # division first: when den divides num, one division
-                # replaces the gcd, a second division and the scaling by
-                # the inverse of den's lead
-                try:
-                    quot = form_divexact(num, den)
-                except ValueError:
-                    pass
-            if quot is not None:
-                # the gcd path would leave den/den = lead * lead^-1: the 1 of
-                # the ring of den's lead, the pivot of the division
-                lead = next(c for c in den.coeffs if c)
-                num = quot
-                den = _const_form(CycNum.one() if isinstance(lead, CycNum) else Fraction(1))
-            else:
-                # a constant form shares no factor of positive degree
-                if num.degree and den.degree:
-                    g = form_gcd(num, den)
-                    if g.degree > 0:
-                        num = form_divexact(num, g)
-                        den = form_divexact(den, g)
-                lead = next(c for c in den.coeffs if c)
-                if lead != 1:
-                    inv = EXACT.inv(lead)
-                    num = num.scale(inv)
-                    den = den.scale(inv)
+            num, den = _cancelled(num, den)
         self.num = num
         self.den = den
 
@@ -162,10 +155,7 @@ class RationalFunction:
     __radd__ = __add__
 
     def __neg__(self):
-        out = object.__new__(RationalFunction)
-        out.num = -self.num
-        out.den = self.den
-        return out
+        return _lowest_terms(-self.num, self.den)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -206,6 +196,33 @@ class RationalFunction:
         if n < 0:
             return self.inverse() ** (-n)
         return RationalFunction(self.num ** n, self.den ** n)
+
+
+def _lowest_terms(num, den) -> RationalFunction:
+    """The RationalFunction num/den of a pair already in lowest terms."""
+    out = object.__new__(RationalFunction)
+    out.num = num
+    out.den = den
+    return out
+
+
+def _cancelled(num, den):
+    """The pair num, den divided by the gcd of the two forms, den made
+    monic; 0 over 1 for a zero num."""
+    if num.is_zero():
+        return BinaryForm.zero(0), _const_form(Fraction(1))
+    # a constant form shares no factor of positive degree
+    if num.degree and den.degree:
+        g = form_gcd(num, den)
+        if g.degree > 0:
+            num = form_divexact(num, g)
+            den = form_divexact(den, g)
+    lead = next(c for c in den.coeffs if c)
+    if lead != 1:
+        inv = EXACT.inv(lead)
+        num = num.scale(inv)
+        den = den.scale(inv)
+    return num, den
 
 
 # --------------------------------------------------------------------------
@@ -250,17 +267,40 @@ def _check_identity(kernel, diff, terms, name: str):
         raise ArithmeticError(f"{name} identity failed")
 
 
+def _scaled(value, k: int):
+    """value * k for an int k; value itself when k is 1, so a value that no
+    denominator was cleared from keeps its bits."""
+    return value if k == 1 else value * k
+
+
+def _divided(num, den):
+    """An output coordinate num/den, divided once: the reduced Fraction of
+    integers, num itself over the int 1, else num / den."""
+    if isinstance(num, int):
+        return Fraction(num, den)
+    if isinstance(den, int) and den == 1:
+        return num
+    return num / den
+
+
 def eb_forward(params: EBParams) -> EBQuadruple:
     """Quadruple (f1..f4) with f1^3 + f2^3 = f3^3 + f4^3, and their sum p."""
     (a, b, mu), kernel = _lifted([params.a, params.b, params.mu])
+    # a = A/d, b = B/d and mu = M/e: every fk is an integer over e d^4
+    a, b, d = projective(a, b)
+    mu, e = projective(mu)
+    d3 = d ** 3
     q = a * a + 3 * (b * b)
-    f1 = mu * (1 - (a - 3 * b) * q)
-    f2 = mu * ((a + 3 * b) * q - 1)
-    f3 = mu * ((a + 3 * b) - q * q)
-    f4 = mu * (q * q - (a - 3 * b))
+    u, v = a - 3 * b, a + 3 * b
+    f1 = mu * _scaled(d3 - u * q, d)
+    f2 = mu * _scaled(v * q - d3, d)
+    f3 = mu * (_scaled(v, d3) - q * q)
+    f4 = mu * (q * q - _scaled(u, d3))
     left = f1 ** 3 + f2 ** 3
     _check_identity(kernel, left - (f3 ** 3 + f4 ** 3), (f1, f2, f3, f4), "equal-sum")
-    return EBQuadruple(f1, f2, f3, f4, left, kernel.is_zero(left, (f1, f2), 3))
+    z = e * d3 * d
+    return EBQuadruple(_divided(f1, z), _divided(f2, z), _divided(f3, z), _divided(f4, z),
+                       _divided(left, z ** 3), kernel.is_zero(left, (f1, f2), 3))
 
 
 def eb_inverse(f1, f2, f3, f4) -> EBParams:
@@ -278,7 +318,8 @@ def eb_inverse(f1, f2, f3, f4) -> EBParams:
             raise TypeError("mixed form and scalar quadruple")
     (f1, f2, f3, f4), kernel = _lifted(values)
 
-    half = Fraction(1, 2)
+    # the 1/2 is cleared with the fk, so every gk is an integer over d^2
+    f1, f2, f3, f4, half, d = projective(f1, f2, f3, f4, Fraction(1, 2))
     g1, g2, g3, g4 = (f1 + f2) * half, (f2 - f1) * half, (f3 + f4) * half, (f4 - f3) * half
     den = g1 * g1 + 3 * (g2 * g2)
     num_a = g1 * g3 + 3 * (g2 * g4)
@@ -286,17 +327,21 @@ def eb_inverse(f1, f2, f3, f4) -> EBParams:
 
     if kernel.is_zero(den, (g1, g2, g3, g4), 2):
         raise ValueError("parameter denominator g1^2 + 3*g2^2 vanishes")
-    a, b = num_a / den, num_b / den
+    a, b = _divided(num_a, den), _divided(num_b, den)
 
-    q = a * a + 3 * (b * b)
-    c = a * q - 1
-    d = 3 * (b * q)
-    c_zero = kernel.is_zero(c, (a, b, 1.0), 3)  # c has the constant term -1
-    d_zero = kernel.is_zero(d, (a, b), 3)
-    if c_zero and d_zero:
+    # c and 3bq over e^3, for a = A/e and b = B/e in lowest terms
+    a_num, b_num, e = projective(a, b)
+    e3 = e ** 3
+    q = a_num * a_num + 3 * (b_num * b_num)
+    c = a_num * q - e3
+    t = 3 * (b_num * q)
+    c_zero = kernel.is_zero(c, (a_num, b_num, e), 3)  # c has the constant term -e^3
+    t_zero = kernel.is_zero(t, (a_num, b_num), 3)
+    if c_zero and t_zero:
         raise ValueError("quadruple is not honest: both pairs share their cubes")
-    mu = g1 / d if not d_zero else g2 / c
-    return EBParams(a, b, mu)
+    # mu = g1 / 3bq, or g2 / c when 3bq vanishes
+    g, h = (g1, t) if not t_zero else (g2, c)
+    return EBParams(a, b, _divided(_scaled(g, e3), _scaled(h, d * d)))
 
 
 def curve_third_rep(params: EBParams):
@@ -307,27 +352,24 @@ def curve_third_rep(params: EBParams):
     in the complex case).
     """
     (a, b, mu), kernel = _lifted([params.a, params.b, params.mu])
+    a, b, d = projective(a, b)
+    mu, e = projective(mu)
+    d3 = d ** 3
     q = a * a + 3 * (b * b)
-    h1 = mu * (1 + 2 * (a * q))
-    h2 = mu * (2 * a + q * q)
+    h1 = mu * _scaled(d3 + 2 * (a * q), d)
+    h2 = mu * (_scaled(2 * a, d3) + q * q)
+    z = e * d3 * d
+    h1, h2 = _divided(h1, z), _divided(h2, z)
     quad = eb_forward(params)
-    diff = (h1 ** 3 - h2 ** 3) - (quad.f1 ** 3 - quad.f4 ** 3)
-    _check_identity(kernel, diff, (h1, h2, quad.f1, quad.f4), "third-representation")
+    x1, x2, x3, x4, _ = projective(h1, h2, quad.f1, quad.f4)
+    diff = (x1 ** 3 - x2 ** 3) - (x3 ** 3 - x4 ** 3)
+    _check_identity(kernel, diff, (x1, x2, x3, x4), "third-representation")
     return h1, h2
 
 
 # --------------------------------------------------------------------------
 # chord addition on X^3 + Y^3 = A
 # --------------------------------------------------------------------------
-
-def _projective(x, y):
-    """(X, Y, Z) with x = X/Z and y = Y/Z: integers over the lcm of the two
-    denominators for a rational point, (x, y, 1) for any other."""
-    if isinstance(x, Fraction) and isinstance(y, Fraction):
-        z = math.lcm(x.denominator, y.denominator)
-        return x.numerator * (z // x.denominator), y.numerator * (z // y.denominator), z
-    return x, y, 1
-
 
 def curve_add(point1, point2, a):
     """Chord addition: the third intersection of the line through two points
@@ -358,7 +400,7 @@ def curve_add(point1, point2, a):
     n, m = (a.numerator, a.denominator) if isinstance(a, Fraction) else (a, 1)
 
     def on_curve(x, y):
-        X, Y, Z = _projective(x, y)
+        X, Y, Z = projective(x, y)
         # measured against the cubes, not their sum: X^3 + Y^3 cancels near
         # the asymptote X = -Y, where |X^3| carries the rounding error
         cubes = (m * X ** 3, m * Y ** 3, n * Z ** 3)
@@ -386,8 +428,9 @@ def _reduced(num, den, inverse):
     """The chord coordinate num/den from the layouts of its numerator and
     its denominator: when den divides num, as on every family chord, the
     quotient form, by one exact division with `inverse`, the inverse of
-    den's lead (None for a constant den); otherwise the RationalFunction of
-    the two forms, built once each, which reduces them by gcd cancellation."""
+    den's lead (None for a constant den); otherwise the two forms, built
+    once each, reduced by gcd cancellation with no second division: a form
+    when den cancels, else their RationalFunction."""
     if inverse is not None and not layout_is_zero(num) and len(num[1]) >= len(den[1]):
         try:
             quot = layout_divexact(num, den, inverse, EXACT.zero)
@@ -395,8 +438,8 @@ def _reduced(num, den, inverse):
             pass
         else:
             return BinaryForm.exact(len(quot) - 1, quot)
-    ratio = RationalFunction(_layout_form(num), _layout_form(den))
-    return ratio.to_form() if ratio.den.degree == 0 else ratio
+    num, den = _cancelled(_layout_form(num), _layout_form(den))
+    return num if den.degree == 0 else _lowest_terms(num, den)
 
 
 def _form_chord(x1, y1, x2, y2, a):

@@ -11,8 +11,10 @@ each kernel's one zero test: exactly zero, or for floats at most `FLOAT_TOL`
 of the scale, the largest of the `terms` the value is built from to the
 value's `degree` in them, so the test is unchanged when every term is scaled.
 `lift` is the one place a call's kernel is chosen from its inputs: one float
-or complex value makes it FLOAT, else it is EXACT.  `scalar_json` is the
-package's one encoder of a scalar as JSON.
+or complex value makes it FLOAT, else it is EXACT.  `projective` clears the
+denominators of a call's rational values once, so the call computes on ints
+and divides only its outputs; any other value passes through over 1.
+`scalar_json` is the package's one encoder of a scalar as JSON.
 A product of forms, and the cube of a quadratic, takes one of two paths
 chosen by the coefficient ring.  When the exact factors' coefficients are
 ints, Fractions and CycNums, at least one a CycNum, it is one integer
@@ -127,6 +129,17 @@ def lift(values) -> tuple[list, object]:
     if any(isinstance(v, (float, complex)) for v in values):
         return [FLOAT.coerce(v) for v in values], FLOAT
     return values, EXACT
+
+
+def projective(*values) -> tuple:
+    """(X1, ..., Xn, Z) with each value Xk/Z: integers over the lcm Z of the
+    denominators when every value is an int or a Fraction, and the values
+    themselves over Z = 1 otherwise."""
+    if all([isinstance(v, (int, Fraction)) for v in values]):
+        dens = [v.denominator for v in values]
+        z = math.lcm(*dens)
+        return (*[v.numerator * (z // q) for v, q in zip(values, dens)], z)
+    return (*values, 1)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -6,7 +6,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+import fraction_reference as reference
 from twocubes import classify
 from twocubes.classify import (
     canonicalize_type,
@@ -18,7 +20,8 @@ from twocubes.classify import (
 )
 from twocubes.decomp import rep_count
 from twocubes.exact import OMEGA, ParamPoly
-from twocubes.families import hirschhorn_family, young_family
+from twocubes.ecurve import EBParams, eb_forward
+from twocubes.families import hirschhorn_family, sandor_family, young_family
 from twocubes.forms import FLOAT, BinaryForm, LinearChange, form_compose
 
 
@@ -269,6 +272,76 @@ def test_type_detect_rejects_proportional_members():
     g1, g2, g3, g4 = reference_family(1.4)
     with pytest.raises(ValueError):
         type_detect(g1, g1.scale(1.0), g3, g4)
+
+
+# type_detect clears the denominators of rational coefficients before its
+# checks and its relation; `fraction_reference.type_detect` runs them on the
+# forms as given.  The tag (T's value and type, the split and the twists) or
+# the failure (type and message) must be the same.
+
+def _same_outcome(forms):
+    try:
+        want = reference.type_detect(*forms)
+    except (ArithmeticError, ValueError) as exc:
+        with pytest.raises(type(exc)) as got:
+            type_detect(*forms)
+        assert type(got.value) is type(exc) and str(got.value) == str(exc)
+        return
+    tag = type_detect(*forms)
+    assert (_typed(tag.T), tag.split, tag.omega_left, tag.omega_right) == \
+        (_typed(want.T), want.split, want.omega_left, want.omega_right)
+    assert repr(tag.T) == repr(want.T)
+
+
+_RATIONAL = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 20))
+_NONZERO = _RATIONAL.filter(bool)
+
+
+@st.composite
+def _rational_family(draw):
+    """A Young, Hirschhorn or Sandor quadruple at a random rational
+    parameter, scaled by a random rational and rearranged, and sometimes
+    with one member perturbed."""
+    kind = draw(st.sampled_from(("young", "hirschhorn", "sandor")))
+    if kind == "sandor":
+        # Sandor's quadruple is built on a rational equal sum of cubes
+        quad = eb_forward(EBParams(draw(_RATIONAL), draw(_NONZERO), draw(_NONZERO)))
+        ws = (quad.f1, quad.f2, quad.f3, quad.f4)
+        assume(ws[0] != ws[2])
+        forms = sandor_family(*ws)[:4]
+    else:
+        forms = (young_family if kind == "young" else hirschhorn_family)(draw(_NONZERO))
+    # rearranged by the moves that keep f1^3 + f2^3 = f3^3 + f4^3: a swap
+    # within either pair, of the two pairs, and (f1, f2, f3, f4) -> (-f3, f2, -f1, f4)
+    scale = draw(_NONZERO)
+    f1, f2, f3, f4 = [f.scale(scale) for f in forms]
+    for move in draw(st.lists(st.integers(0, 3), max_size=4)):
+        f1, f2, f3, f4 = ((f2, f1, f3, f4), (f1, f2, f4, f3), (f3, f4, f1, f2), (-f3, f2, -f1, f4))[move]
+    forms = [f1, f2, f3, f4]
+    if draw(st.booleans()):
+        k, slot = draw(st.integers(0, 3)), draw(st.integers(0, 2))
+        coeffs = list(forms[k].coeffs)
+        coeffs[slot] += draw(_NONZERO)
+        forms[k] = BinaryForm.exact(2, coeffs)
+    return forms
+
+
+@settings(max_examples=150, deadline=None)
+@given(_rational_family())
+def test_type_detect_matches_the_fraction_reference(forms):
+    _same_outcome(forms)
+
+
+@pytest.mark.parametrize("forms", [
+    young_family(), hirschhorn_family(),
+    *[(f1, f2.scale(OMEGA), f3, f4.scale(OMEGA * OMEGA))
+      for f1, f2, f3, f4 in (young_family(), young_family(Fraction(3, 2)), hirschhorn_family(Fraction(-7, 5)))],
+    (young_family(Fraction(5, 3))[0].scale(OMEGA), *young_family(Fraction(5, 3))[1:]),
+], ids=["young formal", "hirschhorn formal", "young formal twisted", "young 3/2 twisted",
+        "hirschhorn -7/5 twisted", "young 5/3, one member times w"])
+def test_type_detect_on_formal_and_cyclotomic_forms_matches_the_fraction_reference(forms):
+    # a ParamPoly or CycNum coefficient leaves every form as it is
+    _same_outcome(forms)
 
 
 # ------------------------------------------------------------ diagonalize

@@ -1,10 +1,13 @@
 """Cube-sum curve parameterization and chord addition."""
 import dataclasses
 import random
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import fraction_reference as reference
 from twocubes import ecurve, forms
 from twocubes.ecurve import (
     EBParams,
@@ -251,6 +254,153 @@ def test_chord_identity_check_raises_on_terms_of_different_degrees(monkeypatch):
     monkeypatch.setattr(ecurve, "_reduced", lambda num, den, inverse: reduced(layout_product(num, num), den, inverse))
     with pytest.raises(ArithmeticError, match="chord identity"):
         curve_add((f1, f2), (f3, f4), p1_sextic(Q(2)))
+
+
+# ---------------------------------------------------------------- curve map against the Fraction reference
+# The curve map clears its denominators once and divides only its outputs;
+# `fraction_reference` keeps the map as it ran on Fractions, reduced at each
+# step.  Rational and complex results must match it in type and repr (so
+# complex ones bit for bit, signed zeros included), cyclotomic ones in value
+# and type, and failures in exception type and message.
+
+def _assert_same(got, want):
+    assert type(got) is type(want)
+    if dataclasses.is_dataclass(want):
+        for field in dataclasses.fields(want):
+            _assert_same(getattr(got, field.name), getattr(want, field.name))
+    elif isinstance(want, tuple):
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            _assert_same(g, w)
+    elif isinstance(want, RationalFunction):
+        assert got.equals(want)
+    else:
+        assert repr(got) == repr(want)
+
+
+def _agrees(call, reference_call, *args):
+    """call(*args) matches reference_call(*args), failures included; the
+    reference's value, or None when it raised."""
+    try:
+        want = reference_call(*args)
+    except (ArithmeticError, ValueError, TypeError) as exc:
+        with pytest.raises(type(exc)) as got:
+            call(*args)
+        assert type(got.value) is type(exc) and str(got.value) == str(exc)
+        return None
+    _assert_same(call(*args), want)
+    return want
+
+
+def _agrees_on_the_curve_map(params):
+    """Forward, third representation and the inverse of the forward
+    quadruple, in turn and in one order and another; the forward quadruple."""
+    quad = _agrees(eb_forward, reference.eb_forward, params)
+    _agrees(curve_third_rep, reference.curve_third_rep, params)
+    if quad is not None:
+        _agrees(eb_inverse, reference.eb_inverse, quad.f1, quad.f2, quad.f3, quad.f4)
+        _agrees(eb_inverse, reference.eb_inverse, quad.f3, quad.f1, quad.f4, quad.f2)
+    return quad
+
+
+_RATIONAL = st.builds(Q, st.integers(-40, 40), st.integers(1, 30))
+
+
+@st.composite
+def _rational_params(draw):
+    """(a, b, mu) with b = 0 and a = 3b or -3b among them, mu of either sign."""
+    a, b, mu = draw(_RATIONAL), draw(_RATIONAL), draw(_RATIONAL)
+    shape = draw(st.sampled_from(("free", "b = 0", "a = 3b", "a = -3b")))
+    if shape == "b = 0":
+        b = Q(0)
+    elif shape != "free":
+        a = 3 * b if shape == "a = 3b" else -3 * b
+    return EBParams(a, b, mu)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_rational_params())
+def test_curve_map_matches_the_fraction_reference(params):
+    _agrees_on_the_curve_map(params)
+    # int parameters are lifted to Fractions
+    if all(v.denominator == 1 for v in (params.a, params.b, params.mu)):
+        _agrees_on_the_curve_map(EBParams(*[int(v) for v in (params.a, params.b, params.mu)]))
+
+
+@st.composite
+def _rational_quadruples(draw):
+    """Four rationals, among them each of eb_inverse's two refusals: two
+    pairs that share their cubes, and f1 = f2 = 0, whose parameter
+    denominator vanishes."""
+    f1, f2, f3, f4 = (draw(_RATIONAL) for _ in range(4))
+    shape = draw(st.sampled_from(("free", "shared cubes", "zero denominator")))
+    if shape == "shared cubes":
+        f3, f4 = f1, f2
+    elif shape == "zero denominator":
+        f1 = f2 = Q(0)
+    return f1, f2, f3, f4
+
+
+@settings(max_examples=150, deadline=None)
+@given(_rational_quadruples())
+def test_eb_inverse_matches_the_fraction_reference_on_rational_quadruples(quadruple):
+    _agrees(eb_inverse, reference.eb_inverse, *quadruple)
+
+
+@pytest.mark.parametrize("quadruple, message", [
+    ((Q(1, 2), Q(3), Q(1, 2), Q(3)), "quadruple is not honest: both pairs share their cubes"),
+    ((Q(0), Q(0), Q(5, 3), Q(-1)), "parameter denominator g1^2 + 3*g2^2 vanishes"),
+], ids=["shared cubes", "zero denominator"])
+def test_eb_inverse_refusals_match_the_fraction_reference(quadruple, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        reference.eb_inverse(*quadruple)
+    assert _agrees(eb_inverse, reference.eb_inverse, *quadruple) is None
+
+
+_COMPLEX = st.complex_numbers(max_magnitude=1e4, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_COMPLEX, _COMPLEX, _COMPLEX, st.lists(_COMPLEX, min_size=4, max_size=4))
+def test_complex_curve_map_is_bit_identical_to_the_fraction_reference(a, b, mu, quadruple):
+    _agrees_on_the_curve_map(EBParams(a, b, mu))
+    _agrees(eb_inverse, reference.eb_inverse, *quadruple)
+
+
+def test_complex_curve_map_keeps_the_signs_of_zero_parts():
+    # parts from {-0, 0, 1, -1}: here a product by 1, or a quotient by
+    # 1 + 0j, flips the sign of a zero part of some result (about one draw
+    # in 60 each), where skipping it keeps the reference's bits
+    rng = random.Random(29)
+    values = [complex(re_part, im_part) for re_part in (-0.0, 0.0, 1.0, -1.0) for im_part in (-0.0, 0.0, 1.0, -1.0)]
+    for _ in range(3000):
+        _agrees_on_the_curve_map(EBParams(*rng.choices(values, k=3)))
+        _agrees(eb_inverse, reference.eb_inverse, *rng.choices(values, k=4))
+
+
+_UNITS = (CycNum.one(), OMEGA, IMAG, SQRT3, SQRTM3, CycNum.zeta())
+
+
+@st.composite
+def _cyclotomic(draw):
+    units = draw(st.lists(st.sampled_from(_UNITS), min_size=1, max_size=2, unique=True))
+    return sum((u * draw(_RATIONAL) for u in units), CycNum.zero())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.one_of(_cyclotomic(), _RATIONAL), min_size=3, max_size=3))
+def test_cyclotomic_curve_map_matches_the_fraction_reference(values):
+    # Fractions mixed with CycNums included: those take the path over 1
+    _agrees_on_the_curve_map(EBParams(*values))
+
+
+@pytest.mark.parametrize("lam", [Q(5, 7), Q(-3, 4)], ids=str)
+def test_form_curve_map_matches_the_fraction_reference(lam):
+    f1, f2, f3, f4, f5, f6 = f_forms(lam)
+    params = _agrees(eb_inverse, reference.eb_inverse, f6, -f4, f3, -f5)
+    _agrees(eb_forward, reference.eb_forward, params)
+    # a form parameter with rational ones
+    _agrees_on_the_curve_map(EBParams(Q(1, 3), lam, f1))
 
 
 # ---------------------------------------------------------------- chord addition
@@ -500,9 +650,13 @@ def test_floating_chord_rejects_a_nan_as_off_the_curve(point1, a):
 
 
 def test_projective_point_uses_the_lcm_of_the_denominators():
-    assert ecurve._projective(Q(-37, 6), Q(23, 4)) == (-74, 69, 12)
-    assert ecurve._projective(Q(3), Q(5, 7)) == (21, 5, 7)
-    assert ecurve._projective(OMEGA, Q(1, 2)) == (OMEGA, Q(1, 2), 1)
+    assert forms.projective(Q(-37, 6), Q(23, 4)) == (-74, 69, 12)
+    assert forms.projective(Q(3), Q(5, 7)) == (21, 5, 7)
+    assert forms.projective(OMEGA, Q(1, 2)) == (OMEGA, Q(1, 2), 1)
+    # any number of values, ints among them; the numerators are ints
+    got = forms.projective(Q(1, 4), -3, Q(5, 6), Q(1, 2))
+    assert got == (3, -36, 10, 6, 12) and all(type(v) is int for v in got)
+    assert forms.projective(1.5, Q(1, 2)) == (1.5, Q(1, 2), 1)
 
 
 # The form chord as it was computed before the shared products: eighteen
@@ -641,13 +795,25 @@ def test_chord_identity_check_covers_denominators_of_positive_degree(monkeypatch
     x3, y3 = curve_add(point1, point2, a)
     assert x3.den.degree > 0 and y3.den.degree > 0
 
-    class Doubled(RationalFunction):
-        def __init__(self, num, den=None):
-            super().__init__(num.scale(2), den)
-
-    monkeypatch.setattr(ecurve, "RationalFunction", Doubled)
+    # the chord reduces such a ratio by its gcd alone
+    cancelled = ecurve._cancelled
+    monkeypatch.setattr(ecurve, "_cancelled", lambda num, den: cancelled(num.scale(2), den))
     with pytest.raises(ArithmeticError, match="chord identity"):
         curve_add(point1, point2, a)
+
+
+def test_non_dividing_form_chord_divides_by_no_denominator_twice(monkeypatch):
+    # (f1, f2) + (f4, f3): den (degree 6) divides neither numerator (degree
+    # 8); after the layout division refuses them, each ratio is reduced by
+    # its gcd, and the only form divisions are by the gcds
+    f1, f2, f3, f4, _, _ = f_forms(Q(5, 3))
+    gcds, divisors = [], []
+    monkeypatch.setattr(ecurve, "form_gcd", lambda f, g: gcds.append(form_gcd(f, g)) or gcds[-1])
+    monkeypatch.setattr(ecurve, "form_divexact", lambda f, g: divisors.append(g) or form_divexact(f, g))
+    x3, y3 = curve_add((f1, f2), (f4, f3), p1_sextic(Q(5, 3)))
+    assert isinstance(x3, RationalFunction) and isinstance(y3, RationalFunction)
+    assert len(gcds) == 2 and len(divisors) == 4
+    assert all(any(g is h for h in gcds) for g in divisors)
 
 
 def test_chord_rejects_mixed_form_and_scalar():
