@@ -29,12 +29,13 @@ a cleared denominator of 1 is skipped, so complex, cyclotomic and form
 results are computed as before, bit for bit.  The chord works on points
 (X : Y : Z), asks `is_zero` whether m(X^3 + Y^3) = n Z^3 for A = n/m, and
 divides with the kernel's `div` once per output coordinate.
-A form chord runs on the integer layouts of `exact` (forms with
-int, Fraction and CycNum coefficients as integer vectors over one
-denominator), lifted once per input form and kept on it: it shares the
-products x1x2 and y1y2 and the cross term x2y1 - x1y2 between its
-denominator and both numerators (ten layout products), tests every value
-for zero on its integer coordinates, and normalizes only its two outputs.
+A form chord runs on the integer layouts of `exact` (forms with int,
+Fraction and CycNum coefficients as integer vectors over one denominator,
+read only through `exact.layout_*`), lifted once per input form and kept on
+it: it shares the products x1x2 and y1y2 and the cross term x2y1 - x1y2
+between its denominator and both numerators (ten layout products), tests
+every value for zero on its integer coordinates, and normalizes only its
+two outputs.
 The two numerators share one denominator, whose lead is inverted once; a
 numerator that it divides, as on every family chord, reduces by one exact
 layout division, and any other becomes a RationalFunction of two forms,
@@ -52,6 +53,7 @@ from .exact import (
     CycNum,
     layout_coefficients,
     layout_cube,
+    layout_degree,
     layout_difference,
     layout_divexact,
     layout_is_zero,
@@ -421,7 +423,7 @@ def curve_add(point1, point2, a):
 
 
 def _layout_form(layout) -> BinaryForm:
-    return BinaryForm.exact(len(layout[1]) - 1, layout_coefficients(layout, EXACT.zero))
+    return BinaryForm.exact(layout_degree(layout), layout_coefficients(layout, EXACT.zero))
 
 
 def _reduced(num, den, inverse):
@@ -431,7 +433,7 @@ def _reduced(num, den, inverse):
     den's lead (None for a constant den); otherwise the two forms, built
     once each, reduced by gcd cancellation with no second division: a form
     when den cancels, else their RationalFunction."""
-    if inverse is not None and not layout_is_zero(num) and len(num[1]) >= len(den[1]):
+    if inverse is not None and not layout_is_zero(num) and layout_degree(num) >= layout_degree(den):
         try:
             quot = layout_divexact(num, den, inverse, EXACT.zero)
         except ValueError:
@@ -466,7 +468,7 @@ def _form_chord(x1, y1, x2, y2, a):
     cross = layout_difference(layout_product(x2, y1), layout_product(x1, y2))
     num_x = layout_sum(layout_product(a, dx), layout_product(yy, cross))
     num_y = layout_difference(layout_product(a, dy), layout_product(xx, cross))
-    inverse = layout_lead_inverse(den) if len(den[1]) > 1 else None
+    inverse = layout_lead_inverse(den) if layout_degree(den) > 0 else None
     x3, y3 = _reduced(num_x, den, inverse), _reduced(num_y, den, inverse)
     # x3^3 + y3^3 = a cleared of denominators; it holds exactly when the
     # terms of each degree cancel, so forms of two degrees are never added.
@@ -482,9 +484,9 @@ def _form_chord(x1, y1, x2, y2, a):
         ty, ta = layout_product(ty, cx), layout_product(ta, cx)
     parts = {}
     for t, combine in ((tx, layout_sum), (ty, layout_sum), (ta, layout_difference)):
-        size = len(t[1])
+        degree = layout_degree(t)
         # a part alone in its degree is zero exactly when its negative is
-        parts[size] = combine(parts[size], t) if size in parts else t
+        parts[degree] = combine(parts[degree], t) if degree in parts else t
     if not all(layout_is_zero(part) for part in parts.values()):
         raise ArithmeticError("chord identity failed")
     return x3, y3

@@ -15,10 +15,11 @@ any exact ring one scalar product at a time.  `cyclotomic_product` and
 CycNums as one integer convolution in (x, z) over one common denominator,
 reducing by z^8 = z^4 - 1 and normalizing once per output coefficient; this
 module is the only one that knows CycNum's storage, so the layout they work
-on is built here.  The same layout carries sums, differences, products,
-cubes, zero tests and exact division of such forms (`layout_*`), so that a
-computation normalizes only what it returns.  `ParamPoly` times a scalar
-maps its coefficients.
+on is built, read and sized here.  The same layout carries sums,
+differences, products, cubes, zero tests and exact division of such forms
+(`layout_*`), so that a computation normalizes only what it returns, and
+types each returned coefficient by its value: 0, a rational or a CycNum.
+`ParamPoly` times a scalar maps its coefficients.
 """
 from __future__ import annotations
 
@@ -347,27 +348,21 @@ def sparse_product(a, b, zero) -> tuple:
 # -- forms over Q(zeta24) as integer layouts -----------------------------------
 #
 # A layout holds a form's coefficients as integer vectors over one common
-# denominator: (den, ranks, reached, terms), with den a positive common
-# denominator of the coefficients, ranks the rank of every coefficient, zero
-# or not, 0, 1 or 2 for an int, a Fraction or a CycNum, reached the pairs
-# (k, rank) of the nonzero coefficients in order, and terms the pairs
-# (_STRIDE*k + e, n) of the nonzero numerators n of z^e in coefficient k,
-# scaled to den.  Two coordinate vectors multiply into z^0..z^14, so a stride
-# of 16 keeps the x-powers of a product apart.
+# denominator: (den, size, terms), with den a positive common denominator of
+# the coefficients, size their count, and terms the pairs (_STRIDE*k + e, n)
+# of the nonzero numerators n of z^e in coefficient k, scaled to den.  Two
+# coordinate vectors multiply into z^0..z^14, so a stride of 16 keeps the
+# x-powers of a product apart.
 #
 # Sums, differences, products and cubes of layouts are layouts again, made
 # with no CycNum and no gcd of a coefficient's coordinates, and a layout is
 # zero exactly when it has no terms, since 1, z, ..., z^7 is a basis and den
-# is positive.  A slot's rank
-# is the type the scalar loops of `forms.BinaryForm` give it: the larger rank
-# of a sum, the largest rank of the nonzero pairs that reach a product slot,
-# and 1 for a product slot that none reaches, which holds the exact kernel's
-# zero, a Fraction.  Only `layout_coefficients` and `layout_divexact`
-# normalize, once per output coefficient.
+# is positive.  Every coefficient returned from a layout leaves through
+# `_coefficients`, normalized once and typed by its value: the exact
+# kernel's zero itself for 0, a reduced Fraction for a rational, and a
+# gcd-normalized CycNum for any other value.
 
 _STRIDE = 16
-_RANKS = {int: 0, Fraction: 1}
-_UNREACHED = 1
 
 
 def cyclotomic_layout(coeffs):
@@ -377,20 +372,17 @@ def cyclotomic_layout(coeffs):
     for c in coeffs:
         t = type(c)
         if t is CycNum:
-            parts.append((2, c.num, c.den))
-        elif t in _RANKS:
-            p, q = _ratio(c)
-            parts.append((_RANKS[t], (p,), q))
+            parts.append((c.num, c.den))
+        elif t in _RATIONALS:
+            parts.append(((c.numerator,), c.denominator))
         else:
             return None
-    den = math.lcm(*[q for _, _, q in parts])
-    reached, terms = [], []
-    for k, (rank, num, q) in enumerate(parts):
-        if any(num):
-            reached.append((k, rank))
-            s, base = den // q, _STRIDE * k
-            terms += [(base + e, n * s) for e, n in enumerate(num) if n]
-    return den, tuple([rank for rank, _, _ in parts]), tuple(reached), tuple(terms)
+    den = math.lcm(*[q for _, q in parts])
+    terms = []
+    for k, (num, q) in enumerate(parts):
+        s, base = den // q, _STRIDE * k
+        terms += [(base + e, n * s) for e, n in enumerate(num) if n]
+    return den, len(parts), tuple(terms)
 
 
 @functools.lru_cache(maxsize=None)
@@ -418,23 +410,16 @@ def _reduce(acc: list, size: int) -> list:
     return acc
 
 
-def _convolve(a, b):
-    """The slot ranks and the reduced integer coordinates, over the product
-    of the two denominators, of the product of two layouts.  A slot that no
-    pair of reached coefficients reaches has rank -1."""
-    size = len(a[1]) + len(b[1]) - 1
-    ranks = [-1] * size
-    for i, r in a[2]:
-        for j, s in b[2]:
-            m = r if r > s else s
-            if m > ranks[i + j]:
-                ranks[i + j] = m
+def _convolve(a, b) -> list:
+    """The reduced integer coordinates, over the product of the two
+    denominators, of the product of two layouts."""
+    size = a[1] + b[1] - 1
     acc = [0] * (_STRIDE * size)
-    terms = b[3]
-    for p, x in a[3]:
+    terms = b[2]
+    for p, x in a[2]:
         for q, y in terms:
             acc[p + q] += x * y
-    return ranks, _reduce(acc, size)
+    return _reduce(acc, size)
 
 
 def _terms(acc: list) -> tuple:
@@ -442,87 +427,59 @@ def _terms(acc: list) -> tuple:
     return tuple([(p, acc[p]) for p in compress(range(len(acc)), acc)])
 
 
-def _cube(a):
-    """`_convolve` of the cube of a layout: the square's reduced coordinates,
-    left over the squared denominator, times the layout.  A slot is reached,
-    and typed, as in f * (f * f) with no cancellation in the square, which is
-    how the monomial cube of a quadratic reaches and types its slots."""
-    ranks, acc = _convolve(a, a)
-    reached = tuple([(k, r) for k, r in enumerate(ranks) if r >= 0])
-    return _convolve((a[0] * a[0], ranks, reached, _terms(acc)), a)
-
-
-def _layout(den: int, ranks, acc: list):
-    """The layout of reduced coordinates over den; a slot of rank -1 takes
-    the rank of the exact kernel's zero."""
-    terms = _terms(acc)
-    reached = tuple([(k, ranks[k]) for k in sorted({p // _STRIDE for p, _ in terms})])
-    return den, tuple([_UNREACHED if r < 0 else r for r in ranks]), reached, terms
-
-
-def _coefficients(ranks, acc: list, den: int, zero) -> tuple:
-    """Each slot normalized once, in the type of its rank: a CycNum, a
-    Fraction or an int; a Fraction 0, and a slot of rank -1, hold `zero`."""
+def _coefficients(acc: list, den: int, zero) -> tuple:
+    """The coefficients of reduced coordinates over den, each normalized once
+    and typed by its value: `zero` itself for 0, a reduced Fraction for a
+    rational, else a gcd-normalized CycNum."""
     out = []
-    for k, rank in enumerate(ranks):
-        base = _STRIDE * k
-        if rank == 2:
-            out.append(_normalized(acc[base:base + _DEG], den))
-        elif rank == 1 and acc[base]:
-            out.append(Fraction(acc[base], den))
-        elif rank == 0:  # every term an int, so den divides exactly
-            out.append(acc[base] // den)
+    for base in range(0, len(acc), _STRIDE):
+        num = acc[base:base + _DEG]
+        if any(num[1:]):
+            out.append(_normalized(num, den))
         else:
-            out.append(zero)
+            out.append(Fraction(num[0], den) if num[0] else zero)
     return tuple(out)
 
 
 def cyclotomic_product(a, b, zero) -> tuple:
     """The coefficients of the product of two forms given by their layouts,
-    as one integer convolution over the product of their denominators.  Each
-    slot equals `sparse_product`'s in value and in type: a CycNum when a
-    CycNum coefficient reaches it, else a Fraction when a Fraction does, else
-    an int; a slot that no product reaches holds `zero`."""
-    ranks, acc = _convolve(a, b)
-    return _coefficients(ranks, acc, a[0] * b[0], zero)
+    as one integer convolution over the product of their denominators."""
+    return _coefficients(_convolve(a, b), a[0] * b[0], zero)
 
 
 def cyclotomic_cube(a, zero) -> tuple:
-    """The coefficients of the cube of a form given by its layout, reached
-    and typed as `_cube` says."""
-    ranks, acc = _cube(a)
-    return _coefficients(ranks, acc, a[0] ** 3, zero)
+    """The coefficients of the cube of a form given by its layout: the
+    square's layout times the form."""
+    return cyclotomic_product(layout_product(a, a), a, zero)
 
 
 def layout_product(a, b):
     """The layout of the product of two layouts."""
-    ranks, acc = _convolve(a, b)
-    return _layout(a[0] * b[0], ranks, acc)
+    return a[0] * b[0], a[1] + b[1] - 1, _terms(_convolve(a, b))
 
 
 def layout_cube(a):
-    """The layout of the cube of a layout, reached and typed as `_cube` says."""
-    ranks, acc = _cube(a)
-    return _layout(a[0] ** 3, ranks, acc)
+    """The layout of the cube of a layout: the square's layout times it."""
+    return layout_product(layout_product(a, a), a)
 
 
 def _combined(a, b, sign: int):
     """The layout of a + sign*b for sign = +1 or -1, over the lcm of the two
     denominators; ValueError for forms of two degrees, as BinaryForm's sum."""
-    size = len(a[1])
-    if len(b[1]) != size:
-        raise ValueError(f"degree mismatch: {size - 1} vs {len(b[1]) - 1}")
+    size = a[1]
+    if b[1] != size:
+        raise ValueError(f"degree mismatch: {size - 1} vs {b[1] - 1}")
     if a[0] == b[0]:
         den, fa, fb = a[0], 1, sign
     else:
         den = math.lcm(a[0], b[0])
         fa, fb = den // a[0], sign * (den // b[0])
     acc = [0] * (_STRIDE * size)
-    for p, x in a[3]:
+    for p, x in a[2]:
         acc[p] = x * fa
-    for p, y in b[3]:
+    for p, y in b[2]:
         acc[p] += y * fb
-    return _layout(den, [r if r > s else s for r, s in zip(a[1], b[1])], acc)
+    return den, size, _terms(acc)
 
 
 def layout_sum(a, b):
@@ -537,77 +494,69 @@ def layout_difference(a, b):
 
 def layout_is_zero(a) -> bool:
     """True when every reduced coordinate of the layout is 0."""
-    return not a[3]
+    return not a[2]
+
+
+def layout_degree(a) -> int:
+    """The degree of the form a layout holds."""
+    return a[1] - 1
 
 
 def layout_coefficients(a, zero) -> tuple:
-    """The coefficients of a layout, each normalized once in the type of its
-    rank; a Fraction 0 is `zero` itself."""
-    acc = [0] * (_STRIDE * len(a[1]))
-    for p, n in a[3]:
+    """The coefficients of a layout, each normalized once and typed by its
+    value as `_coefficients` says."""
+    acc = [0] * (_STRIDE * a[1])
+    for p, n in a[2]:
         acc[p] = n
-    return _coefficients(a[1], acc, a[0], zero)
+    return _coefficients(acc, a[0], zero)
 
 
 def _vectors(a, first: int, count: int) -> list:
     """The coordinate vectors of slots first .. first+count-1 of a layout."""
     out = [[0] * _DEG for _ in range(count)]
     low, high = _STRIDE * first, _STRIDE * (first + count)
-    for p, n in a[3]:
+    for p, n in a[2]:
         if low <= p < high:
             out[(p - low) // _STRIDE][p % _STRIDE] = n
     return out
 
 
-def layout_lead_inverse(b):
-    """(rank, numerators, denominator) of the inverse of a layout's first
-    nonzero coefficient, as the exact kernel inverts it: a CycNum lead by its
-    field inverse, rank 2, and a rational lead as Fraction(1) / lead, rank 1.
+def layout_lead_inverse(b) -> CycNum:
+    """The field inverse of a layout's first nonzero coefficient;
     ZeroDivisionError for the zero layout."""
-    if not b[3]:
+    if not b[2]:
         raise ZeroDivisionError("division by the zero form")
-    k, rank = b[2][0]
-    lead = _vectors(b, k, 1)[0]
-    if rank == 2:
-        inv = _normalized(lead, b[0]).inverse()
-        return 2, inv.num, inv.den
-    p = lead[0]
-    return 1, (b[0] if p > 0 else -b[0],) + (0,) * (_DEG - 1), abs(p)
+    lead = _vectors(b, b[2][0][0] // _STRIDE, 1)[0]
+    return _normalized(lead, b[0]).inverse()
 
 
 def layout_divexact(a, b, inverse, zero) -> tuple:
     """The coefficients of the exact quotient a / b of two layouts, equal in
-    value and in type to `forms.form_divexact`'s: `inverse` is
-    `layout_lead_inverse(b)`, the quotient's terms are those of the long
-    division of a by b, each normalized once, and a nonzero a - q*b, found
-    by one more convolution, raises ValueError, as a remainder does; a zero
-    a gives the zero form of degree max(deg a - deg b, 0).  A quotient slot
-    that the division skips, and each slot of a y-power the quotient takes
-    from a, holds `zero`."""
-    if not b[3]:
+    value to `forms.form_divexact`'s: `inverse` is `layout_lead_inverse(b)`,
+    the quotient's terms are those of the long division of a by b, and a
+    nonzero a - q*b, found by one more convolution, raises ValueError, as a
+    remainder does; a zero a gives the zero form of degree
+    max(deg a - deg b, 0)."""
+    if not b[2]:
         raise ZeroDivisionError("division by the zero form")
-    size_a, size_b = len(a[1]), len(b[1])
-    if not a[3]:
-        return (zero,) * max(size_a - size_b + 1, 1)
-    my, ny = a[2][0][0], b[2][0][0]
+    if not a[2]:
+        return (zero,) * max(a[1] - b[1] + 1, 1)
+    # the first term of a nonzero layout lies in its first nonzero slot
+    my, ny = a[2][0][0] // _STRIDE, b[2][0][0] // _STRIDE
     if ny > my:
         raise ValueError("does not divide (y-multiplicity)")
-    la, lb = size_a - my, size_b - ny
+    la, lb = a[1] - my, b[1] - ny
     if lb > la:
         raise ValueError("does not divide (degree)")
     n = la - lb + 1
-    inv_rank, inv, inv_den = inverse
     rems, divisor = _vectors(a, my, n), _vectors(b, ny, min(n, lb))
-    ranks, b_ranks = list(a[1][my:my + n]), b[1][ny:]
     quot = []
-    # quotient term i is (a_i - sum_k q_k b_(i-k)) / lead, as in the long
-    # division; the type of a running coefficient is the largest rank that
-    # the long division's products c * b_j, zero b_j included, bring to it
+    # quotient term i is (a_i - sum_k q_k b_(i-k)) / lead, as in the long division
     for i in range(n):
         rem, den = rems[i], a[0]
         for k in range(max(0, i - lb + 1), i):
             q = quot[k]
-            if q is None or not any(divisor[i - k]):
+            if q is _ZERO or not any(divisor[i - k]):
                 continue
             term, term_den = _mul_vec(q.num, divisor[i - k]), q.den * b[0]
             if term_den == den:
@@ -615,30 +564,19 @@ def layout_divexact(a, b, inverse, zero) -> tuple:
             else:
                 rem = [x * term_den - y * den for x, y in zip(rem, term)]
                 den *= term_den
-        if not any(rem):
-            quot.append(None)
-            continue
-        quot.append(_normalized(_mul_vec(rem, inv), den * inv_den))
-        rank = max(ranks[i], inv_rank)
-        ranks[i] = rank
-        for j in range(1, min(lb, n - i)):
-            ranks[i + j] = max(ranks[i + j], rank, b_ranks[j])
-    out = [zero] * (my - ny)
-    for q, rank in zip(quot, ranks):
-        if q is None:
-            out.append(zero)
+        if any(rem):
+            quot.append(_normalized(_mul_vec(rem, inverse.num), den * inverse.den))
         else:
-            out.append(q if rank == 2 else Fraction(q.num[0], q.den))
-    out = tuple(out)
+            quot.append(_ZERO)
     # a - q*b = 0, compared over the product of the two denominators
-    q = cyclotomic_layout(out)
-    _, acc = _convolve(q, b)
+    q = cyclotomic_layout([_ZERO] * (my - ny) + quot)
+    acc = _convolve(q, b)
     qb_den = q[0] * b[0]
-    for p, x in a[3]:
+    for p, x in a[2]:
         acc[p] = acc[p] * a[0] - x * qb_den
     if any(acc):
         raise ValueError("does not divide (remainder)")
-    return out
+    return layout_coefficients(q, zero)
 
 
 def scalar_key(v) -> tuple:

@@ -23,9 +23,9 @@ convolution over Q(zeta24) (`exact.cyclotomic_product` and
 on it (`form_layout`).  Every other product, of float, rational or ParamPoly
 forms, takes one scalar product at a time (`exact.sparse_product`,
 `_quadratic_cube`).
-Both paths give equal coefficients of equal types.  `form_divexact`
-multiplies by the inverse of the divisor's lead, computed once per divisor
-form.
+Both paths give equal coefficients; the convolution's are typed by value
+(`EXACT.zero` itself, a Fraction or a CycNum).  `form_divexact` multiplies
+by the inverse of the divisor's lead, computed once per divisor form.
 Forms are immutable; all operations return new values, so they are safe to
 share across threads (a cached layout or lead inverse is a pure function of
 the coefficients).

@@ -42,6 +42,8 @@ from twocubes.forms import (
 )
 from twocubes.roots import linear_factors
 
+from typing_rule import off_rule
+
 F = Fraction
 
 
@@ -443,6 +445,18 @@ def _same_slots(got, want):
             assert g is EXACT.zero
 
 
+def _same_values(got, want):
+    """Slot by slot: the values of the scalar loops, a CycNum of theirs stored
+    identically when the layout path also gives a CycNum, each typed by its
+    value."""
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g == w, (g, w)
+        if isinstance(g, CycNum) and isinstance(w, CycNum):
+            assert (g.num, g.den) == (w.num, w.den)
+    assert off_rule(got) == []
+
+
 def _exact_form(rng, ring, zeros):
     return BinaryForm.exact(len(zeros) - 1, [EXACT.zero if zero else _nonzero(rng, _RINGS[ring]) for zero in zeros])
 
@@ -477,11 +491,17 @@ def test_exact_product_and_cube_match_the_scalar_loops(ring_f, ring_g, zeros_f, 
     with _LayoutSpy() as spy:
         product = f * g
         cube = f ** 3 if f.degree == 2 else None
+    # a product with a CycNum coefficient and a layout for each factor runs
+    # on layouts, and types by value; any other keeps the scalar loops' types
+    def same(got, want, *factors):
+        on_layouts = any(map(_has_cycnum, factors)) and _layouts(*factors) is not None
+        (_same_values if on_layouts else _same_slots)(got, want)
+
     assert product.degree == f.degree + g.degree and product.kernel is EXACT
-    _same_slots(product.coeffs, sparse_product(f.coeffs, g.coeffs, EXACT.zero))
+    same(product.coeffs, sparse_product(f.coeffs, g.coeffs, EXACT.zero), f, g)
     if cube is not None:
         assert cube.degree == 6 and cube.kernel is EXACT
-        _same_slots(cube.coeffs, _quadratic_cube(*f.coeffs, EXACT.zero))
+        same(cube.coeffs, _quadratic_cube(*f.coeffs, EXACT.zero), f)
     # a layout is built at most once per form, and only for a product that
     # has a CycNum coefficient
     assert len(spy.built) == len({id(c) for c in spy.built}) <= 2
@@ -489,18 +509,24 @@ def test_exact_product_and_cube_match_the_scalar_loops(ring_f, ring_g, zeros_f, 
         assert spy.built == []
 
 
-def test_exact_products_with_cancelling_slots_keep_their_types():
+def test_exact_products_type_each_coefficient_by_its_value():
     # (x + wy)(x - wy) = x^2 - w^2 y^2: the middle slot is reached and cancels
     f, g = BinaryForm.exact(1, [1, OMEGA]), BinaryForm.exact(1, [1, -OMEGA])
     product = f * g
-    _same_slots(product.coeffs, sparse_product(f.coeffs, g.coeffs, EXACT.zero))
-    assert product.coeffs[0] == 1 and type(product.coeffs[0]) is int
-    assert product.coeffs[1] == CycNum.zero() and type(product.coeffs[1]) is CycNum
-    # (x^2 + 2i xy + 2y^2)^2 has a middle slot 2ac + b^2 = 0; the cube still
-    # reaches and types its slots from a, b and c, as the monomial cube does
+    _same_values(product.coeffs, sparse_product(f.coeffs, g.coeffs, EXACT.zero))
+    assert product.coeffs[0] == 1 and type(product.coeffs[0]) is Fraction
+    assert product.coeffs[1] is EXACT.zero
+    assert product.coeffs[2] == -OMEGA ** 2 and type(product.coeffs[2]) is CycNum
+    # (wx + y)(2x + 3y): the y^2 slot takes only the int products 1 * 3
+    product = BinaryForm.exact(1, [OMEGA, 1]) * BinaryForm.exact(1, [2, 3])
+    assert product.coeffs[2] == 3 and type(product.coeffs[2]) is Fraction
+    # w * w^2 = 1: a product of two CycNums with a rational value
+    product = BinaryForm.exact(0, [OMEGA]) * BinaryForm.exact(1, [OMEGA ** 2, OMEGA])
+    assert product.coeffs == (1, OMEGA ** 2) and type(product.coeffs[0]) is Fraction
+    # (x^2 + 2i xy + 2y^2)^2 has a middle slot 2ac + b^2 = 0
     q = BinaryForm.exact(2, [1, 2 * IMAG, F(2)])
-    _same_slots((q ** 3).coeffs, _quadratic_cube(*q.coeffs, EXACT.zero))
-    assert not (q * q).coeffs[2] and type((q * q).coeffs[2]) is CycNum
+    assert (q * q).coeffs[2] is EXACT.zero
+    _same_values((q ** 3).coeffs, _quadratic_cube(*q.coeffs, EXACT.zero))
 
 
 def test_a_form_with_a_cycnum_and_a_parampoly_takes_the_scalar_loops():
@@ -536,7 +562,7 @@ def _same_division(f, g):
             _layout_quotient(f, g)
         assert str(got.value) == str(exc)
         return type(exc)
-    _same_slots(_layout_quotient(f, g), want.coeffs)
+    _same_values(_layout_quotient(f, g), want.coeffs)
     return None
 
 
@@ -554,14 +580,14 @@ def test_layout_sum_difference_product_cube_and_zero_test_match_the_scalar_loops
     def coefficients(layout):
         return layout_coefficients(layout, EXACT.zero)
 
-    _same_slots(coefficients(lf), f.coeffs)
-    _same_slots(coefficients(layout_sum(lf, lg)), (f + g).coeffs)
-    _same_slots(coefficients(layout_difference(lf, lg)), (f - g).coeffs)
-    # every slot cancels, and keeps the type of f - f
-    _same_slots(coefficients(layout_difference(lf, lf)), (f - f).coeffs)
-    _same_slots(coefficients(layout_product(lf, lg)), sparse_product(f.coeffs, g.coeffs, EXACT.zero))
+    _same_values(coefficients(lf), f.coeffs)
+    _same_values(coefficients(layout_sum(lf, lg)), (f + g).coeffs)
+    _same_values(coefficients(layout_difference(lf, lg)), (f - g).coeffs)
+    # every slot cancels, so each is EXACT.zero itself
+    _same_values(coefficients(layout_difference(lf, lf)), (f - f).coeffs)
+    _same_values(coefficients(layout_product(lf, lg)), sparse_product(f.coeffs, g.coeffs, EXACT.zero))
     if f.degree == 2:
-        _same_slots(coefficients(layout_cube(lf)), _quadratic_cube(*f.coeffs, EXACT.zero))
+        _same_values(coefficients(layout_cube(lf)), _quadratic_cube(*f.coeffs, EXACT.zero))
     assert layout_is_zero(layout_difference(lf, lf))
     assert layout_is_zero(lf) == f.is_zero()
     assert layout_is_zero(layout_sum(lf, lg)) == (f + g).is_zero()
@@ -604,22 +630,61 @@ def test_layout_division_edge_cases_match_form_divexact():
         (ex(0, 0, 0), ex(1, 1)),                # zero numerator
         (ex(0), ex(1, 1)),                      # zero numerator of lower degree
         (ex(1, 2, 1), ex(0, 0)),                # zero divisor
-        # x(x + y) / (x + 0y) with a CycNum 0: the long division subtracts
-        # its products, so x + y takes a CycNum coefficient
+        # x(x + y) / (x + 0y) with a CycNum 0, where form_divexact's long
+        # division gives x + y a CycNum coefficient
         (ex(1, 1, 0), BinaryForm.exact(1, [F(1), CycNum.zero()])),
     ]
     raised = {_same_division(f, g) for f, g in cases}
     assert raised == {None, ValueError, ZeroDivisionError}
-    assert type(_layout_quotient(*cases[-1])[1]) is CycNum
+    assert _layout_quotient(*cases[-1]) == (1, 1)
+    assert type(_layout_quotient(*cases[-1])[1]) is Fraction
+    # w x^2 / (w x) = x: a CycNum lead whose quotient is rational
+    got = _layout_quotient(BinaryForm.exact(2, [OMEGA, 0, 0]), BinaryForm.exact(1, [OMEGA, 0]))
+    assert got == (1, 0) and type(got[0]) is Fraction and got[1] is EXACT.zero
 
 
-def test_layout_sums_take_the_type_of_a_cycnum_zero():
-    # a CycNum 0 plus a rational is a CycNum, as in BinaryForm's sum
-    f, g = BinaryForm.exact(1, [CycNum.zero(), F(1, 2)]), BinaryForm.exact(1, [F(3), 2])
+def test_layout_sums_type_each_coefficient_by_its_value():
+    def layout_sum_of(f, g):
+        lf, lg = _layouts(f, g)
+        got = layout_coefficients(layout_sum(lf, lg), EXACT.zero)
+        _same_values(got, (f + g).coeffs)
+        return got
+
+    # a CycNum 0 plus a rational is a Fraction
+    got = layout_sum_of(BinaryForm.exact(1, [CycNum.zero(), F(1, 2)]), BinaryForm.exact(1, [F(3), 2]))
+    assert got == (3, F(5, 2)) and all(type(c) is Fraction for c in got)
+    # w + (1 - w) is rational, w + (-w) is zero
+    got = layout_sum_of(BinaryForm.exact(1, [OMEGA, OMEGA]), BinaryForm.exact(1, [1 - OMEGA, -OMEGA]))
+    assert got[0] == 1 and type(got[0]) is Fraction and got[1] is EXACT.zero
+
+
+# the rings of _RINGS whose forms have layouts: no ParamPoly coefficients
+_LAYOUT_RINGS = ["CycNum", "Fraction", "int", "mixed"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(_LAYOUT_RINGS), st.sampled_from(_LAYOUT_RINGS), _ZEROS, _ZEROS,
+       st.integers(min_value=0, max_value=2 ** 32))
+def test_layout_path_types_every_coefficient_by_its_value(ring_f, ring_g, zeros_f, zeros_g, seed):
+    rng = random.Random(seed)
+    f, g = _exact_form(rng, ring_f, zeros_f), _exact_form(rng, ring_g, zeros_g)
+    # a coefficient times the CycNum 1 is a CycNum with a rational value
+    if rng.random() < 0.5:
+        f = BinaryForm.exact(f.degree, [c * CycNum.one() if rng.random() < 0.5 else c for c in f.coeffs])
     lf, lg = _layouts(f, g)
-    got = layout_coefficients(layout_sum(lf, lg), EXACT.zero)
-    _same_slots(got, (f + g).coeffs)
-    assert type(got[0]) is CycNum and type(got[1]) is Fraction
+    product = layout_product(lf, lg)
+    outputs = [layout_coefficients(lf, EXACT.zero), layout_coefficients(product, EXACT.zero)]
+    if _has_cycnum(f) or _has_cycnum(g):
+        outputs.append((f * g).coeffs)
+        assert (f * g).coeffs == sparse_product(f.coeffs, g.coeffs, EXACT.zero)
+    if f.degree == 2 and _has_cycnum(f):
+        outputs.append((f ** 3).coeffs)
+    if not g.is_zero():
+        quotient = layout_divexact(product, lg, layout_lead_inverse(lg), EXACT.zero)
+        assert quotient == f.coeffs
+        outputs.append(quotient)
+    for coeffs in outputs:
+        assert off_rule(coeffs) == []
 
 
 class _Counted:
