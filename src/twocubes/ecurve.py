@@ -38,9 +38,9 @@ every value for zero on its integer coordinates, and normalizes only its
 two outputs.
 The two numerators share one denominator, whose lead is inverted once; a
 numerator that it divides, as on every family chord, reduces by one exact
-layout division, and any other becomes a RationalFunction of two forms,
-reduced by gcd cancellation alone (the division that failed is not tried
-again).  The form chord is checked cross-multiplied,
+layout division, and any other becomes a RationalFunction of two forms.
+A RationalFunction reduces every ratio one way: both forms divided by their
+gcd, the denominator made monic.  The form chord is checked cross-multiplied,
 on numerators and denominators, so the advertised cancellations are
 verified identities, not floating coincidences.
 """
@@ -65,7 +65,10 @@ from .forms import EXACT, BinaryForm, form_divexact, form_gcd, form_layout, lift
 
 
 def _const_form(v) -> BinaryForm:
-    return BinaryForm.exact(0, [v])
+    """The constant form v, on the kernel `forms.lift` picks for it: a float
+    or complex v makes a float form."""
+    (v,), kernel = lift([v])
+    return BinaryForm(0, (v,), kernel)
 
 
 # the benchmark's tracer times `forms.form_divexact` under this name too
@@ -73,43 +76,19 @@ _divide_forms = form_divexact
 
 
 class RationalFunction:
-    """Reduced ratio of exact homogeneous forms, denominator made monic.
-
-    A denominator of positive degree that divides the numerator reduces by
-    that one division; any other ratio is divided by the gcd of its terms."""
+    """Reduced ratio of exact homogeneous forms: both divided by their gcd,
+    the denominator made monic."""
 
     __slots__ = ("num", "den")
 
     def __init__(self, num, den=None):
-        if not isinstance(num, BinaryForm):
-            num = _const_form(num)
-        if den is None:
-            den = _const_form(Fraction(1))
-        elif not isinstance(den, BinaryForm):
-            den = _const_form(den)
+        num, den = [v if isinstance(v, BinaryForm) else _const_form(v)
+                    for v in (num, Fraction(1) if den is None else den)]
         if not (num.kernel.exact and den.kernel.exact):
             raise TypeError("rational-function arithmetic requires exact forms")
         if den.is_zero():
             raise ZeroDivisionError("zero denominator form")
-        quot = None
-        if den.degree and num.degree >= den.degree and not num.is_zero():
-            # division first: when den divides num, one division replaces
-            # the gcd, a second division and the scaling by the inverse of
-            # den's lead
-            try:
-                quot = form_divexact(num, den)
-            except ValueError:
-                pass
-        if quot is not None:
-            # the gcd path would leave den/den = lead * lead^-1: the 1 of
-            # the ring of den's lead, the pivot of the division
-            lead = next(c for c in den.coeffs if c)
-            num = quot
-            den = _const_form(CycNum.one() if isinstance(lead, CycNum) else Fraction(1))
-        else:
-            num, den = _cancelled(num, den)
-        self.num = num
-        self.den = den
+        self.num, self.den = _cancelled(num, den)
 
     # -- helpers ---------------------------------------------------------
 
@@ -423,7 +402,7 @@ def curve_add(point1, point2, a):
 
 
 def _layout_form(layout) -> BinaryForm:
-    return BinaryForm.exact(layout_degree(layout), layout_coefficients(layout, EXACT.zero))
+    return BinaryForm.exact(layout_degree(layout), layout_coefficients(layout))
 
 
 def _reduced(num, den, inverse):
@@ -435,7 +414,7 @@ def _reduced(num, den, inverse):
     when den cancels, else their RationalFunction."""
     if inverse is not None and not layout_is_zero(num) and layout_degree(num) >= layout_degree(den):
         try:
-            quot = layout_divexact(num, den, inverse, EXACT.zero)
+            quot = layout_divexact(num, den, inverse)
         except ValueError:
             pass
         else:

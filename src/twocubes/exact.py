@@ -35,6 +35,7 @@ Rational = Fraction
 # CycNum's operators take these and CycNum, and return NotImplemented for
 # any other operand, so that a ring over CycNum values gets its reflected turn
 _RATIONALS = (int, Fraction)
+ZERO = Fraction(0)  # forms.EXACT.zero, and every 0 that leaves a layout
 
 _DEG = 8
 _ZPOWERS = [cmath.exp(1j * math.pi / 12) ** k for k in range(_DEG)]
@@ -358,9 +359,9 @@ def sparse_product(a, b, zero) -> tuple:
 # with no CycNum and no gcd of a coefficient's coordinates, and a layout is
 # zero exactly when it has no terms, since 1, z, ..., z^7 is a basis and den
 # is positive.  Every coefficient returned from a layout leaves through
-# `_coefficients`, normalized once and typed by its value: the exact
-# kernel's zero itself for 0, a reduced Fraction for a rational, and a
-# gcd-normalized CycNum for any other value.
+# `_coefficients`, normalized once and typed by its value: `ZERO` itself
+# for 0, a reduced Fraction for a rational, and a gcd-normalized CycNum for
+# any other value.
 
 _STRIDE = 16
 
@@ -427,9 +428,9 @@ def _terms(acc: list) -> tuple:
     return tuple([(p, acc[p]) for p in compress(range(len(acc)), acc)])
 
 
-def _coefficients(acc: list, den: int, zero) -> tuple:
+def _coefficients(acc: list, den: int) -> tuple:
     """The coefficients of reduced coordinates over den, each normalized once
-    and typed by its value: `zero` itself for 0, a reduced Fraction for a
+    and typed by its value: `ZERO` itself for 0, a reduced Fraction for a
     rational, else a gcd-normalized CycNum."""
     out = []
     for base in range(0, len(acc), _STRIDE):
@@ -437,20 +438,20 @@ def _coefficients(acc: list, den: int, zero) -> tuple:
         if any(num[1:]):
             out.append(_normalized(num, den))
         else:
-            out.append(Fraction(num[0], den) if num[0] else zero)
+            out.append(Fraction(num[0], den) if num[0] else ZERO)
     return tuple(out)
 
 
-def cyclotomic_product(a, b, zero) -> tuple:
+def cyclotomic_product(a, b) -> tuple:
     """The coefficients of the product of two forms given by their layouts,
     as one integer convolution over the product of their denominators."""
-    return _coefficients(_convolve(a, b), a[0] * b[0], zero)
+    return _coefficients(_convolve(a, b), a[0] * b[0])
 
 
-def cyclotomic_cube(a, zero) -> tuple:
+def cyclotomic_cube(a) -> tuple:
     """The coefficients of the cube of a form given by its layout: the
     square's layout times the form."""
-    return cyclotomic_product(layout_product(a, a), a, zero)
+    return cyclotomic_product(layout_product(a, a), a)
 
 
 def layout_product(a, b):
@@ -502,13 +503,13 @@ def layout_degree(a) -> int:
     return a[1] - 1
 
 
-def layout_coefficients(a, zero) -> tuple:
+def layout_coefficients(a) -> tuple:
     """The coefficients of a layout, each normalized once and typed by its
     value as `_coefficients` says."""
     acc = [0] * (_STRIDE * a[1])
     for p, n in a[2]:
         acc[p] = n
-    return _coefficients(acc, a[0], zero)
+    return _coefficients(acc, a[0])
 
 
 def _vectors(a, first: int, count: int) -> list:
@@ -530,7 +531,7 @@ def layout_lead_inverse(b) -> CycNum:
     return _normalized(lead, b[0]).inverse()
 
 
-def layout_divexact(a, b, inverse, zero) -> tuple:
+def layout_divexact(a, b, inverse) -> tuple:
     """The coefficients of the exact quotient a / b of two layouts, equal in
     value to `forms.form_divexact`'s: `inverse` is `layout_lead_inverse(b)`,
     the quotient's terms are those of the long division of a by b, and a
@@ -540,7 +541,7 @@ def layout_divexact(a, b, inverse, zero) -> tuple:
     if not b[2]:
         raise ZeroDivisionError("division by the zero form")
     if not a[2]:
-        return (zero,) * max(a[1] - b[1] + 1, 1)
+        return (ZERO,) * max(a[1] - b[1] + 1, 1)
     # the first term of a nonzero layout lies in its first nonzero slot
     my, ny = a[2][0][0] // _STRIDE, b[2][0][0] // _STRIDE
     if ny > my:
@@ -576,7 +577,7 @@ def layout_divexact(a, b, inverse, zero) -> tuple:
         acc[p] = acc[p] * a[0] - x * qb_den
     if any(acc):
         raise ValueError("does not divide (remainder)")
-    return layout_coefficients(q, zero)
+    return layout_coefficients(q)
 
 
 def scalar_key(v) -> tuple:

@@ -24,11 +24,11 @@ on it (`form_layout`).  Every other product, of float, rational or ParamPoly
 forms, takes one scalar product at a time (`exact.sparse_product`,
 `_quadratic_cube`).
 Both paths give equal coefficients; the convolution's are typed by value
-(`EXACT.zero` itself, a Fraction or a CycNum).  `form_divexact` multiplies
-by the inverse of the divisor's lead, computed once per divisor form.
+(`EXACT.zero` itself, a Fraction or a CycNum).  `form_divexact` and
+`form_gcd` multiply by the inverse of the divisor's lead.
 Forms are immutable; all operations return new values, so they are safe to
-share across threads (a cached layout or lead inverse is a pure function of
-the coefficients).
+share across threads (a cached layout is a pure function of the
+coefficients).
 """
 from __future__ import annotations
 
@@ -37,6 +37,7 @@ import math
 from fractions import Fraction
 
 from .exact import (
+    ZERO,
     CycNum,
     ParamPoly,
     binary_power,
@@ -61,7 +62,7 @@ class ExactKernel:
     (`bool(value)` is false), so `terms` and `degree` are ignored."""
 
     exact = True
-    zero = Fraction(0)
+    zero = ZERO
     one = Fraction(1)
 
     def is_zero(self, value, terms=(), degree=1) -> bool:
@@ -222,7 +223,7 @@ class BinaryForm:
         if self.kernel.exact and other.kernel.exact:
             layouts = _cyclotomic_layouts(self, other)
             if layouts:
-                return BinaryForm(d, cyclotomic_product(*layouts, EXACT.zero), EXACT)
+                return BinaryForm(d, cyclotomic_product(*layouts), EXACT)
         return BinaryForm(d, sparse_product(self.coeffs, other.coeffs, self.kernel.zero), self.kernel)
 
     def scale(self, s) -> BinaryForm:
@@ -237,7 +238,7 @@ class BinaryForm:
             if self.kernel.exact:
                 layouts = _cyclotomic_layouts(self)
                 if layouts:
-                    return BinaryForm(6, cyclotomic_cube(*layouts, EXACT.zero), EXACT)
+                    return BinaryForm(6, cyclotomic_cube(*layouts), EXACT)
             return BinaryForm(6, _quadratic_cube(*self.coeffs, self.kernel.zero), self.kernel)
         return binary_power(self, n)
 
@@ -263,22 +264,17 @@ class BinaryForm:
         return acc
 
 
-def _cached(form: BinaryForm, name: str, build):
-    """build(form.coeffs), computed at most once per form and kept on it; the
+def form_layout(f: BinaryForm):
+    """The form's `exact.cyclotomic_layout`, built at most once and kept on
+    it; None when a coefficient is not an int, a Fraction or a CycNum.  The
     dataclass fields, and so equality and hashing, do not see it, and two
     threads that build it at once store equal values."""
     try:
-        return form.__dict__[name]
+        return f.__dict__["_layout"]
     except KeyError:
-        value = build(form.coeffs)
-        object.__setattr__(form, name, value)
-        return value
-
-
-def form_layout(f: BinaryForm):
-    """The form's `exact.cyclotomic_layout`, built at most once and kept on
-    it; None when a coefficient is not an int, a Fraction or a CycNum."""
-    return _cached(f, "_layout", cyclotomic_layout)
+        layout = cyclotomic_layout(f.coeffs)
+        object.__setattr__(f, "_layout", layout)
+        return layout
 
 
 def _cyclotomic_layouts(*forms):
@@ -385,13 +381,13 @@ def _poly_trim(c):
     return c
 
 
-def _long_division(a, b, inv):
+def _long_division(a, b):
     """Quotient and remainder of exact univariate polynomials, coefficients
-    highest power first, b's lead nonzero and `inv` its inverse.  A zero
-    running coefficient adds no quotient term, so such a slot holds
+    highest power first and b's lead nonzero, by the inverse of that lead.
+    A zero running coefficient adds no quotient term, so such a slot holds
     `EXACT.zero`."""
     n = max(len(a) - len(b) + 1, 0)
-    quot, rem = [EXACT.zero] * n, list(a)
+    quot, rem, inv = [EXACT.zero] * n, list(a), EXACT.inv(b[0])
     for i in range(n):
         if not rem[i]:
             continue
@@ -416,7 +412,7 @@ def form_gcd(f: BinaryForm, g: BinaryForm) -> BinaryForm:
     my, a = _dehomogenize(f)
     ny, b = _dehomogenize(g)
     while any(b):
-        a, b = b, _poly_trim(_long_division(a, b, EXACT.div(EXACT.one, b[0]))[1])
+        a, b = b, _poly_trim(_long_division(a, b)[1])
     # re-homogenize: y^ycommon shifts the x-polynomial toward higher k indices
     ycommon = min(my, ny)
     return BinaryForm(len(a) - 1 + ycommon, tuple([EXACT.zero] * ycommon + a), EXACT)
@@ -431,16 +427,10 @@ def form_derivative_x(f: BinaryForm) -> BinaryForm:
     return BinaryForm(f.degree - 1, tuple(out), f.kernel)
 
 
-def _lead_inverse(coeffs):
-    return EXACT.div(EXACT.one, next(c for c in coeffs if c))
-
-
 def form_divexact(f: BinaryForm, g: BinaryForm) -> BinaryForm:
     """The exact quotient f / g; exact kernel only.  A zero g raises
     ZeroDivisionError, a g that leaves a remainder raises ValueError, and a
-    zero f gives the zero form of degree max(deg f - deg g, 0).  The inverse
-    of g's lead is computed once per form g, so divisions by one shared
-    denominator invert it once."""
+    zero f gives the zero form of degree max(deg f - deg g, 0)."""
     kernel = f.kernel
     if not kernel.exact:
         raise TypeError("exact division requires the exact kernel")
@@ -454,7 +444,7 @@ def form_divexact(f: BinaryForm, g: BinaryForm) -> BinaryForm:
         raise ValueError("does not divide (y-multiplicity)")
     if len(b) > len(a):
         raise ValueError("does not divide (degree)")
-    quot, rem = _long_division(a, b, _cached(g, "_lead_inverse", _lead_inverse))
+    quot, rem = _long_division(a, b)
     if any(rem):
         raise ValueError("does not divide (remainder)")
     return BinaryForm(f.degree - g.degree, tuple([kernel.zero] * (my - ny) + quot), kernel)

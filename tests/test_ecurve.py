@@ -534,8 +534,8 @@ def test_chord_on_family_forms_cancels_denominators():
 
 
 def test_family_chord_inverts_its_shared_denominator_lead_once(monkeypatch):
-    # both RationalFunctions of the chord divide by one den form, whose lead
-    # inverse is computed once
+    # both numerators of the chord are divided by one den layout, whose lead
+    # is inverted once, by `exact.layout_lead_inverse`
     inverse, calls = CycNum.inverse, []
     monkeypatch.setattr(CycNum, "inverse", lambda self: calls.append(self) or inverse(self))
     f1, f2, f3, f4, f5, f6 = f_forms(Q(5, 3))
@@ -883,28 +883,25 @@ _QUAD = BinaryForm.exact(2, [Q(1), CycNum.zeta(), Q(-2)])   # x^2 + z xy - 2y^2
 
 
 @pytest.mark.parametrize("num, den", [
-    # den divides num: one division, no gcd
+    # den divides num
     (_LIN * _QUAD, _LIN.scale(Q(3))),
     (BinaryForm.exact(3, [Q(2), Q(-2), Q(-4), 0]), BinaryForm.exact(1, [Q(3), Q(3)])),
+    (_QUAD * _LIN.scale(OMEGA), _LIN.scale(OMEGA)),
     # coprime forms
     (_QUAD, BinaryForm.exact(2, [Q(3), Q(1), 0])),
     # a partial common factor: (x + y)(x - 2y) over 2(x + y)(x + 3y)
     (BinaryForm.exact(2, [Q(1), Q(-1), Q(-2)]), BinaryForm.exact(2, [Q(2), Q(8), Q(6)])),
-], ids=["divides", "divides-rational", "coprime", "partial-factor"])
-def test_rational_function_division_first_matches_the_gcd_path(num, den):
+    # y(x^3 + w x^2 y + 5y^3) over 3y^2: the common factor is a power of y
+    (BinaryForm.exact(4, [0, Q(1), OMEGA, 0, Q(5)]), BinaryForm.exact(2, [0, 0, Q(3)])),
+    # a constant den, divided out by its lead's inverse
+    (_QUAD, BinaryForm.exact(0, [OMEGA])),
+], ids=["divides", "divides-rational", "divides-cyclotomic-lead", "coprime", "partial-factor",
+        "y-power", "constant-cyclotomic"])
+def test_rational_function_matches_the_gcd_reduced_reference(num, den):
     def typed(c):
         return type(c), c
 
     assert _form_values([RationalFunction(num, den)], typed) == _form_values([_gcd_reduced(num, den)], typed)
-
-
-def test_rational_function_runs_the_gcd_only_when_the_division_fails(monkeypatch):
-    calls = []
-    monkeypatch.setattr(ecurve, "form_gcd", lambda f, g: calls.append(f) or form_gcd(f, g))
-    assert RationalFunction(_LIN * _QUAD, _LIN).to_form() == _QUAD
-    assert calls == []
-    RationalFunction(_LIN * _QUAD, BinaryForm.exact(1, [Q(1), Q(3)]))
-    assert len(calls) == 1
 
 
 def test_rational_function_rejects_zero_denominator():
@@ -914,9 +911,11 @@ def test_rational_function_rejects_zero_denominator():
 
 
 def test_rational_function_rejects_float_forms():
-    x = BinaryForm.floating(1, [1.0, 0.0])
-    with pytest.raises(TypeError):
-        RationalFunction(x)
+    # a float or complex scalar is a float form too
+    x = BinaryForm.exact(1, [Q(1), 0])
+    for num, den in ((BinaryForm.floating(1, [1.0, 0.0]), None), (1.5j, None), (x, 2.0), (Q(1), 0.5 + 0j)):
+        with pytest.raises(TypeError, match="requires exact forms"):
+            RationalFunction(num, den)
 
 
 def test_rational_function_to_form_requires_cancellation():
