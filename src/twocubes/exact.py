@@ -13,12 +13,14 @@ Polynomials have two products.  `sparse_product` multiplies coefficients of
 any exact ring one scalar product at a time.  `cyclotomic_product` and
 `cyclotomic_cube` multiply forms whose coefficients are ints, Fractions and
 CycNums as one integer convolution in (x, z) over one common denominator,
-reducing by z^8 = z^4 - 1 and normalizing once per output coefficient; this
-module is the only one that knows CycNum's storage, so the layout they work
-on is built, read and sized here.  The same layout carries sums,
-differences, products, cubes, zero tests and exact division of such forms
-(`layout_*`), so that a computation normalizes only what it returns, and
-types each returned coefficient by its value: 0, a rational or a CycNum.
+normalizing once per output coefficient; this module is the only one that
+knows CycNum's storage, so the layout they work on is built, read and sized
+here.  The same layout carries sums, differences, products, cubes, zero tests
+and exact division of such forms (`layout_*`), so that a computation
+normalizes only what it returns, and types each returned coefficient by its
+value: 0, a rational or a CycNum.  `_reduce` is the one place that applies
+z^8 = z^4 - 1: a CycNum product, a Galois conjugate and a layout convolution
+all fold their powers z^8..z^14 through it.
 `ParamPoly` times a scalar maps its coefficients.
 """
 from __future__ import annotations
@@ -282,36 +284,29 @@ def _scaled(a: CycNum, p: int, q: int) -> CycNum:
 
 
 def _mul_vec(a, b) -> list:
-    """Product of two integer coordinate vectors, reduced by z^8 = z^4 - 1."""
+    """Product of two integer coordinate vectors, reduced by `_reduce`."""
     terms = [(j, y) for j, y in enumerate(b) if y]
-    prod = [0] * (2 * _DEG - 1)
+    prod = [0] * _STRIDE
     for i, x in enumerate(a):
         if x:
             for j, y in terms:
                 prod[i + j] += x * y
-    # highest power first, so a carry into z^8..z^10 is reduced in turn
-    for d in range(2 * _DEG - 2, _DEG - 1, -1):
-        c = prod[d]
-        if c:
-            prod[d - 4] += c
-            prod[d - 8] -= c
-    return prod[:_DEG]
+    return _reduce(prod, 1)[:_DEG]
 
 
 def _conjugate(num, k: int) -> list:
-    """The Galois conjugate z -> z^k of an integer coordinate vector."""
-    out = [0] * _DEG
+    """The Galois conjugate z -> z^k of an integer coordinate vector: z^j goes
+    to z^(jk mod 12), negated when jk mod 24 >= 12 since z^12 = -1, and
+    `_reduce` folds z^8..z^11."""
+    out = [0] * _STRIDE
     for j, c in enumerate(num):
         if c:
             e = j * k % 24
-            if e >= 12:  # z^12 = -1
-                e, c = e - 12, -c
-            if e < _DEG:
+            if e >= 12:
+                out[e - 12] -= c
+            else:
                 out[e] += c
-            else:        # z^e = z^(e-4) - z^(e-8)
-                out[e - 4] += c
-                out[e - 8] -= c
-    return out
+    return _reduce(out, 1)[:_DEG]
 
 
 _ZERO = _cyc((0,) * _DEG, 1)

@@ -11,10 +11,13 @@ each kernel's one zero test: exactly zero, or for floats at most `FLOAT_TOL`
 of the scale, the largest of the `terms` the value is built from to the
 value's `degree` in them, so the test is unchanged when every term is scaled.
 `lift` is the one place a call's kernel is chosen from its inputs: one float
-or complex value makes it FLOAT, else it is EXACT.  `projective` clears the
+or complex value makes it FLOAT, else it is EXACT, and `BinaryForm.exact`
+raises TypeError on a value it would make FLOAT.  `projective` clears the
 denominators of a call's rational values once, so the call computes on ints
 and divides only its outputs; any other value passes through over 1.
-`scalar_json` is the package's one encoder of a scalar as JSON.
+`scalar_json` is the package's one encoder of a scalar as JSON, and
+`derivative` the one derivative of a coefficient list, which the exact
+multiplicity chain and `roots`' cluster polish share.
 A product of forms, and the cube of a quadratic, takes one of two paths
 chosen by the coefficient ring.  When the exact factors' coefficients are
 ints, Fractions and CycNums, at least one a CycNum, it is one integer
@@ -157,6 +160,10 @@ class BinaryForm:
 
     @staticmethod
     def exact(degree: int, coeffs) -> BinaryForm:
+        """An exact form; TypeError when a coefficient is a float or complex."""
+        coeffs, kernel = lift(coeffs)
+        if not kernel.exact:
+            raise TypeError("an exact form takes no float or complex coefficient")
         return BinaryForm(degree, tuple(coeffs), EXACT)
 
     @staticmethod
@@ -418,13 +425,14 @@ def form_gcd(f: BinaryForm, g: BinaryForm) -> BinaryForm:
     return BinaryForm(len(a) - 1 + ycommon, tuple([EXACT.zero] * ycommon + a), EXACT)
 
 
-def form_derivative_x(f: BinaryForm) -> BinaryForm:
-    if f.degree == 0:
-        return BinaryForm.zero(0, f.kernel)
-    out = []
-    for k in range(f.degree):
-        out.append(f.coeffs[k] * (f.degree - k))
-    return BinaryForm(f.degree - 1, tuple(out), f.kernel)
+def derivative(coeffs, order: int = 1) -> list:
+    """The order-th derivative of a univariate polynomial over any ring of
+    scalars, coefficients highest power first, as in a form's (x, 1)."""
+    out = list(coeffs)
+    for _ in range(order):
+        n = len(out) - 1
+        out = [out[i] * (n - i) for i in range(n)]
+    return out
 
 
 def form_divexact(f: BinaryForm, g: BinaryForm) -> BinaryForm:
@@ -472,9 +480,7 @@ def _exact_multiplicities(f: BinaryForm) -> list[int]:
     chain = [f]
     cur = f
     while cur.degree > 0:
-        der = form_derivative_x(cur)
-        if der.is_zero():
-            break
+        der = BinaryForm(cur.degree - 1, tuple(derivative(cur.coeffs)), cur.kernel)
         g = form_gcd(cur, der)
         if g.degree == 0:
             break
@@ -498,9 +504,10 @@ def scalar_json(v):
     if isinstance(v, (int, Fraction)):
         return str(v)
     if isinstance(v, CycNum):
-        if not any(v.num[1:]):
-            return str(Fraction(v.num[0], v.den))
-        return {"cyclotomic": [str(c) for c in v.coeffs]}
+        coords = v.coeffs
+        if not any(coords[1:]):
+            return str(coords[0])
+        return {"cyclotomic": [str(c) for c in coords]}
     if isinstance(v, complex):
         return [v.real, v.imag]
     if isinstance(v, float):

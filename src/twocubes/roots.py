@@ -20,7 +20,7 @@ import dataclasses
 import math
 import sys
 
-from .forms import NEGLIGIBLE_REL, BinaryForm, norm2
+from .forms import NEGLIGIBLE_REL, BinaryForm, derivative, norm2
 
 CLUSTER_REL = 1e-6          # base mutual-distance threshold for multiplicity grouping
 RECONSTRUCT_TOL = 1e-8      # relative residual demanded of the refactored product
@@ -255,22 +255,14 @@ def _cluster(points: list[complex], tol_scale: float = 1.0) -> list[tuple[comple
     return out
 
 
-def _derivative(coeffs: list[complex], order: int) -> list[complex]:
-    out = list(coeffs)
-    for _ in range(order):
-        n = len(out) - 1
-        out = [out[i] * (n - i) for i in range(n)]
-    return out
-
-
 def _polished_center(body: list[complex], center: complex, mult: int, move_cap: float) -> complex:
     """Newton-refine a multiplicity-m cluster center on the (m-1)-th derivative,
     where it sits as a simple root; the centroid alone carries the full scatter
     of the solver output, which does not cancel in the reconstructed product."""
     if mult <= 1:
         return center
-    q = _derivative(body, mult - 1)
-    dq = _derivative(q, 1)
+    q = derivative(body, mult - 1)
+    dq = derivative(q)
     z = center
     for _ in range(60):
         dv = _polyval(dq, z)

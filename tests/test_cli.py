@@ -1,6 +1,8 @@
 """End-to-end tests for the command-line interface."""
+import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -105,6 +107,42 @@ def test_decompose_rescaled_sextic_keeps_simple_roots(capsys, coeffs, n):
     assert payload["multiplicities"] == [1] * 6
     if n is not None:
         assert payload["N"] == n
+
+
+@pytest.mark.xfail(strict=True, reason="the float engine rounds exact input: a squarefree sextic cannot have "
+                                       "N = 5, and the exact N of both inputs needs Clebsch's covariants")
+@pytest.mark.parametrize("coeffs, n", [
+    # A(-5) under x -> 1000x
+    (["1000000000000000000", "0", "-5000000000000", "0", "-5000000", "0", "1"], 6),
+    # x^6 - y^6 under x -> x/100; 1e-12 parses as an exact rational
+    (["1e-12", "0", "0", "0", "0", "0", "-1"], 4),
+], ids=["A(-5)@x1000", "x6-y6@x/100"])
+def test_decompose_exact_rescaled_sextic_count(capsys, coeffs, n):
+    code, payload = run_json(capsys, "decompose", *coeffs)
+    assert code == 0
+    assert payload["N"] == n
+
+
+def test_decompose_text_format_lines(capsys):
+    # the residuals are floats, so the text is pinned by the shape of its
+    # lines and by the forms it shares with the JSON output
+    argv = ["decompose", "0", "1", "0", "0", "0", "-1", "0"]
+    _, payload = run_json(capsys, *argv)
+    code, out = run_cli(capsys, "--format", "text", *argv)
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "N = 6"
+    assert lines[-1] == "root multiplicities: [1, 1, 1, 1, 1, 1]"
+    reps = lines[1:-1]
+    assert len(reps) == 6
+    pattern = re.compile(r"representation (\d): f1 = (\{.*\})  f2 = (\{.*\})  residual = (\d\.\d{3}e[-+]\d{2})")
+    for k, (line, rep) in enumerate(zip(reps, payload["representations"]), 1):
+        match = pattern.fullmatch(line)
+        assert match, line
+        assert int(match[1]) == k
+        assert ast.literal_eval(match[2]) == rep["f1"]
+        assert ast.literal_eval(match[3]) == rep["f2"]
+        assert match[4] == f"{rep['residual']:.3e}"
 
 
 def test_decompose_wrong_coefficient_count_is_usage_error(capsys):
@@ -270,10 +308,15 @@ _EXACT_GOLDENS = {
     "family_unknown_lambda_2": ["family", "Z", "--lambda", "2"],
     "family_f_text": ["--format", "text", "family", "F", "--lambda", "-1/2"],
     "type_detect_integer": ["type-detect", "3", "5", "-5", "5", "-5", "-3", "6", "-4", "4", "-4", "4", "-6"],
+    "type_detect_text": ["--format", "text", "type-detect", "3", "5", "-5", "5", "-5", "-3", "6", "-4", "4", "-4", "4", "-6"],
     "eb_forward": ["eb", "forward", "-3/2", "1/2", "1"],
+    "eb_forward_text": ["--format", "text", "eb", "forward", "-3/2", "1/2", "1"],
     "eb_inverse": ["eb", "inverse", "12", "1", "10", "9"],
+    "eb_inverse_text": ["--format", "text", "eb", "inverse", "12", "1", "10", "9"],
     "eb_third": ["eb", "third", "-3/2", "1/2", "1"],
+    "eb_third_text": ["--format", "text", "eb", "third", "-3/2", "1/2", "1"],
     "curve_add_rational": ["curve-add", "1", "12", "9", "10", "1729"],
+    "curve_add_text": ["--format", "text", "curve-add", "1", "12", "9", "10", "1729"],
     "verify_text": ["--format", "text", "verify"],
 }
 
@@ -536,6 +579,23 @@ def test_tol_on_other_commands_is_usage_error(capsys, argv):
     assert "error: " in captured.err
     if argv[0] == "--jobs":
         assert "error: --jobs applies only to census" in captured.err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["eb", "inverse", "12", "1", "10"], "eb inverse needs f1 f2 f3 f4"),
+    (["eb", "third", "-3/2", "1/2"], "eb third needs a b mu"),
+    (["census", "A", "--grid", "1:2"], "grid must be start:stop:count"),
+    (["census", "A", "--grid", "a:b:3"], "grid must be start:stop:count with numeric bounds"),
+    (["census", "A", "--grid", "0:1:1"], "grid needs at least two points"),
+    (["decompose", "1,x", "0", "0", "0", "0", "0", "1"], "cannot parse complex pair '1,x'"),
+], ids=["eb-inverse-arity", "eb-third-arity", "grid-two-fields", "grid-non-numeric", "grid-one-point",
+        "complex-literal"])
+def test_usage_error_message(capsys, argv, message):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 # -- harness ----------------------------------------------------------------

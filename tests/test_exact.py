@@ -353,6 +353,49 @@ def test_cycnum_rational_operands_on_either_side(a, r):
         assert (r / x).coeffs == tuple(q * u for u in _ref_inverse(a))
 
 
+def _dense_cycnums(seed, count):
+    """Seeded CycNums whose eight coordinates are all nonzero."""
+    rng = random.Random(seed)
+    return [
+        CycNum([Fraction(rng.choice([-1, 1]) * rng.randint(1, 10**6), rng.randint(1, 60)) for _ in range(8)])
+        for _ in range(count)
+    ]
+
+
+def _conjugate(v, k):
+    """z -> z^k applied to a CycNum through `exact._conjugate`."""
+    den = math.lcm(*[c.denominator for c in v.coeffs])
+    return CycNum(exact._conjugate([int(c * den) for c in v.coeffs], k)) / den
+
+
+@pytest.mark.parametrize("k", [5, 7, 13])
+def test_conjugation_is_a_ring_automorphism(k):
+    assert _conjugate(ZETA24, k) == ZETA24**k
+    assert _conjugate(CycNum.from_rational(Fraction(-7, 3)), k) == Fraction(-7, 3)
+    values = _dense_cycnums(k, 40)
+    for a, b in zip(values[::2], values[1::2]):
+        ca, cb = _conjugate(a, k), _conjugate(b, k)
+        assert _conjugate(a * b, k) == ca * cb
+        assert _conjugate(a + b, k) == ca + cb
+        # k^2 = 1 mod 24, so each conjugation is an involution
+        assert _conjugate(ca, k) == a
+
+
+def test_mul_vec_folds_every_high_power_like_the_reference():
+    # integer vectors whose unreduced product has nonzero z^8..z^14 coordinates
+    rng = random.Random(24)
+    checked = 0
+    for _ in range(200):
+        a = [rng.randint(1, 10**9) * rng.choice([-1, 1]) for _ in range(8)]
+        b = [rng.randint(1, 10**9) * rng.choice([-1, 1]) for _ in range(8)]
+        raw = [sum(a[i] * b[d - i] for i in range(d - 7, 8)) for d in range(8, 15)]
+        if not all(raw):
+            continue
+        assert tuple(exact._mul_vec(a, b)) == _ref_mul([Fraction(x) for x in a], [Fraction(y) for y in b])
+        checked += 1
+    assert checked >= 190
+
+
 def test_cycnum_is_frozen():
     import dataclasses
 

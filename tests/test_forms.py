@@ -310,6 +310,47 @@ def test_multiplicity_structure_rejects_a_float_form():
         multiplicity_structure(ex(1, 0, 1).to_float())
 
 
+def _iterated_derivative(coeffs, order):
+    # the root finder's former derivative of a coefficient list
+    out = list(coeffs)
+    for _ in range(order):
+        n = len(out) - 1
+        out = [out[i] * (n - i) for i in range(n)]
+    return out
+
+
+def _form_derivative_x(coeffs):
+    # the former derivative in x of the form with these coefficients
+    d = len(coeffs) - 1
+    return [coeffs[k] * (d - k) for k in range(d)]
+
+
+@pytest.mark.parametrize("coeffs", [
+    [3, 0, -5, 7, 1, 0, -2],
+    [F(1, 2), F(-7, 3), 0, F(5, 4), F(9)],
+    [OMEGA, 0, ETA / 3, F(2), IMAG - 1, 0, ZETA8],
+    [ParamPoly("t", (1, 2)), 0, ParamPoly("t", (F(1, 3), 0, OMEGA)), 5],
+    [1.5 - 2j, 0j, 3e-7 + 1j, -4.25, 2j, 1e6],
+], ids=["int", "Fraction", "CycNum", "ParamPoly", "complex"])
+def test_derivative_matches_both_former_formulas(coeffs):
+    first = forms.derivative(coeffs)
+    assert first == _form_derivative_x(coeffs)
+    assert [type(c) for c in first] == [type(c) for c in _form_derivative_x(coeffs)]
+    for order in range(len(coeffs) + 1):
+        got, want = forms.derivative(coeffs, order), _iterated_derivative(coeffs, order)
+        assert got == want and [type(c) for c in got] == [type(c) for c in want]
+
+
+# the first two were labelled EXACT once: [1.5, 2j] times x gave an EXACT
+# form with float coefficients, and [1.5, 0] over x + 2y built a
+# RationalFunction
+@pytest.mark.parametrize("coeffs", [[1.5, 2j], [1.5, 0], [F(1), 0.0], [OMEGA, 1j]],
+                         ids=["float-complex", "float", "float-zero", "cyclotomic-complex"])
+def test_exact_form_refuses_float_and_complex_coefficients(coeffs):
+    with pytest.raises(TypeError, match="no float or complex coefficient"):
+        BinaryForm.exact(1, coeffs)
+
+
 @pytest.mark.parametrize("value, kernel", [
     (3, EXACT), (F(1, 2), EXACT), (OMEGA, EXACT), (ParamPoly.variable("t"), EXACT),
     (RationalFunction(ex(1, 0)), EXACT), (0.5, FLOAT), (1 - 2j, FLOAT),
