@@ -13,6 +13,7 @@ from __future__ import annotations
 import cmath
 import dataclasses
 import math
+from fractions import Fraction
 
 from .exact import OMEGA
 from .families import f_forms
@@ -42,9 +43,11 @@ _SPLITS = (
 
 
 def _twists(kernel) -> dict:
-    """The six twists sign * w^k, k = 0, 1, 2, as scalars of one kernel."""
+    """The six twists sign * w^k, k = 0, 1, 2, as scalars of one kernel.  The
+    k = 0 twist is the sign itself, the int +-1 on the exact kernel, so a
+    rational side stays rational."""
     omega = kernel.coerce(OMEGA)
-    return {sign: tuple([omega ** k * sign for k in range(3)]) for sign in (1, -1)}
+    return {sign: (kernel.coerce(sign), omega * sign, omega ** 2 * sign) for sign in (1, -1)}
 
 
 _TWISTS = {kernel: _twists(kernel) for kernel in (EXACT, FLOAT)}
@@ -89,7 +92,9 @@ def type_detect(f1: BinaryForm, f2: BinaryForm, f3: BinaryForm,
     split names one candidate at most: alpha_b = s_b w^i alpha_a and
     alpha_d = s_d w^j alpha_c.  An exact kernel takes the twists that hold
     exactly, and the relation proves the sides proportional; a float kernel
-    takes the nearest twists and tests the sides' proportionality.
+    takes the nearest twists and tests the sides' proportionality.  A
+    rational relation holds only the k = 0 twist, the int sign, so rational
+    input builds both sides over Q and T is a Fraction.
 
     When every coefficient is rational, the cube-sum check, the tests for
     proportional members and the relation's minors run on the four forms
@@ -116,8 +121,9 @@ def type_detect(f1: BinaryForm, f2: BinaryForm, f3: BinaryForm,
         j = _twist(alpha[c], alpha[d], twists[sd], kernel)
         if i is None or j is None:
             continue
-        # the twisted (CycNum) member first: Fraction + CycNum would reach
-        # CycNum.__add__ only after Fraction.__add__ returns NotImplemented
+        # the twisted member first: when it is a CycNum, Fraction + CycNum
+        # would reach CycNum.__add__ only after Fraction.__add__ returns
+        # NotImplemented
         left = forms[b].scale(twists[sb][i]) + forms[a]
         right = forms[d].scale(twists[sd][j]) + forms[c]
         if not kernel.exact and not left.proportional_to(right, rel_tol=TYPE_PROP_TOL):
@@ -152,11 +158,14 @@ def _relation(forms, kernel) -> list:
 
 def _twist(alpha_from, alpha_to, twists, kernel):
     """k with alpha_to = twists[k] * alpha_from: exactly on an exact kernel,
-    the nearest on a float one; None when alpha_from is zero or no twist fits."""
+    the nearest on a float one; None when alpha_from is zero or no twist fits.
+    The ratio of two rational coefficients is rational, and s * w^k is
+    rational only at k = 0, so that twist is the only one tried on them."""
     if not alpha_from:
         return None
     if kernel.exact:
-        return next((k for k, w in enumerate(twists) if not w * alpha_from - alpha_to), None)
+        rational = isinstance(alpha_from, (int, Fraction)) and isinstance(alpha_to, (int, Fraction))
+        return next((k for k in range(1 if rational else 3) if not twists[k] * alpha_from - alpha_to), None)
     return min(range(3), key=lambda k: abs(twists[k] * alpha_from - alpha_to))
 
 

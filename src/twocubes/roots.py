@@ -256,11 +256,10 @@ def _cluster(points: list[complex], tol_scale: float = 1.0) -> list[tuple[comple
 
 
 def _polished_center(body: list[complex], center: complex, mult: int, move_cap: float) -> complex:
-    """Newton-refine a multiplicity-m cluster center on the (m-1)-th derivative,
-    where it sits as a simple root; the centroid alone carries the full scatter
-    of the solver output, which does not cancel in the reconstructed product."""
-    if mult <= 1:
-        return center
+    """Newton-refine a multiplicity-m cluster center, m > 1, on the (m-1)-th
+    derivative, where it sits as a simple root; the centroid alone carries the
+    full scatter of the solver output, which does not cancel in the
+    reconstructed product."""
     q = derivative(body, mult - 1)
     dq = derivative(q)
     z = center
@@ -304,8 +303,9 @@ def linear_factors(p: BinaryForm) -> tuple[complex, list[ProjectiveRoot]]:
     def factored(solved: list[complex], tol_scale: float):
         clusters = []
         for z, m in _cluster(solved, tol_scale):
-            cap = 10.0 * CLUSTER_REL * tol_scale * (1.0 + abs(z)) * max(m, 1)
-            clusters.append((_polished_center(body, z, m, cap), m))
+            if m > 1:
+                z = _polished_center(body, z, m, 10.0 * CLUSTER_REL * tol_scale * (1.0 + abs(z)) * m)
+            clusters.append((z, m))
         roots = []
         if inf_mult:
             roots.append(ProjectiveRoot(1.0 + 0j, 0j, inf_mult))
@@ -338,7 +338,7 @@ def _ordered(roots: list[ProjectiveRoot]) -> list[ProjectiveRoot]:
     def key(r: ProjectiveRoot):
         if r.is_infinite():
             return (0, 0.0, 0.0)
-        z = r.affine()
+        z = r.s / r.t  # r.affine(), without testing infinity again
         return (1, round(z.real, 9), round(z.imag, 9))
 
     return sorted(roots, key=key)

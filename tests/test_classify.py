@@ -19,9 +19,9 @@ from twocubes.classify import (
     wild_family,
 )
 from twocubes.decomp import rep_count
-from twocubes.exact import OMEGA, ParamPoly
+from twocubes.exact import OMEGA, CycNum, ParamPoly
 from twocubes.ecurve import EBParams, eb_forward
-from twocubes.families import hirschhorn_family, sandor_family, young_family
+from twocubes.families import hirschhorn_family, hirschhorn_quadruple, sandor_family, young_family, young_quadruple
 from twocubes.forms import FLOAT, BinaryForm, LinearChange, form_compose
 
 
@@ -81,12 +81,18 @@ _OMEGA_ORDER = ((0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2), (2, 0), (2, 1), 
 def _reference_arrangement(forms):
     """The arrangement search as it was before the twists were hoisted and
     read off the linear relation: each w^k * sign recomputed, the untwisted
-    member added first, all nine twists of a split tested in turn."""
+    member added first, all nine twists of a split tested in turn.  The
+    k = 0 twist is the sign itself, the rational +-1, so the sides and T of
+    rational input are rational."""
     kernel = forms[0].kernel
     omega = kernel.coerce(OMEGA)
+
+    def twists(sign):
+        return [sign] + [omega ** k * sign for k in (1, 2)]
+
     for split_index, ((a, b, sb), (c, d, sd)) in enumerate(classify._SPLITS):
-        lefts = [forms[a] + forms[b].scale(omega ** k * sb) for k in range(3)]
-        rights = [forms[c] + forms[d].scale(omega ** k * sd) for k in range(3)]
+        lefts = [forms[a] + forms[b].scale(w) for w in twists(sb)]
+        rights = [forms[c] + forms[d].scale(w) for w in twists(sd)]
         for i, j in _OMEGA_ORDER:
             left, right = lefts[i], rights[j]
             if right.is_zero() or left.is_zero():
@@ -254,6 +260,34 @@ def test_type_detect_over_a_formal_parameter(family, relation):
     tag = type_detect(*family())
     assert tag.T == ParamPoly.variable("n") ** 2
     assert tag.describe() == relation
+
+
+def _rational_type_inputs():
+    """(forms, T) for Young and Hirschhorn members at 24 seeded rational n,
+    and for the Young and Hirschhorn integer quadruples."""
+    rng = random.Random(3301)
+    out = []
+    while len(out) < 48:
+        n = Fraction(rng.randint(-12, 12), rng.randint(1, 12))
+        if abs(n) not in (0, 1):
+            # f4 - f2 = T (f1 - f3): n^2 for Young, n^-2 for Hirschhorn
+            out += [(young_family(n), n ** 2), (hirschhorn_family(n), n ** -2)]
+    y1, y2, y3, y4 = young_quadruple()
+    return out + [((y1, y2, y4, -y3), Fraction(4)), (hirschhorn_quadruple(), Fraction(1, 4))]
+
+
+def test_rational_type_detect_runs_no_cyclotomic_arithmetic(monkeypatch):
+    # a rational relation is twisted by the rational +-1 only, so neither the
+    # twist test nor the two sides reach a CycNum, and T is a Fraction
+    def refuse(*args):
+        raise AssertionError("CycNum arithmetic on rational input")
+
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__"):
+        monkeypatch.setattr(CycNum, name, refuse)
+    for forms, T in _rational_type_inputs():
+        tag = type_detect(*forms)
+        assert type(tag.T) is Fraction and tag.T == T
+        assert (tag.omega_left, tag.omega_right) == (0, 0)
 
 
 @pytest.mark.parametrize("floated", [(1, 2, 3), (0,)], ids=["exact-first", "float-first"])
