@@ -77,7 +77,7 @@ def _check_equal_cube_sums(f1, f2, f3, f4):
     if lhs.kernel.exact:
         if not lhs.equals(rhs):
             raise ValueError("cube sums differ")
-    elif relative_residual(lhs, rhs) > FLOAT_TOL:
+    elif relative_residual(lhs.coeffs, rhs.coeffs) > FLOAT_TOL:
         raise ValueError("cube sums differ beyond tolerance")
 
 
@@ -274,7 +274,7 @@ def tame_complete(gamma):
     t_coeff = 3 * (1 + g * g)
     target = BinaryForm.floating(6, [2, 0, 2 * t_coeff, 0, 2 * t_coeff, 0, 2])
     for fa, fb in ((f1, f2), (f3, f4)):
-        if relative_residual(fa ** 3 + fb ** 3, target) > FLOAT_TOL:
+        if relative_residual((fa ** 3 + fb ** 3).coeffs, target.coeffs) > FLOAT_TOL:
             raise ArithmeticError("tame completion failed its sum contract")
     return f1, f2, f3, f4, P / 2
 
@@ -304,19 +304,19 @@ def wild_family(d):
         2, [(1 + 3 * r + 2 * r * r) / denom, 0, (1 - 3 * r + 2 * r * r) / denom]
     )
     p = f1 ** 3 + f2 ** 3
-    if relative_residual(f3 ** 3 + f4 ** 3, p) > FLOAT_TOL:
+    if relative_residual((f3 ** 3 + f4 ** 3).coeffs, p.coeffs) > FLOAT_TOL:
         raise ArithmeticError("wild family failed its equal-sum contract")
-    if relative_residual(f1 ** 3 - f4 ** 3, f3 ** 3 - f2 ** 3) > FLOAT_TOL:
+    if relative_residual((f1 ** 3 - f4 ** 3).coeffs, (f3 ** 3 - f2 ** 3).coeffs) > FLOAT_TOL:
         raise ArithmeticError("wild family failed its flip contract")
     line = BinaryForm.floating(2, [1 + r, 0, 1 - r])
     dsq = dv * dv
     if (
-        relative_residual(f1 + f2.scale(dsq), line) > FLOAT_TOL
-        or relative_residual(f3.scale(dsq) + f4, line) > FLOAT_TOL
+        relative_residual((f1 + f2.scale(dsq)).coeffs, line.coeffs) > FLOAT_TOL
+        or relative_residual((f3.scale(dsq) + f4).coeffs, line.coeffs) > FLOAT_TOL
     ):
         raise ArithmeticError("wild family failed its linear relation")
     third = (_negate_y(f1), _negate_y(f2))
-    if relative_residual(third[0] ** 3 + third[1] ** 3, p) > FLOAT_TOL:
+    if relative_residual((third[0] ** 3 + third[1] ** 3).coeffs, p.coeffs) > FLOAT_TOL:
         raise ArithmeticError("wild family failed its third-representation contract")
     return f1, f2, f3, f4, third, dsq
 
@@ -374,7 +374,7 @@ def canonicalize_type(f1: BinaryForm, f2: BinaryForm, f3: BinaryForm,
     _check_equal_cube_sums(*forms)
     arrangement = forms[0] + forms[1]
     right = forms[2] + forms[3]
-    if relative_residual(arrangement, right.scale(T)) > ARRANGEMENT_TOL:
+    if relative_residual(arrangement.coeffs, right.scale(T).coeffs) > ARRANGEMENT_TOL:
         raise ValueError(
             "family must be arranged with f1 + f2 = lam^2 (f3 + f4)"
         )
@@ -391,17 +391,17 @@ def canonicalize_type(f1: BinaryForm, f2: BinaryForm, f3: BinaryForm,
     m.check_invertible()
     images = tuple([form_compose(f, m) for f in forms])
     for image, target in ((images[2], ref[2]), (images[3], ref[3])):
-        if relative_residual(image, target) > CANON_MATCH_TOL:
+        if relative_residual(image.coeffs, target.coeffs) > CANON_MATCH_TOL:
             raise ArithmeticError("canonicalization failed to hit the reference pair")
     got = {0: images[0] ** 3, 1: images[1] ** 3}
     want = (ref[0] ** 3, ref[1] ** 3)
     direct = (
-        relative_residual(got[0], want[0]) <= CANON_MATCH_TOL
-        and relative_residual(got[1], want[1]) <= CANON_MATCH_TOL
+        relative_residual(got[0].coeffs, want[0].coeffs) <= CANON_MATCH_TOL
+        and relative_residual(got[1].coeffs, want[1].coeffs) <= CANON_MATCH_TOL
     )
     swapped = (
-        relative_residual(got[0], want[1]) <= CANON_MATCH_TOL
-        and relative_residual(got[1], want[0]) <= CANON_MATCH_TOL
+        relative_residual(got[0].coeffs, want[1].coeffs) <= CANON_MATCH_TOL
+        and relative_residual(got[1].coeffs, want[0].coeffs) <= CANON_MATCH_TOL
     )
     if not (direct or swapped):
         raise ArithmeticError("canonicalization failed to match the completion pair")

@@ -105,7 +105,8 @@ def cmd_decompose(ns) -> int:
     def text():
         yield f"N = {payload['N']}"
         for k, rep in enumerate(payload["representations"], 1):
-            yield f"representation {k}: f1 = {rep['f1']}  f2 = {rep['f2']}  residual = {rep['residual']:.3e}"
+            f1, f2 = [json.dumps(rep[f], sort_keys=True) for f in ("f1", "f2")]
+            yield f"representation {k}: f1 = {f1}  f2 = {f2}  residual = {rep['residual']:.3e}"
         yield f"root multiplicities: {payload['multiplicities']}"
 
     _emit(ns, payload, text)

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import math
 
 from .exact import OMEGA, SQRTM3
 from .forms import FLOAT, FLOAT_TOL, UNDERFLOW_FLOOR, BinaryForm, det3, form_to_json, norm2, relative_residual
@@ -105,15 +104,15 @@ def pair_partitions(multiplicities: tuple) -> tuple:
 
 def _pair_rows(roots) -> tuple[list, list]:
     """The complex coefficient row (a0 b0, a0 b1 + a1 b0, a1 b1) of the
-    product of the linear factors (t, -s) of each pair of the six roots,
-    each root repeated by its multiplicity, in _PAIRS order; and the 2-norm
-    of each row."""
-    lin = [(complex(r.t), complex(-r.s)) for r in roots for _ in range(r.multiplicity)]
+    product of the linear factors (a0, a1) = factor_coeffs() of each pair of
+    the six roots, each root repeated by its multiplicity, in _PAIRS order;
+    and the 2-norm of each row."""
+    lin = [r.factor_coeffs() for r in roots for _ in range(r.multiplicity)]
     if len(lin) != 6:
         raise ValueError("exactly six projective roots required")
     rows = [(a0 * b0, a0 * b1 + a1 * b0, a1 * b1)
             for (a0, a1), (b0, b1) in [(lin[i], lin[j]) for i, j in _PAIRS]]
-    return rows, [math.hypot(abs(a), abs(b), abs(c)) for a, b, c in rows]
+    return rows, [norm2(row) for row in rows]
 
 
 def _grouping_determinants(rows, norms) -> list:
@@ -137,10 +136,10 @@ def H_eval(dets) -> complex:
     return -total + 0j
 
 
-def dependence_test(r1, r2, r3, n3) -> Dependence:
+def dependence_test(r1, r2, r3) -> Dependence:
     """Whether the complex row r3 is alpha*r1 + beta*r2: the least-squares
-    (alpha, beta) via the 2x2 normal equations, dependent unless the fit
-    misses r3 by more than COEFF_SOLVE_REL of its 2-norm n3."""
+    (alpha, beta) via the 2x2 normal equations, dependent unless the fit's
+    relative residual against r3 exceeds COEFF_SOLVE_REL."""
     g11 = sum(a * b.conjugate() for a, b in zip(r1, r1))
     g12 = sum(a * b.conjugate() for a, b in zip(r2, r1))
     g21 = g12.conjugate()
@@ -153,8 +152,7 @@ def dependence_test(r1, r2, r3, n3) -> Dependence:
     alpha = (b1 * g22 - b2 * g12) / disc
     beta = (g11 * b2 - g21 * b1) / disc
     fit = [alpha * a + beta * b for a, b in zip(r1, r2)]
-    err = norm2([f - c for f, c in zip(fit, r3)])
-    if err > COEFF_SOLVE_REL * max(n3, UNDERFLOW_FLOOR):
+    if relative_residual(fit, r3) > COEFF_SOLVE_REL:
         return Dependence(False)
     return Dependence(True, alpha, beta)
 
@@ -167,7 +165,7 @@ def construct_from_triple(r1, r2, alpha, beta, cube_root, p) -> Representation:
     c = (1.0 / (3.0 * _SQRTM3_F * alpha * beta)) ** (1.0 / 3.0)
     f1 = BinaryForm(2, tuple([cube_root * (c * (wa * a - beta * b)) for a, b in zip(r1, r2)]), FLOAT)
     f2 = BinaryForm(2, tuple([cube_root * (c * (wb * b - alpha * a)) for a, b in zip(r1, r2)]), FLOAT)
-    return Representation(f1, f2, 1.0, relative_residual(f1 ** 3 + f2 ** 3, p))
+    return Representation(f1, f2, 1.0, relative_residual((f1 ** 3 + f2 ** 3).coeffs, p.coeffs))
 
 
 def _distinct(a, b, mag_prod) -> bool:
@@ -227,7 +225,7 @@ def rep_count(p: BinaryForm) -> DecompositionReport:
         if not (_distinct(q1, q2, mags[i] * mags[j]) and _distinct(q1, q3, mags[i] * mags[m])
                 and _distinct(q2, q3, mags[j] * mags[m])):
             continue
-        dep = dependence_test(q1, q2, q3, norms[m])
+        dep = dependence_test(q1, q2, q3)
         if not dep.dependent:  # skips building forms for the residual
             continue
         rep = construct_from_triple(q1, q2, dep.alpha, dep.beta, cube_root, pf)

@@ -530,8 +530,7 @@ def norm2(values) -> float:
     return math.hypot(*[abs(v) for v in values])
 
 
-def relative_residual(got: BinaryForm, want: BinaryForm) -> float:
-    """Coefficient 2-norm of got - want over that of want, in complex floats."""
-    num = norm2([complex(a) - complex(b) for a, b in zip(got.coeffs, want.coeffs)])
-    den = norm2([complex(b) for b in want.coeffs])
-    return num / max(den, UNDERFLOW_FLOOR)
+def relative_residual(got, want) -> float:
+    """The 2-norm of got - want over that of want, floored at UNDERFLOW_FLOOR,
+    for two coefficient sequences of numbers: the one residual rule."""
+    return norm2([a - b for a, b in zip(got, want)]) / max(norm2(want), UNDERFLOW_FLOOR)

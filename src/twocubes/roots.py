@@ -20,7 +20,7 @@ import dataclasses
 import math
 import sys
 
-from .forms import NEGLIGIBLE_REL, BinaryForm, derivative, norm2
+from .forms import NEGLIGIBLE_REL, BinaryForm, derivative, norm2, relative_residual
 
 CLUSTER_REL = 1e-6          # base mutual-distance threshold for multiplicity grouping
 RECONSTRUCT_TOL = 1e-8      # relative residual demanded of the refactored product
@@ -53,7 +53,7 @@ class ProjectiveRoot:
 
     @staticmethod
     def normalized(s: complex, t: complex, multiplicity: int = 1) -> ProjectiveRoot:
-        nrm = math.hypot(abs(s), abs(t))
+        nrm = norm2((s, t))
         if nrm == 0:
             raise ValueError("(0, 0) is not a projective point")
         s, t = s / nrm, t / nrm
@@ -70,7 +70,7 @@ class ProjectiveRoot:
         return self.s / self.t
 
     def factor_coeffs(self) -> tuple[complex, complex]:
-        return (self.t, -self.s)
+        return (complex(self.t), complex(-self.s))
 
 
 def _polyval(coeffs, z):
@@ -359,6 +359,4 @@ def _reconstruction(p: BinaryForm, roots: list[ProjectiveRoot]) -> tuple[complex
     if abs(prod[k]) == 0:
         return 0j, math.inf
     scale = coeffs[k] / prod[k]
-    num = norm2([scale * a - b for a, b in zip(prod, coeffs)])
-    den = norm2(coeffs)
-    return scale, num / den
+    return scale, relative_residual([scale * c for c in prod], coeffs)

@@ -68,7 +68,7 @@ def dependence_test(q1: BinaryForm, q2: BinaryForm, q3: BinaryForm) -> Dependenc
     norms = [norm2(row) for row in crows]
     if abs(det3(crows)) > DEP_DET_REL * (norms[0] * norms[1] * norms[2]):
         return Dependence(False)
-    return decomp.dependence_test(crows[0], crows[1], crows[2], norms[2])
+    return decomp.dependence_test(*crows)
 
 
 def construct_from_triple(g1: BinaryForm, g2: BinaryForm, g3: BinaryForm,
@@ -111,7 +111,7 @@ def staged_rep_count(p: BinaryForm):
             continue
         base = construct_from_triple(g1, g2, g3, dep.alpha, dep.beta)
         f1, f2 = base.f1.scale(cube_root), base.f2.scale(cube_root)
-        residual = relative_residual(f1 ** 3 + f2 ** 3, pf)
+        residual = relative_residual((f1 ** 3 + f2 ** 3).coeffs, pf.coeffs)
         if residual <= FLOAT_TOL:
             reps.append(Representation(f1, f2, 1.0, residual))
     return len(reps), reps, H

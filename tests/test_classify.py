@@ -262,6 +262,21 @@ def test_type_detect_over_a_formal_parameter(family, relation):
     assert tag.describe() == relation
 
 
+@pytest.mark.parametrize("n", [Fraction(3, 2), Fraction(-7, 5), Fraction(2), Fraction(-1, 9)],
+                         ids=["3/2", "-7/5", "2", "-1/9"])
+def test_rational_hirschhorn_type_is_the_reciprocal_of_the_formal_type_at_n(n):
+    # the first split that holds at a rational n is f4 - f2 = T (f1 - f3),
+    # T = n^-2 for Hirschhorn; over a formal n that T does not divide, and
+    # the reversed split gives n^2, so the two answers are reciprocal at n.
+    # Young's T is n^2 both ways.  A search that picks one split for both
+    # kinds of input changes this pin on purpose
+    formal = ParamPoly.variable("n") ** 2
+    for family, want in ((young_family, formal.evaluate(n)), (hirschhorn_family, 1 / formal.evaluate(n))):
+        assert type_detect(*family()).T == formal
+        rational = type_detect(*family(n))
+        assert rational.T == want and rational.describe() == "f4 - f2 = T*(f1 - f3)"
+
+
 def _rational_type_inputs():
     """(forms, T) for Young and Hirschhorn members at 24 seeded rational n,
     and for the Young and Hirschhorn integer quadruples."""

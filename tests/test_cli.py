@@ -1,5 +1,4 @@
 """End-to-end tests for the command-line interface."""
-import ast
 import json
 import os
 import re
@@ -140,8 +139,8 @@ def test_decompose_text_format_lines(capsys):
         match = pattern.fullmatch(line)
         assert match, line
         assert int(match[1]) == k
-        assert ast.literal_eval(match[2]) == rep["f1"]
-        assert ast.literal_eval(match[3]) == rep["f2"]
+        assert json.loads(match[2]) == rep["f1"]
+        assert json.loads(match[3]) == rep["f2"]
         assert match[4] == f"{rep['residual']:.3e}"
 
 

@@ -135,6 +135,21 @@ def test_dependence_float_solve_coefficients():
     assert abs(dep.alpha - 1) < 1e-9 and abs(dep.beta - 1) < 1e-9
 
 
+@pytest.mark.parametrize("share, dependent", [(0.5, True), (2.0, False)])
+def test_dependence_cut_is_the_relative_residual_of_the_fit(share, dependent):
+    # r3 = r1 + r2 + e*n with n a unit normal to the span: the fit is r1 + r2
+    # and misses r3 by e, a relative residual of e / |r3| = share * cut
+    r1, r2 = (1 + 0j, -1 + 0j, 0j), (0j, 1 + 0j, 1 + 0j)
+    normal = [c / math.sqrt(3.0) for c in (-1, -1, 1)]
+    rel = share * decomp.COEFF_SOLVE_REL
+    e = rel * math.sqrt(2.0) / math.sqrt(1.0 - rel * rel)
+    r3 = tuple([a + b + e * c for a, b, c in zip(r1, r2, normal)])
+    dep = decomp.dependence_test(r1, r2, r3)
+    assert dep.dependent is dependent
+    if dependent:
+        assert abs(dep.alpha - 1) < 1e-12 and abs(dep.beta - 1) < 1e-12
+
+
 # ---------------------------------------------------------------- construction
 
 def test_construction_identity_exact_oracle():

@@ -388,6 +388,27 @@ def test_norm2_is_overflow_and_underflow_safe():
     assert norm2([3e-200j, 4e-200]) == pytest.approx(5e-200)
 
 
+def test_relative_residual_floors_a_zero_want():
+    # a zero want divides by UNDERFLOW_FLOOR, not by zero
+    assert relative_residual([0, 0j, 0.0], [0, 0j, 0.0]) == 0.0
+    assert relative_residual([forms.UNDERFLOW_FLOOR, 0], [0, 0]) == 1.0
+    assert relative_residual([3, 4j], [0, 0]) == 5.0 / forms.UNDERFLOW_FLOOR
+    assert relative_residual([F(1, 2), 0], [0, F(0)]) == 0.5 / forms.UNDERFLOW_FLOOR
+
+
+@pytest.mark.parametrize("k", [-600, -53, 1, 60, 500])
+def test_relative_residual_is_bit_identical_under_power_of_two_scaling(k):
+    # scaling both sides by 2^k scales every difference and both 2-norms
+    # exactly, so the ratio keeps every bit while no value leaves the
+    # normal float range
+    rng = random.Random(3400 + k)
+    s = 2.0 ** k
+    for _ in range(50):
+        want = [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(7)]
+        got = [w + complex(rng.gauss(0, 1e-9), rng.gauss(0, 1e-9)) for w in want]
+        assert relative_residual([s * c for c in got], [s * c for c in want]) == relative_residual(got, want)
+
+
 def test_proportionality():
     assert ex(1, 2, 3).proportional_to(ex(2, 4, 6))
     assert not ex(1, 2, 3).proportional_to(ex(2, 4, 7))
@@ -886,7 +907,7 @@ def test_horner_composition_matches_expansion_in_floats(degree):
         m = LinearChange(*[complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(4)], FLOAT)
         got = form_compose(f, m)
         want = _expanded_substitution(f, *_linear(m))
-        assert got.kernel is FLOAT and relative_residual(got, want) <= 1e-12
+        assert got.kernel is FLOAT and relative_residual(got.coeffs, want.coeffs) <= 1e-12
 
 
 def test_horner_composition_takes_fewer_products():

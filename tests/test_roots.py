@@ -7,7 +7,7 @@ import pytest
 
 from twocubes import roots as roots_module
 from twocubes.decomp import rep_count
-from twocubes.forms import FLOAT, NEGLIGIBLE_REL, BinaryForm, LinearChange, form_compose
+from twocubes.forms import FLOAT, NEGLIGIBLE_REL, BinaryForm, LinearChange, form_compose, relative_residual
 from twocubes.roots import (
     RECONSTRUCT_TOL,
     ProjectiveRoot,
@@ -79,6 +79,21 @@ def test_reconstruction_residual_on_random_sextics():
         den = math.sqrt(sum(abs(b) ** 2 for b in p.coeffs))
         worst = max(worst, num / den)
     assert worst <= 1e-8
+
+
+def test_reconstruction_residual_is_the_one_relative_residual():
+    # the residual the factorization is accepted on is forms.relative_residual
+    # of the rebuilt product against p, bit for bit
+    rng = random.Random(34)
+    for _ in range(200):
+        p = BinaryForm.floating(6, [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(7)])
+        _, roots = linear_factors(p)
+        scale, residual = roots_module._reconstruction(p, roots)
+        prod = BinaryForm.floating(0, [1.0])
+        for r in roots:
+            for _ in range(r.multiplicity):
+                prod = prod * BinaryForm.floating(1, r.factor_coeffs())
+        assert residual == relative_residual(prod.scale(scale).coeffs, p.coeffs)
 
 
 def test_ordering_is_deterministic():

@@ -23,6 +23,8 @@
 - No `math.sqrt(sum(...))`: squaring a coefficient above ~1e154 overflows
   and one below ~1e-162 underflows, so a 2-norm of such values is inf or 0.
   `forms.norm2` takes the 2-norm with `math.hypot`, which scales first.
+- `math.hypot` is called only inside `forms.norm2`: every float 2-norm goes
+  through that one function, so no module keeps its own norm.
 - Every exact scalar class (the classes of `exact.py` with an `is_zero`
   method and `ecurve.RationalFunction`) defines `__bool__`: `bool(v)` is
   the one exact zero test, and an object without `__bool__` is always
@@ -145,6 +147,33 @@ def test_no_sqrt_of_sum(path):
         )
     ]
     assert not lines, f"{path.name}: math.sqrt(sum(...)) at lines {lines}; use forms.norm2"
+
+
+def _hypot_calls(node) -> set:
+    """Lines of the math.hypot calls under node."""
+    return {
+        n.lineno
+        for n in ast.walk(node)
+        if isinstance(n, ast.Call)
+        and isinstance(n.func, ast.Attribute)
+        and n.func.attr == "hypot"
+        and isinstance(n.func.value, ast.Name)
+        and n.func.value.id == "math"
+    }
+
+
+def test_only_norm2_calls_hypot():
+    found = {}
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        lines = _hypot_calls(tree)
+        if path.name == "forms.py":
+            norm2 = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "norm2"]
+            assert norm2 and _hypot_calls(norm2[0]), "forms.norm2 must exist and call math.hypot"
+            lines -= _hypot_calls(norm2[0])
+        if lines:
+            found[path.name] = sorted(lines)
+    assert not found, f"math.hypot outside forms.norm2: {found}"
 
 
 def _defined_names(cls: ast.ClassDef) -> set:
