@@ -16,7 +16,7 @@ import math
 from fractions import Fraction
 
 from .exact import OMEGA
-from .families import f_forms
+from .families import f_forms, mirror, tame_mirror_pair, wild_family_cleared
 from .forms import (EXACT, FLOAT, FLOAT_TOL, NEGLIGIBLE_REL, UNDERFLOW_FLOOR, BinaryForm, LinearChange,
                     det3, form_compose, lift, projective, relative_residual)
 
@@ -255,6 +255,7 @@ def tame_complete(gamma):
     f1 = r*x^2 + s*y^2, f2 = s*x^2 + r*y^2 where r, s are the roots of
     X^2 - P*X + 2(1+gamma^2)/P with P = (8+6*gamma^2)^(1/3), so that both
     sums equal 2*(x^6 + 3(1+g^2)x^4y^2 + 3(1+g^2)x^2y^4 + y^6); T = P/2.
+    The pair f3, f4 and that target are `families.tame_mirror_pair`'s.
     """
     g = complex(gamma)
     if abs(g) < NEGLIGIBLE_REL:
@@ -269,10 +270,7 @@ def tame_complete(gamma):
     s = (P - root) / 2
     f1 = BinaryForm.floating(2, [r, 0, s])
     f2 = BinaryForm.floating(2, [s, 0, r])
-    f3 = BinaryForm.floating(2, [1, g, 1])
-    f4 = BinaryForm.floating(2, [1, -g, 1])
-    t_coeff = 3 * (1 + g * g)
-    target = BinaryForm.floating(6, [2, 0, 2 * t_coeff, 0, 2 * t_coeff, 0, 2])
+    f3, f4, target = tame_mirror_pair(g)
     for fa, fb in ((f1, f2), (f3, f4)):
         if relative_residual((fa ** 3 + fb ** 3).coeffs, target.coeffs) > FLOAT_TOL:
             raise ArithmeticError("tame completion failed its sum contract")
@@ -286,28 +284,20 @@ def wild_family(d):
     linear relation f1 + d^2 f2 = d^2 f3 + f4 = (1+d^3)x^2 + (1-d^3)y^2
     holds, the flip f1^3 - f4^3 = f3^3 - f2^3 holds, and third =
     (f1(x,-y), f2(x,-y)) is a further representation of the common sum
-    (the sum is even while f1, f2 carry odd cross terms); T = d^2.
+    (the sum is even while f1, f2 carry odd cross terms); T = d^2.  The
+    members are those of `families.wild_family_cleared` divided by 1 - d^6.
     """
     dv = complex(d)
     if abs(dv) < NEGLIGIBLE_REL or abs(dv ** 6 - 1) < NEGLIGIBLE_REL:
         raise ValueError("d*(d^6 - 1) = 0 is excluded")
-    r = dv ** 3
-    u = cmath.sqrt(1 - dv ** 6)
-    s3 = math.sqrt(3.0)
-    f1 = BinaryForm.floating(2, [1, -2 * s3 * r / u, 1])
-    f2 = BinaryForm.floating(2, [dv, 2 * s3 * dv / u, -dv])
-    denom = 1 - dv ** 6
-    f3 = BinaryForm.floating(
-        2, [-dv * (2 + 3 * r + r * r) / denom, 0, dv * (2 - 3 * r + r * r) / denom]
-    )
-    f4 = BinaryForm.floating(
-        2, [(1 + 3 * r + 2 * r * r) / denom, 0, (1 - 3 * r + 2 * r * r) / denom]
-    )
+    *cleared, denom = wild_family_cleared(dv)
+    f1, f2, f3, f4 = [BinaryForm(2, tuple([c / denom for c in f.coeffs]), FLOAT) for f in cleared]
     p = f1 ** 3 + f2 ** 3
     if relative_residual((f3 ** 3 + f4 ** 3).coeffs, p.coeffs) > FLOAT_TOL:
         raise ArithmeticError("wild family failed its equal-sum contract")
     if relative_residual((f1 ** 3 - f4 ** 3).coeffs, (f3 ** 3 - f2 ** 3).coeffs) > FLOAT_TOL:
         raise ArithmeticError("wild family failed its flip contract")
+    r = dv ** 3
     line = BinaryForm.floating(2, [1 + r, 0, 1 - r])
     dsq = dv * dv
     if (
@@ -315,16 +305,10 @@ def wild_family(d):
         or relative_residual((f3.scale(dsq) + f4).coeffs, line.coeffs) > FLOAT_TOL
     ):
         raise ArithmeticError("wild family failed its linear relation")
-    third = (_negate_y(f1), _negate_y(f2))
+    third = (mirror(f1), mirror(f2))
     if relative_residual((third[0] ** 3 + third[1] ** 3).coeffs, p.coeffs) > FLOAT_TOL:
         raise ArithmeticError("wild family failed its third-representation contract")
     return f1, f2, f3, f4, third, dsq
-
-
-def _negate_y(f: BinaryForm) -> BinaryForm:
-    return BinaryForm.floating(
-        2, [f.coeffs[0], -complex(f.coeffs[1]), f.coeffs[2]]
-    )
 
 
 # -------------------------------------------------------- canonicalization

@@ -45,11 +45,6 @@ class _Parser(argparse.ArgumentParser):
         # Let "-3/2" and "-1,0.5" pass as positional scalar literals.
         self._negative_number_matcher = re.compile(r"^-[\d.]")
 
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(1)
-
 
 # --------------------------------------------------------------------------
 # literals and serialization
@@ -224,7 +219,7 @@ def cmd_family(ns) -> int:
     def text():
         yield f"family {fid}" + (f" at parameter {payload['parameter']}" if lam is not None else "")
         for k, coeffs in enumerate(payload["members"], 1):
-            yield f"member {k}: {coeffs}"
+            yield f"member {k}: {json.dumps(coeffs, sort_keys=True)}"
 
     _emit(ns, payload, text)
     return 0

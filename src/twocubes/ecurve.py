@@ -7,10 +7,12 @@ after dividing by a common denominator) arises from three parameters
     f1 = mu*(1 - (a - 3b)*q),    f3 = mu*((a + 3b) - q^2),
     f2 = mu*((a + 3b)*q - 1),    f4 = mu*(q^2 - (a - 3b)).
 
-`eb_forward` builds the quadruple from the parameters, `eb_inverse` recovers
-the parameters, `curve_third_rep` produces the extra representation
-(mu*(1 + 2aq))^3 - (mu*(2a + q^2))^3 of the flipped sum, and `curve_add`
-performs chord addition of two points on X^3 + Y^3 = A.
+`curve_map` is the one place these formulas and the extra representation
+(mu*(1 + 2aq))^3 - (mu*(2a + q^2))^3 of the flipped sum are written:
+`eb_forward` builds the quadruple from the parameters, `curve_third_rep`
+the extra pair, and the identity suite proves both from it.  `eb_inverse`
+recovers the parameters, and `curve_add` performs chord addition of two
+points on X^3 + Y^3 = A.
 
 Scalar inputs may be exact (Fraction / cyclotomic) or complex.  Each public
 call lifts its inputs once, through `forms.lift`: one float or complex input
@@ -264,22 +266,34 @@ def _divided(num, den):
     return num / den
 
 
-def eb_forward(params: EBParams) -> EBQuadruple:
-    """Quadruple (f1..f4) with f1^3 + f2^3 = f3^3 + f4^3, and their sum p."""
-    (a, b, mu), kernel = _lifted([params.a, params.b, params.mu])
-    # a = A/d, b = B/d and mu = M/e: every fk is an integer over e d^4
-    a, b, d = projective(a, b)
-    mu, e = projective(mu)
+def curve_map(a, b, mu, d):
+    """The curve map at the parameters (a/d, b/d, mu), times d^4: the
+    quadruple (f1, f2, f3, f4) of the module's display and the extra pair
+    (h1, h2) of `curve_third_rep`.  At d = 1 it is the map itself."""
     d3 = d ** 3
     q = a * a + 3 * (b * b)
+    qq = q * q
     u, v = a - 3 * b, a + 3 * b
-    f1 = mu * _scaled(d3 - u * q, d)
-    f2 = mu * _scaled(v * q - d3, d)
-    f3 = mu * (_scaled(v, d3) - q * q)
-    f4 = mu * (q * q - _scaled(u, d3))
+    return (mu * _scaled(d3 - u * q, d), mu * _scaled(v * q - d3, d),
+            mu * (_scaled(v, d3) - qq), mu * (qq - _scaled(u, d3)),
+            mu * _scaled(d3 + 2 * (a * q), d), mu * (_scaled(2 * a, d3) + qq))
+
+
+def _cleared_map(params: EBParams):
+    """The curve map's numerators at params, their common denominator and
+    the call's kernel: a = A/d, b = B/d and mu = M/e make every value an
+    integer over e d^4."""
+    (a, b, mu), kernel = _lifted([params.a, params.b, params.mu])
+    a, b, d = projective(a, b)
+    mu, e = projective(mu)
+    return curve_map(a, b, mu, d), e * d ** 4, kernel
+
+
+def eb_forward(params: EBParams) -> EBQuadruple:
+    """Quadruple (f1..f4) with f1^3 + f2^3 = f3^3 + f4^3, and their sum p."""
+    (f1, f2, f3, f4, _, _), z, kernel = _cleared_map(params)
     left = f1 ** 3 + f2 ** 3
     _check_identity(kernel, left - (f3 ** 3 + f4 ** 3), (f1, f2, f3, f4), "equal-sum")
-    z = e * d3 * d
     return EBQuadruple(_divided(f1, z), _divided(f2, z), _divided(f3, z), _divided(f4, z),
                        _divided(left, z ** 3), kernel.is_zero(left, (f1, f2), 3))
 
@@ -329,23 +343,13 @@ def curve_third_rep(params: EBParams):
     """The pair (h1, h2) with h1^3 - h2^3 = f1^3 - f4^3 for the quadruple.
 
     The flipped sum of the parameterized quadruple has this one extra
-    representation; the identity is checked exactly (or to 1e-9 relative
-    in the complex case).
+    representation; the identity is checked on the cleared numerators,
+    exactly (or to the float kernel's tolerance in the complex case).
     """
-    (a, b, mu), kernel = _lifted([params.a, params.b, params.mu])
-    a, b, d = projective(a, b)
-    mu, e = projective(mu)
-    d3 = d ** 3
-    q = a * a + 3 * (b * b)
-    h1 = mu * _scaled(d3 + 2 * (a * q), d)
-    h2 = mu * (_scaled(2 * a, d3) + q * q)
-    z = e * d3 * d
-    h1, h2 = _divided(h1, z), _divided(h2, z)
-    quad = eb_forward(params)
-    x1, x2, x3, x4, _ = projective(h1, h2, quad.f1, quad.f4)
-    diff = (x1 ** 3 - x2 ** 3) - (x3 ** 3 - x4 ** 3)
-    _check_identity(kernel, diff, (x1, x2, x3, x4), "third-representation")
-    return h1, h2
+    (f1, _, _, f4, h1, h2), z, kernel = _cleared_map(params)
+    diff = (h1 ** 3 - h2 ** 3) - (f1 ** 3 - f4 ** 3)
+    _check_identity(kernel, diff, (h1, h2, f1, f4), "third-representation")
+    return _divided(h1, z), _divided(h2, z)
 
 
 # --------------------------------------------------------------------------

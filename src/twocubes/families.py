@@ -4,7 +4,11 @@ The module builds, over exact scalars, the classical families of binary
 quadratics whose cubes form equal sums (the 1913 integer quadruple, its
 1914 parametric extension, the omega-twisted one-parameter family and its
 flips, the tame and wild completions, plus the Vieta / Young / Hirschhorn /
-Sandor displays), and re-verifies every identity they satisfy.
+Sandor displays), and re-verifies every identity they satisfy.  The tame
+mirror pair, the wild family cleared of its denominators and the y -> -y
+mirror are defined here once: `classify` completes its tame and wild
+families from them, and identity groups 10 and 11 prove them, as group 20
+proves `ecurve.curve_map`.
 
 `verify_identity_suite` runs 21 identity groups.  Each is a list of named
 exact polynomial identities (label, lhs, rhs), holding when lhs - rhs is
@@ -16,8 +20,10 @@ identity is tested.
 """
 from __future__ import annotations
 
+import cmath
 from fractions import Fraction
 
+from .ecurve import curve_map
 from .exact import (
     CycNum,
     ParamPoly,
@@ -35,6 +41,11 @@ from .exact import (
 from .forms import EXACT, BinaryForm, LinearChange, det3, form_compose, lift
 
 ONE = 1
+
+# The wild family and the tau-substitution need u = sqrt(1 - d^6).  Formally
+# it is the parameter "U", which sorts before "d" and so is the outer variable
+# over Q(zeta24)[d].
+_U = ParamPoly.variable("U")
 
 
 def _parameter(value, name: str):
@@ -97,6 +108,11 @@ def narayanan_extra_pair(lam=None) -> tuple[BinaryForm, BinaryForm]:
         _form(2, [-p, m + 2 * p, -p], kernel),
         _form(2, [l, n - 2 * l, l], kernel),
     )
+
+
+def mirror(f: BinaryForm) -> BinaryForm:
+    """The form f(x, -y)."""
+    return BinaryForm(f.degree, tuple([-c if k % 2 else c for k, c in enumerate(f.coeffs)]), f.kernel)
 
 
 def _omega_twist(f: BinaryForm, k: int) -> BinaryForm:
@@ -194,6 +210,34 @@ def sextic_b(t) -> BinaryForm:
     return _form(6, [ONE, 0, 0, t, 0, 0, ONE], kernel)
 
 
+def tame_mirror_pair(gamma=None) -> tuple[BinaryForm, ...]:
+    """The tame mirror pair x^2 + gamma xy + y^2 and x^2 - gamma xy + y^2,
+    and their cube sum 2 A(3(1 + gamma^2)), A the `sextic_a` family."""
+    gamma, kernel = _parameter(gamma, "ga")
+    left = _form(2, [ONE, gamma, ONE], kernel)
+    return left, mirror(left), sextic_a(3 * (1 + gamma ** 2)).scale(2)
+
+
+def wild_family_cleared(d=None) -> tuple:
+    """The wild family times 1 - d^6, and that factor.
+
+    Returns (e1, e2, g3, g4, s) with s = 1 - d^6 and u = sqrt(1 - d^6): the
+    family members are e1/s, e2/s, g3/s and g4/s.  A formal d is the
+    parameter "d" with u the parameter "U"; any other d is complex.
+    """
+    d, kernel = _parameter(None if d is None else complex(d), "d")
+    s = 1 - d ** 6
+    u = _U if kernel.exact else cmath.sqrt(s)
+    sqrt3 = kernel.coerce(SQRT3)
+    return (
+        _form(2, [s, -2 * sqrt3 * d ** 3 * u, s], kernel),
+        _form(2, [d * s, 2 * sqrt3 * d * u, -d * s], kernel),
+        _form(2, [-d * (2 + 3 * d ** 3 + d ** 6), 0, d * (2 - 3 * d ** 3 + d ** 6)], kernel),
+        _form(2, [1 + 3 * d ** 3 + 2 * d ** 6, 0, 1 - 3 * d ** 3 + 2 * d ** 6], kernel),
+        s,
+    )
+
+
 def q2_sextic() -> BinaryForm:
     """xy(x^4 - y^4), the sextic with the octahedral root set."""
     return BinaryForm.exact(6, [0, 1, 0, 0, 0, -1, 0])
@@ -289,11 +333,7 @@ def vieta_quartics() -> tuple[BinaryForm, ...]:
 # Each exact group is a generator of named identities (label, lhs, rhs) over
 # exact scalars; `_holds` is the one test of whether an identity holds.
 
-# The wild family and the tau-substitution need u = sqrt(1 - d^6).  It is the
-# formal parameter "U", which sorts before "d" and so is the outer variable
-# over Q(zeta24)[d]; `_holds` applies u^2 = 1 - d^6 to a difference that is
-# not already zero.
-_U = ParamPoly.variable("U")
+# `_holds` applies u^2 = 1 - d^6 to a difference that is not already zero.
 _U_SQUARE = 1 - ParamPoly.variable("d") ** 6
 
 
@@ -462,35 +502,20 @@ def _parameter_symmetries():
     f1, f2 = f_forms()[:2]
     negated = f_forms(-ParamPoly.variable("lam"))[:2]
     for name, f, f_neg in zip(("f1", "f2"), (f1, f2), negated):
-        a, b, c = f.coeffs
-        yield f"{name}(-lam) = -{name}(x, -y)", f_neg, -_quad(a, -b, c)
+        yield f"{name}(-lam) = -{name}(x, -y)", f_neg, -mirror(f)
     # t^4 * f(1/t) swaps the base pair up to sign
     yield "lam^4 f1(1/lam) = -f2", _reversed_parameter(f1), -f2
     yield "lam^4 f2(1/lam) = -f1", _reversed_parameter(f2), -f1
 
 
 def _tame_mirror_sum():
-    ga = ParamPoly.variable("ga")
-    left = BinaryForm.exact(2, [ONE, ga, ONE])
-    right = BinaryForm.exact(2, [ONE, -ga, ONE])
-    t = 3 * (1 + ga ** 2)
-    target = BinaryForm.exact(6, [ONE, 0, t, 0, t, 0, ONE]).scale(2)
+    left, right, target = tame_mirror_pair()
     yield "(x2+ga xy+y2)^3 + (x2-ga xy+y2)^3 = 2 A(3(1+ga^2))", left ** 3 + right ** 3, target
 
 
 def _wild_construction():
+    e1, e2, g3, g4, s = wild_family_cleared()
     d = ParamPoly.variable("d")
-    mod = 1 - d ** 6
-    mirror = lambda f: _quad(f.coeffs[0], -f.coeffs[1], f.coeffs[2])
-    # cleared members: (1-d^6) times each quadratic, u = sqrt(1-d^6) as the
-    # formal parameter _U; b_cl and e_cl are the u-parts of the middle
-    # coefficients of e1 and e2
-    b_cl = -2 * SQRT3 * d ** 3
-    e_cl = 2 * SQRT3 * d
-    e1 = _quad(mod, b_cl * _U, mod)
-    e2 = _quad(d * mod, e_cl * _U, -d * mod)
-    g3 = _quad(-d * (2 + 3 * d ** 3 + d ** 6), 0, d * (2 - 3 * d ** 3 + d ** 6))
-    g4 = _quad(1 + 3 * d ** 3 + 2 * d ** 6, 0, 1 - 3 * d ** 3 + 2 * d ** 6)
     c1, c2, c3, c4 = e1 ** 3, e2 ** 3, g3 ** 3, g4 ** 3
     total = c1 + c2
     yield "e1^3 + e2^3 = g3^3 + g4^3", total, c3 + c4
@@ -498,30 +523,22 @@ def _wild_construction():
     left_line = e1 + e2.scale(d * d)
     yield "e1 + d^2 e2 = d^2 g3 + g4", left_line, g3.scale(d * d) + g4
     yield "e1 + d^2 e2 = (1-d^6)((1+d^3)x2 + (1-d^3)y2)", left_line, _quad(
-        mod * (1 + d ** 3), 0, mod * (1 - d ** 3))
+        s * (1 + d ** 3), 0, s * (1 - d ** 3))
     # mirroring y -> -y gives the even sum's genuinely new third pair: it
-    # differs from e1 and from g3 by a nonzero u-odd xy term
+    # differs from e1 and from g3 by the nonzero u-odd xy term 2 sqrt3 d^3 u
     e5, e6 = mirror(e1), mirror(e2)
+    xy = 2 * SQRT3 * d ** 3 * _U
     yield "e5^3 + e6^3 = e1^3 + e2^3", e5 ** 3 + e6 ** 3, total
-    yield "e5 - e1 = -2 b_cl u xy", e5 - e1, _quad(0, -2 * b_cl * _U, 0)
-    yield "e5 - g3 has the xy term -b_cl u", e5 - g3, _quad(
-        mod + d * (2 + 3 * d ** 3 + d ** 6), -b_cl * _U, mod - d * (2 - 3 * d ** 3 + d ** 6))
-    # evenness constraints on x^5 y, x^3 y^3, x y^5 coefficients, split into
-    # u-odd parts (cleared by one power of u) and the mixed cubic part
-    ca, cc, cd, cf = 1, 1, d, -d
-    yield "x^5 y coefficient vanishes", 3 * ca * ca * b_cl + 3 * cd * cd * e_cl, 0
-    yield "x^3 y^3 coefficient vanishes", (
-        (6 * ca * cc * b_cl + 6 * cd * cf * e_cl) * mod + b_cl ** 3 + e_cl ** 3), 0
-    yield "x y^5 coefficient vanishes", 3 * b_cl * cc * cc + 3 * e_cl * cf * cf, 0
+    yield "e5 - e1 = 4 sqrt3 d^3 u xy", e5 - e1, _quad(0, 2 * xy, 0)
+    yield "e5 - g3 has the xy term 2 sqrt3 d^3 u", (e5 - g3).coeffs[1], xy
+    # the common sum is even: its x^5 y, x^3 y^3 and x y^5 terms vanish
+    for k, monomial in ((1, "x^5 y"), (3, "x^3 y^3"), (5, "x y^5")):
+        yield f"{monomial} coefficient vanishes", total.coeffs[k], 0
 
 
 def _simplest_family():
     w = OMEGA
-    pairs = [
-        (_quad(1, 1, -1), _quad(1, -1, -1)),
-        (_quad(w, ONE, -w ** 2), _quad(w, -ONE, -w ** 2)),
-        (_quad(w ** 2, ONE, -w), _quad(w ** 2, -ONE, -w)),
-    ]
+    pairs = [(a, mirror(a)) for a in (_quad(1, 1, -1), _quad(w, ONE, -w ** 2), _quad(w ** 2, ONE, -w))]
     target = BinaryForm.exact(6, [2, 0, 0, 0, 0, 0, -2])
     for k, (a, b) in enumerate(pairs):
         yield f"pair w^{k}: a^3 + b^3 = 2(x6 - y6)", a ** 3 + b ** 3, target
@@ -626,14 +643,11 @@ def _chord_third_representation():
     a = ParamPoly.variable("a")
     b = ParamPoly.variable("b")
     q = a * a + 3 * b * b
-    f1 = 1 - (a - 3 * b) * q
-    f2 = (a + 3 * b) * q - 1
-    f3 = (a + 3 * b) - q * q
-    f4 = q * q - (a - 3 * b)
+    f1, f2, f3, f4, h1, h2 = curve_map(a, b, 1, 1)
     c1, c2, c3, c4 = f1 ** 3, f2 ** 3, f3 ** 3, f4 ** 3
     left = c1 - c4
     yield "f1^3 - f4^3 = f3^3 - f2^3", left, c3 - c2
-    yield "f1^3 - f4^3 = (1 + 2aq)^3 - (2a + q^2)^3", left, (1 + 2 * a * q) ** 3 - (2 * a + q * q) ** 3
+    yield "f1^3 - f4^3 = (1 + 2aq)^3 - (2a + q^2)^3", left, h1 ** 3 - h2 ** 3
     # the common sum of the parameterization, in factored display form
     conv = 18 * b * q * (1 - (a + b) ** 3 - (a - b) ** 3 + q ** 3)
     yield "f1^3 + f2^3 = 18bq(1 - (a+b)^3 - (a-b)^3 + q^3)", c1 + c2, conv

@@ -381,18 +381,12 @@ def _dehomogenize(f: BinaryForm):
     return m, list(f.coeffs[m:])
 
 
-def _poly_trim(c):
-    c = list(c)
-    while len(c) > 1 and not c[0]:
-        c.pop(0)
-    return c
-
-
 def _long_division(a, b):
     """Quotient and remainder of exact univariate polynomials, coefficients
     highest power first and b's lead nonzero, by the inverse of that lead.
     A zero running coefficient adds no quotient term, so such a slot holds
-    `EXACT.zero`."""
+    `EXACT.zero`.  The remainder comes without leading zeros, empty when b
+    divides a."""
     n = max(len(a) - len(b) + 1, 0)
     quot, rem, inv = [EXACT.zero] * n, list(a), EXACT.inv(b[0])
     for i in range(n):
@@ -401,7 +395,10 @@ def _long_division(a, b):
         c = quot[i] = rem[i] * inv
         for j in range(1, len(b)):
             rem[i + j] = rem[i + j] - c * b[j]
-    return quot, rem[n:]
+    rem = rem[n:]
+    while rem and not rem[0]:
+        del rem[0]
+    return quot, rem
 
 
 def form_gcd(f: BinaryForm, g: BinaryForm) -> BinaryForm:
@@ -418,8 +415,8 @@ def form_gcd(f: BinaryForm, g: BinaryForm) -> BinaryForm:
         return f
     my, a = _dehomogenize(f)
     ny, b = _dehomogenize(g)
-    while any(b):
-        a, b = b, _poly_trim(_long_division(a, b)[1])
+    while b:
+        a, b = b, _long_division(a, b)[1]
     # re-homogenize: y^ycommon shifts the x-polynomial toward higher k indices
     ycommon = min(my, ny)
     return BinaryForm(len(a) - 1 + ycommon, tuple([EXACT.zero] * ycommon + a), EXACT)

@@ -21,8 +21,9 @@ from twocubes.classify import (
 from twocubes.decomp import rep_count
 from twocubes.exact import OMEGA, CycNum, ParamPoly
 from twocubes.ecurve import EBParams, eb_forward
-from twocubes.families import hirschhorn_family, hirschhorn_quadruple, sandor_family, young_family, young_quadruple
-from twocubes.forms import FLOAT, BinaryForm, LinearChange, form_compose
+from twocubes.families import (hirschhorn_family, hirschhorn_quadruple, mirror, sandor_family, tame_mirror_pair,
+                               wild_family_cleared, young_family, young_quadruple)
+from twocubes.forms import FLOAT, BinaryForm, LinearChange, form_compose, relative_residual
 
 
 def fl2(a, b, c):
@@ -478,6 +479,33 @@ def test_tame_difference_square_relation_exact_scalars():
     for q in (Fraction(28, 3), Fraction(19, 6), Fraction(5, 1)):
         lhs = (8 + 6 * q) - 8 * (1 + q)  # P^3 - 4*Q*P with P^3 = 8 + 6q
         assert lhs == -2 * q
+
+
+def test_tame_pair_and_target_are_the_generator_bit_for_bit():
+    # f3, f4 are families.tame_mirror_pair's forms, and the target it builds
+    # through sextic_a is the display 2(x^6 + t x^4 y^2 + t x^2 y^4 + y^6),
+    # t = 3(1 + g^2), to the last bit and the sign of every zero
+    rng = random.Random(11)
+    gammas = [complex(rng.uniform(-3, 3), rng.uniform(-3, 3)) for _ in range(20)]
+    for g in gammas + [2.0, -0.5, 1j, complex(-0.0, 1.5)]:
+        _, _, f3, f4, _ = tame_complete(g)
+        left, right, target = tame_mirror_pair(g)
+        assert (repr(f3), repr(f4)) == (repr(left), repr(right))
+        g = complex(g)
+        t = 3 * (1 + g * g)
+        assert repr(target) == repr(BinaryForm.floating(6, [2, 0, 2 * t, 0, 2 * t, 0, 2]))
+
+
+def test_wild_family_is_the_cleared_generator_over_one_minus_d6():
+    rng = random.Random(13)
+    for _ in range(24):
+        d = cmath.rect(rng.uniform(0.3, 1.6), rng.uniform(-math.pi, math.pi))
+        *members, third, T = wild_family(d)
+        *cleared, s = wild_family_cleared(d)
+        assert s == 1 - complex(d) ** 6 and T == complex(d) ** 2
+        for got, want in zip(members + list(third), cleared + [mirror(f) for f in cleared[:2]]):
+            want = [complex(c) / s for c in want.coeffs]
+            assert relative_residual(got.coeffs, want) <= 1e-13
 
 
 def test_tame_excluded_parameters():

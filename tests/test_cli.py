@@ -421,6 +421,20 @@ def test_family_without_a_parameter_rejects_lambda(capsys, family):
     assert f"error: family {family.upper()} takes no --lambda" in captured.err
 
 
+def test_family_text_prints_each_member_as_json(capsys):
+    # the rule of decompose --format text: each member is the JSON of its
+    # coefficients, cyclotomic entries included
+    _, payload = run_json(capsys, "family", "F", "--lambda", "-1/2")
+    code, out = run_cli(capsys, "--format", "text", "family", "F", "--lambda", "-1/2")
+    assert code == 0
+    lines = out.splitlines()[1:]
+    assert len(lines) == len(payload["members"])
+    for k, (line, member) in enumerate(zip(lines, payload["members"]), 1):
+        prefix = f"member {k}: "
+        assert line.startswith(prefix)
+        assert line[len(prefix):] == json.dumps(member, sort_keys=True)
+
+
 def test_family_unknown_is_usage_error(capsys):
     code = main(["family", "Z"])
     capsys.readouterr()
@@ -609,6 +623,21 @@ def test_unknown_command_is_usage_error(capsys):
     code = main(["frobnicate"])
     capsys.readouterr()
     assert code == 1
+
+
+def test_argparse_usage_error_prints_usage_and_error(capsys, monkeypatch):
+    # argparse's own error writes the subcommand's usage line and the error,
+    # and its exit code 2 becomes the CLI's usage-error code 1; the width is
+    # pinned because argparse wraps the usage line to the terminal
+    monkeypatch.setenv("COLUMNS", "80")
+    code = main(["census"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == (
+        "usage: twocubes census [-h] [--grid GRID] family [values ...]\n"
+        "twocubes census: error: the following arguments are required: family, values\n"
+    )
 
 
 def _run_python(*args):

@@ -231,8 +231,9 @@ def test_forward_complex_identity_check_raises_beyond_tolerance(monkeypatch):
 
 
 def test_third_representation_check_raises_on_a_wrong_quadruple(monkeypatch):
-    forward = ecurve.eb_forward
-    monkeypatch.setattr(ecurve, "eb_forward", lambda params: dataclasses.replace(forward(params), f1=Q(0)))
+    # the check runs on the curve map's own numerators, so a wrong f1 there fails it
+    curve_map = ecurve.curve_map
+    monkeypatch.setattr(ecurve, "curve_map", lambda *args: (0, *curve_map(*args)[1:]))
     with pytest.raises(ArithmeticError, match="third-representation identity"):
         curve_third_rep(EBParams(Q(-3, 2), Q(1, 2), Q(1)))
 

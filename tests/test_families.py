@@ -113,6 +113,35 @@ def test_failing_last_identity_fails_its_group(monkeypatch, gid, group):
     assert entry["pass"] is False
 
 
+# Each closed formula has one definition, which the group that proves it
+# calls: the tame pair (group 10), the cleared wild family (group 11) and the
+# curve map with its third representation (group 20).  One wrong output of
+# that definition fails its group, so `verify` proves the code that ships.
+_SHARED_DEFINITIONS = [
+    ("10", "tame_mirror_pair", k) for k in range(3)
+] + [
+    ("11", "wild_family_cleared", k) for k in range(4)
+] + [
+    ("20", "curve_map", k) for k in range(6)
+]
+
+
+@pytest.mark.parametrize("gid, name, index", _SHARED_DEFINITIONS,
+                         ids=[f"{gid}-{name}-{index}" for gid, name, index in _SHARED_DEFINITIONS])
+def test_wrong_shared_definition_fails_its_group(monkeypatch, gid, name, index):
+    assert verify_identity_suite(ids={gid})[0]["pass"] is True
+    shipped = getattr(fam, name)
+
+    def wrong(*args):
+        out = list(shipped(*args))
+        out[index] = _spoiled(out[index])
+        return tuple(out)
+
+    monkeypatch.setattr(fam, name, wrong)
+    (entry,) = verify_identity_suite(ids={gid})
+    assert entry["pass"] is False
+
+
 # ---------------------------------------------------------------- generators
 
 def test_integer_quadruple_point_values():
