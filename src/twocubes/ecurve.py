@@ -33,8 +33,8 @@ results are computed as before, bit for bit.  The chord works on points
 divides with the kernel's `div` once per output coordinate.
 A form chord runs on the integer layouts of `exact` (forms with int,
 Fraction and CycNum coefficients as integer vectors over one denominator,
-read only through `exact.layout_*`), lifted once per input form and kept on
-it: it shares the products x1x2 and y1y2 and the cross term x2y1 - x1y2
+read only through `exact.layout_*`), built from its five entries on every
+call: it shares the products x1x2 and y1y2 and the cross term x2y1 - x1y2
 between its denominator and both numerators (ten layout products), tests
 every value for zero on its integer coordinates, and normalizes only its
 two outputs.
@@ -53,6 +53,7 @@ from fractions import Fraction
 
 from .exact import (
     CycNum,
+    cyclotomic_layout,
     layout_coefficients,
     layout_cube,
     layout_degree,
@@ -63,7 +64,7 @@ from .exact import (
     layout_product,
     layout_sum,
 )
-from .forms import EXACT, BinaryForm, form_divexact, form_gcd, form_layout, lift, projective
+from .forms import EXACT, BinaryForm, form_divexact, form_gcd, lift, projective
 
 
 def _const_form(v) -> BinaryForm:
@@ -377,7 +378,7 @@ def curve_add(point1, point2, a):
             raise TypeError("form points need form coordinates and a form right side")
         if not all(v.kernel.exact for v in entries):
             raise TypeError("chord addition on forms requires the exact kernel")
-        layouts = [form_layout(v) for v in entries]
+        layouts = [cyclotomic_layout(v.coeffs) for v in entries]
         if any(layout is None for layout in layouts):
             raise TypeError("chord addition on forms needs int, Fraction or CycNum coefficients")
         return _form_chord(*layouts)
@@ -479,5 +480,5 @@ def _fraction(v):
     """The layouts of a chord coordinate's numerator and of its denominator,
     None for the denominator of a form."""
     if isinstance(v, BinaryForm):
-        return form_layout(v), None
-    return form_layout(v.num), form_layout(v.den)
+        return cyclotomic_layout(v.coeffs), None
+    return cyclotomic_layout(v.num.coeffs), cyclotomic_layout(v.den.coeffs)

@@ -9,18 +9,18 @@ ints alone.  That one field houses omega, i, the 8th and 12th roots of unity,
 sqrt2, sqrt3, sqrt(-3), sqrt6, sqrt(-6) and eta, so every exact identity in
 the suite can be checked coefficient-wise without nested radicals.
 
-Polynomials have two products.  `sparse_product` multiplies coefficients of
-any exact ring one scalar product at a time.  `cyclotomic_product` and
-`cyclotomic_cube` multiply forms whose coefficients are ints, Fractions and
-CycNums as one integer convolution in (x, z) over one common denominator,
-normalizing once per output coefficient; this module is the only one that
-knows CycNum's storage, so the layout they work on is built, read and sized
-here.  The same layout carries sums, differences, products, cubes, zero tests
-and exact division of such forms (`layout_*`), so that a computation
-normalizes only what it returns, and types each returned coefficient by its
-value: 0, a rational or a CycNum.  `_reduce` is the one place that applies
-z^8 = z^4 - 1: a CycNum product, a Galois conjugate and a layout convolution
-all fold their powers z^8..z^14 through it.
+`sparse_product` multiplies polynomials over any exact ring one scalar
+product at a time; every product of forms and of ParamPolys runs through it.
+The form chord of `ecurve` instead carries forms whose coefficients are
+ints, Fractions and CycNums as integer layouts: each form's coordinates in
+(x, z) over one common denominator.  This module is the only one that knows
+CycNum's storage, so a layout is built, read and sized here, and its sums,
+differences, products, cubes, zero tests and exact division (`layout_*`)
+make no CycNum on the way, so that a computation normalizes only what it
+returns, and types each returned coefficient by its value: 0, a rational
+or a CycNum.  `_reduce` is the one place that applies z^8 = z^4 - 1: a
+CycNum product, a Galois conjugate and a layout product all fold their
+powers z^8..z^14 through it.
 `ParamPoly` times a scalar maps its coefficients.
 """
 from __future__ import annotations
@@ -435,18 +435,6 @@ def _coefficients(acc: list, den: int) -> tuple:
         else:
             out.append(Fraction(num[0], den) if num[0] else ZERO)
     return tuple(out)
-
-
-def cyclotomic_product(a, b) -> tuple:
-    """The coefficients of the product of two forms given by their layouts,
-    as one integer convolution over the product of their denominators."""
-    return _coefficients(_convolve(a, b), a[0] * b[0])
-
-
-def cyclotomic_cube(a) -> tuple:
-    """The coefficients of the cube of a form given by its layout: the
-    square's layout times the form."""
-    return cyclotomic_product(layout_product(a, a), a)
 
 
 def layout_product(a, b):

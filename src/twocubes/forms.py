@@ -18,20 +18,14 @@ and divides only its outputs; any other value passes through over 1.
 `scalar_json` is the package's one encoder of a scalar as JSON, and
 `derivative` the one derivative of a coefficient list, which the exact
 multiplicity chain and `roots`' cluster polish share.
-A product of forms, and the cube of a quadratic, takes one of two paths
-chosen by the coefficient ring.  When the exact factors' coefficients are
-ints, Fractions and CycNums, at least one a CycNum, it is one integer
-convolution over Q(zeta24) (`exact.cyclotomic_product` and
-`exact.cyclotomic_cube`), on a layout built at most once per form and kept
-on it (`form_layout`).  Every other product, of float, rational or ParamPoly
-forms, takes one scalar product at a time (`exact.sparse_product`,
-`_quadratic_cube`).
-Both paths give equal coefficients; the convolution's are typed by value
-(`EXACT.zero` itself, a Fraction or a CycNum).  `form_divexact` and
-`form_gcd` multiply by the inverse of the divisor's lead.
-Forms are immutable; all operations return new values, so they are safe to
-share across threads (a cached layout is a pure function of the
-coefficients).
+Every exact or float product of forms takes one scalar product at a time
+(`exact.sparse_product`), and the cube of a quadratic runs from its ten
+cubic monomials (`_quadratic_cube`); both skip zero coefficients, and a
+slot that no product reaches holds the kernel's `zero`.  The two forms of a
+sum, difference or product share one kernel, else TypeError.
+`form_divexact` and `form_gcd` multiply by the inverse of the divisor's lead.
+Forms are immutable and carry nothing but their fields; all operations
+return new values, so they are safe to share across threads.
 """
 from __future__ import annotations
 
@@ -44,9 +38,6 @@ from .exact import (
     CycNum,
     ParamPoly,
     binary_power,
-    cyclotomic_cube,
-    cyclotomic_layout,
-    cyclotomic_product,
     sparse_product,
 )
 
@@ -210,7 +201,12 @@ class BinaryForm:
 
     # -- arithmetic ---------------------------------------------------------
 
+    def _require_same_kernel(self, other: BinaryForm):
+        if self.kernel.exact != other.kernel.exact:
+            raise TypeError(f"kernel mismatch: {self.kernel} vs {other.kernel}")
+
     def _require_same_degree(self, other: BinaryForm):
+        self._require_same_kernel(other)
         if self.degree != other.degree:
             raise ValueError(f"degree mismatch: {self.degree} vs {other.degree}")
 
@@ -226,11 +222,8 @@ class BinaryForm:
         return BinaryForm(self.degree, tuple([-a for a in self.coeffs]), self.kernel)
 
     def __mul__(self, other: BinaryForm) -> BinaryForm:
+        self._require_same_kernel(other)
         d = self.degree + other.degree
-        if self.kernel.exact and other.kernel.exact:
-            layouts = _cyclotomic_layouts(self, other)
-            if layouts:
-                return BinaryForm(d, cyclotomic_product(*layouts), EXACT)
         return BinaryForm(d, sparse_product(self.coeffs, other.coeffs, self.kernel.zero), self.kernel)
 
     def scale(self, s) -> BinaryForm:
@@ -242,10 +235,6 @@ class BinaryForm:
         if n == 0:
             return BinaryForm(0, (self.kernel.one,), self.kernel)
         if n == 3 and self.degree == 2:
-            if self.kernel.exact:
-                layouts = _cyclotomic_layouts(self)
-                if layouts:
-                    return BinaryForm(6, cyclotomic_cube(*layouts), EXACT)
             return BinaryForm(6, _quadratic_cube(*self.coeffs, self.kernel.zero), self.kernel)
         return binary_power(self, n)
 
@@ -269,30 +258,6 @@ class BinaryForm:
             if c:
                 acc = acc + power.scale(c)
         return acc
-
-
-def form_layout(f: BinaryForm):
-    """The form's `exact.cyclotomic_layout`, built at most once and kept on
-    it; None when a coefficient is not an int, a Fraction or a CycNum.  The
-    dataclass fields, and so equality and hashing, do not see it, and two
-    threads that build it at once store equal values."""
-    try:
-        return f.__dict__["_layout"]
-    except KeyError:
-        layout = cyclotomic_layout(f.coeffs)
-        object.__setattr__(f, "_layout", layout)
-        return layout
-
-
-def _cyclotomic_layouts(*forms):
-    """The layouts of exact forms whose coefficients are ints, Fractions and
-    CycNums, at least one a CycNum; else None, and the forms multiply
-    through `sparse_product` and `_quadratic_cube`.  A form with no CycNum
-    gets a layout only as the factor of one that has one."""
-    if not any(CycNum in map(type, f.coeffs) for f in forms):
-        return None
-    layouts = [form_layout(f) for f in forms]
-    return layouts if all(layouts) else None
 
 
 def _quadratic_cube(a, b, c, zero) -> tuple:

@@ -1,4 +1,5 @@
 import itertools
+import operator
 import random
 import sys
 from fractions import Fraction
@@ -493,7 +494,7 @@ def test_exact_quadratic_cube_matches_product(ring, zeros, seed):
             assert c is EXACT.zero
 
 
-# -- exact products over Q(zeta24) as one integer convolution ------------------
+# -- exact products on the scalar loops --------------------------------------
 
 def _same_slots(got, want):
     """Slot by slot: the same type and value, a CycNum stored identically,
@@ -523,23 +524,6 @@ def _exact_form(rng, ring, zeros):
     return BinaryForm.exact(len(zeros) - 1, [EXACT.zero if zero else _nonzero(rng, _RINGS[ring]) for zero in zeros])
 
 
-class _LayoutSpy:
-    """Records the coefficients of every layout that forms.cyclotomic_layout
-    builds while the spy is active."""
-
-    def __enter__(self):
-        self.built, self._build = [], forms.cyclotomic_layout
-        forms.cyclotomic_layout = lambda coeffs: self.built.append(coeffs) or self._build(coeffs)
-        return self
-
-    def __exit__(self, *exc):
-        forms.cyclotomic_layout = self._build
-
-
-def _has_cycnum(f):
-    return any(isinstance(c, CycNum) for c in f.coeffs)
-
-
 _ZEROS = st.integers(min_value=0, max_value=6).flatmap(
     lambda degree: st.lists(st.booleans(), min_size=degree + 1, max_size=degree + 1))
 
@@ -550,51 +534,45 @@ _ZEROS = st.integers(min_value=0, max_value=6).flatmap(
 def test_exact_product_and_cube_match_the_scalar_loops(ring_f, ring_g, zeros_f, zeros_g, seed):
     rng = random.Random(seed)
     f, g = _exact_form(rng, ring_f, zeros_f), _exact_form(rng, ring_g, zeros_g)
-    with _LayoutSpy() as spy:
-        product = f * g
-        cube = f ** 3 if f.degree == 2 else None
-    # a product with a CycNum coefficient and a layout for each factor runs
-    # on layouts, and types by value; any other keeps the scalar loops' types
-    def same(got, want, *factors):
-        on_layouts = any(map(_has_cycnum, factors)) and _layouts(*factors) is not None
-        (_same_values if on_layouts else _same_slots)(got, want)
-
+    product = f * g
     assert product.degree == f.degree + g.degree and product.kernel is EXACT
-    same(product.coeffs, sparse_product(f.coeffs, g.coeffs, EXACT.zero), f, g)
-    if cube is not None:
+    _same_slots(product.coeffs, sparse_product(f.coeffs, g.coeffs, EXACT.zero))
+    if f.degree == 2:
+        cube = f ** 3
         assert cube.degree == 6 and cube.kernel is EXACT
-        same(cube.coeffs, _quadratic_cube(*f.coeffs, EXACT.zero), f)
-    # a layout is built at most once per form, and only for a product that
-    # has a CycNum coefficient
-    assert len(spy.built) == len({id(c) for c in spy.built}) <= 2
-    if not (_has_cycnum(f) or _has_cycnum(g)):
-        assert spy.built == []
+        _same_slots(cube.coeffs, _quadratic_cube(*f.coeffs, EXACT.zero))
+    # a form carries nothing but its fields
+    assert all(vars(h).keys() == {"degree", "coeffs", "kernel"} for h in (f, g, product))
 
 
-def test_exact_products_type_each_coefficient_by_its_value():
+def test_exact_products_keep_cancelling_and_rational_values():
     # (x + wy)(x - wy) = x^2 - w^2 y^2: the middle slot is reached and cancels
     f, g = BinaryForm.exact(1, [1, OMEGA]), BinaryForm.exact(1, [1, -OMEGA])
-    product = f * g
-    _same_values(product.coeffs, sparse_product(f.coeffs, g.coeffs, EXACT.zero))
-    assert product.coeffs[0] == 1 and type(product.coeffs[0]) is Fraction
-    assert product.coeffs[1] is EXACT.zero
-    assert product.coeffs[2] == -OMEGA ** 2 and type(product.coeffs[2]) is CycNum
+    assert (f * g).coeffs == (1, 0, -OMEGA ** 2)
     # (wx + y)(2x + 3y): the y^2 slot takes only the int products 1 * 3
     product = BinaryForm.exact(1, [OMEGA, 1]) * BinaryForm.exact(1, [2, 3])
-    assert product.coeffs[2] == 3 and type(product.coeffs[2]) is Fraction
+    assert product.coeffs == (2 * OMEGA, 3 * OMEGA + 2, 3)
     # w * w^2 = 1: a product of two CycNums with a rational value
     product = BinaryForm.exact(0, [OMEGA]) * BinaryForm.exact(1, [OMEGA ** 2, OMEGA])
-    assert product.coeffs == (1, OMEGA ** 2) and type(product.coeffs[0]) is Fraction
+    assert product.coeffs == (1, OMEGA ** 2)
     # (x^2 + 2i xy + 2y^2)^2 has a middle slot 2ac + b^2 = 0
     q = BinaryForm.exact(2, [1, 2 * IMAG, F(2)])
-    assert (q * q).coeffs[2] is EXACT.zero
-    _same_values((q ** 3).coeffs, _quadratic_cube(*q.coeffs, EXACT.zero))
+    assert (q * q).coeffs[2] == 0
+    assert (q ** 3).coeffs == (q * (q * q)).coeffs
 
 
 def test_a_form_with_a_cycnum_and_a_parampoly_takes_the_scalar_loops():
     mixed = BinaryForm.exact(2, [OMEGA, ParamPoly.variable("t"), 1])
     _same_slots((mixed * mixed).coeffs, sparse_product(mixed.coeffs, mixed.coeffs, EXACT.zero))
     _same_slots((mixed ** 3).coeffs, _quadratic_cube(*mixed.coeffs, EXACT.zero))
+
+
+def test_sums_differences_and_products_refuse_two_kernels():
+    ex_form, float_form = BinaryForm.exact(1, [1, 2]), BinaryForm.floating(1, [1.5, 2])
+    for op in (operator.add, operator.sub, operator.mul):
+        for left, right in ((ex_form, float_form), (float_form, ex_form)):
+            with pytest.raises(TypeError, match="kernel mismatch"):
+                op(left, right)
 
 
 # -- layout arithmetic against the scalar loops ---------------------------------
@@ -736,11 +714,6 @@ def test_layout_path_types_every_coefficient_by_its_value(ring_f, ring_g, zeros_
     lf, lg = _layouts(f, g)
     product = layout_product(lf, lg)
     outputs = [layout_coefficients(lf), layout_coefficients(product)]
-    if _has_cycnum(f) or _has_cycnum(g):
-        outputs.append((f * g).coeffs)
-        assert (f * g).coeffs == sparse_product(f.coeffs, g.coeffs, EXACT.zero)
-    if f.degree == 2 and _has_cycnum(f):
-        outputs.append((f ** 3).coeffs)
     if not g.is_zero():
         quotient = layout_divexact(product, lg, layout_lead_inverse(lg))
         assert quotient == f.coeffs

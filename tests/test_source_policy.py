@@ -39,6 +39,11 @@
 - Every module-level UPPER_CASE name bound to a number is read by package
   code outside its own definition: a threshold whose gate was deleted must
   go with it, not linger as a tunable that tunes nothing.
+- Only `exact.py` and `ecurve.py` name `cyclotomic_layout` or a `layout_*`
+  function of `exact`, and only `exact.py` calls `object.__setattr__` (to
+  fill `CycNum`'s slots): layouts stay inside `exact` and the form chord,
+  so every other product of forms takes `exact.sparse_product`, and a
+  `BinaryForm` carries nothing but its fields.
 """
 import ast
 import importlib
@@ -262,3 +267,25 @@ def test_numeric_constants_are_read():
     assert len(constants) >= 20
     unread = [name for name in constants if name.split(".")[1] not in read]
     assert not unread, f"numeric constants no package code reads: {unread}"
+
+
+def test_layouts_stay_in_exact_and_the_form_chord():
+    exact_tree = ast.parse(next(p for p in SOURCES if p.name == "exact.py").read_text())
+    layout_names = {node.name for node in exact_tree.body if isinstance(node, ast.FunctionDef)
+                    and (node.name == "cyclotomic_layout" or node.name.startswith("layout_"))}
+    assert {"cyclotomic_layout", "layout_product", "layout_divexact"} <= layout_names
+    found = {}
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                    for alias in node.names}
+        bad = []
+        if path.name not in ("exact.py", "ecurve.py"):
+            bad += sorted((_names(tree) | imported) & layout_names)
+        if path.name != "exact.py":
+            bad += [f"object.__setattr__ at line {node.lineno}" for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute) and node.attr == "__setattr__"
+                    and isinstance(node.value, ast.Name) and node.value.id == "object"]
+        if bad:
+            found[path.name] = bad
+    assert not found, f"layout names or object.__setattr__ outside exact and the form chord: {found}"
