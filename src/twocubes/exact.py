@@ -11,6 +11,8 @@ the suite can be checked coefficient-wise without nested radicals.
 
 `sparse_product` multiplies polynomials over any exact ring one scalar
 product at a time; every product of forms and of ParamPolys runs through it.
+Every quotient of ParamPolys and of scalar forms runs `long_division`, by the
+one scalar inverse, `reciprocal`, of the lead; `horner` evaluates them.
 The form chord of `ecurve` instead carries forms whose coefficients are
 ints, Fractions and CycNums as integer layouts: each form's coordinates in
 (x, z) over one common denominator.  This module is the only one that knows
@@ -31,7 +33,7 @@ import functools
 import math
 import operator
 from fractions import Fraction
-from itertools import compress
+from itertools import compress, dropwhile
 
 Rational = Fraction
 # CycNum's operators take these and CycNum, and return NotImplemented for
@@ -339,6 +341,36 @@ def sparse_product(a, b, zero) -> tuple:
                 acc = out[i + j]
                 out[i + j] = x * y if acc is None else acc + x * y
     return tuple([zero if c is None else c for c in out])
+
+
+def reciprocal(v):
+    """1 / v for a nonzero int, Fraction or CycNum: the one scalar inverse."""
+    return Fraction(1) / v
+
+
+def long_division(a, b):
+    """Quotient and remainder, without leading zeros, of polynomials over an
+    exact ring, highest power first.  The nonzero lead of b is inverted once
+    by `reciprocal`, or divides each term exactly when it is a ParamPoly; zero
+    terms of b are skipped, and a slot no quotient term reaches holds `ZERO`."""
+    n = max(len(a) - len(b) + 1, 0)
+    quot, rem, lead = [ZERO] * n, list(a), b[0]
+    inv = None if isinstance(lead, ParamPoly) else reciprocal(lead)
+    terms = [(j, y) for j, y in enumerate(b) if y][1:]
+    for i in range(n):
+        if rem[i]:
+            c = quot[i] = rem[i] / lead if inv is None else rem[i] * inv
+            for j, y in terms:
+                rem[i + j] = rem[i + j] - c * y
+    return quot, list(dropwhile(operator.not_, rem[n:]))
+
+
+def horner(coeffs, z):
+    """p(z) by Horner's rule, coefficients highest power first, over any ring."""
+    acc = 0
+    for c in coeffs:
+        acc = acc * z + c
+    return acc
 
 
 # -- forms over Q(zeta24) as integer layouts -----------------------------------
@@ -673,7 +705,7 @@ class ParamPoly:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        """The exact quotient by long division.  ArithmeticError when other
+        """The exact quotient by `long_division`.  ArithmeticError when other
         does not divide self (ZeroDivisionError when other is zero)."""
         if not isinstance(other, _COEFFICIENTS):
             return NotImplemented
@@ -683,20 +715,10 @@ class ParamPoly:
         den = divisor.coeffs[: divisor.degree() + 1]
         if not den:
             raise ZeroDivisionError("division by a zero ParamPoly")
-        # an int lead would make int / int a float
-        lead = Fraction(den[-1]) if isinstance(den[-1], int) else den[-1]
-        rem = list(self.coeffs)
-        quot = [0] * max(len(rem) - len(den) + 1, 0)
-        for i in reversed(range(len(quot))):
-            c = rem[i + len(den) - 1]
-            if c:
-                q = quot[i] = c / lead
-                for j, d in enumerate(den):
-                    if d:
-                        rem[i + j] = rem[i + j] - q * d
-        if any(rem):
+        quot, rem = long_division(self.coeffs[::-1], den[::-1])
+        if rem:
             raise ArithmeticError(f"{other!r} does not divide {self!r}")
-        return ParamPoly(self.param, tuple(quot))
+        return ParamPoly(self.param, tuple(quot[::-1]))
 
     def __rtruediv__(self, other):
         if not isinstance(other, _COEFFICIENTS):
@@ -723,10 +745,7 @@ class ParamPoly:
         return hash(scalar_key(self))
 
     def evaluate(self, value):
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * value + c
-        return acc
+        return horner(self.coeffs[::-1], value)
 
     def reversed_coeffs(self, formal_degree: int) -> ParamPoly:
         """t^D * p(1/t): the coefficient reversal used by the 1/lambda symmetries."""

@@ -21,9 +21,9 @@ multiplicity chain and `roots`' cluster polish share.
 Every exact or float product of forms takes one scalar product at a time
 (`exact.sparse_product`), and the cube of a quadratic runs from its ten
 cubic monomials (`_quadratic_cube`); both skip zero coefficients, and a
-slot that no product reaches holds the kernel's `zero`.  The two forms of a
-sum, difference or product share one kernel, else TypeError.
-`form_divexact` and `form_gcd` multiply by the inverse of the divisor's lead.
+slot that no product reaches holds the kernel's `zero`.  Sums, differences,
+products, `equals` and `proportional_to` refuse two kernels (TypeError).
+`form_divexact` and `form_gcd` divide by `exact.long_division`.
 Forms are immutable and carry nothing but their fields; all operations
 return new values, so they are safe to share across threads.
 """
@@ -38,6 +38,8 @@ from .exact import (
     CycNum,
     ParamPoly,
     binary_power,
+    long_division,
+    reciprocal,
     sparse_product,
 )
 
@@ -62,8 +64,7 @@ class ExactKernel:
     def is_zero(self, value, terms=(), degree=1) -> bool:
         return not value
 
-    def inv(self, value):
-        return value.inverse() if isinstance(value, CycNum) else Fraction(1) / value
+    inv = staticmethod(reciprocal)
 
     def div(self, num, den):
         # a ParamPoly divides exactly or raises ArithmeticError
@@ -181,6 +182,7 @@ class BinaryForm:
         return max([abs(c) for c in self.coeffs])
 
     def equals(self, other: BinaryForm) -> bool:
+        self._require_same_kernel(other)
         if self.degree != other.degree:
             return False
         terms = self.coeffs + other.coeffs
@@ -188,6 +190,7 @@ class BinaryForm:
 
     def proportional_to(self, other: BinaryForm, rel_tol: float = PROPORTIONAL_REL) -> bool:
         """True when self and other span the same line of forms."""
+        self._require_same_kernel(other)
         if self.degree != other.degree:
             return False
         if self.is_zero() or other.is_zero():
@@ -333,10 +336,13 @@ class LinearChange:
 
 
 def form_compose(f: BinaryForm, m: LinearChange) -> BinaryForm:
-    m.check_invertible()
-    fx = BinaryForm(1, (m.alpha, m.beta), f.kernel)
-    fy = BinaryForm(1, (m.gamma, m.delta), f.kernel)
-    return f.substituted(fx, fy)
+    """f under m, on the kernel `lift` picks from f's and m's values."""
+    values, kernel = lift(f.coeffs + (m.alpha, m.beta, m.gamma, m.delta))
+    alpha, beta, gamma, delta = values[-4:]
+    LinearChange(alpha, beta, gamma, delta, kernel).check_invertible()
+    fx = BinaryForm(1, (alpha, beta), kernel)
+    fy = BinaryForm(1, (gamma, delta), kernel)
+    return BinaryForm(f.degree, tuple(values[:-4]), kernel).substituted(fx, fy)
 
 
 def _dehomogenize(f: BinaryForm):
@@ -344,26 +350,6 @@ def _dehomogenize(f: BinaryForm):
     of f(x,1) highest power first, led by a nonzero one)."""
     m = next(k for k, c in enumerate(f.coeffs) if c)
     return m, list(f.coeffs[m:])
-
-
-def _long_division(a, b):
-    """Quotient and remainder of exact univariate polynomials, coefficients
-    highest power first and b's lead nonzero, by the inverse of that lead.
-    A zero running coefficient adds no quotient term, so such a slot holds
-    `EXACT.zero`.  The remainder comes without leading zeros, empty when b
-    divides a."""
-    n = max(len(a) - len(b) + 1, 0)
-    quot, rem, inv = [EXACT.zero] * n, list(a), EXACT.inv(b[0])
-    for i in range(n):
-        if not rem[i]:
-            continue
-        c = quot[i] = rem[i] * inv
-        for j in range(1, len(b)):
-            rem[i + j] = rem[i + j] - c * b[j]
-    rem = rem[n:]
-    while rem and not rem[0]:
-        del rem[0]
-    return quot, rem
 
 
 def form_gcd(f: BinaryForm, g: BinaryForm) -> BinaryForm:
@@ -381,7 +367,7 @@ def form_gcd(f: BinaryForm, g: BinaryForm) -> BinaryForm:
     my, a = _dehomogenize(f)
     ny, b = _dehomogenize(g)
     while b:
-        a, b = b, _long_division(a, b)[1]
+        a, b = b, long_division(a, b)[1]
     # re-homogenize: y^ycommon shifts the x-polynomial toward higher k indices
     ycommon = min(my, ny)
     return BinaryForm(len(a) - 1 + ycommon, tuple([EXACT.zero] * ycommon + a), EXACT)
@@ -414,8 +400,8 @@ def form_divexact(f: BinaryForm, g: BinaryForm) -> BinaryForm:
         raise ValueError("does not divide (y-multiplicity)")
     if len(b) > len(a):
         raise ValueError("does not divide (degree)")
-    quot, rem = _long_division(a, b)
-    if any(rem):
+    quot, rem = long_division(a, b)
+    if rem:
         raise ValueError("does not divide (remainder)")
     return BinaryForm(f.degree - g.degree, tuple([kernel.zero] * (my - ny) + quot), kernel)
 

@@ -20,6 +20,7 @@ import dataclasses
 import math
 import sys
 
+from .exact import horner
 from .forms import NEGLIGIBLE_REL, BinaryForm, derivative, norm2, relative_residual
 
 CLUSTER_REL = 1e-6          # base mutual-distance threshold for multiplicity grouping
@@ -71,13 +72,6 @@ class ProjectiveRoot:
 
     def factor_coeffs(self) -> tuple[complex, complex]:
         return (complex(self.t), complex(-self.s))
-
-
-def _polyval(coeffs, z):
-    acc = 0j
-    for c in coeffs:
-        acc = acc * z + c
-    return acc
 
 
 def _newton_polygon(coeffs) -> tuple[list[tuple[int, float]], list[float]]:
@@ -264,10 +258,10 @@ def _polished_center(body: list[complex], center: complex, mult: int, move_cap: 
     dq = derivative(q)
     z = center
     for _ in range(60):
-        dv = _polyval(dq, z)
+        dv = horner(dq, z)
         if dv == 0:
             break
-        step = _polyval(q, z) / dv
+        step = horner(q, z) / dv
         z -= step
         if abs(z - center) > move_cap:
             return center

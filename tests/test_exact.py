@@ -519,3 +519,133 @@ def test_zero_skipping_products_equal_the_dense_loop():
         # "a" sorts before lam and mu, so it nests them as coefficients
         poly = ParamPoly("a", tuple(a)) * ParamPoly("a", tuple(b))
         assert all(g == w for g, w in zip(poly.coeffs, want, strict=True))
+
+
+# -- one long division and one Horner loop ------------------------------------
+
+def _reference_parampoly_quotient(p, d):
+    """The quotient loop ParamPoly ran before `exact.long_division`, kept as a
+    reference: low degree first, every term divided by the lead, an int lead
+    made a Fraction first, and a slot that no term reaches the int 0."""
+    den = d.coeffs[: d.degree() + 1]
+    lead = Fraction(den[-1]) if isinstance(den[-1], int) else den[-1]
+    rem = list(p.coeffs)
+    quot = [0] * max(len(rem) - len(den) + 1, 0)
+    for i in reversed(range(len(quot))):
+        c = rem[i + len(den) - 1]
+        if c:
+            q = quot[i] = c / lead
+            for j, e in enumerate(den):
+                if e:
+                    rem[i + j] = rem[i + j] - q * e
+    if any(rem):
+        raise ArithmeticError("does not divide")
+    return ParamPoly(p.param, tuple(quot))
+
+
+def _rational(rng):
+    return Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+
+
+def _cyclotomic(rng):
+    return CycNum([rng.choice((0, rng.randint(-5, 5), _rational(rng))) for _ in range(8)])
+
+
+def _polynomial(name, draw):
+    return lambda rng: ParamPoly(name, tuple([draw(rng) for _ in range(rng.randint(1, 3))]))
+
+
+# every ring leaves a zero coefficient to a third of the draws
+_DIVISION_RINGS = {
+    "int": lambda rng: rng.randint(-9, 9),
+    "Fraction": _rational,
+    "CycNum": _cyclotomic,
+    "ParamPoly": _polynomial("mu", lambda rng: rng.choice((_rational, _cyclotomic))(rng)),
+    "two-parameter ParamPoly": _polynomial("lam", _polynomial("mu", _rational)),
+}
+
+
+def _draw(rng, ring):
+    return 0 if rng.random() < 1 / 3 else _DIVISION_RINGS[ring](rng)
+
+
+@pytest.mark.parametrize("ring", sorted(_DIVISION_RINGS))
+def test_long_division_returns_the_quotient_and_a_shorter_remainder(ring):
+    rng = random.Random(37)
+    for _ in range(120):
+        b = [_draw(rng, ring) for _ in range(rng.randint(1, 4))]
+        while not b[0]:
+            b[0] = _DIVISION_RINGS[ring](rng)
+        q = [_draw(rng, ring) for _ in range(rng.randint(0, 4))]
+        r = [_draw(rng, ring) for _ in range(rng.randint(0, len(b) - 1))]
+        a = list(exact.sparse_product(q, b, 0)) if q else [0] * (len(b) - 1)
+        a = a[: len(a) - len(r)] + [x + y for x, y in zip(a[len(a) - len(r):], r)]
+        quot, rem = exact.long_division(a, b)
+        # q*b + r = a, deg r < deg b, and the remainder has no leading zero
+        assert len(rem) < len(b) and (not rem or rem[0])
+        back = list(exact.sparse_product(quot, b, 0)) if quot else [0] * (len(b) - 1)
+        back[len(back) - len(rem):] = [x + y for x, y in zip(back[len(back) - len(rem):], rem)]
+        assert len(back) == len(a) and all(x == y for x, y in zip(back, a))
+        # a ParamPoly quotient is the old loop's, up to the unreached slots
+        # that now hold exact.ZERO in place of the int 0
+        p, d = ParamPoly("a", tuple(a[::-1])), ParamPoly("a", tuple(b[::-1]))
+        try:
+            want = _reference_parampoly_quotient(p, d)
+        except ArithmeticError:
+            with pytest.raises(ArithmeticError):
+                p / d
+            assert any(r)
+            continue
+        got = (p / d).coeffs
+        assert len(got) == len(want.coeffs)
+        for g, w in zip(got, want.coeffs):
+            assert g == w
+            assert type(g) is type(w) or (g is exact.ZERO and type(w) is int and w == 0), (g, w)
+
+
+def test_a_cycnum_lead_is_inverted_once(monkeypatch):
+    inverted = []
+    inverse = CycNum.inverse
+
+    def spy(self):
+        inverted.append(self)
+        return inverse(self)
+
+    monkeypatch.setattr(CycNum, "inverse", spy)
+    n = ParamPoly.variable("n")
+    divisor = OMEGA * n + SQRT2
+    assert ((n ** 5 + 3 * n + 1) * divisor) / divisor == n ** 5 + 3 * n + 1
+    assert inverted == [OMEGA]
+
+
+def test_horner_is_the_power_sum_and_the_parampoly_value():
+    rng = random.Random(38)
+    for _ in range(200):
+        coeffs = [_rational(rng) for _ in range(rng.randint(0, 6))]
+        z = _rational(rng)
+        want = sum([c * z ** k for k, c in enumerate(reversed(coeffs))])
+        assert exact.horner(coeffs, z) == ParamPoly("t", tuple(coeffs[::-1])).evaluate(z) == want
+
+
+def _reference_polyval(coeffs, z):
+    """The float Horner loop of the root finder's cluster polish before
+    `exact.horner`, kept as a reference."""
+    acc = 0j
+    for c in coeffs:
+        acc = acc * z + c
+    return acc
+
+
+def test_horner_keeps_the_bits_of_the_complex_loop():
+    rng = random.Random(39)
+
+    def value():
+        scale = 10.0 ** rng.randint(-8, 8)
+        if rng.random() < 0.3:  # a real coefficient, as a derivative of a real form has
+            return complex(rng.uniform(-1, 1) * scale)
+        return complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) * scale
+
+    for _ in range(500):
+        coeffs, z = [value() for _ in range(rng.randint(1, 8))], value()
+        got, want = exact.horner(coeffs, z), _reference_polyval(coeffs, z)
+        assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())

@@ -25,6 +25,7 @@ from twocubes.exact import (
     layout_lead_inverse,
     layout_product,
     layout_sum,
+    reciprocal,
     sparse_product,
 )
 from twocubes.forms import (
@@ -80,6 +81,7 @@ def test_kernel_scalar_protocol():
     assert EXACT.exact and not FLOAT.exact
     assert EXACT.inv(3) == F(1, 3) and isinstance(EXACT.inv(3), F)
     assert EXACT.inv(OMEGA) * OMEGA == CycNum.one()
+    assert EXACT.inv is reciprocal  # the package's one scalar inverse rule
     assert EXACT.div(F(1), F(4)) == F(1, 4) and FLOAT.div(1.0, 4.0) == 0.25
     assert EXACT.is_zero(OMEGA - OMEGA, [1.0], 1) and not EXACT.is_zero(F(1, 10 ** 30), [F(1)], 9)
     assert FLOAT.is_zero(1e-10, [1.0], 1) and not FLOAT.is_zero(1e-8, [1.0], 1)
@@ -573,6 +575,47 @@ def test_sums_differences_and_products_refuse_two_kernels():
         for left, right in ((ex_form, float_form), (float_form, ex_form)):
             with pytest.raises(TypeError, match="kernel mismatch"):
                 op(left, right)
+
+
+def test_equality_and_proportionality_refuse_two_kernels():
+    # the exact form tested exactly against floats said False, the float
+    # form tested at its tolerance said True
+    e, f = BinaryForm.exact(1, [1, 2]), BinaryForm.floating(1, [1 + 1e-15, 2])
+    for left, right in ((e, f), (f, e)):
+        with pytest.raises(TypeError, match="kernel mismatch"):
+            left.equals(right)
+        with pytest.raises(TypeError, match="kernel mismatch"):
+            left.proportional_to(right)
+    assert f.equals(e.to_float()) and e.to_float().proportional_to(f)
+
+
+def _hex(coeffs):
+    return [(c.real.hex(), c.imag.hex()) for c in coeffs]
+
+
+def test_compose_takes_the_kernel_of_the_form_and_the_change():
+    f = BinaryForm.exact(2, [1, 0, 1])
+    # a float entry makes the call FLOAT, whatever the change is labelled
+    for change in (LinearChange(1.5, 0, 0, 1), LinearChange(1.5, 0, 0, 1, FLOAT)):
+        got = form_compose(f, change)
+        assert got.kernel is FLOAT and got.coeffs == (2.25, 0, 1)
+        assert all(type(c) is complex for c in got.coeffs)
+    # the invertibility check runs on that kernel too
+    with pytest.raises(ValueError, match="singular"):
+        form_compose(f, LinearChange(1, 1, 1, 1 + 1e-12))
+    # an exact form under an exact change keeps its values and types
+    change = LinearChange(F(3, 2), 2, OMEGA, 1)
+    want = f.substituted(BinaryForm(1, (change.alpha, change.beta)), BinaryForm(1, (change.gamma, change.delta)))
+    got = form_compose(f, change)
+    assert got.kernel is EXACT and [type(c) for c in got.coeffs] == [type(c) for c in want.coeffs]
+    assert got.coeffs == want.coeffs
+    # a float form under an exact change keeps its bits
+    g = BinaryForm.floating(2, [1.1 + 0.3j, -2.7, 0.9j])
+    change = LinearChange(F(3, 2), 2, -1, F(1, 3))
+    want = g.substituted(BinaryForm(1, (change.alpha, change.beta), FLOAT),
+                         BinaryForm(1, (change.gamma, change.delta), FLOAT))
+    got = form_compose(g, change)
+    assert got.kernel is FLOAT and _hex(got.coeffs) == _hex(want.coeffs)
 
 
 # -- layout arithmetic against the scalar loops ---------------------------------

@@ -44,6 +44,12 @@
   fill `CycNum`'s slots): layouts stay inside `exact` and the form chord,
   so every other product of forms takes `exact.sparse_product`, and a
   `BinaryForm` carries nothing but its fields.
+- One exact long division and one Horner loop: `_long_division` and
+  `_polyval` are gone, `ParamPoly.__truediv__`, `forms.form_divexact` and
+  `forms.form_gcd` call `exact.long_division`, and `ParamPoly.evaluate` and
+  `roots._polished_center` call `exact.horner`.  Only `exact.reciprocal`
+  divides `Fraction(1)` by a value, so the package keeps one scalar inverse
+  rule.
 """
 import ast
 import importlib
@@ -289,3 +295,45 @@ def test_layouts_stay_in_exact_and_the_form_chord():
         if bad:
             found[path.name] = bad
     assert not found, f"layout names or object.__setattr__ outside exact and the form chord: {found}"
+
+
+def _functions(tree) -> dict:
+    """Every function of a module by its qualified name (Class.method)."""
+    found = {}
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            found[node.name] = node
+        elif isinstance(node, ast.ClassDef):
+            found |= {f"{node.name}.{n.name}": n for n in node.body if isinstance(n, ast.FunctionDef)}
+    return found
+
+
+def _divides_fraction_one(node) -> set:
+    """Lines of the divisions under node whose left operand is Fraction(1)."""
+    return {
+        n.lineno
+        for n in ast.walk(node)
+        if isinstance(n, ast.BinOp) and isinstance(n.op, ast.Div)
+        and isinstance(n.left, ast.Call) and isinstance(n.left.func, ast.Name)
+        and n.left.func.id == "Fraction" and [ast.unparse(a) for a in n.left.args] == ["1"]
+    }
+
+
+def test_one_long_division_and_one_horner_loop():
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES}
+    gone = {"_long_division", "_polyval"}
+    stale = {name: sorted((_names(tree) | set(_functions(tree))) & gone) for name, tree in trees.items()}
+    assert not any(stale.values()), f"a second division or Horner loop: {stale}"
+    callers = {
+        ("exact.py", "ParamPoly.__truediv__"): "long_division",
+        ("forms.py", "form_divexact"): "long_division",
+        ("forms.py", "form_gcd"): "long_division",
+        ("exact.py", "ParamPoly.evaluate"): "horner",
+        ("roots.py", "_polished_center"): "horner",
+    }
+    missing = [f"{module}:{function} does not call {loop}" for (module, function), loop in callers.items()
+               if loop not in _names(_functions(trees[module])[function])]
+    assert not missing, missing
+    rule = {("exact.py", line) for line in _divides_fraction_one(_functions(trees["exact.py"])["reciprocal"])}
+    inverses = {(name, line) for name, tree in trees.items() for line in _divides_fraction_one(tree)}
+    assert rule and inverses == rule, f"Fraction(1) / v outside exact.reciprocal: {sorted(inverses - rule)}"
