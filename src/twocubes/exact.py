@@ -11,8 +11,8 @@ the suite can be checked coefficient-wise without nested radicals.
 
 `sparse_product` multiplies polynomials over any exact ring one scalar
 product at a time; every product of forms and of ParamPolys runs through it.
-Every quotient of ParamPolys and of scalar forms runs `long_division`, by the
-one scalar inverse, `reciprocal`, of the lead; `horner` evaluates them.
+Every quotient of ParamPolys and of scalar forms runs `long_division`, which
+inverts a scalar lead once by `reciprocal`; `horner` evaluates them.
 The form chord of `ecurve` instead carries forms whose coefficients are
 ints, Fractions and CycNums as integer layouts: each form's coordinates in
 (x, z) over one common denominator.  This module is the only one that knows

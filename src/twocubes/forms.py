@@ -324,10 +324,8 @@ class LinearChange:
         return LinearChange(k.div(self.delta, d), k.div(-self.beta, d), k.div(-self.gamma, d), k.div(self.alpha, d), k)
 
     def then(self, other: LinearChange) -> LinearChange:
-        """Matrix product: applying self after substituting with other.
-
-        form_compose(f, self.then(other)) == form_compose(form_compose(f, self), other).
-        """
+        """Matrix product, applying self after substituting with other:
+        form_compose(f, self.then(other)) == form_compose(form_compose(f, self), other)."""
         a = self.alpha * other.alpha + self.beta * other.gamma
         b = self.alpha * other.beta + self.beta * other.delta
         c = self.gamma * other.alpha + self.delta * other.gamma
@@ -338,11 +336,10 @@ class LinearChange:
 def form_compose(f: BinaryForm, m: LinearChange) -> BinaryForm:
     """f under m, on the kernel `lift` picks from f's and m's values."""
     values, kernel = lift(f.coeffs + (m.alpha, m.beta, m.gamma, m.delta))
-    alpha, beta, gamma, delta = values[-4:]
+    *coeffs, alpha, beta, gamma, delta = values
     LinearChange(alpha, beta, gamma, delta, kernel).check_invertible()
-    fx = BinaryForm(1, (alpha, beta), kernel)
-    fy = BinaryForm(1, (gamma, delta), kernel)
-    return BinaryForm(f.degree, tuple(values[:-4]), kernel).substituted(fx, fy)
+    fx, fy = BinaryForm(1, (alpha, beta), kernel), BinaryForm(1, (gamma, delta), kernel)
+    return BinaryForm(f.degree, tuple(coeffs), kernel).substituted(fx, fy)
 
 
 def _dehomogenize(f: BinaryForm):
@@ -354,8 +351,8 @@ def _dehomogenize(f: BinaryForm):
 
 def form_gcd(f: BinaryForm, g: BinaryForm) -> BinaryForm:
     """A gcd up to scalar; the constant form 1 means relatively prime.  Exact
-    kernel only: a float form's common factors are those of
-    `roots.linear_factors`."""
+    kernel only: a float form's common factors are those of `roots.linear_factors`.
+    Over ParamPolys, ArithmeticError where a remainder's lead does not divide."""
     if not (f.kernel.exact and g.kernel.exact):
         raise TypeError("form gcd requires the exact kernel")
     if f.is_zero() and g.is_zero():
@@ -385,10 +382,10 @@ def derivative(coeffs, order: int = 1) -> list:
 
 def form_divexact(f: BinaryForm, g: BinaryForm) -> BinaryForm:
     """The exact quotient f / g; exact kernel only.  A zero g raises
-    ZeroDivisionError, a g that leaves a remainder raises ValueError, and a
+    ZeroDivisionError, a g that does not divide f over its coefficients'
+    ring (a ParamPoly lead divides term by term) raises ValueError, and a
     zero f gives the zero form of degree max(deg f - deg g, 0)."""
-    kernel = f.kernel
-    if not kernel.exact:
+    if not f.kernel.exact:
         raise TypeError("exact division requires the exact kernel")
     if g.is_zero():
         raise ZeroDivisionError("division by the zero form")
@@ -400,10 +397,13 @@ def form_divexact(f: BinaryForm, g: BinaryForm) -> BinaryForm:
         raise ValueError("does not divide (y-multiplicity)")
     if len(b) > len(a):
         raise ValueError("does not divide (degree)")
-    quot, rem = long_division(a, b)
+    try:
+        quot, rem = long_division(a, b)
+    except ArithmeticError:  # a ParamPoly lead that does not divide a term
+        raise ValueError("does not divide (lead)") from None
     if rem:
         raise ValueError("does not divide (remainder)")
-    return BinaryForm(f.degree - g.degree, tuple([kernel.zero] * (my - ny) + quot), kernel)
+    return BinaryForm(f.degree - g.degree, tuple([EXACT.zero] * (my - ny) + quot), EXACT)
 
 
 def multiplicity_structure(p: BinaryForm) -> list[int]:

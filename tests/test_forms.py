@@ -226,6 +226,29 @@ def test_divexact_by_the_zero_form_raises_zero_division(f):
             form_divexact(f, g)
 
 
+def test_divexact_over_a_parameter_ring_divides_each_term_by_the_lead():
+    # a ParamPoly lead has no inverse: it divides each quotient term exactly
+    t = ParamPoly.variable("t")
+    g, q = BinaryForm.exact(1, [t, 1]), BinaryForm.exact(1, [1, t + 1])
+    assert form_divexact(g * q, g).coeffs == q.coeffs
+    # t does not divide the lead 1 of x^2 + y^2
+    with pytest.raises(ValueError, match=r"does not divide \(lead\)"):
+        form_divexact(ex(1, 0, 1), g)
+    # t x^2 + t xy + y^2 = x (t x + t y) + y^2 leaves the remainder y^2
+    with pytest.raises(ValueError, match=r"does not divide \(remainder\)"):
+        form_divexact(BinaryForm.exact(2, [t, t, 1]), BinaryForm.exact(1, [t, t]))
+
+
+def test_gcd_over_a_parameter_ring_returns_only_when_each_lead_divides():
+    t = ParamPoly.variable("t")
+    common = BinaryForm.exact(1, [t, 1])
+    d = form_gcd(common * ex(1, 1), common * ex(1, -1))
+    assert form_divexact(d, common).degree == 0
+    # x^2 + y^2 by t x + y: t does not divide the lead 1
+    with pytest.raises(ArithmeticError):
+        form_gcd(ex(1, 0, 1), common)
+
+
 def _reference_divide(num, den):
     """The second exact form division this package once had, kept as an
     oracle: dense division of the dehomogenized polynomials in t = y/x,
