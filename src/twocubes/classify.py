@@ -243,7 +243,7 @@ def diagonalize(f1: BinaryForm, f2: BinaryForm) -> LinearChange:
         squares.append(f1f.scale(-C / B) + f2f)
     ell1 = _square_root_of_quadratic(squares[0])
     ell2 = _square_root_of_quadratic(squares[1])
-    return LinearChange(*ell1.coeffs, *ell2.coeffs, FLOAT).inverse()
+    return LinearChange(*ell1.coeffs, *ell2.coeffs).inverse()
 
 
 # ------------------------------------------------------------ tame / wild
@@ -365,14 +365,13 @@ def canonicalize_type(f1: BinaryForm, f2: BinaryForm, f3: BinaryForm,
     roots = _phi_roots(T)
     try:
         ells = _square_pencil_lines(forms[2], forms[3], roots)
-        inverse = LinearChange(*ells[0].coeffs, *ells[1].coeffs, FLOAT).inverse()
+        inverse = LinearChange(*ells[0].coeffs, *ells[1].coeffs).inverse()
     except ValueError as exc:
         raise ValueError(f"dishonest family: {exc}") from exc
     ref = reference_family(lv)
     ref_ells = _square_pencil_lines(ref[2], ref[3], roots)
     # M = L^{-1} * Lhat so that ell_j composed with M equals the reference line
-    m = inverse.then(LinearChange(*ref_ells[0].coeffs, *ref_ells[1].coeffs, FLOAT))
-    m.check_invertible()
+    m = inverse.then(LinearChange(*ref_ells[0].coeffs, *ref_ells[1].coeffs))
     images = tuple([form_compose(f, m) for f in forms])
     for image, target in ((images[2], ref[2]), (images[3], ref[3])):
         if relative_residual(image.coeffs, target.coeffs) > CANON_MATCH_TOL:

@@ -2,9 +2,10 @@
 
 Commands: decompose, census, verify, family, type-detect, eb, curve-add.
 Scalar literals are exact rationals ("3/2", "-4", "0.25" -- parsed exactly)
-or complex pairs "re,im"; `forms.lift` picks each command's kernel, the
-exact one when every input is exact.  Exit codes: 0 success, 1 usage
-error, 2 computation failure, 3 verification suite failure.
+or complex pairs "re,im"; `BinaryForm.lifted` builds each command's forms on
+the kernel `forms.lift` picks, the exact one when every input is exact.
+Exit codes: 0 success, 1 usage error, 2 computation failure, 3 verification
+suite failure.
 """
 from __future__ import annotations
 
@@ -32,7 +33,7 @@ from .families import (
     young_family,
     young_quadruple,
 )
-from .forms import BinaryForm, lift, scalar_json
+from .forms import BinaryForm, scalar_json
 
 
 class UsageError(ValueError):
@@ -75,11 +76,6 @@ def parse_scalars(texts) -> list:
     return [parse_scalar(t) for t in texts]
 
 
-def build_form(degree: int, values) -> BinaryForm:
-    values, kernel = lift(values)
-    return BinaryForm(degree, tuple(values), kernel)
-
-
 def _emit(ns, payload, text_lines) -> None:
     if ns.format == "json":
         print(json.dumps(payload, sort_keys=True, separators=(", ", ": ")))
@@ -94,7 +90,7 @@ def _emit(ns, payload, text_lines) -> None:
 
 def cmd_decompose(ns) -> int:
     coeffs = parse_scalars(ns.coeffs)
-    report = rep_count(build_form(6, coeffs))
+    report = rep_count(BinaryForm.lifted(6, coeffs))
     payload = report_to_json(report)
 
     def text():
@@ -227,7 +223,7 @@ def cmd_family(ns) -> int:
 
 def cmd_type_detect(ns) -> int:
     coeffs = parse_scalars(ns.coeffs)
-    forms = [build_form(2, coeffs[3 * k : 3 * k + 3]) for k in range(4)]
+    forms = [BinaryForm.lifted(2, coeffs[3 * k : 3 * k + 3]) for k in range(4)]
     tag = type_detect(*forms)
     payload = {
         "T": scalar_json(tag.T),
@@ -345,11 +341,6 @@ def _build_parser() -> _Parser:
     return parser
 
 
-# Each global option and the one command that reads it: any other command
-# would ignore the option, so it rejects it instead.
-_OPTION_COMMANDS = {"jobs": "census"}
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -357,9 +348,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:
-        for option, command in _OPTION_COMMANDS.items():
-            if getattr(ns, option) is not None and ns.command != command:
-                raise UsageError(f"--{option} applies only to {command}")
+        # only census reads --jobs; any other command would ignore it
+        if ns.jobs is not None and ns.command != "census":
+            raise UsageError("--jobs applies only to census")
         return ns.handler(ns)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -67,13 +67,6 @@ from .exact import (
 from .forms import EXACT, BinaryForm, form_divexact, form_gcd, lift, projective
 
 
-def _const_form(v) -> BinaryForm:
-    """The constant form v, on the kernel `forms.lift` picks for it: a float
-    or complex v makes a float form."""
-    (v,), kernel = lift([v])
-    return BinaryForm(0, (v,), kernel)
-
-
 # the benchmark's tracer times `forms.form_divexact` under this name too
 _divide_forms = form_divexact
 
@@ -85,7 +78,7 @@ class RationalFunction:
     __slots__ = ("num", "den")
 
     def __init__(self, num, den=None):
-        num, den = [v if isinstance(v, BinaryForm) else _const_form(v)
+        num, den = [v if isinstance(v, BinaryForm) else BinaryForm.lifted(0, [v])
                     for v in (num, Fraction(1) if den is None else den)]
         if not (num.kernel.exact and den.kernel.exact):
             raise TypeError("rational-function arithmetic requires exact forms")
@@ -194,7 +187,7 @@ def _cancelled(num, den):
     """The pair num, den divided by the gcd of the two forms, den made
     monic; 0 over 1 for a zero num."""
     if num.is_zero():
-        return BinaryForm.zero(0), _const_form(Fraction(1))
+        return BinaryForm.zero(0), BinaryForm.lifted(0, [Fraction(1)])
     # a constant form shares no factor of positive degree
     if num.degree and den.degree:
         g = form_gcd(num, den)

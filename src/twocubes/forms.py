@@ -11,8 +11,11 @@ each kernel's one zero test: exactly zero, or for floats at most `FLOAT_TOL`
 of the scale, the largest of the `terms` the value is built from to the
 value's `degree` in them, so the test is unchanged when every term is scaled.
 `lift` is the one place a call's kernel is chosen from its inputs: one float
-or complex value makes it FLOAT, else it is EXACT, and `BinaryForm.exact`
-raises TypeError on a value it would make FLOAT.  `projective` clears the
+or complex value makes it FLOAT, else it is EXACT.  Every form built from
+values (`BinaryForm.lifted`, and `BinaryForm.exact`, which raises TypeError
+on a value `lift` makes FLOAT), every `scale` and every linear change
+(`check_invertible`, `inverse`, `then`, `form_compose`) asks it, and every
+float coercion is `FLOAT.coerce`.  `projective` clears the
 denominators of a call's rational values once, so the call computes on ints
 and divides only its outputs; any other value passes through over 1.
 `scalar_json` is the package's one encoder of a scalar as JSON, and
@@ -38,6 +41,7 @@ from .exact import (
     CycNum,
     ParamPoly,
     binary_power,
+    horner,
     long_division,
     reciprocal,
     sparse_product,
@@ -142,7 +146,7 @@ def projective(*values) -> tuple:
 class BinaryForm:
     degree: int
     coeffs: tuple
-    kernel: object = EXACT
+    kernel: object
 
     def __post_init__(self):
         if len(self.coeffs) != self.degree + 1:
@@ -151,25 +155,29 @@ class BinaryForm:
     # -- constructors ----------------------------------------------------
 
     @staticmethod
+    def lifted(degree: int, values) -> BinaryForm:
+        """The form of `values` on the kernel `lift` picks for them."""
+        values, kernel = lift(values)
+        return BinaryForm(degree, tuple(values), kernel)
+
+    @staticmethod
     def exact(degree: int, coeffs) -> BinaryForm:
         """An exact form; TypeError when a coefficient is a float or complex."""
-        coeffs, kernel = lift(coeffs)
-        if not kernel.exact:
+        form = BinaryForm.lifted(degree, coeffs)
+        if not form.kernel.exact:
             raise TypeError("an exact form takes no float or complex coefficient")
-        return BinaryForm(degree, tuple(coeffs), EXACT)
+        return form
 
     @staticmethod
     def floating(degree: int, coeffs) -> BinaryForm:
-        return BinaryForm(degree, tuple([complex(c) for c in coeffs]), FLOAT)
+        return BinaryForm(degree, tuple(map(FLOAT.coerce, coeffs)), FLOAT)
 
     @staticmethod
     def zero(degree: int, kernel=EXACT) -> BinaryForm:
         return BinaryForm(degree, (kernel.zero,) * (degree + 1), kernel)
 
     def to_float(self) -> BinaryForm:
-        if not self.kernel.exact:
-            return self
-        return BinaryForm(self.degree, tuple([FLOAT.coerce(c) for c in self.coeffs]), FLOAT)
+        return BinaryForm.floating(self.degree, self.coeffs) if self.kernel.exact else self
 
     # -- predicates -------------------------------------------------------
 
@@ -230,6 +238,11 @@ class BinaryForm:
         return BinaryForm(d, sparse_product(self.coeffs, other.coeffs, self.kernel.zero), self.kernel)
 
     def scale(self, s) -> BinaryForm:
+        """s times the form, s lifted with the form's `one`: a float form
+        coerces an exact s, and an exact form refuses a float s (TypeError)."""
+        (s, _), kernel = lift((s, self.kernel.one))
+        if kernel.exact != self.kernel.exact:
+            raise TypeError("an exact form takes no float or complex scale")
         return BinaryForm(self.degree, tuple([s * a for a in self.coeffs]), self.kernel)
 
     def __pow__(self, n: int) -> BinaryForm:
@@ -242,11 +255,8 @@ class BinaryForm:
         return binary_power(self, n)
 
     def evaluate(self, x, y):
-        acc = None
-        for k, c in enumerate(self.coeffs):
-            term = c * x ** (self.degree - k) * y**k
-            acc = term if acc is None else acc + term
-        return acc
+        """f(x, y): `horner` in x over the coefficients c_k y^k."""
+        return horner([c * y ** k for k, c in enumerate(self.coeffs)], x)
 
     def substituted(self, fx: BinaryForm, fy: BinaryForm) -> BinaryForm:
         """f(fx, fy) for two degree-1 forms, by homogeneous Horner:
@@ -303,7 +313,9 @@ def _quadratic_cube(a, b, c, zero) -> tuple:
 
 @dataclasses.dataclass(frozen=True)
 class LinearChange:
-    """(x, y) -> (alpha x + beta y, gamma x + delta y), invertible."""
+    """(x, y) -> (alpha x + beta y, gamma x + delta y), invertible.  Every
+    method computes on the kernel `lift` picks from the entries and labels
+    the change it returns with it; no method reads `kernel`."""
 
     alpha: object
     beta: object
@@ -314,32 +326,34 @@ class LinearChange:
     def det(self):
         return self.alpha * self.delta - self.beta * self.gamma
 
-    def check_invertible(self):
-        if self.kernel.is_zero(self.det(), (self.alpha, self.beta, self.gamma, self.delta), 2):
+    def check_invertible(self) -> LinearChange:
+        """This change on its lifted entries and kernel; ValueError when singular."""
+        entries, kernel = lift((self.alpha, self.beta, self.gamma, self.delta))
+        m = LinearChange(*entries, kernel)
+        if kernel.is_zero(m.det(), entries, 2):
             raise ValueError("singular linear change")
+        return m
 
     def inverse(self) -> LinearChange:
-        self.check_invertible()
-        k, d = self.kernel, self.det()
-        return LinearChange(k.div(self.delta, d), k.div(-self.beta, d), k.div(-self.gamma, d), k.div(self.alpha, d), k)
+        m = self.check_invertible()
+        k, d = m.kernel, m.det()
+        return LinearChange(k.div(m.delta, d), k.div(-m.beta, d), k.div(-m.gamma, d), k.div(m.alpha, d), k)
 
     def then(self, other: LinearChange) -> LinearChange:
         """Matrix product, applying self after substituting with other:
         form_compose(f, self.then(other)) == form_compose(form_compose(f, self), other)."""
-        a = self.alpha * other.alpha + self.beta * other.gamma
-        b = self.alpha * other.beta + self.beta * other.delta
-        c = self.gamma * other.alpha + self.delta * other.gamma
-        d = self.gamma * other.beta + self.delta * other.delta
-        return LinearChange(a, b, c, d, self.kernel)
+        (a1, b1, c1, d1, a2, b2, c2, d2), _ = lift((self.alpha, self.beta, self.gamma, self.delta,
+                                                    other.alpha, other.beta, other.gamma, other.delta))
+        return LinearChange(a1 * a2 + b1 * c2, a1 * b2 + b1 * d2,
+                            c1 * a2 + d1 * c2, c1 * b2 + d1 * d2).check_invertible()
 
 
 def form_compose(f: BinaryForm, m: LinearChange) -> BinaryForm:
     """f under m, on the kernel `lift` picks from f's and m's values."""
     values, kernel = lift(f.coeffs + (m.alpha, m.beta, m.gamma, m.delta))
-    *coeffs, alpha, beta, gamma, delta = values
-    LinearChange(alpha, beta, gamma, delta, kernel).check_invertible()
-    fx, fy = BinaryForm(1, (alpha, beta), kernel), BinaryForm(1, (gamma, delta), kernel)
-    return BinaryForm(f.degree, tuple(coeffs), kernel).substituted(fx, fy)
+    m = LinearChange(*values[-4:]).check_invertible()
+    fx, fy = BinaryForm(1, (m.alpha, m.beta), kernel), BinaryForm(1, (m.gamma, m.delta), kernel)
+    return BinaryForm(f.degree, tuple(values[:-4]), kernel).substituted(fx, fy)
 
 
 def _dehomogenize(f: BinaryForm):

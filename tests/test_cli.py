@@ -675,3 +675,44 @@ def test_text_format_census(capsys):
     assert code == 0
     assert "generic N = 2" in out
     assert "t = 15: N = 4  *" in out
+
+
+# -- the README's examples ------------------------------------------------------
+
+README = Path(__file__).parent.parent / "README.md"
+
+
+def _readme_block(heading, fence):
+    """The first code block fenced by ```fence under the ## heading."""
+    section = README.read_text().split(f"\n## {heading}\n", 1)[1]
+    return section.split(f"```{fence}\n", 1)[1].split("```", 1)[0]
+
+
+def _readme_commands():
+    """The argv of each `twocubes ...` line of the Command line block."""
+    commands = []
+    for line in _readme_block("Command line", "sh").splitlines():
+        words = line.split("#", 1)[0].split()
+        if "twocubes" in words:
+            commands.append(words[words.index("twocubes") + 1:])
+    return commands
+
+
+def test_readme_lists_the_commands_it_shows():
+    assert len(_readme_commands()) == 13
+
+
+@pytest.mark.parametrize("argv", _readme_commands(), ids=" ".join)
+def test_readme_command_runs(capsys, argv):
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    json.loads(out)
+
+
+def test_readme_library_snippet_runs():
+    from fractions import Fraction
+
+    scope = {}
+    exec(_readme_block("Library", "python"), scope)
+    assert scope["report"].N == 6
+    assert (scope["x3"], scope["y3"]) == (Fraction(-37, 3), Fraction(46, 3))

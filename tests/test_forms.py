@@ -628,7 +628,8 @@ def test_compose_takes_the_kernel_of_the_form_and_the_change():
         form_compose(f, LinearChange(1, 1, 1, 1 + 1e-12))
     # an exact form under an exact change keeps its values and types
     change = LinearChange(F(3, 2), 2, OMEGA, 1)
-    want = f.substituted(BinaryForm(1, (change.alpha, change.beta)), BinaryForm(1, (change.gamma, change.delta)))
+    want = f.substituted(BinaryForm.exact(1, (change.alpha, change.beta)),
+                         BinaryForm.exact(1, (change.gamma, change.delta)))
     got = form_compose(f, change)
     assert got.kernel is EXACT and [type(c) for c in got.coeffs] == [type(c) for c in want.coeffs]
     assert got.coeffs == want.coeffs
@@ -640,6 +641,65 @@ def test_compose_takes_the_kernel_of_the_form_and_the_change():
     got = form_compose(g, change)
     assert got.kernel is FLOAT and _hex(got.coeffs) == _hex(want.coeffs)
 
+
+
+def test_a_near_singular_float_change_is_refused_as_compose_refuses_it():
+    # det = 1e-15 against entries of 1: zero on the float kernel, although
+    # not exactly zero, whatever the change is labelled
+    for m in (LinearChange(1.0, 1.0, 1.0, 1.0 + 1e-15), LinearChange(1.0, 1.0, 1.0, 1.0 + 1e-15, EXACT)):
+        for call in (m.check_invertible, m.inverse, lambda: m.then(LinearChange(1, 0, 0, 1)),
+                     lambda: form_compose(BinaryForm.floating(1, [1, 0]), m)):
+            with pytest.raises(ValueError, match="singular"):
+                call()
+
+
+def test_inverse_and_then_carry_the_kernel_of_their_entries():
+    m = LinearChange(1.5, 0, 0, 1)
+    for got in (m.inverse(), m.then(LinearChange(1, 2, 0, 1)), LinearChange(1, 2, 0, 1).then(m)):
+        assert got.kernel is FLOAT
+        assert all(type(v) is complex for v in (got.alpha, got.beta, got.gamma, got.delta))
+    assert m.inverse().alpha == 1 / 1.5 and m.check_invertible().kernel is FLOAT
+    exact = LinearChange(F(2), 1, OMEGA, 1)
+    for got in (exact.inverse(), exact.then(exact)):
+        assert got.kernel is EXACT and not any(isinstance(v, complex) for v in (got.alpha, got.delta))
+    assert exact.then(exact.inverse()) == LinearChange(1, 0, 0, 1)
+
+
+def test_scale_lifts_its_scalar_with_the_form():
+    f = BinaryForm.exact(2, [1, 2, 3])
+    for s in (1.5, 2j):
+        with pytest.raises(TypeError, match="scale"):
+            f.scale(s)
+    assert f.scale(OMEGA).kernel is EXACT and f.scale(OMEGA).coeffs == (OMEGA, 2 * OMEGA, 3 * OMEGA)
+    g = BinaryForm.floating(2, [1, 0, 1]).scale(OMEGA)
+    w = OMEGA.to_complex()
+    assert g.kernel is FLOAT and g.coeffs == (w, 0, w) and all(type(c) is complex for c in g.coeffs)
+    assert _hex(BinaryForm.floating(1, [0.3, 1j]).scale(F(1, 3)).coeffs) == _hex([0.3 * (1 / 3), 1j * (1 / 3)])
+
+
+def test_floating_and_to_float_coerce_one_way():
+    values = [3, F(1, 3), OMEGA, F(-7, 10 ** 300), IMAG * F(2, 7)]
+    f, g = BinaryForm.floating(4, values), BinaryForm.exact(4, values).to_float()
+    assert f == g and _hex(f.coeffs) == _hex(g.coeffs) and f.kernel is FLOAT
+    assert BinaryForm.floating(1, [0.5, 2j]).coeffs == (0.5, 2j)
+    tiny = [1, F(1, 10 ** 400)]
+    for make in (lambda: BinaryForm.floating(1, tiny), lambda: BinaryForm.exact(1, tiny).to_float()):
+        with pytest.raises(ValueError, match="underflows"):
+            make()
+
+
+def test_a_form_names_its_kernel():
+    with pytest.raises(TypeError):
+        BinaryForm(2, (1.5, 0.0, 1.0))
+    assert BinaryForm.lifted(2, [1.5, 0, 1]) == BinaryForm.floating(2, [1.5, 0, 1])
+    assert BinaryForm.lifted(1, [F(1, 2), OMEGA]) == BinaryForm(1, (F(1, 2), OMEGA), EXACT)
+
+
+def test_evaluate_runs_horner_in_x():
+    f = ex(1, 2, 3)
+    assert f.evaluate(F(1, 2), 2) == F(1, 4) + 2 + 12 and f.evaluate(2, 0) == 4
+    t = ParamPoly.variable("t")
+    assert BinaryForm.exact(1, [t, 1]).evaluate(2, 3) == 2 * t + 3
 
 # -- layout arithmetic against the scalar loops ---------------------------------
 

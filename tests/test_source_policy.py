@@ -329,6 +329,7 @@ def test_one_long_division_and_one_horner_loop():
         ("forms.py", "form_divexact"): "long_division",
         ("forms.py", "form_gcd"): "long_division",
         ("exact.py", "ParamPoly.evaluate"): "horner",
+        ("forms.py", "BinaryForm.evaluate"): "horner",
         ("roots.py", "_polished_center"): "horner",
     }
     missing = [f"{module}:{function} does not call {loop}" for (module, function), loop in callers.items()
