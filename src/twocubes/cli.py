@@ -6,6 +6,10 @@ or complex pairs "re,im"; `BinaryForm.lifted` builds each command's forms on
 the kernel `forms.lift` picks, the exact one when every input is exact.
 Exit codes: 0 success, 1 usage error, 2 computation failure, 3 verification
 suite failure.
+
+Each command imports the modules it calls in its own body, so a cold start
+loads only what its command runs: `decompose` loads `forms`, `exact`,
+`decomp` and `roots`, and never `classify`, `families` or `ecurve`.
 """
 from __future__ import annotations
 
@@ -17,22 +21,6 @@ import re
 import sys
 from fractions import Fraction
 
-from .classify import type_detect
-from .decomp import rep_count, report_to_json
-from .ecurve import EBParams, curve_add, curve_third_rep, eb_forward, eb_inverse
-from .families import (
-    f_forms,
-    hirschhorn_family,
-    hirschhorn_quadruple,
-    narayanan_quadruple,
-    ramanujan_quadruple,
-    sextic_a,
-    sextic_b,
-    verify_identity_suite,
-    vieta_quartics,
-    young_family,
-    young_quadruple,
-)
 from .forms import BinaryForm, scalar_json
 
 
@@ -89,6 +77,8 @@ def _emit(ns, payload, text_lines) -> None:
 # --------------------------------------------------------------------------
 
 def cmd_decompose(ns) -> int:
+    from .decomp import rep_count, report_to_json
+
     coeffs = parse_scalars(ns.coeffs)
     report = rep_count(BinaryForm.lifted(6, coeffs))
     payload = report_to_json(report)
@@ -106,19 +96,22 @@ def cmd_decompose(ns) -> int:
 
 GRID_MAX_POINTS = 100_000  # the most points one --grid may ask for
 _CENSUS_GENERIC = {"A": 2, "B": 3}
-_CENSUS_BUILDERS = {"A": sextic_a, "B": sextic_b}
 
 
 def _census_cell(args) -> int:
-    family, t = args
-    return rep_count(_CENSUS_BUILDERS[family](t)).N
+    from .decomp import rep_count
+
+    build, t = args
+    return rep_count(build(t)).N
 
 
 def cmd_census(ns) -> int:
+    from .families import sextic_a, sextic_b
+
     family = ns.family.upper()
     if ns.jobs is not None and ns.jobs < 1:
         raise UsageError("--jobs must be at least 1")
-    if family not in _CENSUS_BUILDERS:
+    if family not in _CENSUS_GENERIC:
         raise UsageError("family must be A or B")
     t_values = parse_scalars(ns.values)
     if ns.grid:
@@ -140,7 +133,8 @@ def cmd_census(ns) -> int:
     if not t_values:
         raise UsageError("census needs parameter values or --grid")
 
-    work = [(family, t) for t in t_values]
+    build = {"A": sextic_a, "B": sextic_b}[family]
+    work = [(build, t) for t in t_values]
     workers = min(ns.jobs or 1, len(work))
     if workers > 1:
         import multiprocessing  # only a parallel census pays for this import
@@ -167,6 +161,8 @@ def cmd_census(ns) -> int:
 
 
 def cmd_verify(ns) -> int:
+    from .families import verify_identity_suite
+
     ids = None
     if ns.ids:
         ids = {token.strip() for token in ns.ids.split(",") if token.strip()}
@@ -182,24 +178,34 @@ def cmd_verify(ns) -> int:
     return 0 if all(e["pass"] for e in entries) else 3
 
 
-# Each family's members at a parameter and without one; None where the family
-# has no such form, so a missing or an unread --lambda is a usage error.
-_FAMILIES = {
-    "F": (f_forms, None),
-    "N": (narayanan_quadruple, None),
-    "R": (None, ramanujan_quadruple),
-    "YOUNG": (young_family, young_quadruple),
-    "HIRSCHHORN": (hirschhorn_family, hirschhorn_quadruple),
-    "VIETA": (None, vieta_quartics),
-}
-
-
 def cmd_family(ns) -> int:
+    from .families import (
+        f_forms,
+        hirschhorn_family,
+        hirschhorn_quadruple,
+        narayanan_quadruple,
+        ramanujan_quadruple,
+        vieta_quartics,
+        young_family,
+        young_quadruple,
+    )
+
+    # Each family's members at a parameter and without one; None where the
+    # family has no such form, so a missing or an unread --lambda is a usage
+    # error.
+    families = {
+        "F": (f_forms, None),
+        "N": (narayanan_quadruple, None),
+        "R": (None, ramanujan_quadruple),
+        "YOUNG": (young_family, young_quadruple),
+        "HIRSCHHORN": (hirschhorn_family, hirschhorn_quadruple),
+        "VIETA": (None, vieta_quartics),
+    }
     fid = ns.family.upper()
     lam = parse_scalar(ns.lam) if ns.lam is not None else None
-    if fid not in _FAMILIES:
-        raise UsageError(f"family must be one of {', '.join(_FAMILIES)}")
-    at_parameter, fixed = _FAMILIES[fid]
+    if fid not in families:
+        raise UsageError(f"family must be one of {', '.join(families)}")
+    at_parameter, fixed = families[fid]
     if lam is None and fixed is None:
         raise UsageError(f"family {fid} needs --lambda")
     if lam is not None and at_parameter is None:
@@ -222,6 +228,8 @@ def cmd_family(ns) -> int:
 
 
 def cmd_type_detect(ns) -> int:
+    from .classify import type_detect
+
     coeffs = parse_scalars(ns.coeffs)
     forms = [BinaryForm.lifted(2, coeffs[3 * k : 3 * k + 3]) for k in range(4)]
     tag = type_detect(*forms)
@@ -242,6 +250,8 @@ def cmd_type_detect(ns) -> int:
 
 
 def cmd_eb(ns) -> int:
+    from .ecurve import EBParams, curve_third_rep, eb_forward, eb_inverse
+
     values = parse_scalars(ns.values)
     if ns.mode == "forward":
         if len(values) != 3:
@@ -279,6 +289,8 @@ def cmd_eb(ns) -> int:
 
 
 def cmd_curve_add(ns) -> int:
+    from .ecurve import curve_add
+
     values = parse_scalars(ns.values)
     x1, y1, x2, y2, a = values
     x3, y3 = curve_add((x1, y1), (x2, y2), a)

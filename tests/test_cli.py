@@ -1,4 +1,5 @@
 """End-to-end tests for the command-line interface."""
+import importlib
 import json
 import os
 import re
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import twocubes
 from twocubes import cli, families
 from twocubes.cli import main, parse_scalar
 from twocubes.exact import SQRT2
@@ -668,6 +670,103 @@ def test_cli_import_leaves_multiprocessing_unloaded():
     # only a parallel census imports multiprocessing, so no cold start pays for it
     proc = _run_python("-c", "import sys, twocubes.cli; print('multiprocessing' in sys.modules)")
     assert proc.stdout.strip() == "False"
+
+
+# One command in a fresh interpreter; prints its exit code and every module
+# loaded by the end.
+_FOOTPRINT = """
+import contextlib, io, json, sys
+from twocubes import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    rc = cli.main(sys.argv[1:])
+print(json.dumps({"rc": rc, "loaded": list(sys.modules)}))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, loads, leaves",
+    [
+        pytest.param(
+            ["decompose", "0", "1", "0", "0", "0", "-1", "0"],
+            {"decomp", "roots"},
+            {"classify", "families", "ecurve", "multiprocessing"},
+            id="decompose",
+        ),
+        pytest.param(["verify", "--ids", "01"], {"families"}, {"classify", "roots", "decomp"}, id="verify"),
+        pytest.param(["family", "F", "--lambda", "2"], {"families"}, {"classify", "roots", "decomp"}, id="family"),
+        pytest.param(
+            ["type-detect", "3", "5", "-5", "5", "-5", "-3", "6", "-4", "4", "-4", "4", "-6"],
+            {"classify"},
+            set(),
+            id="type-detect",
+        ),
+        pytest.param(["eb", "forward", "-3/2", "1/2", "1"], {"ecurve"}, {"decomp", "roots", "classify"}, id="eb"),
+        pytest.param(
+            ["curve-add", "1", "12", "9", "10", "1729"], {"ecurve"}, {"decomp", "roots", "classify"}, id="curve-add"
+        ),
+    ],
+)
+def test_a_command_loads_only_the_modules_it_runs(argv, loads, leaves):
+    # a cold start compiles and runs every module it loads, so a command
+    # that loads a module it never calls pays for it on every start
+    proc = _run_python("-c", _FOOTPRINT, *argv)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["rc"] == 0
+    # twocubes submodules by their short names
+    loaded = {name.removeprefix("twocubes.") for name in result["loaded"]}
+    assert loads <= loaded
+    assert not leaves & loaded
+
+
+# The package's public names by defining module, as the package exported
+# them when its import loaded every module.
+_PUBLIC_NAMES = {
+    "exact": ("CycNum", "ParamPoly", "Rational"),
+    "forms": ("BinaryForm", "LinearChange", "FloatKernel", "form_compose", "EXACT", "FLOAT"),
+    "decomp": ("rep_count", "report_to_json"),
+    "classify": ("type_detect", "canonicalize_type", "tame_complete", "wild_family"),
+    "families": ("verify_identity_suite",),
+    "ecurve": ("EBParams", "RationalFunction", "eb_forward", "eb_inverse", "curve_add", "curve_third_rep"),
+}
+
+
+def test_package_names_resolve_to_their_modules_objects():
+    assert sorted(twocubes.__all__) == sorted(n for names in _PUBLIC_NAMES.values() for n in names)
+    for module, names in _PUBLIC_NAMES.items():
+        defining = importlib.import_module(f"twocubes.{module}")
+        for name in names:
+            assert getattr(twocubes, name) is getattr(defining, name), name
+    assert set(twocubes.__all__) <= set(dir(twocubes))
+    namespace = {}
+    exec("from twocubes import *", namespace)
+    assert all(namespace[name] is getattr(twocubes, name) for name in twocubes.__all__)
+
+
+def test_unknown_package_attribute_raises_and_names_it():
+    with pytest.raises(AttributeError, match="'no_such_name'"):
+        twocubes.no_such_name
+
+
+def test_package_import_loads_no_submodule_until_a_name_is_used():
+    script = (
+        "import json, sys, twocubes\n"
+        "def loaded(): return sorted(n for n in sys.modules if n.startswith('twocubes.'))\n"
+        "before = loaded()\n"
+        "twocubes.curve_add\n"
+        "after_name = loaded()\n"
+        "module = twocubes.families\n"
+        "print(json.dumps([before, after_name, module.__name__, loaded()]))\n"
+    )
+    proc = _run_python("-c", script)
+    assert proc.returncode == 0, proc.stderr
+    before, after_name, module, after_module = json.loads(proc.stdout)
+    assert before == []
+    assert after_name == ["twocubes.ecurve", "twocubes.exact", "twocubes.forms"]
+    # a submodule read as an attribute is imported, as when the package
+    # loaded every module
+    assert module == "twocubes.families"
+    assert after_module == ["twocubes.ecurve", "twocubes.exact", "twocubes.families", "twocubes.forms"]
 
 
 def test_text_format_census(capsys):

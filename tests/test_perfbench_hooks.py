@@ -6,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from twocubes import ecurve, forms
+import twocubes
+from twocubes import decomp, ecurve, forms
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -34,6 +35,21 @@ def test_the_tracer_tables_are_found():
 @pytest.mark.parametrize("name, owner, attr", _hooks())
 def test_every_traced_attribute_exists(name, owner, attr):
     assert callable(getattr(owner, attr, None)), f"{name}: {owner.__name__}.{attr} is missing"
+
+
+def test_package_names_read_what_the_tracer_installs():
+    # the package resolves its names on first use and caches none, so a
+    # package name reads the wrapper while the tracer is installed and the
+    # original once it is uninstalled
+    original = decomp.rep_count
+    tracer = _tracer().Tracer(seed=1)
+    tracer.install()
+    try:
+        assert decomp.rep_count is not original
+        assert twocubes.rep_count is decomp.rep_count
+    finally:
+        tracer.uninstall()
+    assert twocubes.rep_count is original
 
 
 def test_both_division_rows_time_one_function():
